@@ -4,10 +4,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"pulphd/internal/hdc"
 	"pulphd/internal/obs"
 	"pulphd/internal/obs/flight"
 	sloeng "pulphd/internal/obs/slo"
@@ -67,7 +67,7 @@ func TestFlightCapturesTimeout(t *testing.T) {
 	api.flight = flight.NewRing(16, 64)
 	api.timeout = time.Nanosecond
 
-	cfg := api.sv.Config()
+	cfg := testServingConfig()
 	code, body := postJSON(t, srv, "/predict", windowJSON(t, cfg, 2))
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (%s)", code, body)
@@ -125,33 +125,33 @@ func TestFlightCapturesTimeout(t *testing.T) {
 	}
 }
 
-// TestFlightCapturesDegraded downs one AM shard via the chaos hook: the
-// predict still answers 200 through the flat-scan fallback, and the
-// degradation pins the timeline with model and generation tags.
-func TestFlightCapturesDegraded(t *testing.T) {
-	hdc.SetShardChaos(func(shard int) {
-		if shard == 0 {
-			panic("chaos: shard 0 down")
-		}
-	})
-	t.Cleanup(func() { hdc.SetShardChaos(nil) })
-
+// TestFlightCapturesRetry injects one predict panic through the fault
+// hook: the predict still answers 200 after a retry, and the retry
+// pins the timeline with model and scanned-generation tags.
+func TestFlightCapturesRetry(t *testing.T) {
 	api, srv, _ := newRegistryTestAPI(t, t.TempDir())
 	api.timelines = obs.NewTimelines(8, 64)
 	api.flight = flight.NewRing(16, 64)
+	api.retryBackoff = 0
+	var fired atomic.Bool
+	api.beforePredict = func() {
+		if !fired.Swap(true) {
+			panic("injected predict fault")
+		}
+	}
 
-	cfg := api.sv.Config()
+	cfg := testServingConfig()
 	code, body := doJSON(t, srv, "POST", "/models/default/predict", windowJSON(t, cfg, 16), nil)
 	if code != http.StatusOK {
-		t.Fatalf("degraded predict status %d (%s)", code, body)
+		t.Fatalf("retried predict status %d (%s)", code, body)
 	}
-	doc := waitFlightCapture(t, srv, srv.URL+"/debug/flight?summary=1&model=default", "degraded")
+	doc := waitFlightCapture(t, srv, srv.URL+"/debug/flight?summary=1&model=default", "retry")
 	e := doc.Entries[len(doc.Entries)-1]
 	if e.Model != "default" || e.Generation == 0 {
-		t.Fatalf("degraded capture tags model=%q generation=%d", e.Model, e.Generation)
+		t.Fatalf("retry capture tags model=%q generation=%d", e.Model, e.Generation)
 	}
 	if e.Spans == 0 {
-		t.Fatal("degraded capture lost its timeline")
+		t.Fatal("retry capture lost its timeline")
 	}
 	// The ?model= filter excludes everything else.
 	resp, err := srv.Client().Get(srv.URL + "/debug/flight?summary=1&model=ghost")
@@ -183,7 +183,7 @@ func TestFlightDisabled404(t *testing.T) {
 func TestSpansModelFilter(t *testing.T) {
 	api, srv, _ := newRegistryTestAPI(t, t.TempDir())
 	api.timelines = obs.NewTimelines(8, 64)
-	cfg := api.sv.Config()
+	cfg := testServingConfig()
 	if code, body := postJSON(t, srv, "/predict", windowJSON(t, cfg, 2)); code != http.StatusOK {
 		t.Fatalf("predict: %d %s", code, body)
 	}
@@ -201,7 +201,7 @@ func TestSpansModelFilter(t *testing.T) {
 // /models/{name}/slo plus its error surface.
 func TestModelSLOEndpoint(t *testing.T) {
 	api, srv, _ := newRegistryTestAPI(t, t.TempDir())
-	cfg := api.sv.Config()
+	cfg := testServingConfig()
 
 	// Disabled engine: honest 404.
 	if code, body := get(t, srv, "/models/default/slo"); code != http.StatusNotFound ||

@@ -3,8 +3,6 @@ package main
 import (
 	"strings"
 	"testing"
-
-	"pulphd/internal/hdc"
 )
 
 // FuzzPredictHTTP feeds arbitrary bodies to the /predict request
@@ -14,16 +12,7 @@ import (
 // encoders would reject.
 func FuzzPredictHTTP(f *testing.F) {
 	cfg := testServingConfig()
-	sv, err := hdc.NewServing(cfg, 2)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := sv.Retrain(nil, []hdc.Sample{
-		{Label: "rest", Window: testWindow(cfg, 2)},
-		{Label: "fist", Window: testWindow(cfg, 16)},
-	}); err != nil {
-		f.Fatal(err)
-	}
+	sv := trainedServing(f)
 
 	f.Add(`{"window": [[1, 2, 3, 4]]}`)
 	f.Add(`{"window": [[1, 2, 3, 4], [5, 6, 7, 8]]}`)

@@ -3,14 +3,12 @@ package main
 import (
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"pulphd/internal/hdc"
 	"pulphd/internal/obs"
-	"pulphd/internal/parallel"
 )
 
 // TestPredictTimeout pins the per-request deadline: with the
@@ -18,26 +16,13 @@ import (
 // once the dispatcher runs it skips the expired request instead of
 // classifying into the void, and fresh requests still get 200.
 func TestPredictTimeout(t *testing.T) {
-	sv, err := hdc.NewServing(testServingConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := []hdc.Sample{
-		{Label: "rest", Window: testWindow(sv.Config(), 2)},
-		{Label: "fist", Window: testWindow(sv.Config(), 16)},
-	}
-	if err := sv.Retrain(nil, samples); err != nil {
-		t.Fatal(err)
-	}
 	m := &obs.ServingMetrics{}
-	api := newAPIServer(sv, nil, 4, 4, m) // dispatcher not started yet
+	api := newTestServer(t, trainedServing(t), 4, 4, m) // dispatcher not started yet
 	api.timeout = 30 * time.Millisecond
-	mux := http.NewServeMux()
-	api.register(mux)
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
+	srv := serveTestAPI(t, api)
+	cfg := testServingConfig()
 
-	code, body := postJSON(t, srv, "/predict", windowJSON(t, sv.Config(), 2))
+	code, body := postJSON(t, srv, "/predict", windowJSON(t, cfg, 2))
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("stalled dispatcher: status %d, want 504 (%s)", code, body)
 	}
@@ -52,7 +37,7 @@ func TestPredictTimeout(t *testing.T) {
 	// dead context; the dispatcher must skip it and answer new work.
 	api.start()
 	t.Cleanup(api.stop)
-	code, body = postJSON(t, srv, "/predict", windowJSON(t, sv.Config(), 2))
+	code, body = postJSON(t, srv, "/predict", windowJSON(t, cfg, 2))
 	if code != http.StatusOK {
 		t.Fatalf("after timeout: status %d, want 200 (%s)", code, body)
 	}
@@ -62,46 +47,38 @@ func TestPredictTimeout(t *testing.T) {
 }
 
 // TestPredictPanicRecovery pins the bounded-retry contract: a predict
-// attempt that panics (here: a nil dispatcher session) is recovered,
-// the pool and session are replaced, and the retry succeeds — the
-// caller sees a normal answer, the counters see the incident.
+// attempt that panics (here: the injected fault hook, once) is
+// recovered, the cached sessions are dropped, and the retry succeeds —
+// the caller sees a normal answer, the counters see the incident.
 func TestPredictPanicRecovery(t *testing.T) {
-	sv, err := hdc.NewServing(testServingConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := []hdc.Sample{
-		{Label: "rest", Window: testWindow(sv.Config(), 2)},
-		{Label: "fist", Window: testWindow(sv.Config(), 16)},
-	}
-	if err := sv.Retrain(nil, samples); err != nil {
-		t.Fatal(err)
-	}
+	sv := trainedServing(t)
 	m := &obs.ServingMetrics{}
-	pool := parallel.NewPool(2)
-	api := newAPIServer(sv, pool, 4, 4, m)
-	t.Cleanup(func() { api.pool.Close() })
+	api := newTestServer(t, sv, 4, 4, m)
+	req := func() *pendingPredict { return &pendingPredict{window: testWindow(sv.Config(), 2), sv: sv} }
+	if res := api.predictOne(req()); res.err != nil || res.label != "rest" {
+		t.Fatalf("healthy predict: %+v", res)
+	}
+	warm := api.sessions[sv]
 
-	// api.ses is nil (the dispatcher was never started): the first
-	// attempt panics on the nil session, recovery installs a real one.
-	res := api.predictOne(&pendingPredict{window: testWindow(sv.Config(), 2)})
+	fired := false
+	api.beforePredict = func() {
+		if !fired {
+			fired = true
+			panic("injected predict fault")
+		}
+	}
+	res := api.predictOne(req())
 	if res.err != nil {
 		t.Fatalf("predict after recovery failed: %v", res.err)
 	}
-	if res.label != "rest" {
-		t.Fatalf("label %q, want %q", res.label, "rest")
+	if res.label != "rest" || !res.retried {
+		t.Fatalf("result %+v, want label rest after a retry", res)
 	}
 	if m.PanicsRecovered.Value() != 1 || m.Retries.Value() != 1 {
 		t.Fatalf("panics=%d retries=%d, want 1/1", m.PanicsRecovered.Value(), m.Retries.Value())
 	}
-	if api.ses == nil {
-		t.Fatal("session not replaced after recovered panic")
-	}
-	if api.pool == pool {
-		t.Fatal("pool not replaced after recovered panic")
-	}
-	if api.pool.Workers() != 2 {
-		t.Fatalf("replacement pool has %d workers, want 2", api.pool.Workers())
+	if ses := api.sessions[sv]; ses == nil || ses == warm {
+		t.Fatal("cached session survived a recovered panic")
 	}
 }
 
@@ -110,23 +87,14 @@ func TestPredictPanicRecovery(t *testing.T) {
 // handler), the process survives, and the counters account for every
 // attempt.
 func TestPredictRetriesExhausted(t *testing.T) {
-	sv, err := hdc.NewServing(testServingConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sv.Retrain(nil, []hdc.Sample{{Label: "rest", Window: testWindow(sv.Config(), 2)}}); err != nil {
-		t.Fatal(err)
-	}
+	sv := trainedServing(t)
 	m := &obs.ServingMetrics{}
-	api := newAPIServer(sv, nil, 4, 4, m)
-	api.ses = sv.NewSession()
+	api := newTestServer(t, sv, 4, 4, m)
 	api.retries = 1
 	api.retryBackoff = 0
+	api.beforePredict = func() { panic("injected predict fault") }
 
-	// A malformed window (short rows) panics inside encode on every
-	// attempt; validation normally rejects it at the handler, so this
-	// simulates a poisoned model rather than bad input.
-	res := api.predictOne(&pendingPredict{window: [][]float64{{1}}})
+	res := api.predictOne(&pendingPredict{window: testWindow(sv.Config(), 2), sv: sv})
 	if res.err == nil {
 		t.Fatal("poisoned predict returned no error")
 	}
@@ -138,31 +106,36 @@ func TestPredictRetriesExhausted(t *testing.T) {
 	}
 }
 
-// TestPredictDegradedThroughHTTP drives the full HTTP path with a
-// chaos hook downing one AM shard: /predict still answers 200 with the
-// right label (flat-scan fallback) and the degraded counter moves —
-// the shard loss never surfaces to the client.
-func TestPredictDegradedThroughHTTP(t *testing.T) {
+// TestPredictPanicThroughHTTP drives the full HTTP path with a predict
+// that panics on every attempt: /predict answers 500 once the bounded
+// retries are spent, the recovered panics are counted, and the next
+// healthy request is served normally.
+func TestPredictPanicThroughHTTP(t *testing.T) {
 	m := &obs.ServingMetrics{}
-	hdc.SetServingMetrics(m)
-	t.Cleanup(func() { hdc.SetServingMetrics(nil) })
-	hdc.SetShardChaos(func(shard int) {
-		if shard == 0 {
-			panic("chaos: shard 0 down")
+	api := newTestServer(t, trainedServing(t), 8, 4, m)
+	api.retryBackoff = 0
+	var failing atomic.Bool
+	failing.Store(true)
+	api.beforePredict = func() {
+		if failing.Load() {
+			panic("injected predict fault")
 		}
-	})
-	t.Cleanup(func() { hdc.SetShardChaos(nil) })
+	}
+	api.start()
+	t.Cleanup(api.stop)
+	srv := serveTestAPI(t, api)
+	cfg := testServingConfig()
 
-	api, srv := newTestAPI(t, 8, 4)
-	cfg := api.sv.Config()
 	code, body := postJSON(t, srv, "/predict", windowJSON(t, cfg, 16))
-	if code != http.StatusOK {
-		t.Fatalf("degraded predict: status %d, want 200 (%s)", code, body)
+	if code != http.StatusInternalServerError {
+		t.Fatalf("panicking predict: status %d, want 500 (%s)", code, body)
 	}
-	if !strings.Contains(body, `"label":"fist"`) {
-		t.Fatalf("degraded predict misclassified: %s", body)
+	if got := m.PanicsRecovered.Value(); got != int64(api.retries+1) {
+		t.Fatalf("panics recovered %d, want %d", got, api.retries+1)
 	}
-	if m.DegradedScans.Value() == 0 {
-		t.Fatal("degraded counter did not move with a shard down")
+	failing.Store(false)
+	code, body = postJSON(t, srv, "/predict", windowJSON(t, cfg, 16))
+	if code != http.StatusOK || !strings.Contains(body, `"label":"fist"`) {
+		t.Fatalf("after the fault cleared: status %d (%s)", code, body)
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"pulphd/internal/load"
 	"pulphd/internal/obs"
-	"pulphd/internal/parallel"
 )
 
 // TestHDLoadAgainstRealServer drives the real apiServer through the
@@ -20,17 +19,12 @@ import (
 // (every recorder either recycled or parked in the done ring, none
 // leaked).
 func TestHDLoadAgainstRealServer(t *testing.T) {
-	sv := trainedServing(t, 4)
-	pool := parallel.NewPool(2)
-	t.Cleanup(pool.Close)
-	api := newAPIServer(sv, pool, 64, 8, nil)
+	sv := trainedServing(t)
+	api := newTestServer(t, sv, 64, 8, nil)
 	api.timelines = obs.NewTimelines(4, 64)
 	api.start()
 	t.Cleanup(api.stop)
-	mux := http.NewServeMux()
-	api.register(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	srv := serveTestAPI(t, api)
 
 	cfg := sv.Config()
 	predict, err := json.Marshal(predictRequest{Window: testWindow(cfg, 2)})

@@ -21,22 +21,18 @@ import (
 // logger or swap the timeline ring without racing live handlers.
 func newHealthAPI(t *testing.T, configure func(*apiServer)) (*apiServer, *httptest.Server) {
 	t.Helper()
-	sv, err := hdc.NewServing(testServingConfig(), 2)
+	sv, err := hdc.NewServing(testServingConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	api := newAPIServer(sv, nil, 8, 4, nil)
+	api := newTestServer(t, sv, 8, 4, nil)
 	api.timelines = obs.NewTimelines(8, 64)
 	if configure != nil {
 		configure(api)
 	}
 	api.start()
 	t.Cleanup(api.stop)
-	mux := http.NewServeMux()
-	api.register(mux)
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return api, srv
+	return api, serveTestAPI(t, api)
 }
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
@@ -66,7 +62,7 @@ func TestHealthEndpoints(t *testing.T) {
 		t.Fatalf("readyz on empty model: %d (%s)", code, body)
 	}
 
-	body, _ := json.Marshal(learnRequest{Label: "rest", Window: testWindow(api.sv.Config(), 2)})
+	body, _ := json.Marshal(learnRequest{Label: "rest", Window: testWindow(testServingConfig(), 2)})
 	if code, res := postJSON(t, srv, "/learn", string(body)); code != 200 {
 		t.Fatalf("learn: %d (%s)", code, res)
 	}
@@ -88,7 +84,7 @@ func TestHealthEndpoints(t *testing.T) {
 	if code, _ := get(t, srv, "/readyz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz while draining: %d", code)
 	}
-	if code, _ := postJSON(t, srv, "/predict", windowJSON(t, api.sv.Config(), 2)); code != http.StatusServiceUnavailable {
+	if code, _ := postJSON(t, srv, "/predict", windowJSON(t, testServingConfig(), 2)); code != http.StatusServiceUnavailable {
 		t.Fatalf("predict while draining: %d", code)
 	}
 	if code, _ := postJSON(t, srv, "/learn", string(body)); code != http.StatusServiceUnavailable {
@@ -104,11 +100,7 @@ func TestReadyzSnapshotModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	cls.Train("rest", testWindow(cls.Config(), 2))
-	api := newAPIServer(cls.Serving(2), nil, 4, 4, nil)
-	mux := http.NewServeMux()
-	api.register(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	srv := serveTestAPI(t, newTestServer(t, cls.Serving(), 4, 4, nil))
 	if code, body := get(t, srv, "/readyz"); code != 200 {
 		t.Fatalf("readyz on snapshot model: %d (%s)", code, body)
 	}
@@ -117,12 +109,12 @@ func TestReadyzSnapshotModel(t *testing.T) {
 // TestDebugSpansEndpoint drives one traced predict and one learn, then
 // checks /debug/spans returns a Chrome trace with the request tree.
 func TestDebugSpansEndpoint(t *testing.T) {
-	api, srv := newHealthAPI(t, nil)
-	body, _ := json.Marshal(learnRequest{Label: "rest", Window: testWindow(api.sv.Config(), 2)})
+	_, srv := newHealthAPI(t, nil)
+	body, _ := json.Marshal(learnRequest{Label: "rest", Window: testWindow(testServingConfig(), 2)})
 	if code, res := postJSON(t, srv, "/learn", string(body)); code != 200 {
 		t.Fatalf("learn: %d (%s)", code, res)
 	}
-	if code, res := postJSON(t, srv, "/predict", windowJSON(t, api.sv.Config(), 2)); code != 200 {
+	if code, res := postJSON(t, srv, "/predict", windowJSON(t, testServingConfig(), 2)); code != 200 {
 		t.Fatalf("predict: %d (%s)", code, res)
 	}
 	code, res := get(t, srv, "/debug/spans")
@@ -158,15 +150,15 @@ func TestDebugSpansEndpoint(t *testing.T) {
 // debug level produces a request-id-tagged structured log line.
 func TestRequestLogging(t *testing.T) {
 	var buf syncBuffer
-	api, srv := newHealthAPI(t, func(a *apiServer) {
+	_, srv := newHealthAPI(t, func(a *apiServer) {
 		a.log = slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	})
 
-	body, _ := json.Marshal(learnRequest{Label: "rest", Window: testWindow(api.sv.Config(), 2)})
+	body, _ := json.Marshal(learnRequest{Label: "rest", Window: testWindow(testServingConfig(), 2)})
 	if code, res := postJSON(t, srv, "/learn", string(body)); code != 200 {
 		t.Fatalf("learn: %d (%s)", code, res)
 	}
-	if code, res := postJSON(t, srv, "/predict", windowJSON(t, api.sv.Config(), 2)); code != 200 {
+	if code, res := postJSON(t, srv, "/predict", windowJSON(t, testServingConfig(), 2)); code != 200 {
 		t.Fatalf("predict: %d (%s)", code, res)
 	}
 	var sawPredict bool

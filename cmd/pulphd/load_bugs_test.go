@@ -5,13 +5,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"pulphd/internal/hdc"
 	"pulphd/internal/obs"
-	"pulphd/internal/parallel"
 )
 
 // This file pins the serving-path bugs the load harness exposed:
@@ -20,40 +17,19 @@ import (
 // backoff overflowing into a negative sleep, and timeout storms
 // churning recorders instead of recycling them.
 
-// trainedServing builds a 2-class serving model for the tests here.
-func trainedServing(t *testing.T, shards int) *hdc.Serving {
-	t.Helper()
-	sv, err := hdc.NewServing(testServingConfig(), shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := []hdc.Sample{
-		{Label: "rest", Window: testWindow(sv.Config(), 2)},
-		{Label: "fist", Window: testWindow(sv.Config(), 16)},
-	}
-	if err := sv.Retrain(nil, samples); err != nil {
-		t.Fatal(err)
-	}
-	return sv
-}
-
 // TestShedReleasesRecorder pins the 429 path's recorder hygiene: a
 // shed request must end the request/queue.wait spans it opened and
 // file its recorder back into the timeline ring. Pre-fix, the handler
 // returned without either, so every shed leaked a recorder and the
 // ring stayed empty exactly when load (and shedding) was highest.
 func TestShedReleasesRecorder(t *testing.T) {
-	sv := trainedServing(t, 1)
-	api := newAPIServer(sv, nil, 1, 1, nil) // dispatcher never started
+	api := newTestServer(t, trainedServing(t), 1, 1, nil) // dispatcher never started
 	api.timelines = obs.NewTimelines(2, 16)
 	api.queue <- &pendingPredict{} // fill the queue: everything sheds
-	mux := http.NewServeMux()
-	api.register(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	srv := serveTestAPI(t, api)
 
 	for i := 0; i < 4; i++ {
-		code, body := postJSON(t, srv, "/predict", windowJSON(t, sv.Config(), 2))
+		code, body := postJSON(t, srv, "/predict", windowJSON(t, testServingConfig(), 2))
 		if code != http.StatusTooManyRequests {
 			t.Fatalf("shed %d: status %d, want 429 (%s)", i, code, body)
 		}
@@ -81,30 +57,27 @@ func TestShedReleasesRecorder(t *testing.T) {
 // The dispatcher used to snapshot Serving.Generation() once per batch;
 // a /learn publishing mid-batch then made later requests in the batch
 // report a generation older than the model that classified them. The
-// chaos hook interleaves deterministically: it fires during the first
-// request's shard fan-out and publishes a new generation, so the
+// fault hook interleaves deterministically: before the second
+// request's predict it publishes a learn through the registry, so the
 // second request in the same batch scans (and must report) the new id.
 func TestPredictReportsScannedGeneration(t *testing.T) {
-	sv := trainedServing(t, 2) // 2 classes → 2 shards → fan-out runs
-	pool := parallel.NewPool(2)
-	t.Cleanup(pool.Close)
-	api := newAPIServer(sv, pool, 8, 8, nil)
+	sv := trainedServing(t)
+	api := newTestServer(t, sv, 8, 8, nil)
 
 	genBefore := sv.Generation()
-	var once sync.Once
-	hdc.SetShardChaos(func(int) {
-		once.Do(func() {
-			if err := sv.Learn("point", testWindow(sv.Config(), 9)); err != nil {
+	attempts := 0 // dispatcher goroutine only
+	api.beforePredict = func() {
+		if attempts++; attempts == 2 {
+			if err := api.reg.Learn("default", "point", testWindow(sv.Config(), 9)); err != nil {
 				t.Errorf("mid-batch learn: %v", err)
 			}
-		})
-	})
-	t.Cleanup(func() { hdc.SetShardChaos(nil) })
+		}
+	}
 
 	// Queue both requests before the dispatcher starts so they form
 	// one batch, processed in order.
-	p1 := &pendingPredict{window: testWindow(sv.Config(), 2), done: make(chan predictResult, 1)}
-	p2 := &pendingPredict{window: testWindow(sv.Config(), 16), done: make(chan predictResult, 1)}
+	p1 := &pendingPredict{window: testWindow(sv.Config(), 2), sv: sv, done: make(chan predictResult, 1)}
+	p2 := &pendingPredict{window: testWindow(sv.Config(), 16), sv: sv, done: make(chan predictResult, 1)}
 	api.queue <- p1
 	api.queue <- p2
 	api.start()
@@ -133,8 +106,7 @@ func TestPredictReportsScannedGeneration(t *testing.T) {
 // can never shift time.Duration negative (a negative Sleep returns
 // immediately — a hot retry loop exactly when the model is panicking).
 func TestRetryBackoffSaturates(t *testing.T) {
-	api := newAPIServer(nil, nil, 1, 1, nil)
-	api.retryBackoff = 2 * time.Millisecond
+	api := &apiServer{retryBackoff: 2 * time.Millisecond}
 	for _, tc := range []struct {
 		attempt int
 		want    time.Duration
@@ -171,8 +143,7 @@ func TestRetryBackoffSaturates(t *testing.T) {
 // the two sides (handler, dispatcher) exactly the second completion
 // releases the recorder — never both, never neither.
 func TestCompleteReleasesOnce(t *testing.T) {
-	api := newAPIServer(nil, nil, 1, 1, nil)
-	api.timelines = obs.NewTimelines(4, 8)
+	api := &apiServer{timelines: obs.NewTimelines(4, 8)}
 	rec := api.timelines.Acquire(1)
 	p := &pendingPredict{rec: rec, root: rec.Start("request", obs.NoSpan)}
 	api.complete(p)
@@ -193,21 +164,17 @@ func TestCompleteReleasesOnce(t *testing.T) {
 // -race in CI, so the handler/dispatcher recorder handoff is also
 // exercised for data races.
 func TestTimeoutStormRecorderHygiene(t *testing.T) {
-	sv := trainedServing(t, 1)
-	api := newAPIServer(sv, nil, 64, 8, nil)
+	api := newTestServer(t, trainedServing(t), 64, 8, nil)
 	api.timeout = time.Nanosecond
 	api.timelines = obs.NewTimelines(4, 64)
 	api.start()
 	t.Cleanup(api.stop)
-	mux := http.NewServeMux()
-	api.register(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	srv := serveTestAPI(t, api)
 
 	const storm = 30
 	got504 := 0
 	for i := 0; i < storm; i++ {
-		code, _ := postJSON(t, srv, "/predict", windowJSON(t, sv.Config(), 2))
+		code, _ := postJSON(t, srv, "/predict", windowJSON(t, testServingConfig(), 2))
 		switch code {
 		case http.StatusGatewayTimeout:
 			got504++

@@ -45,13 +45,13 @@ func TestOperationsDocCoverage(t *testing.T) {
 	h := obs.NewHostMetrics()
 	obs.RegisterRuntimeMetrics(h.Registry)
 	sloeng.New(sloeng.Config{}).RegisterMetrics(h.Registry)
-	reg, err := modreg.Open(modreg.Config{Shards: 1})
+	reg, err := modreg.Open(modreg.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reg.Close()
 	syncer, err := replica.NewSyncer(replica.SyncConfig{
-		Primary: "http://primary.invalid", Registry: reg, Shards: 1,
+		Primary: "http://primary.invalid", Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

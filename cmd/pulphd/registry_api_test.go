@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"pulphd/internal/hdc"
-	"pulphd/internal/parallel"
 	modreg "pulphd/internal/registry"
 )
 
@@ -19,40 +18,20 @@ import (
 // boots.
 func newRegistryTestAPI(t *testing.T, dir string) (*apiServer, *httptest.Server, *modreg.Registry) {
 	t.Helper()
-	reg, err := modreg.Open(modreg.Config{Dir: dir, Shards: 2})
+	reg, err := modreg.Open(modreg.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { reg.Close() })
 	if !reg.Has("default") {
-		sv, err := hdc.NewServing(testServingConfig(), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samples := []hdc.Sample{
-			{Label: "rest", Window: testWindow(sv.Config(), 2)},
-			{Label: "fist", Window: testWindow(sv.Config(), 16)},
-		}
-		if err := sv.Retrain(nil, samples); err != nil {
-			t.Fatal(err)
-		}
-		if err := reg.Adopt("default", sv); err != nil {
+		if err := reg.Adopt("default", trainedServing(t)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pool := parallel.NewPool(2)
-	t.Cleanup(pool.Close)
-	api, err := newRegistryAPIServer(reg, "default", testServingConfig(), pool, 8, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	api := newRegistryAPIServer(reg, "default", testServingConfig(), 8, 4, nil)
 	api.start()
 	t.Cleanup(api.stop)
-	mux := http.NewServeMux()
-	api.register(mux)
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return api, srv, reg
+	return api, serveTestAPI(t, api), reg
 }
 
 // doJSON issues one request with an optional body and header, returning

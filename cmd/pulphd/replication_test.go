@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"pulphd/internal/obs"
-	"pulphd/internal/parallel"
 	modreg "pulphd/internal/registry"
 	"pulphd/internal/replica"
 )
@@ -27,7 +26,7 @@ type replNode struct {
 
 func bootReplNode(t *testing.T, dir string, readOnly bool) *replNode {
 	t.Helper()
-	reg, err := modreg.Open(modreg.Config{Dir: dir, Shards: 2})
+	reg, err := modreg.Open(modreg.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,12 +36,7 @@ func bootReplNode(t *testing.T, dir string, readOnly bool) *replNode {
 			t.Fatal(err)
 		}
 	}
-	pool := parallel.NewPool(2)
-	t.Cleanup(pool.Close)
-	api, err := newRegistryAPIServer(reg, "default", testServingConfig(), pool, 8, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	api := newRegistryAPIServer(reg, "default", testServingConfig(), 8, 4, nil)
 	api.readOnly = readOnly
 	api.start()
 	t.Cleanup(api.stop)
@@ -69,7 +63,7 @@ func TestReplicationEndToEnd(t *testing.T) {
 	metricRegs := make([]*obs.Registry, 0, 2)
 	for _, rep := range []*replNode{repA, repB} {
 		s, err := replica.NewSyncer(replica.SyncConfig{
-			Primary: primary.srv.URL, Registry: rep.reg, Shards: 2,
+			Primary: primary.srv.URL, Registry: rep.reg,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -129,11 +129,11 @@ func demoWorkload(p *experiments.Prepared, backend hdc.Backend, workers int, rou
 // demo data it is the paper's EMG classifier trained on one prepared
 // subject and snapshotted into a serving instance; without, it starts
 // empty and is taught entirely through /learn.
-func newServingModel(prepared *experiments.Prepared, backend hdc.Backend, shards int) (*hdc.Serving, error) {
+func newServingModel(prepared *experiments.Prepared, backend hdc.Backend) (*hdc.Serving, error) {
 	cfg := hdc.EMGConfig()
 	cfg.Backend = backend
 	if prepared == nil {
-		return hdc.NewServing(cfg, shards)
+		return hdc.NewServing(cfg, 1)
 	}
 	cls, err := hdc.New(cfg)
 	if err != nil {
@@ -142,7 +142,7 @@ func newServingModel(prepared *experiments.Prepared, backend hdc.Backend, shards
 	for _, w := range prepared.Subjects[0].Train {
 		cls.Train(w.Label, w.Window)
 	}
-	return cls.Serving(shards), nil
+	return cls.Serving(), nil
 }
 
 // serveFlags is the full `pulphd serve` flag surface, registered in
@@ -152,9 +152,8 @@ type serveFlags struct {
 	addr, logLevel, logFormat, imBackend, stateDir, defaultModel *string
 	role, peers, primary                                         *string
 	demo, walSync                                                *bool
-	workers, shards, queueDepth, maxBatch                        *int
-	traceRequests, flightKeep, predictRetries, chaosShard        *int
-	snapshotEvery                                                *int
+	workers, queueDepth, maxBatch                                *int
+	traceRequests, flightKeep, predictRetries, snapshotEvery     *int
 	seed, residentBudget                                         *int64
 	grace, predictTimeout, retryBackoff, sloLatency              *time.Duration
 	syncInterval                                                 *time.Duration
@@ -166,9 +165,8 @@ func newServeFlags(fs *flag.FlagSet) *serveFlags {
 	sf := &serveFlags{}
 	sf.addr = fs.String("metrics-addr", "localhost:8099", "listen `address` for /predict, /learn, /metrics, /debug/vars and /debug/pprof")
 	sf.demo = fs.Bool("demo", true, "train the served model on a synthetic EMG subject and continuously replay its session so the metrics move")
-	sf.workers = fs.Int("workers", 4, "worker-pool size for sharded predicts and the demo workload")
+	sf.workers = fs.Int("workers", 4, "worker-pool size of the demo workload's batched replay")
 	sf.seed = fs.Int64("seed", 2018, "dataset generation seed")
-	sf.shards = fs.Int("shards", 4, "associative-memory shard count for /predict fan-out")
 	// The queue-depth/max-batch defaults are pinned from hdload sweeps
 	// at the measured saturation knee (scripts/loadsweep.sh, see
 	// benchmarks/README.md): at knee-rate load, 128/32 roughly halves
@@ -181,7 +179,7 @@ func newServeFlags(fs *flag.FlagSet) *serveFlags {
 	sf.logLevel = fs.String("log-level", "info", "structured log level: debug, info, warn or error (debug logs every request with its id)")
 	sf.logFormat = fs.String("log-format", "text", "structured log format: text or json")
 	sf.traceRequests = fs.Int("trace-requests", 32, "request span timelines retained for /debug/spans; 0 disables request tracing")
-	sf.flightKeep = fs.Int("flight", 128, "tail-event timelines the always-on flight recorder retains for /debug/flight (timeouts, errors, sheds, retries, degraded scans, over-SLO requests); 0 disables")
+	sf.flightKeep = fs.Int("flight", 128, "tail-event timelines the always-on flight recorder retains for /debug/flight (timeouts, errors, sheds, retries, over-SLO requests); 0 disables")
 	sf.sloLatency = fs.Duration("slo-latency", 50*time.Millisecond, "default per-model SLO latency objective; requests slower than this count against the latency target and trip the flight recorder's slow trigger (0 disables the SLO engine)")
 	sf.sloTarget = fs.Float64("slo-latency-target", 0.99, "fraction of requests that must meet the latency objective")
 	sf.sloBudget = fs.Float64("slo-error-budget", 0.01, "fraction of requests allowed to fail before the error burn rate rises")
@@ -190,7 +188,6 @@ func newServeFlags(fs *flag.FlagSet) *serveFlags {
 	sf.predictTimeout = fs.Duration("predict-timeout", 0, "per-request /predict deadline; expired requests get 504 (0 disables)")
 	sf.predictRetries = fs.Int("predict-retries", 2, "bounded retries after a recovered predict panic before answering 500")
 	sf.retryBackoff = fs.Duration("retry-backoff", 2*time.Millisecond, "initial backoff between predict retries, doubling per attempt")
-	sf.chaosShard = fs.Int("chaos-shard", -1, "fault injection: panic every sharded scan of this AM shard index, exercising the degraded flat-scan fallback (-1 disables)")
 	sf.imBackend = fs.String("im-backend", "stored", "item-memory backend for the served model: stored or remat")
 	sf.stateDir = fs.String("state-dir", "", "model-registry state `directory` (snapshots + write-ahead logs); restarts recover every model from it. Empty: models live in memory only")
 	sf.residentBudget = fs.Int64("resident-budget", 0, "resident-bytes budget across registry models; past it, least-recently-used models evict to disk and fault back in on demand (0: unlimited; needs -state-dir)")
@@ -207,15 +204,15 @@ func newServeFlags(fs *flag.FlagSet) *serveFlags {
 func runServe(args []string) int {
 	fs := flag.NewFlagSet("pulphd serve", flag.ExitOnError)
 	sf := newServeFlags(fs)
-	addr, demo, workers, seed, shards := sf.addr, sf.demo, sf.workers, sf.seed, sf.shards
+	addr, demo, workers, seed := sf.addr, sf.demo, sf.workers, sf.seed
 	queueDepth, maxBatch, logLevel, logFormat := sf.queueDepth, sf.maxBatch, sf.logLevel, sf.logFormat
 	traceRequests, flightKeep := sf.traceRequests, sf.flightKeep
 	sloLatency, sloTarget, sloBudget, sloBurn := sf.sloLatency, sf.sloTarget, sf.sloBudget, sf.sloBurn
 	grace, predictTimeout, predictRetries, retryBackoff := sf.grace, sf.predictTimeout, sf.predictRetries, sf.retryBackoff
-	chaosShard, imBackend, stateDir, residentBudget := sf.chaosShard, sf.imBackend, sf.stateDir, sf.residentBudget
+	imBackend, stateDir, residentBudget := sf.imBackend, sf.stateDir, sf.residentBudget
 	walSync, snapshotEvery, defaultModel := sf.walSync, sf.snapshotEvery, sf.defaultModel
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: pulphd serve [-metrics-addr host:port] [-shards n] [-queue-depth n] [-max-batch n] [-log-level l] [-trace-requests n]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: pulphd serve [-metrics-addr host:port] [-queue-depth n] [-max-batch n] [-log-level l] [-trace-requests n]\n\n")
 		fmt.Fprintf(os.Stderr, "Serves online-learning models over HTTP. The legacy single-model routes\n")
 		fmt.Fprintf(os.Stderr, "— POST /predict classifies a window, POST /learn folds a label-corrected\n")
 		fmt.Fprintf(os.Stderr, "window into a new model generation — serve the default registry model\n")
@@ -283,7 +280,6 @@ func runServe(args []string) int {
 	}
 	reg, err := modreg.Open(modreg.Config{
 		Dir:            *stateDir,
-		Shards:         *shards,
 		ResidentBudget: *residentBudget,
 		SnapshotEvery:  *snapshotEvery,
 		SyncWAL:        *walSync,
@@ -299,7 +295,7 @@ func runServe(args []string) int {
 	// Only when the registry has never seen the name does the demo-
 	// trained (or empty) model register under it.
 	if !reg.Has(*defaultModel) {
-		sv, err := newServingModel(prepared, backend, *shards)
+		sv, err := newServingModel(prepared, backend)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pulphd serve: %v\n", err)
 			return 1
@@ -311,18 +307,16 @@ func runServe(args []string) int {
 	} else {
 		logger.Info("default model recovered from state directory", "model", *defaultModel, "dir", *stateDir)
 	}
-	baseCfg := hdc.EMGConfig()
-	baseCfg.Backend = backend
-	pool := parallel.NewPool(*workers)
-	defer pool.Close()
-	api, err := newRegistryAPIServer(reg, *defaultModel, baseCfg, pool, *queueDepth, *maxBatch, h.Serving)
+	sv, err := reg.Serving(*defaultModel)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pulphd serve: %v\n", err)
+		fmt.Fprintf(os.Stderr, "pulphd serve: default model: %v\n", err)
 		return 1
 	}
-	sv := api.sv
-	h.Serving.RecordModel(sv.Generation(), sv.Classes(), sv.AM().Shards())
+	h.Serving.RecordModel(sv.Generation(), sv.Classes())
 	h.Serving.RecordFootprint(sv.ResidentBytes())
+	baseCfg := hdc.EMGConfig()
+	baseCfg.Backend = backend
+	api := newRegistryAPIServer(reg, *defaultModel, baseCfg, *queueDepth, *maxBatch, h.Serving)
 	api.log = logger
 	api.timeout = *predictTimeout
 	api.retries = *predictRetries
@@ -381,15 +375,6 @@ func runServe(args []string) int {
 		api.slo = sloeng.New(sloCfg)
 		api.slo.RegisterMetrics(h.Registry)
 	}
-	if sh := *chaosShard; sh >= 0 {
-		logger.Warn("chaos enabled: sharded scans of one AM shard will panic", "shard", sh)
-		hdc.SetShardChaos(func(shard int) {
-			if shard == sh {
-				panic(fmt.Sprintf("chaos: shard %d down", shard))
-			}
-		})
-		defer hdc.SetShardChaos(nil)
-	}
 	api.readOnly = role == "replica"
 	api.register(mux)
 	// The generation-export endpoints mount on every registry-backed
@@ -401,7 +386,6 @@ func runServe(args []string) int {
 		syncer, err = replica.NewSyncer(replica.SyncConfig{
 			Primary:   syncPrimary,
 			Registry:  reg,
-			Shards:    *shards,
 			Interval:  *sf.syncInterval,
 			Timelines: api.timelines,
 			Flight:    api.flight,
@@ -441,7 +425,7 @@ func runServe(args []string) int {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	logger.Info("serving",
-		"addr", *addr, "model", *defaultModel, "classes", sv.Classes(), "shards", sv.AM().Shards(),
+		"addr", *addr, "model", *defaultModel, "classes", sv.Classes(),
 		"state_dir", *stateDir,
 		"endpoints", "/predict /learn /models /models/{name}/predict /models/{name}/learn /models/{name}/slo /healthz /readyz /metrics /debug/vars /debug/pprof/ /debug/spans /debug/flight")
 

@@ -18,7 +18,6 @@ import (
 	"pulphd/internal/obs"
 	"pulphd/internal/obs/flight"
 	sloeng "pulphd/internal/obs/slo"
-	"pulphd/internal/parallel"
 	modreg "pulphd/internal/registry"
 )
 
@@ -27,20 +26,21 @@ import (
 const modelHeader = "X-PULPHD-Model"
 
 // This file is the HTTP front end of the online-learning serving
-// layer: POST /predict classifies windows against the current model
-// generation, POST /learn folds label-corrected windows back in.
-// Predict requests flow through a bounded queue into a single
-// dispatcher goroutine that owns the worker pool and drains the queue
-// in batches — concurrent HTTP handlers never contend on the pool, and
-// a full queue sheds load with 429 instead of queueing unboundedly.
+// layer over the model registry: POST /predict classifies windows
+// against the current model generation, POST /learn folds
+// label-corrected windows back in. Predict requests flow through a
+// bounded queue into a single dispatcher goroutine that drains the
+// queue in batches and owns every serving session — concurrent HTTP
+// handlers never share scratch, and a full queue sheds load with 429
+// instead of queueing unboundedly.
 //
-// With a model registry attached (newRegistryAPIServer), the same
-// queue and dispatcher serve many named models: /models/{name}/predict
-// and /models/{name}/learn route by path, the legacy /predict and
-// /learn routes accept an X-PULPHD-Model header or fall through to the
-// default model, and /models hosts the admin surface (list, create,
-// delete). Learns against the registry are write-ahead logged before
-// they apply, so acknowledged learns survive a crash.
+// The queue and dispatcher serve many named models:
+// /models/{name}/predict and /models/{name}/learn route by path, the
+// legacy /predict and /learn routes accept an X-PULPHD-Model header or
+// fall through to the default model, and /models hosts the admin
+// surface (list, create, delete). Learns are write-ahead logged before
+// they apply (when the registry has a state directory), so
+// acknowledged learns survive a crash.
 
 // maxRequestBody bounds a request body; the EMG operating point needs
 // a few KB per window, so 1 MiB leaves room for much larger models.
@@ -54,8 +54,8 @@ type predictResponse struct {
 	Label      string `json:"label"`
 	Distance   int    `json:"distance"`
 	Generation uint64 `json:"generation"`
-	// Model names the registry model that answered; empty on the
-	// legacy single-model route.
+	// Model names the registry model that answered; empty when the
+	// request did not name one (the default model answered).
 	Model string `json:"model,omitempty"`
 }
 
@@ -117,9 +117,8 @@ func decodePredictWindow(sv *hdc.Serving, body io.Reader) ([][]float64, error) {
 // queue-residency span), and the channel its result comes back on.
 type pendingPredict struct {
 	window [][]float64
-	// sv is the model this request resolved to at enqueue time; nil
-	// means the server's default model (the legacy single-model path).
-	// model carries the name for the response when the request routed
+	// sv is the model this request resolved to at enqueue time; model
+	// carries the name for the response when the request routed
 	// explicitly.
 	sv       *hdc.Serving
 	model    string
@@ -142,7 +141,7 @@ type pendingPredict struct {
 	completions atomic.Int32
 
 	// trig accumulates flight-recorder trigger bits from both sides
-	// (handler: timeout, shed; dispatcher: error, retry, degraded) and
+	// (handler: timeout, shed; dispatcher: error, retry) and
 	// gen the generation the dispatcher's predict scanned. Atomic
 	// because both sides may write on the tail paths; the second
 	// completion reads them when it decides whether to pin the
@@ -167,42 +166,35 @@ type predictResult struct {
 	distance   int
 	generation uint64
 	model      string
-	// degraded and retried carry the tail-event facts out of the
-	// dispatcher: the predict fell back to the flat scan, or needed at
-	// least one retry after a recovered panic.
-	degraded bool
-	retried  bool
-	err      error
+	// retried carries the tail-event fact out of the dispatcher: the
+	// predict needed at least one retry after a recovered panic.
+	retried bool
+	err     error
 }
 
-// apiServer owns the serving model, the bounded predict queue, and the
-// dispatcher that drains it.
+// apiServer owns the bounded predict queue and the dispatcher that
+// drains it, over the model registry.
 type apiServer struct {
-	sv       *hdc.Serving
-	pool     *parallel.Pool
 	queue    chan *pendingPredict
 	maxBatch int
 	m        *obs.ServingMetrics
 
-	// reg, when non-nil, is the multi-tenant model registry behind the
-	// /models routes; defaultModel names the registry model the legacy
-	// /predict and /learn routes serve, and baseConfig is the geometry
-	// POST /models creates new models with.
+	// reg is the multi-tenant model registry; defaultModel names the
+	// model the legacy /predict and /learn routes serve, and baseConfig
+	// is the geometry POST /models creates new models with.
 	reg          *modreg.Registry
 	defaultModel string
 	baseConfig   hdc.Config
 
-	// ses is the dispatcher's serving session. Only the dispatcher
-	// goroutine touches it (and the pool); after a recovered predict
-	// panic both are replaced, since a panic that escaped mid-collective
-	// can leave the pool barrier poisoned.
-	ses *hdc.Session
-
-	// sessions caches dispatcher sessions for non-default registry
-	// models, keyed by Serving instance (an evict/fault-in cycle makes
-	// a new instance, so stale keys die with their model). Dispatcher
-	// goroutine only, like ses.
+	// sessions caches the dispatcher's serving sessions, keyed by
+	// Serving instance (an evict/fault-in cycle makes a new instance, so
+	// stale keys die with their model). Dispatcher goroutine only.
 	sessions map[*hdc.Serving]*hdc.Session
+
+	// beforePredict, when non-nil, runs on the dispatcher goroutine
+	// before every predict attempt. Tests set it to inject panics and
+	// to interleave learns; production leaves it nil.
+	beforePredict func()
 
 	// timeout bounds one predict from enqueue to answer (0: none): the
 	// handler answers 504 when it expires and the dispatcher skips
@@ -240,23 +232,22 @@ type apiServer struct {
 	stopped chan struct{}
 }
 
-// newAPIServer builds the server around an existing model. The
-// dispatcher is not running yet; start it with start(). queueDepth is
-// the backpressure bound (further predicts get 429), maxBatch the most
-// windows one dispatcher drain classifies together.
-func newAPIServer(sv *hdc.Serving, pool *parallel.Pool, queueDepth, maxBatch int, m *obs.ServingMetrics) *apiServer {
-	if queueDepth < 1 {
-		queueDepth = 1
-	}
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
+// newRegistryAPIServer builds the server over a model registry. The
+// legacy /predict and /learn routes serve defaultModel; the /models
+// routes serve every tenant. baseConfig is the geometry POST /models
+// creates models with. The dispatcher is not running yet; start it
+// with start(). queueDepth is the backpressure bound (further predicts
+// get 429), maxBatch the most windows one dispatcher drain classifies
+// together.
+func newRegistryAPIServer(reg *modreg.Registry, defaultModel string, baseConfig hdc.Config,
+	queueDepth, maxBatch int, m *obs.ServingMetrics) *apiServer {
 	return &apiServer{
-		sv:           sv,
-		pool:         pool,
-		queue:        make(chan *pendingPredict, queueDepth),
-		maxBatch:     maxBatch,
+		queue:        make(chan *pendingPredict, max(queueDepth, 1)),
+		maxBatch:     max(maxBatch, 1),
 		m:            m,
+		reg:          reg,
+		defaultModel: defaultModel,
+		baseConfig:   baseConfig,
 		retries:      2,
 		retryBackoff: 2 * time.Millisecond,
 		log:          slog.New(slog.NewTextHandler(io.Discard, nil)),
@@ -264,27 +255,10 @@ func newAPIServer(sv *hdc.Serving, pool *parallel.Pool, queueDepth, maxBatch int
 	}
 }
 
-// newRegistryAPIServer builds the server over a model registry. The
-// legacy /predict and /learn routes serve defaultModel (which must be
-// registered); the /models routes serve every tenant. baseConfig is
-// the geometry POST /models creates models with.
-func newRegistryAPIServer(reg *modreg.Registry, defaultModel string, baseConfig hdc.Config,
-	pool *parallel.Pool, queueDepth, maxBatch int, m *obs.ServingMetrics) (*apiServer, error) {
-	sv, err := reg.Serving(defaultModel)
-	if err != nil {
-		return nil, fmt.Errorf("default model: %w", err)
-	}
-	s := newAPIServer(sv, pool, queueDepth, maxBatch, m)
-	s.reg = reg
-	s.defaultModel = defaultModel
-	s.baseConfig = baseConfig
-	return s, nil
-}
-
-// start runs the dispatcher until stop. It owns the only Session and
-// the only pool handle, so no lock is needed anywhere on the predict
-// path. The dispatcher goroutine carries a pprof label so CPU profiles
-// separate batch classification from HTTP handling.
+// start runs the dispatcher until stop. It owns every Session, so no
+// lock is needed anywhere on the predict path. The dispatcher
+// goroutine carries a pprof label so CPU profiles separate batch
+// classification from HTTP handling.
 func (s *apiServer) start() {
 	go pprof.Do(context.Background(), pprof.Labels("task", "serve-dispatcher"),
 		func(context.Context) { s.dispatch() })
@@ -303,14 +277,11 @@ func (s *apiServer) stop() {
 }
 
 // dispatch drains the queue in batches: take one request (blocking),
-// opportunistically take up to maxBatch-1 more, classify them over the
-// pool, answer everyone. Each request is classified through its own
-// context so its span recorder sees the batch it rode, the encode and
-// AM-search stages, and the per-shard fan-out.
+// opportunistically take up to maxBatch-1 more, classify them, answer
+// everyone. Each request is classified through its own context so its
+// span recorder sees the batch it rode and the encode and AM-search
+// stages.
 func (s *apiServer) dispatch() {
-	if s.sv != nil {
-		s.ses = s.sv.NewSession()
-	}
 	batch := make([]*pendingPredict, 0, s.maxBatch)
 	for {
 		batch = batch[:0]
@@ -330,6 +301,9 @@ func (s *apiServer) dispatch() {
 				break fill
 			}
 		}
+		// The batch counts when drained, before any answer goes out, so a
+		// client holding its answer always sees its batch in /metrics.
+		s.m.RecordServeBatch(len(batch))
 		now := time.Now()
 		for _, p := range batch {
 			p.rec.End(p.wait)
@@ -338,7 +312,7 @@ func (s *apiServer) dispatch() {
 			}
 		}
 		for _, p := range batch {
-			if sv := s.modelFor(p); sv == nil || sv.Classes() == 0 {
+			if p.sv.Classes() == 0 {
 				s.answer(p, predictResult{err: errNoModel})
 				continue
 			}
@@ -355,13 +329,12 @@ func (s *apiServer) dispatch() {
 			p.rec.End(bs)
 			s.answer(p, res)
 		}
-		s.m.RecordServeBatch(len(batch))
 	}
 }
 
 // answer sends the dispatcher's result and marks the dispatcher's side
 // of the request complete. The dispatcher's tail-event facts (result
-// generation, error/retry/degraded trigger bits) are published first:
+// generation, error/retry trigger bits) are published first:
 // complete runs before the send so recorder ownership — and the flight
 // capture the second completion performs — is already resolved when
 // the handler wakes: either the handler is still waiting on done (it
@@ -372,9 +345,6 @@ func (s *apiServer) answer(p *pendingPredict, res predictResult) {
 	p.gen.Store(res.generation)
 	if res.retried {
 		p.addTrigger(flight.TrigRetry)
-	}
-	if res.degraded {
-		p.addTrigger(flight.TrigDegraded)
 	}
 	if res.err != nil && !errors.Is(res.err, errNoModel) {
 		// errNoModel is a client-shaped 409, not a tail event; the
@@ -451,24 +421,23 @@ func (s *apiServer) backoff(attempt int) time.Duration {
 }
 
 // predictOne classifies one queued request with bounded retries: a
-// predict that panics (a poisoned model, a crashed worker the shard
-// fallback could not absorb) is recovered, the pool and session are
-// replaced, and the attempt repeats after a doubling backoff. When the
-// retry budget is spent the request fails with errPredictPanic (a 500)
-// — the process never dies with it. The reported generation is read
-// from the session after the predict — the generation its atomic load
-// actually scanned — because a /learn can publish mid-batch and make
-// any generation captured earlier stale.
+// predict that panics (a poisoned model) is recovered, the cached
+// sessions are dropped, and the attempt repeats after a doubling
+// backoff. When the retry budget is spent the request fails with
+// errPredictPanic (a 500) — the process never dies with it. The
+// reported generation is read from the session after the predict — the
+// generation its atomic load actually scanned — because a /learn can
+// publish mid-batch and make any generation captured earlier stale.
 func (s *apiServer) predictOne(p *pendingPredict) predictResult {
 	ctx := p.ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	for attempt := 0; ; attempt++ {
-		label, dist, gen, degraded, err := s.tryPredict(ctx, p)
+		label, dist, gen, err := s.tryPredict(ctx, p)
 		if err == nil {
 			return predictResult{label: label, distance: dist, generation: gen,
-				model: p.model, degraded: degraded, retried: attempt > 0}
+				model: p.model, retried: attempt > 0}
 		}
 		if attempt >= s.retries {
 			return predictResult{retried: attempt > 0,
@@ -481,24 +450,8 @@ func (s *apiServer) predictOne(p *pendingPredict) predictResult {
 	}
 }
 
-// modelFor resolves a queued request to its Serving: the one the
-// handler pinned at enqueue, or the server's default model.
-func (s *apiServer) modelFor(p *pendingPredict) *hdc.Serving {
-	if p.sv != nil {
-		return p.sv
-	}
-	return s.sv
-}
-
-// sessionFor returns the dispatcher session for sv. The default
-// model's session is the ses field exactly as before registries
-// existed (including its nil-until-dispatch lifecycle, which the
-// panic-recovery path relies on); other models get cached sessions
-// keyed by Serving instance.
+// sessionFor returns the dispatcher's cached session for sv.
 func (s *apiServer) sessionFor(sv *hdc.Serving) *hdc.Session {
-	if sv == s.sv {
-		return s.ses
-	}
 	if ses := s.sessions[sv]; ses != nil {
 		return ses
 	}
@@ -517,41 +470,25 @@ func (s *apiServer) sessionFor(sv *hdc.Serving) *hdc.Session {
 }
 
 // tryPredict runs one predict attempt, converting a panic into an
-// error after replacing the worker pool and session — a panic that
-// escaped mid-collective may have left stale barrier signals that
-// would poison every later collective on the same pool. The
-// generation is read from the session after the predict — the
-// generation its atomic load actually scanned — and degraded reports
-// whether this predict fell back to the flat AM scan after a shard
-// failure (a flight-recorder trigger).
-func (s *apiServer) tryPredict(ctx context.Context, p *pendingPredict) (label string, dist int, gen uint64, degraded bool, err error) {
+// error after dropping the cached sessions — a panic mid-encode can
+// leave a session's scratch half written. The generation is read from
+// the session after the predict: the generation its atomic load
+// actually scanned.
+func (s *apiServer) tryPredict(ctx context.Context, p *pendingPredict) (label string, dist int, gen uint64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.m.RecordPanicRecovered()
 			s.log.Warn("predict panic recovered", "panic", r)
-			s.replacePoolAndSession()
+			clear(s.sessions)
 			err = fmt.Errorf("recovered: %v", r)
 		}
 	}()
-	ses := s.sessionFor(s.modelFor(p))
-	label, dist = ses.PredictCtx(ctx, s.pool, p.window)
-	return label, dist, ses.Generation(), ses.Degraded(), nil
-}
-
-// replacePoolAndSession swaps in a fresh worker pool and serving
-// session (and drops every cached per-model session) after a
-// recovered panic. Only the dispatcher goroutine calls it, so no lock
-// guards the fields.
-func (s *apiServer) replacePoolAndSession() {
-	if s.pool != nil {
-		workers := s.pool.Workers()
-		s.pool.Close()
-		s.pool = parallel.NewPool(workers)
+	if s.beforePredict != nil {
+		s.beforePredict()
 	}
-	if s.sv != nil {
-		s.ses = s.sv.NewSession()
-	}
-	clear(s.sessions)
+	ses := s.sessionFor(p.sv)
+	label, dist = ses.PredictCtx(ctx, nil, p.window)
+	return label, dist, ses.Generation(), nil
 }
 
 // failQueued answers everything still queued at shutdown.
@@ -567,10 +504,7 @@ func (s *apiServer) failQueued() {
 	}
 }
 
-// register installs the serving endpoints on mux. The named-model and
-// admin routes appear only when a registry is attached; the legacy
-// routes always do, so single-model deployments and their tests see
-// the unchanged surface.
+// register installs the serving endpoints on mux.
 func (s *apiServer) register(mux *http.ServeMux) {
 	mux.HandleFunc("/predict", s.handlePredict)
 	mux.HandleFunc("/learn", s.handleLearn)
@@ -578,9 +512,6 @@ func (s *apiServer) register(mux *http.ServeMux) {
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/debug/spans", s.handleSpans)
 	mux.HandleFunc("/debug/flight", s.handleFlight)
-	if s.reg == nil {
-		return
-	}
 	mux.HandleFunc("POST /models/{model}/predict", s.handlePredict)
 	mux.HandleFunc("POST /models/{model}/learn", s.handleLearn)
 	mux.HandleFunc("GET /models", s.handleModelsList)
@@ -594,27 +525,17 @@ func (s *apiServer) register(mux *http.ServeMux) {
 // resolveModel picks the model a request addresses: the {model} path
 // segment, the X-PULPHD-Model header, or the default. The returned
 // name is empty exactly when the request did not route explicitly (the
-// legacy shape), even though a registry-backed default still serves
-// it. ctx carries the request's span recorder, so a cold model's
-// fault-in (snapshot read, WAL replay) shows up as registry.faultin /
+// legacy shape), even though the default model still serves it. ctx
+// carries the request's span recorder, so a cold model's fault-in
+// (snapshot read, WAL replay) shows up as registry.faultin /
 // registry.recover spans inside the request timeline that paid for it.
 func (s *apiServer) resolveModel(ctx context.Context, r *http.Request) (name string, sv *hdc.Serving, err error) {
-	explicit := r.PathValue("model")
-	if explicit == "" {
-		explicit = r.Header.Get(modelHeader)
+	name = r.PathValue("model")
+	if name == "" {
+		name = r.Header.Get(modelHeader)
 	}
-	if explicit == "" {
-		if s.reg != nil {
-			sv, err = s.reg.ServingCtx(ctx, s.defaultModel)
-			return "", sv, err
-		}
-		return "", s.sv, nil
-	}
-	if s.reg == nil {
-		return "", nil, fmt.Errorf("%w: %q (no model registry attached)", modreg.ErrNotFound, explicit)
-	}
-	sv, err = s.reg.ServingCtx(ctx, explicit)
-	return explicit, sv, err
+	sv, err = s.reg.ServingCtx(ctx, orDefault(name, s.defaultModel))
+	return name, sv, err
 }
 
 // registryErrCode maps registry errors onto HTTP statuses.
@@ -636,35 +557,21 @@ func (s *apiServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
 }
 
-// handleReadyz is readiness: the server answers 200 once a model is
-// published that /predict can classify against — a generation ≥ 1
-// (something learned) or a snapshot that already holds classes — and
-// flips back to 503 while draining, so load balancers stop routing
-// before shutdown completes.
+// handleReadyz is readiness: the server answers 200 once the default
+// model (or the ?model= one) is published with something /predict can
+// classify against — a generation ≥ 1 (something learned) or a
+// snapshot that already holds classes — and flips back to 503 while
+// draining, so load balancers stop routing before shutdown completes.
 func (s *apiServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		httpError(w, http.StatusServiceUnavailable, errors.New("draining"))
 		return
 	}
-	if s.reg != nil {
-		if name := r.URL.Query().Get("model"); name != "" {
-			s.handleModelReadyz(w, r, name)
-			return
-		}
-		s.handleRegistryReadyz(w)
+	if name := r.URL.Query().Get("model"); name != "" {
+		s.handleModelReadyz(w, r, name)
 		return
 	}
-	gen, classes := s.sv.Generation(), s.sv.Classes()
-	if gen == 0 && classes == 0 {
-		httpError(w, http.StatusServiceUnavailable, errNoModel)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"status":     "ready",
-		"generation": gen,
-		"classes":    classes,
-	})
+	s.handleRegistryReadyz(w)
 }
 
 // handleModelReadyz gates readiness on one model reaching a minimum
@@ -866,7 +773,7 @@ func (s *apiServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	// When request tracing is on, the recorder rides the context down
 	// through model resolution (fault-in spans) and queue → batch →
-	// encode → per-shard search; the handler owns it and files it into
+	// encode → search; the handler owns it and files it into
 	// the timeline ring when the request is answered. It is acquired
 	// before the model resolves so a cold fault-in lands in this
 	// request's timeline, which means the pre-enqueue error paths below
@@ -901,9 +808,7 @@ func (s *apiServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.reg != nil {
-		s.reg.Metrics().RecordOp(orDefault(name, s.defaultModel), "predict")
-	}
+	s.reg.Metrics().RecordOp(orDefault(name, s.defaultModel), "predict")
 	// The per-request deadline rides the context: when it expires the
 	// handler answers 504 below, and the dispatcher sees the dead
 	// context and skips the request instead of classifying into the
@@ -1034,7 +939,7 @@ func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
 		rec.Annotate(root, "id", int64(id))
 		rec.SetParent(root)
 	}
-	name, sv, err := s.resolveModel(ctx, r)
+	name, _, err := s.resolveModel(ctx, r)
 	if err != nil {
 		s.m.RecordRequest(false)
 		rec.End(root)
@@ -1064,21 +969,14 @@ func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Learn serializes on the model's writer lock; the copy-on-write
-	// publish keeps concurrent predicts lock-free throughout. Through a
-	// registry the learn is write-ahead logged as correction feedback
-	// before it applies, so an acknowledged learn survives a crash.
-	var gen uint64
-	var classes int
-	if s.reg != nil {
-		effective := orDefault(name, s.defaultModel)
-		err = s.reg.CorrectCtx(ctx, effective, req.Label, req.Window)
-		if info, infoErr := s.reg.ModelInfo(effective); infoErr == nil {
-			gen, classes = info.Generation, info.Classes
-		}
-	} else {
-		err = sv.LearnCtx(ctx, req.Label, req.Window)
-		gen, classes = sv.Generation(), sv.Classes()
-	}
+	// publish keeps concurrent predicts lock-free throughout. The learn
+	// is write-ahead logged as correction feedback before it applies,
+	// so an acknowledged learn survives a crash. The generation and
+	// class count come from the registry's capture under that lock:
+	// exactly what this request published, never a concurrent learn's.
+	effective := orDefault(name, s.defaultModel)
+	info, err := s.reg.CorrectInfo(ctx, effective, req.Label, req.Window)
+	gen, classes := info.Generation, info.Classes
 	rec.End(root)
 	// Tail-event bookkeeping before the recorder recycles: a 5xx learn
 	// or one slower than its model's latency objective pins the
@@ -1095,7 +993,6 @@ func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
 			trig |= flight.TrigError
 		}
 		dur := time.Since(start)
-		effective := orDefault(name, s.defaultModel)
 		if th := s.slo.SlowThreshold(effective); th > 0 && dur > th {
 			trig |= flight.TrigSlow
 		}

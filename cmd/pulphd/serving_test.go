@@ -1,17 +1,21 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"pulphd/internal/hdc"
 	"pulphd/internal/obs"
 	"pulphd/internal/parallel"
+	modreg "pulphd/internal/registry"
 	"pulphd/internal/stream"
 )
 
@@ -36,32 +40,70 @@ func testWindow(cfg hdc.Config, level float64) [][]float64 {
 	return w
 }
 
-// newTestAPI builds a trained serving model behind a running API
-// server and an httptest front end. Stop and close are hooked into
-// t.Cleanup.
-func newTestAPI(t *testing.T, queueDepth, maxBatch int) (*apiServer, *httptest.Server) {
+// trainedServing builds a 2-class model: "rest" at level 2, "fist" at
+// level 16.
+func trainedServing(t testing.TB) *hdc.Serving {
 	t.Helper()
-	sv, err := hdc.NewServing(testServingConfig(), 4)
+	sv, err := hdc.NewServing(testServingConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := []hdc.Sample{
-		{Label: "rest", Window: testWindow(sv.Config(), 2)},
-		{Label: "fist", Window: testWindow(sv.Config(), 16)},
+	for _, c := range []struct {
+		label string
+		level float64
+	}{{"rest", 2}, {"fist", 16}} {
+		if err := sv.Learn(c.label, testWindow(sv.Config(), c.level)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := sv.Retrain(nil, samples); err != nil {
+	return sv
+}
+
+// newTestServer builds an API server over an ephemeral registry whose
+// default model is sv. Neither the dispatcher nor an HTTP front end is
+// running yet.
+func newTestServer(t *testing.T, sv *hdc.Serving, queueDepth, maxBatch int, m *obs.ServingMetrics) *apiServer {
+	t.Helper()
+	reg, err := modreg.Open(modreg.Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	pool := parallel.NewPool(2)
-	t.Cleanup(pool.Close)
-	api := newAPIServer(sv, pool, queueDepth, maxBatch, nil)
-	api.start()
-	t.Cleanup(api.stop)
+	t.Cleanup(func() { reg.Close() })
+	if err := reg.Adopt("default", sv); err != nil {
+		t.Fatal(err)
+	}
+	return newRegistryAPIServer(reg, "default", testServingConfig(), queueDepth, maxBatch, m)
+}
+
+// serveTestAPI mounts api's routes behind an httptest server, closed
+// at cleanup.
+func serveTestAPI(t *testing.T, api *apiServer) *httptest.Server {
+	t.Helper()
 	mux := http.NewServeMux()
 	api.register(mux)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
-	return api, srv
+	return srv
+}
+
+// newTestAPI builds a trained model behind a running API server and an
+// httptest front end. Stop and close are hooked into t.Cleanup.
+func newTestAPI(t *testing.T, queueDepth, maxBatch int) (*apiServer, *httptest.Server) {
+	t.Helper()
+	api := newTestServer(t, trainedServing(t), queueDepth, maxBatch, nil)
+	api.start()
+	t.Cleanup(api.stop)
+	return api, serveTestAPI(t, api)
+}
+
+// served returns the Serving behind api's default model.
+func served(t *testing.T, api *apiServer) *hdc.Serving {
+	t.Helper()
+	sv, err := api.reg.Serving(api.defaultModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sv
 }
 
 func postJSON(t *testing.T, srv *httptest.Server, path, body string) (int, string) {
@@ -88,8 +130,8 @@ func windowJSON(t *testing.T, cfg hdc.Config, level float64) string {
 }
 
 func TestPredictHandler(t *testing.T) {
-	api, srv := newTestAPI(t, 8, 4)
-	cfg := api.sv.Config()
+	_, srv := newTestAPI(t, 8, 4)
+	cfg := testServingConfig()
 	cases := []struct {
 		name      string
 		body      string
@@ -144,8 +186,8 @@ func TestPredictHandler(t *testing.T) {
 
 func TestLearnHandler(t *testing.T) {
 	api, srv := newTestAPI(t, 8, 4)
-	cfg := api.sv.Config()
-	gen := api.sv.Generation()
+	cfg := testServingConfig()
+	gen := served(t, api).Generation()
 
 	// Teach a third gesture, then predict it.
 	body, err := json.Marshal(learnRequest{Label: "point", Window: testWindow(cfg, 9)})
@@ -191,26 +233,65 @@ func TestLearnHandler(t *testing.T) {
 	}
 }
 
+// TestLearnReportsPublishedGeneration pins the generation and class
+// count a /learn response reports to what that request published. The
+// handler used to read the model's info after the learn applied, so a
+// learn landing in between made two responses report the same, later
+// generation. K concurrent learns, each teaching a new class, must
+// report exactly the generations g0+1 … g0+K, each once, each with the
+// class count its own publication produced.
+func TestLearnReportsPublishedGeneration(t *testing.T) {
+	api, srv := newTestAPI(t, 8, 4)
+	sv := served(t, api)
+	g0, c0 := sv.Generation(), sv.Classes()
+	const k = 32
+	gens := make([]uint64, k)
+	var wg sync.WaitGroup
+	for i := range gens {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, err := json.Marshal(learnRequest{Label: fmt.Sprintf("c%d", i), Window: testWindow(sv.Config(), 9)})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp, err := srv.Client().Post(srv.URL+"/learn", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var res learnResponse
+			if err := json.NewDecoder(resp.Body).Decode(&res); err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("learn %d: status %d, decode error %v", i, resp.StatusCode, err)
+				return
+			}
+			if want := c0 + int(res.Generation-g0); res.Classes != want {
+				t.Errorf("learn %d reports generation %d with %d classes, want %d", i, res.Generation, res.Classes, want)
+			}
+			gens[i] = res.Generation
+		}()
+	}
+	wg.Wait()
+	slices.Sort(gens)
+	for i, g := range gens {
+		if g != g0+uint64(i)+1 {
+			t.Fatalf("reported generations %v, want %d..%d each once", gens, g0+1, g0+k)
+		}
+	}
+}
+
 // TestPredictQueueOverflow pins the backpressure contract: with the
 // dispatcher stalled and the queue full, /predict sheds load with 429
 // and counts the rejection.
 func TestPredictQueueOverflow(t *testing.T) {
-	sv, err := hdc.NewServing(testServingConfig(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sv.Retrain(nil, []hdc.Sample{{Label: "rest", Window: testWindow(sv.Config(), 2)}}); err != nil {
-		t.Fatal(err)
-	}
 	m := &obs.ServingMetrics{}
-	api := newAPIServer(sv, nil, 1, 1, m) // dispatcher never started
-	api.queue <- &pendingPredict{}        // fill the queue
-	mux := http.NewServeMux()
-	api.register(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	api := newTestServer(t, trainedServing(t), 1, 1, m) // dispatcher never started
+	api.queue <- &pendingPredict{}                      // fill the queue
+	srv := serveTestAPI(t, api)
 
-	code, body := postJSON(t, srv, "/predict", windowJSON(t, sv.Config(), 2))
+	code, body := postJSON(t, srv, "/predict", windowJSON(t, testServingConfig(), 2))
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429 (%s)", code, body)
 	}
@@ -221,17 +302,14 @@ func TestPredictQueueOverflow(t *testing.T) {
 
 // TestPredictNoModel pins the empty-model behavior: 409, not a panic.
 func TestPredictNoModel(t *testing.T) {
-	sv, err := hdc.NewServing(testServingConfig(), 2)
+	sv, err := hdc.NewServing(testServingConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	api := newAPIServer(sv, nil, 4, 4, nil)
+	api := newTestServer(t, sv, 4, 4, nil)
 	api.start()
 	defer api.stop()
-	mux := http.NewServeMux()
-	api.register(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	srv := serveTestAPI(t, api)
 	code, body := postJSON(t, srv, "/predict", windowJSON(t, sv.Config(), 2))
 	if code != http.StatusConflict {
 		t.Fatalf("status %d, want 409 (%s)", code, body)
@@ -248,12 +326,12 @@ func TestServingMetricsEndpoint(t *testing.T) {
 		stream.SetMetrics(nil)
 		parallel.SetMetrics(nil)
 	})
-	sv, err := hdc.NewServing(testServingConfig(), 4)
+	sv, err := hdc.NewServing(testServingConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Serving.RecordModel(sv.Generation(), sv.Classes(), sv.AM().Shards())
-	api := newAPIServer(sv, nil, 8, 4, h.Serving)
+	h.Serving.RecordModel(sv.Generation(), sv.Classes())
+	api := newTestServer(t, sv, 8, 4, h.Serving)
 	api.start()
 	defer api.stop()
 	mux := newMetricsMux(h)
@@ -284,7 +362,6 @@ func TestServingMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"pulphd_serving_generation 3",
 		"pulphd_serving_classes 3",
-		"pulphd_serving_shards 3", // 3 classes cap the 4 configured shards
 		"pulphd_serving_learns_total 3",
 		"pulphd_serving_requests_total 4",
 		"pulphd_serving_rejected_total 0",

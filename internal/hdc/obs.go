@@ -24,8 +24,8 @@ func metrics() *obs.InferenceMetrics { return metricsPtr.Load() }
 var servingMetricsPtr atomic.Pointer[obs.ServingMetrics]
 
 // SetServingMetrics installs (or, with nil, removes) the metrics sink
-// for Serving: generation publications by Learn/Retrain with their
-// latency, plus the generation/classes/shards gauges. Safe to call at
+// for Serving: generation publications by Learn with their latency,
+// plus the generation/classes gauges. Safe to call at
 // any time, including while serving is running.
 func SetServingMetrics(m *obs.ServingMetrics) { servingMetricsPtr.Store(m) }
 

@@ -294,7 +294,7 @@ func TestRematFootprint(t *testing.T) {
 // footprint.
 func TestRematServing(t *testing.T) {
 	cfg := rematConfig()
-	sv, err := NewServing(cfg, 2)
+	sv, err := NewServing(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestRematServing(t *testing.T) {
 	for _, w := range tests {
 		sv.Predict(w)
 	}
-	storedSv, err := NewServing(EMGConfig(), 2)
+	storedSv, err := NewServing(EMGConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestRematServing(t *testing.T) {
 	}
 	// Serving predictions agree with the in-process classifier's AM
 	// search over the same encode (both flow through batchCtx.encodeTo).
-	svc := c.Serving(2)
+	svc := c.Serving()
 	for i, w := range tests {
 		gotL, gotD := svc.Predict(w)
 		wantL, wantD := c.Predict(w)
@@ -362,11 +362,10 @@ func TestRematBatchAllocationFree(t *testing.T) {
 		t.Fatalf("remat batch encode: %v allocs per 8-window run, want 0", allocs)
 	}
 
-	sv := c.Serving(2)
-	ses := sv.NewSession()
-	out := ses.PredictBatch(nil, tests, nil)
+	ses := c.Serving().NewSession()
+	out := ses.PredictBatch(tests, nil)
 	allocs = testing.AllocsPerRun(20, func() {
-		out = ses.PredictBatch(nil, tests, out)
+		out = ses.PredictBatch(tests, out)
 	})
 	if allocs != 0 {
 		t.Fatalf("remat Session.PredictBatch: %v allocs per run, want 0", allocs)

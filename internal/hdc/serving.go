@@ -15,64 +15,19 @@ import (
 // This file is the online-learning serving layer: it makes the paper's
 // "the AM matrix can be continuously updated for on-line learning"
 // (§3) safe under concurrent query traffic. The model is published as
-// immutable generations behind an atomic pointer — Learn and Retrain
-// accumulate into bundlers and rebinarize (the paper's one-shot
-// training), then swap in a fresh ShardedAM without ever mutating the
-// one in-flight Predicts are reading.
+// immutable generations behind an atomic pointer — Learn accumulates
+// into the class bundler and rebinarizes that class (the paper's
+// one-shot training), then swaps in a fresh ShardedAM without ever
+// mutating the one in-flight predicts are reading.
 //
 // Invariants (tested by the race/property layers):
 //   - Generation ids increase by exactly one per publication.
 //   - A reader never observes a half-built AM: every generation's
 //     labels and prototypes are fully constructed before the pointer
 //     swap, and never written afterwards.
-//   - Sharded search is bit-identical to the flat scan for any shard
-//     count and pool size.
-//   - Learn applied sample-by-sample and Retrain over the same sample
-//     multiset publish identical prototypes (serving rebinarization
-//     breaks majority ties deterministically to 0, like the
-//     accelerator's rule, so no rng stream is involved).
-
-// shardChaosPtr holds the fault hook of the serving search path: when
-// installed, the hook runs before every sharded scan on the worker
-// executing it, and a panic it raises exercises the degraded-mode
-// machinery end to end. It is called only from the Session fan-out —
-// never from ShardedAM.SearchShard itself — so the flat-scan fallback
-// cannot re-enter the fault.
-var shardChaosPtr atomic.Pointer[func(shard int)]
-
-// SetShardChaos installs (or, with nil, removes) a fault-injection
-// hook called with the shard index before every sharded AM scan of
-// every Session. A panicking hook simulates a crashing shard worker:
-// the session converts it into the degraded flat-scan fallback instead
-// of dying. Test and chaos tooling only; keep it nil in production.
-func SetShardChaos(fn func(shard int)) {
-	if fn == nil {
-		shardChaosPtr.Store(nil)
-		return
-	}
-	shardChaosPtr.Store(&fn)
-}
-
-// shardChaos returns the installed chaos hook, or nil.
-func shardChaos() func(shard int) {
-	if p := shardChaosPtr.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// failedShard is the sentinel a recovered shard scan leaves in the
-// session scratch: impossible as a real result (SearchShard distances
-// are ≥ 0), it marks the slot for the degraded-mode check without any
-// shared failure flag — each worker writes only its own slots.
-var failedShard = ShardBest{Index: -1, Distance: -1}
-
-// Sample is one labelled training window, the unit Learn and Retrain
-// consume.
-type Sample struct {
-	Label  string
-	Window [][]float64
-}
+//   - Rebinarization breaks majority ties deterministically to 0, like
+//     the accelerator's rule, so no rng stream is involved: replaying
+//     the same Learn sequence publishes identical prototypes.
 
 // generation is one immutable published model snapshot.
 type generation struct {
@@ -81,16 +36,14 @@ type generation struct {
 }
 
 // Serving is a hot-swappable HD classifier: any number of goroutines
-// may Predict (each through its own Session, or the pooled
-// convenience methods) while Learn/Retrain publish new model
-// generations. Predictions are served from the generation current at
-// their start; a Learn becomes visible atomically to every subsequent
-// load.
+// may predict (each through its own Session, or the pooled Predict
+// convenience) while Learn publishes new model generations.
+// Predictions are served from the generation current at their start;
+// a Learn becomes visible atomically to every subsequent load.
 type Serving struct {
-	cfg    Config
-	im     *ItemMemory
-	cim    *ContinuousItemMemory
-	shards int
+	cfg Config
+	im  *ItemMemory
+	cim *ContinuousItemMemory
 
 	gen atomic.Pointer[generation]
 
@@ -102,24 +55,18 @@ type Serving struct {
 	sessions sync.Pool
 }
 
-// NewServing returns an empty learnable serving classifier for cfg,
-// its associative memory split into at most `shards` shards (clamped
-// to the class count as classes appear). Item memories are generated
-// deterministically from cfg.Seed, exactly as New.
+// NewServing returns an empty learnable serving classifier for cfg.
+// Item memories are generated deterministically from cfg.Seed, exactly
+// as New.
+//
+// Deprecated: the shards argument is ignored — the associative memory
+// is one flat table — and will be removed from the signature.
 func NewServing(cfg Config, shards int) (*Serving, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if shards < 1 {
-		return nil, fmt.Errorf("hdc: NewServing: shard count %d must be ≥1", shards)
-	}
-	sv := &Serving{
-		cfg:    cfg,
-		im:     newConfigIM(cfg),
-		cim:    newConfigCIM(cfg),
-		shards: shards,
-	}
-	sv.gen.Store(&generation{id: 0, am: NewShardedAM(cfg.D, nil, nil, shards)})
+	sv := &Serving{cfg: cfg, im: newConfigIM(cfg), cim: newConfigCIM(cfg)}
+	sv.gen.Store(&generation{id: 0, am: NewShardedAM(cfg.D, nil, nil)})
 	return sv, nil
 }
 
@@ -129,18 +76,9 @@ func NewServing(cfg Config, shards int) (*Serving, error) {
 // trained counts. The serving instance shares the classifier's
 // read-only item memories but is otherwise detached — training either
 // side afterwards does not affect the other. Classes with fixed
-// prototypes (SetPrototype, Truncated) serve but reject Learn until a
-// Retrain rebuilds them.
-func (c *Classifier) Serving(shards int) *Serving {
-	if shards < 1 {
-		panic(fmt.Sprintf("hdc: Classifier.Serving: shard count %d must be ≥1", shards))
-	}
-	sv := &Serving{
-		cfg:    c.cfg,
-		im:     c.im,
-		cim:    c.cim,
-		shards: shards,
-	}
+// prototypes (SetPrototype, Truncated) serve but reject Learn.
+func (c *Classifier) Serving() *Serving {
+	sv := &Serving{cfg: c.cfg, im: c.im, cim: c.cim}
 	c.am.refresh()
 	sv.labels = append([]string(nil), c.am.labels...)
 	protos := make([]hv.Vector, len(c.am.prototypes))
@@ -154,7 +92,7 @@ func (c *Classifier) Serving(shards int) *Serving {
 		}
 	}
 	labels := append([]string(nil), sv.labels...)
-	sv.gen.Store(&generation{id: 0, am: NewShardedAM(c.cfg.D, labels, protos, shards)})
+	sv.gen.Store(&generation{id: 0, am: NewShardedAM(c.cfg.D, labels, protos)})
 	return sv
 }
 
@@ -162,15 +100,11 @@ func (c *Classifier) Serving(shards int) *Serving {
 func (sv *Serving) Config() Config { return sv.cfg }
 
 // Generation returns the id of the currently published model
-// snapshot. Ids start at 0 and increase by one per Learn/Retrain.
+// snapshot. Ids start at 0 and increase by one per Learn.
 func (sv *Serving) Generation() uint64 { return sv.gen.Load().id }
 
 // Classes returns the class count of the published generation.
 func (sv *Serving) Classes() int { return sv.gen.Load().am.Classes() }
-
-// Shards returns the configured shard count (the published AM may use
-// fewer while it holds fewer classes).
-func (sv *Serving) Shards() int { return sv.shards }
 
 // Labels returns the class labels of the published generation.
 func (sv *Serving) Labels() []string {
@@ -192,15 +126,10 @@ func (sv *Serving) ResidentBytes() int {
 
 // ValidateWindow reports whether window has the shape the encoders
 // expect (at least NGram samples of Channels values each). Remote
-// serving edges validate with it before Predict, which panics on
-// malformed shapes like the rest of the in-process API.
+// serving edges validate with it before predicting, which panics on
+// malformed shapes like the rest of the in-process API; Learn reports
+// the same errors itself.
 func (sv *Serving) ValidateWindow(window [][]float64) error {
-	return sv.validateWindow(window)
-}
-
-// validateWindow checks the shape the encoders would otherwise panic
-// on — the serving edge reports errors instead.
-func (sv *Serving) validateWindow(window [][]float64) error {
 	if len(window) < sv.cfg.NGram {
 		return fmt.Errorf("hdc: window of %d samples shorter than N-gram %d", len(window), sv.cfg.NGram)
 	}
@@ -213,58 +142,33 @@ func (sv *Serving) validateWindow(window [][]float64) error {
 }
 
 // Learn folds one label-corrected window into the model and publishes
-// a new generation: accumulate into the class bundler, rebinarize that
-// class (majority threshold, ties deterministically 0), copy-on-write
-// the prototype table, swap the pointer. In-flight Predicts keep
-// reading the old generation; no reader is ever blocked.
+// a new generation. It is LearnCtx without request observability.
 func (sv *Serving) Learn(label string, window [][]float64) error {
-	if err := sv.validateWindow(window); err != nil {
-		return err
-	}
-	ses := sv.session()
-	ses.ctx.encodeTo(ses.ctx.query, window, sv.cfg.NGram)
-	err := sv.LearnEncoded(label, ses.ctx.query)
-	sv.sessions.Put(ses)
-	return err
+	return sv.LearnCtx(context.Background(), label, window)
 }
 
-// LearnCtx is Learn with request-scoped observability: when ctx
-// carries an obs.Spans recorder the encode and the generation
-// publication record as spans under the recorder's staged parent.
+// LearnCtx folds one label-corrected window into the model and
+// publishes a new generation: accumulate into the class bundler,
+// rebinarize that class (majority threshold, ties deterministically
+// 0), copy-on-write the prototype table, swap the pointer. In-flight
+// predicts keep reading the old generation; no reader is ever blocked.
+// When ctx carries an obs.Spans recorder the encode and the
+// publication record as learn.encode and learn.publish spans under the
+// recorder's staged parent.
 func (sv *Serving) LearnCtx(ctx context.Context, label string, window [][]float64) error {
-	if err := sv.validateWindow(window); err != nil {
+	if err := sv.ValidateWindow(window); err != nil {
 		return err
+	}
+	if label == "" {
+		return fmt.Errorf("hdc: Learn: empty label")
 	}
 	rec := obs.SpansFrom(ctx)
 	ses := sv.session()
+	defer sv.sessions.Put(ses)
 	enc := rec.Start("learn.encode", rec.Parent())
 	ses.ctx.encodeTo(ses.ctx.query, window, sv.cfg.NGram)
 	rec.End(enc)
-	err := sv.learnEncoded(rec, label, ses.ctx.query)
-	sv.sessions.Put(ses)
-	return err
-}
 
-// LearnEncodedCtx is LearnEncoded with request-scoped observability.
-func (sv *Serving) LearnEncodedCtx(ctx context.Context, label string, encoded hv.Vector) error {
-	return sv.learnEncoded(obs.SpansFrom(ctx), label, encoded)
-}
-
-// LearnEncoded is Learn for a pre-encoded query hypervector.
-func (sv *Serving) LearnEncoded(label string, encoded hv.Vector) error {
-	return sv.learnEncoded(nil, label, encoded)
-}
-
-// learnEncoded accumulates the encoded sample and publishes a new
-// generation, recording a "learn.publish" span around the swap when a
-// recorder rides along.
-func (sv *Serving) learnEncoded(rec *obs.Spans, label string, encoded hv.Vector) error {
-	if encoded.Dim() != sv.cfg.D {
-		return fmt.Errorf("hdc: LearnEncoded: dimension mismatch %d != %d", encoded.Dim(), sv.cfg.D)
-	}
-	if label == "" {
-		return fmt.Errorf("hdc: LearnEncoded: empty label")
-	}
 	m := servingMetrics()
 	var start time.Time
 	if m != nil {
@@ -287,9 +191,9 @@ func (sv *Serving) learnEncoded(rec *obs.Spans, label string, encoded hv.Vector)
 	}
 	if sv.accum[i] == nil {
 		sv.mu.Unlock()
-		return fmt.Errorf("hdc: Learn: class %q has a fixed prototype; Retrain to make it learnable", label)
+		return fmt.Errorf("hdc: Learn: class %q has a fixed prototype", label)
 	}
-	sv.accum[i].Add(encoded)
+	sv.accum[i].Add(ses.ctx.query)
 	proto := sv.accum[i].Vector(nil)
 
 	old := sv.gen.Load()
@@ -297,113 +201,13 @@ func (sv *Serving) learnEncoded(rec *obs.Spans, label string, encoded hv.Vector)
 	protos := make([]hv.Vector, len(sv.labels))
 	copy(protos, old.am.protos)
 	protos[i] = proto
-	next := &generation{id: old.id + 1, am: NewShardedAM(sv.cfg.D, labels, protos, sv.shards)}
+	next := &generation{id: old.id + 1, am: NewShardedAM(sv.cfg.D, labels, protos)}
 	sv.gen.Store(next)
 	sv.mu.Unlock()
 	rec.Annotate(pub, "generation", int64(next.id))
 	rec.Annotate(pub, "classes", int64(next.am.Classes()))
 	if m != nil {
-		m.RecordPublish(next.id, next.am.Classes(), next.am.Shards(), time.Since(start))
-		m.RecordFootprint(sv.im.SizeBytes() + sv.cim.SizeBytes() + next.am.SizeBytes())
-	}
-	return nil
-}
-
-// Retrain rebuilds the whole model from the sample multiset — the
-// paper's one-shot batch training — and publishes it as a single new
-// generation. Class order is the order of first appearance in
-// samples. A non-nil pool parallelizes the encode+accumulate phase
-// across its workers, each accumulating into private bundlers that
-// are merged exactly (hv.Bundler.Merge) before rebinarization, so the
-// published prototypes are independent of worker count and
-// scheduling. Retrain replaces any fixed prototypes with learnable
-// accumulators.
-func (sv *Serving) Retrain(pool *parallel.Pool, samples []Sample) error {
-	if len(samples) == 0 {
-		return fmt.Errorf("hdc: Retrain: no samples")
-	}
-	classOf := make(map[string]int)
-	var labels []string
-	for i := range samples {
-		if samples[i].Label == "" {
-			return fmt.Errorf("hdc: Retrain: sample %d has an empty label", i)
-		}
-		if err := sv.validateWindow(samples[i].Window); err != nil {
-			return fmt.Errorf("hdc: Retrain: sample %d: %w", i, err)
-		}
-		if _, ok := classOf[samples[i].Label]; !ok {
-			classOf[samples[i].Label] = len(labels)
-			labels = append(labels, samples[i].Label)
-		}
-	}
-	k := len(labels)
-
-	workers := 1
-	if pool != nil {
-		workers = pool.Workers()
-	}
-	acc := make([][]*hv.Bundler, workers)
-	for w := range acc {
-		acc[w] = make([]*hv.Bundler, k)
-	}
-	accumulate := func(lo, hi, worker int) {
-		ses := sv.NewSession()
-		mine := acc[worker]
-		for i := lo; i < hi; i++ {
-			ses.ctx.encodeTo(ses.ctx.query, samples[i].Window, sv.cfg.NGram)
-			c := classOf[samples[i].Label]
-			if mine[c] == nil {
-				mine[c] = hv.NewBundler(sv.cfg.D)
-			}
-			mine[c].Add(ses.ctx.query)
-		}
-	}
-	if pool == nil {
-		accumulate(0, len(samples), 0)
-	} else {
-		pool.ForRangeWorker(len(samples), accumulate)
-	}
-	// Merge worker-local counts; bundler addition commutes, so the
-	// result is the exact multiset count whatever the split was.
-	merged := make([]*hv.Bundler, k)
-	for c := 0; c < k; c++ {
-		for w := 0; w < workers; w++ {
-			if acc[w][c] == nil {
-				continue
-			}
-			if merged[c] == nil {
-				merged[c] = acc[w][c]
-			} else {
-				merged[c].Merge(acc[w][c])
-			}
-		}
-		if merged[c] == nil {
-			// Cannot happen: every label came from a sample.
-			merged[c] = hv.NewBundler(sv.cfg.D)
-		}
-	}
-	protos := make([]hv.Vector, k)
-	for c := 0; c < k; c++ {
-		protos[c] = merged[c].Vector(nil)
-	}
-
-	m := servingMetrics()
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
-	sv.mu.Lock()
-	sv.labels = labels
-	sv.accum = merged
-	old := sv.gen.Load()
-	next := &generation{
-		id: old.id + 1,
-		am: NewShardedAM(sv.cfg.D, append([]string(nil), labels...), protos, sv.shards),
-	}
-	sv.gen.Store(next)
-	sv.mu.Unlock()
-	if m != nil {
-		m.RecordPublish(next.id, next.am.Classes(), next.am.Shards(), time.Since(start))
+		m.RecordPublish(next.id, next.am.Classes(), time.Since(start))
 		m.RecordFootprint(sv.im.SizeBytes() + sv.cim.SizeBytes() + next.am.SizeBytes())
 	}
 	return nil
@@ -419,184 +223,81 @@ func (sv *Serving) session() *Session {
 
 // Predict classifies one window against the current generation. Safe
 // for any number of concurrent callers; the per-call encode scratch
-// comes from an internal session pool and the AM scan runs serially
-// on the caller. Hot loops that want guaranteed-zero allocation or a
-// worker pool hold their own Session instead.
+// comes from an internal session pool. Hot loops that want
+// guaranteed-zero allocation hold their own Session instead.
 func (sv *Serving) Predict(window [][]float64) (label string, distance int) {
 	ses := sv.session()
-	label, distance = ses.Predict(window)
+	label, distance = ses.predict(nil, metrics(), window)
 	sv.sessions.Put(ses)
 	return label, distance
 }
 
-// Session is a per-goroutine serving handle: encode scratch plus the
-// pre-bound shard fan-out, so steady-state Predicts allocate nothing.
-// Many Sessions share one Serving; a Session itself must not be used
-// concurrently. Sessions stay valid across generation swaps — every
-// call re-loads the current generation.
+// Session is a per-goroutine serving handle holding encode scratch, so
+// steady-state predicts allocate nothing. Many Sessions share one
+// Serving; a Session itself must not be used concurrently. Sessions
+// stay valid across generation swaps — every call re-loads the current
+// generation.
 type Session struct {
-	sv      *Serving
-	ctx     *batchCtx
-	am      *ShardedAM // staged for the fan-out in flight
-	scratch []ShardBest
-	fn      func(lo, hi int)
+	sv  *Serving
+	ctx *batchCtx
 	// lastGen is the id of the generation the most recent predict
 	// loaded and scanned. A Learn can publish between a caller reading
 	// Serving.Generation() and the predict's own atomic load, so
 	// callers that report the generation a result came from must read
 	// it here, not from the Serving.
 	lastGen uint64
-	// rec and searchSpan stage the request recorder across the shard
-	// fan-out: written by the predicting goroutine before ForRange,
-	// read by the workers it drives (ForRange's task hand-off orders
-	// the accesses, exactly as for am above).
-	rec        *obs.Spans
-	searchSpan obs.SpanID
-	// lastDegraded records whether the most recent predict fell back to
-	// the flat scan after a shard failure — the tail-event bit the
-	// flight recorder captures. Single-goroutine, like lastGen.
-	lastDegraded bool
 }
 
 // NewSession returns a fresh serving handle.
 func (sv *Serving) NewSession() *Session {
-	s := &Session{sv: sv, ctx: newEncodeCtx(sv.cfg, sv.im, sv.cim)}
-	s.fn = func(lo, hi int) {
-		for sh := lo; sh < hi; sh++ {
-			s.searchShard(sh)
-		}
-	}
-	return s
+	return &Session{sv: sv, ctx: newEncodeCtx(sv.cfg, sv.im, sv.cim)}
 }
 
-// searchShard scans one shard into the session scratch, converting a
-// panic — a chaos hook, a corrupted shard, a crashed worker — into the
-// failedShard sentinel so the collective completes and the caller can
-// fall back to the flat scan. The recover is per shard: the worker's
-// remaining shards still run, and the pool barrier is never abandoned
-// mid-collective.
-func (s *Session) searchShard(sh int) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.scratch[sh] = failedShard
-		}
-	}()
-	if chaos := shardChaos(); chaos != nil {
-		chaos(sh)
-	}
-	rec := s.rec
-	id := rec.StartTrack("am.shard", s.searchSpan, int32(1+sh))
-	rec.Annotate(id, "shard", int64(sh))
-	s.scratch[sh] = s.am.SearchShard(sh, s.ctx.query)
-	rec.End(id)
-}
-
-// reduceOrFallback merges the per-shard results, detecting failed
-// shards (recovered panics) and redoing the whole search as a serial
-// flat scan over the generation's prototypes — degraded but correct:
-// the fallback touches no pool, no chaos hook, and no shard machinery.
-// Degraded scans count in the serving metrics, raise the session's
-// Degraded flag, and record an am.degraded span under parent when a
-// recorder rides the request.
-func (s *Session) reduceOrFallback(am *ShardedAM, rec *obs.Spans, parent obs.SpanID) (int, int) {
-	for _, r := range s.scratch {
-		if r == failedShard {
-			s.lastDegraded = true
-			servingMetrics().RecordDegraded()
-			id := rec.Start("am.degraded", parent)
-			idx, dist := am.NearestInto(nil, s.ctx.query, nil)
-			rec.End(id)
-			return idx, dist
-		}
-	}
-	return Reduce(s.scratch)
-}
-
-// predict encodes window and searches the current generation, fanning
-// shards over pool when one is given.
-func (s *Session) predict(pool *parallel.Pool, window [][]float64) (string, int) {
-	gen := s.sv.gen.Load()
-	am := gen.am
-	if am.Classes() == 0 {
-		panic("hdc: Serving.Predict with no classes")
-	}
-	s.lastGen = gen.id
-	s.lastDegraded = false
-	s.ctx.encodeTo(s.ctx.query, window, s.sv.cfg.NGram)
-	n := am.Shards()
-	if pool == nil || n == 1 {
-		idx, dist := am.NearestInto(nil, s.ctx.query, nil)
-		return am.labels[idx], dist
-	}
-	if cap(s.scratch) < n {
-		s.scratch = make([]ShardBest, n)
-	}
-	s.scratch = s.scratch[:n]
-	s.am = am
-	pool.ForRange(n, s.fn)
-	s.am = nil
-	idx, dist := s.reduceOrFallback(am, nil, obs.NoSpan)
-	return am.labels[idx], dist
-}
-
-// PredictCtx classifies one window with request-scoped observability:
-// when ctx carries an obs.Spans recorder (obs.WithSpans) the encode,
-// the AM search, and each shard scan record as spans under the
-// recorder's staged parent, and the per-stage latency histograms fill.
-// With no recorder and no metrics sink installed it is byte-for-byte
-// the plain predict path — zero allocations, one context lookup.
+// PredictCtx classifies one window against the current generation.
+// When ctx carries an obs.Spans recorder (obs.WithSpans) the predict,
+// its encode and its AM search record as spans under the recorder's
+// staged parent; with a metrics sink installed (SetMetrics) the
+// predict and per-stage latency histograms fill. With neither, the
+// call reads no clock and allocates nothing.
+//
+// Deprecated: the pool argument is ignored — the AM scan runs flat on
+// the caller — and will be removed from the signature; pass nil.
 func (s *Session) PredictCtx(ctx context.Context, pool *parallel.Pool, window [][]float64) (label string, distance int) {
-	rec := obs.SpansFrom(ctx)
-	m := metrics()
-	if rec == nil && m == nil {
-		return s.predict(pool, window)
-	}
-	start := time.Now()
-	root := rec.Start("predict", rec.Parent())
-	label, distance = s.predictStaged(rec, m, root, pool, window)
-	rec.End(root)
-	if m != nil {
-		m.RecordPredict(time.Since(start))
-	}
-	return label, distance
+	return s.predict(obs.SpansFrom(ctx), metrics(), window)
 }
 
-// predictStaged is predict with the two pipeline stages — window
-// encoding, then AM search — separately timed and spanned.
-func (s *Session) predictStaged(rec *obs.Spans, m *obs.InferenceMetrics, parent obs.SpanID, pool *parallel.Pool, window [][]float64) (string, int) {
+// predict is the one predict body: encode the window, then scan the
+// generation loaded at the start of the call. Spans record when rec is
+// non-nil and latencies when m is; both are optional.
+func (s *Session) predict(rec *obs.Spans, m *obs.InferenceMetrics, window [][]float64) (string, int) {
 	gen := s.sv.gen.Load()
 	am := gen.am
 	if am.Classes() == 0 {
 		panic("hdc: Serving.Predict with no classes")
 	}
 	s.lastGen = gen.id
-	s.lastDegraded = false
-	encStart := time.Now()
-	enc := rec.Start("encode", parent)
+	var start, encoded time.Time
+	if m != nil {
+		start = time.Now()
+	}
+	root := rec.Start("predict", rec.Parent())
+	enc := rec.Start("encode", root)
 	s.ctx.encodeTo(s.ctx.query, window, s.sv.cfg.NGram)
 	rec.End(enc)
-	encode := time.Since(encStart)
-
-	searchStart := time.Now()
-	search := rec.Start("am.search", parent)
+	if m != nil {
+		encoded = time.Now()
+	}
+	search := rec.Start("am.search", root)
 	rec.Annotate(search, "classes", int64(am.Classes()))
 	rec.Annotate(search, "generation", int64(gen.id))
-	n := am.Shards()
-	var idx, dist int
-	if pool == nil || n == 1 {
-		idx, dist = am.NearestInto(nil, s.ctx.query, nil)
-	} else {
-		if cap(s.scratch) < n {
-			s.scratch = make([]ShardBest, n)
-		}
-		s.scratch = s.scratch[:n]
-		s.am, s.rec, s.searchSpan = am, rec, search
-		pool.ForRange(n, s.fn)
-		s.am, s.rec, s.searchSpan = nil, nil, obs.NoSpan
-		idx, dist = s.reduceOrFallback(am, rec, search)
-	}
+	idx, dist := am.Nearest(s.ctx.query)
 	rec.End(search)
-	m.RecordStages(encode, time.Since(searchStart))
+	rec.End(root)
+	if m != nil {
+		done := time.Now()
+		m.RecordStages(encoded.Sub(start), done.Sub(encoded))
+		m.RecordPredict(done.Sub(start))
+	}
 	return am.labels[idx], dist
 }
 
@@ -606,62 +307,29 @@ func (s *Session) predictStaged(rec *obs.Spans, m *obs.InferenceMetrics, parent 
 // the session may read it.
 func (s *Session) Generation() uint64 { return s.lastGen }
 
-// Degraded reports whether the session's most recent predict fell back
-// to the flat scan after a shard failure. Single-goroutine, like
-// Generation.
-func (s *Session) Degraded() bool { return s.lastDegraded }
-
-// Predict classifies one window with a serial AM scan.
-func (s *Session) Predict(window [][]float64) (label string, distance int) {
-	if m := metrics(); m != nil {
-		start := time.Now()
-		label, distance = s.predict(nil, window)
-		m.RecordPredict(time.Since(start))
-		return label, distance
-	}
-	return s.predict(nil, window)
-}
-
-// PredictSharded classifies one window with the per-class Hamming
-// searches fanned out across pool, one contiguous class shard per
-// chunk — the latency-optimized path for many-class AMs. The pool is
-// driven for the duration of the call; concurrent Sessions each bring
-// their own pool (they are cheap). Bit-identical to Predict.
-func (s *Session) PredictSharded(pool *parallel.Pool, window [][]float64) (label string, distance int) {
-	if m := metrics(); m != nil {
-		start := time.Now()
-		label, distance = s.predict(pool, window)
-		m.RecordPredict(time.Since(start))
-		return label, distance
-	}
-	return s.predict(pool, window)
-}
-
 // PredictBatch classifies every window in order against the current
-// generation, sharding each AM search over pool (nil pool: serial).
-// Results land in out, grown only when its capacity is short, so
-// steady-state callers allocate nothing. Each window is classified
-// against the generation current at its turn; a Learn landing midway
-// applies to the remaining windows — batch callers who need one
-// consistent snapshot classify against AM() directly.
-func (s *Session) PredictBatch(pool *parallel.Pool, windows [][][]float64, out []Prediction) []Prediction {
-	if m := metrics(); m != nil {
-		start := time.Now()
-		out = s.predictBatch(pool, windows, out)
-		m.RecordBatch(len(windows), pool == nil, time.Since(start))
-		return out
+// generation. Results land in out, grown only when its capacity is
+// short, so steady-state callers allocate nothing. Each window is
+// classified against the generation current at its turn; a Learn
+// landing midway applies to the remaining windows — batch callers who
+// need one consistent snapshot classify against AM() directly. With a
+// metrics sink installed the call records as one batch.
+func (s *Session) PredictBatch(windows [][][]float64, out []Prediction) []Prediction {
+	m := metrics()
+	var start time.Time
+	if m != nil {
+		start = time.Now()
 	}
-	return s.predictBatch(pool, windows, out)
-}
-
-func (s *Session) predictBatch(pool *parallel.Pool, windows [][][]float64, out []Prediction) []Prediction {
 	if cap(out) < len(windows) {
 		out = make([]Prediction, len(windows))
 	}
 	out = out[:len(windows)]
 	for i, w := range windows {
-		label, dist := s.predict(pool, w)
+		label, dist := s.predict(nil, nil, w)
 		out[i] = Prediction{Label: label, Distance: dist}
+	}
+	if m != nil {
+		m.RecordBatch(len(windows), true, time.Since(start))
 	}
 	return out
 }

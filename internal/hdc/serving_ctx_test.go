@@ -6,58 +6,54 @@ import (
 	"sync"
 	"testing"
 
-	"pulphd/internal/hv"
 	"pulphd/internal/obs"
-	"pulphd/internal/parallel"
 )
 
 // ctxServing builds a trained serving model for the context-path tests.
-func ctxServing(t *testing.T, shards int) (*Serving, [][]float64) {
+func ctxServing(t *testing.T) (*Serving, [][]float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
-	sv, err := NewServing(servingConfig(), shards)
+	sv, err := NewServing(servingConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.Retrain(nil, syntheticSamples(sv.Config(), 5, 25, rng)); err != nil {
-		t.Fatal(err)
-	}
+	learnAll(t, sv, syntheticSamples(sv.Config(), 5, 25, rng))
 	return sv, syntheticSamples(sv.Config(), 5, 1, rng)[0].Window
 }
 
 // TestPredictCtxMatchesPredict pins that the instrumented path is
-// bit-identical to the plain one, spans on and off, pooled and serial.
+// bit-identical to the plain one, spans and metrics on and off.
 func TestPredictCtxMatchesPredict(t *testing.T) {
-	sv, w := ctxServing(t, 4)
-	pool := parallel.NewPool(2)
-	defer pool.Close()
+	sv, w := ctxServing(t)
 	ses := sv.NewSession()
-	wantLabel, wantDist := ses.Predict(w)
+	wantLabel, wantDist := sv.Predict(w)
 
 	for _, tc := range []struct {
-		name string
-		ctx  context.Context
-		pool *parallel.Pool
+		name    string
+		ctx     context.Context
+		metrics *obs.InferenceMetrics
 	}{
-		{"plain ctx serial", context.Background(), nil},
-		{"plain ctx pooled", context.Background(), pool},
-		{"spans serial", obs.WithSpans(context.Background(), obs.NewSpans(32)), nil},
-		{"spans pooled", obs.WithSpans(context.Background(), obs.NewSpans(32)), pool},
+		{"plain", context.Background(), nil},
+		{"spans", obs.WithSpans(context.Background(), obs.NewSpans(32)), nil},
+		{"metrics", context.Background(), &obs.InferenceMetrics{}},
+		{"spans and metrics", obs.WithSpans(context.Background(), obs.NewSpans(32)), &obs.InferenceMetrics{}},
 	} {
-		label, dist := ses.PredictCtx(tc.ctx, tc.pool, w)
+		SetMetrics(tc.metrics)
+		label, dist := ses.PredictCtx(tc.ctx, nil, w)
+		SetMetrics(nil)
 		if label != wantLabel || dist != wantDist {
 			t.Errorf("%s: (%q,%d), want (%q,%d)", tc.name, label, dist, wantLabel, wantDist)
+		}
+		if m := tc.metrics; m != nil && (m.Predicts.Value() != 1 || m.EncodeNanos.Snapshot().Count != 1) {
+			t.Errorf("%s: predicts=%d encodes=%d, want 1/1", tc.name, m.Predicts.Value(), m.EncodeNanos.Snapshot().Count)
 		}
 	}
 }
 
 // TestPredictCtxSpanTree checks the recorded span topology: a predict
-// root under the staged parent, encode and am.search children, and one
-// am.shard span per shard on its own track.
+// root under the staged parent, with encode and am.search children.
 func TestPredictCtxSpanTree(t *testing.T) {
-	sv, w := ctxServing(t, 4)
-	pool := parallel.NewPool(2)
-	defer pool.Close()
+	sv, w := ctxServing(t)
 	ses := sv.NewSession()
 
 	rec := obs.NewSpans(64)
@@ -65,19 +61,20 @@ func TestPredictCtxSpanTree(t *testing.T) {
 	root := rec.Start("request", obs.NoSpan)
 	rec.SetParent(root)
 	ctx := obs.WithSpans(context.Background(), rec)
-	if _, dist := ses.PredictCtx(ctx, pool, w); dist < 0 {
+	if _, dist := ses.PredictCtx(ctx, nil, w); dist < 0 {
 		t.Fatal("bad distance")
 	}
 	rec.End(root)
 
-	shards := sv.AM().Shards()
 	byName := map[string][]obs.Span{}
+	ids := map[string]obs.SpanID{}
 	for i := 0; i < rec.Len(); i++ {
 		sp := rec.Span(i)
 		byName[sp.Name] = append(byName[sp.Name], sp)
+		ids[sp.Name] = obs.SpanID(i)
 	}
 	for name, want := range map[string]int{
-		"request": 1, "predict": 1, "encode": 1, "am.search": 1, "am.shard": shards,
+		"request": 1, "predict": 1, "encode": 1, "am.search": 1,
 	} {
 		if len(byName[name]) != want {
 			t.Fatalf("%d %q spans, want %d (all: %v)", len(byName[name]), name, want, byName)
@@ -91,26 +88,15 @@ func TestPredictCtxSpanTree(t *testing.T) {
 	if search.Attrs[0].Key != "classes" || search.Attrs[0].Value != int64(sv.Classes()) {
 		t.Errorf("am.search attrs %+v", search.Attrs)
 	}
-	tracks := map[int32]bool{}
-	for _, sp := range byName["am.shard"] {
-		if sp.Attrs[0].Key != "shard" {
-			t.Errorf("am.shard lacks shard attr: %+v", sp)
-		}
-		if sp.Track == 0 {
-			t.Error("am.shard on the main track")
-		}
-		tracks[sp.Track] = true
-		if sp.End < sp.Start {
-			t.Errorf("am.shard never ended: %+v", sp)
+	for _, name := range []string{"encode", "am.search"} {
+		sp := byName[name][0]
+		if sp.Parent != ids["predict"] || sp.End < sp.Start {
+			t.Errorf("%s span %+v: want an ended child of predict", name, sp)
 		}
 	}
-	if len(tracks) != shards {
-		t.Errorf("%d distinct shard tracks, want %d", len(tracks), shards)
-	}
-	// Parent staging must be restored for the caller's next stage.
+	// The predict never restages the recorder: the caller's parent
+	// stays in place for its next stage.
 	if rec.Parent() != root {
-		// predictStaged sets SetParent never; the dispatcher re-stages
-		// per request, so Parent is whatever the caller set last.
 		t.Errorf("Parent() = %d, want %d", rec.Parent(), root)
 	}
 }
@@ -118,7 +104,7 @@ func TestPredictCtxSpanTree(t *testing.T) {
 // TestLearnCtxSpans checks the learn path records its encode and
 // publish spans with the generation annotation.
 func TestLearnCtxSpans(t *testing.T) {
-	sv, w := ctxServing(t, 2)
+	sv, w := ctxServing(t)
 	rec := obs.NewSpans(16)
 	rec.Reset(2)
 	ctx := obs.WithSpans(context.Background(), rec)
@@ -141,30 +127,21 @@ func TestLearnCtxSpans(t *testing.T) {
 	if publish.Attrs[0] != (obs.Attr{Key: "generation", Value: int64(gen + 1)}) {
 		t.Errorf("publish attrs %+v, want generation %d", publish.Attrs, gen+1)
 	}
-	// The no-recorder ctx variants stay usable.
-	if err := sv.LearnEncodedCtx(context.Background(), "rest", encodeFor(sv, w)); err != nil {
+	// A ctx without a recorder stays usable.
+	if err := sv.LearnCtx(context.Background(), "rest", w); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// encodeFor encodes one window with a throwaway session.
-func encodeFor(sv *Serving, w [][]float64) hv.Vector {
-	ses := sv.NewSession()
-	ses.ctx.encodeTo(ses.ctx.query, w, sv.cfg.NGram)
-	return ses.ctx.query
-}
-
 // TestPredictCtxAllocationFree pins the acceptance criterion: with no
-// recorder in the context and no metrics installed, PredictCtx is the
-// plain zero-allocation path; and even fully instrumented (metrics
-// sink plus span recorder) the steady state allocates nothing.
+// recorder in the context and no metrics installed, PredictCtx
+// allocates nothing; and even fully instrumented (metrics sink plus
+// span recorder) the steady state allocates nothing.
 func TestPredictCtxAllocationFree(t *testing.T) {
-	sv, w := ctxServing(t, 8)
-	pool := parallel.NewPool(2)
-	defer pool.Close()
+	sv, w := ctxServing(t)
 	ses := sv.NewSession()
 	ctx := context.Background()
-	ses.PredictCtx(ctx, pool, w) // warm scratch
+	ses.PredictCtx(ctx, nil, w) // warm scratch
 
 	check := func(name string, f func()) {
 		t.Helper()
@@ -172,8 +149,7 @@ func TestPredictCtxAllocationFree(t *testing.T) {
 			t.Errorf("%s allocates %v times per run, want 0", name, allocs)
 		}
 	}
-	check("PredictCtx disabled serial", func() { ses.PredictCtx(ctx, nil, w) })
-	check("PredictCtx disabled pooled", func() { ses.PredictCtx(ctx, pool, w) })
+	check("PredictCtx uninstrumented", func() { ses.PredictCtx(ctx, nil, w) })
 
 	SetMetrics(&obs.InferenceMetrics{})
 	defer SetMetrics(nil)
@@ -181,18 +157,17 @@ func TestPredictCtxAllocationFree(t *testing.T) {
 	sctx := obs.WithSpans(context.Background(), rec)
 	check("PredictCtx instrumented", func() {
 		rec.Reset(1)
-		ses.PredictCtx(sctx, pool, w)
+		ses.PredictCtx(sctx, nil, w)
 	})
 }
 
 // TestServingConcurrentPredictLearnWithSpans race-hammers the span
 // recorder through the full serving path: several goroutines run
-// pooled PredictCtx with their own recorders (per-shard spans land
-// concurrently from pool workers) while a learner publishes
+// PredictCtx with their own recorders while a learner publishes
 // generations through LearnCtx with another recorder, and an exporter
 // renders completed timelines concurrently.
 func TestServingConcurrentPredictLearnWithSpans(t *testing.T) {
-	sv, w := ctxServing(t, 8)
+	sv, w := ctxServing(t)
 	iters := 200
 	if testing.Short() {
 		iters = 40
@@ -203,15 +178,13 @@ func TestServingConcurrentPredictLearnWithSpans(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			pool := parallel.NewPool(2)
-			defer pool.Close()
 			ses := sv.NewSession()
 			for i := 0; i < iters; i++ {
 				rec := tl.Acquire(uint64(g*iters + i))
 				ctx := obs.WithSpans(context.Background(), rec)
 				root := rec.Start("request", obs.NoSpan)
 				rec.SetParent(root)
-				if label, _ := ses.PredictCtx(ctx, pool, w); label == "" {
+				if label, _ := ses.PredictCtx(ctx, nil, w); label == "" {
 					t.Error("empty label")
 					return
 				}

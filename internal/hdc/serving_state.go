@@ -19,7 +19,7 @@ import (
 // ServingClassState is one class of a ServingState: its label, the
 // published prototype, and — for learnable classes — the exact count
 // accumulator. A nil accumulator marks a fixed (deployment) prototype,
-// which serves but rejects Learn until a Retrain rebuilds it.
+// which serves but rejects Learn.
 type ServingClassState struct {
 	Label     string
 	Prototype hv.Vector
@@ -67,8 +67,8 @@ func (sv *Serving) State() ServingState {
 // generations the original would have. Item memories are regenerated
 // from cfg.Seed as everywhere else; cfg must therefore be the
 // configuration the state was exported under.
-func NewServingFromState(cfg Config, shards int, st ServingState) (*Serving, error) {
-	sv, err := NewServing(cfg, shards)
+func NewServingFromState(cfg Config, st ServingState) (*Serving, error) {
+	sv, err := NewServing(cfg, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -101,6 +101,6 @@ func NewServingFromState(cfg Config, shards int, st ServingState) (*Serving, err
 		}
 	}
 	sv.labels = labels
-	sv.gen.Store(&generation{id: st.Generation, am: NewShardedAM(cfg.D, append([]string(nil), labels...), protos, shards)})
+	sv.gen.Store(&generation{id: st.Generation, am: NewShardedAM(cfg.D, append([]string(nil), labels...), protos)})
 	return sv, nil
 }

@@ -3,11 +3,9 @@ package hdc
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"pulphd/internal/hv"
 	"pulphd/internal/obs"
-	"pulphd/internal/parallel"
 )
 
 // servingConfig is a small geometry that keeps these tests fast.
@@ -17,11 +15,17 @@ func servingConfig() Config {
 	return cfg
 }
 
+// sample is one labelled training window.
+type sample struct {
+	Label  string
+	Window [][]float64
+}
+
 // syntheticSamples draws n labelled windows over k classes, each
 // class a noisy cloud around its own operating point so the task is
 // learnable.
-func syntheticSamples(cfg Config, k, n int, rng *rand.Rand) []Sample {
-	samples := make([]Sample, n)
+func syntheticSamples(cfg Config, k, n int, rng *rand.Rand) []sample {
+	samples := make([]sample, n)
 	span := cfg.MaxLevel - cfg.MinLevel
 	for i := range samples {
 		class := i % k
@@ -34,14 +38,24 @@ func syntheticSamples(cfg Config, k, n int, rng *rand.Rand) []Sample {
 			}
 			w[t] = row
 		}
-		samples[i] = Sample{Label: string(rune('A' + class)), Window: w}
+		samples[i] = sample{Label: string(rune('A' + class)), Window: w}
 	}
 	return samples
 }
 
+// learnAll teaches sv every sample in order, one generation each.
+func learnAll(t testing.TB, sv *Serving, samples []sample) {
+	t.Helper()
+	for _, s := range samples {
+		if err := sv.Learn(s.Label, s.Window); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestServingLearnPublishesMonotonicGenerations(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	sv, err := NewServing(servingConfig(), 4)
+	sv, err := NewServing(servingConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +87,7 @@ func TestServingLearnPublishesMonotonicGenerations(t *testing.T) {
 }
 
 func TestServingLearnValidates(t *testing.T) {
-	sv, err := NewServing(servingConfig(), 2)
+	sv, err := NewServing(servingConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +97,9 @@ func TestServingLearnValidates(t *testing.T) {
 	if err := sv.Learn("x", nil); err == nil {
 		t.Fatal("Learn accepted an empty window")
 	}
-	if err := sv.LearnEncoded("", hv.New(sv.Config().D)); err == nil {
-		t.Fatal("LearnEncoded accepted an empty label")
-	}
-	if err := sv.LearnEncoded("x", hv.New(17)); err == nil {
-		t.Fatal("LearnEncoded accepted a mismatched dimension")
+	w := syntheticSamples(sv.Config(), 1, 1, rand.New(rand.NewSource(1)))[0].Window
+	if err := sv.Learn("", w); err == nil {
+		t.Fatal("Learn accepted an empty label")
 	}
 	if sv.Generation() != 0 {
 		t.Fatalf("rejected learns advanced the generation to %d", sv.Generation())
@@ -101,7 +113,7 @@ func TestServingFromClassifierSnapshot(t *testing.T) {
 	for _, s := range samples {
 		cls.Train(s.Label, s.Window)
 	}
-	sv := cls.Serving(2)
+	sv := cls.Serving()
 	if sv.Generation() != 0 {
 		t.Fatalf("snapshot generation %d, want 0", sv.Generation())
 	}
@@ -137,116 +149,34 @@ func TestServingFixedPrototypeRejectsLearn(t *testing.T) {
 	cfg := servingConfig()
 	cls := MustNew(cfg)
 	cls.AM().SetPrototype("fixed", hv.NewRandom(cfg.D, rng))
-	sv := cls.Serving(2)
+	sv := cls.Serving()
 	w := syntheticSamples(cfg, 1, 1, rng)[0].Window
 	if err := sv.Learn("fixed", w); err == nil {
 		t.Fatal("Learn on a fixed-prototype class did not error")
 	}
-	// Retrain replaces the fixed prototype with a learnable class.
-	if err := sv.Retrain(nil, []Sample{{Label: "fixed", Window: w}}); err != nil {
-		t.Fatal(err)
+	if sv.Generation() != 0 {
+		t.Fatalf("rejected learn published generation %d", sv.Generation())
 	}
-	if err := sv.Learn("fixed", w); err != nil {
-		t.Fatalf("Learn after Retrain: %v", err)
-	}
-}
-
-// TestServingLearnEqualsRetrain is the property test: learning a
-// sample multiset one at a time publishes exactly the prototypes a
-// batch Retrain over the same multiset publishes, for serial and
-// pooled retrains and across shard counts.
-func TestServingLearnEqualsRetrain(t *testing.T) {
-	pool := parallel.NewPool(3)
-	defer pool.Close()
-	f := func(kRaw, nRaw, sRaw uint8, seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		cfg := servingConfig()
-		k := int(kRaw)%5 + 1
-		n := int(nRaw)%24 + 1
-		shards := []int{1, 2, 8}[int(sRaw)%3]
-		samples := syntheticSamples(cfg, k, n, rng)
-
-		online, err := NewServing(cfg, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range samples {
-			if err := online.Learn(s.Label, s.Window); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, retrainPool := range []*parallel.Pool{nil, pool} {
-			batch, err := NewServing(cfg, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := batch.Retrain(retrainPool, samples); err != nil {
-				t.Fatal(err)
-			}
-			if batch.Generation() != 1 {
-				return false
-			}
-			a, b := online.AM(), batch.AM()
-			if a.Classes() != b.Classes() {
-				return false
-			}
-			for i := 0; i < a.Classes(); i++ {
-				if a.Label(i) != b.Label(i) || !hv.Equal(a.Prototype(i), b.Prototype(i)) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestServingPredictShardedMatchesSerial drives the full serving
-// predict path (encode + sharded search) against the serial one.
-func TestServingPredictShardedMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pool := parallel.NewPool(4)
-	defer pool.Close()
-	for _, shards := range []int{1, 2, 8} {
-		sv, err := NewServing(servingConfig(), shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		train := syntheticSamples(sv.Config(), 5, 25, rng)
-		if err := sv.Retrain(nil, train); err != nil {
-			t.Fatal(err)
-		}
-		ses := sv.NewSession()
-		for _, s := range syntheticSamples(sv.Config(), 5, 20, rng) {
-			wantLabel, wantDist := ses.Predict(s.Window)
-			label, dist := ses.PredictSharded(pool, s.Window)
-			if label != wantLabel || dist != wantDist {
-				t.Fatalf("shards=%d: sharded (%q,%d) != serial (%q,%d)", shards, label, dist, wantLabel, wantDist)
-			}
-		}
+	// Other classes stay learnable beside the fixed one.
+	if err := sv.Learn("open", w); err != nil {
+		t.Fatalf("Learn of a new class beside a fixed one: %v", err)
 	}
 }
 
 func TestServingPredictBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	pool := parallel.NewPool(4)
-	defer pool.Close()
-	sv, err := NewServing(servingConfig(), 8)
+	sv, err := NewServing(servingConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.Retrain(pool, syntheticSamples(sv.Config(), 6, 30, rng)); err != nil {
-		t.Fatal(err)
-	}
+	learnAll(t, sv, syntheticSamples(sv.Config(), 6, 30, rng))
 	test := syntheticSamples(sv.Config(), 6, 15, rng)
 	windows := make([][][]float64, len(test))
 	for i := range test {
 		windows[i] = test[i].Window
 	}
 	ses := sv.NewSession()
-	got := ses.PredictBatch(pool, windows, nil)
+	got := ses.PredictBatch(windows, nil)
 	if len(got) != len(windows) {
 		t.Fatalf("%d predictions for %d windows", len(got), len(windows))
 	}
@@ -257,52 +187,39 @@ func TestServingPredictBatch(t *testing.T) {
 		}
 	}
 	// Output reuse: same backing array, no reallocation.
-	again := ses.PredictBatch(pool, windows, got)
+	again := ses.PredictBatch(windows, got)
 	if &again[0] != &got[0] {
 		t.Fatal("PredictBatch reallocated a sufficient output buffer")
 	}
 }
 
-// TestServingPredictAllocationFree pins the acceptance criterion:
-// steady-state sharded Predict through a Session allocates nothing,
-// serial and pooled, with metrics enabled and disabled.
+// TestServingPredictAllocationFree pins the batch form's steady
+// state: Session.PredictBatch into a reused output allocates nothing,
+// with the metrics sinks installed and without.
 func TestServingPredictAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	pool := parallel.NewPool(2)
-	defer pool.Close()
-	sv, err := NewServing(servingConfig(), 8)
+	sv, err := NewServing(servingConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.Retrain(nil, syntheticSamples(sv.Config(), 5, 20, rng)); err != nil {
-		t.Fatal(err)
-	}
+	learnAll(t, sv, syntheticSamples(sv.Config(), 5, 20, rng))
 	w := syntheticSamples(sv.Config(), 5, 1, rng)[0].Window
 	windows := [][][]float64{w, w, w}
 	ses := sv.NewSession()
-	out := make([]Prediction, len(windows))
-	// Warm up scratch growth.
-	ses.Predict(w)
-	ses.PredictSharded(pool, w)
-	out = ses.PredictBatch(pool, windows, out)
+	out := ses.PredictBatch(windows, nil)
 
-	check := func(name string, f func()) {
+	check := func(name string) {
 		t.Helper()
-		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { out = ses.PredictBatch(windows, out) }); allocs != 0 {
 			t.Errorf("%s allocates %v times per run, want 0", name, allocs)
 		}
 	}
-	check("Session.Predict", func() { ses.Predict(w) })
-	check("Session.PredictSharded", func() { ses.PredictSharded(pool, w) })
-	check("Session.PredictBatch", func() { out = ses.PredictBatch(pool, windows, out) })
-
-	// The sinks must not reintroduce allocations on the hot path.
+	check("Session.PredictBatch")
 	SetMetrics(&obs.InferenceMetrics{})
 	SetServingMetrics(&obs.ServingMetrics{})
 	t.Cleanup(func() {
 		SetMetrics(nil)
 		SetServingMetrics(nil)
 	})
-	check("Session.Predict (metrics)", func() { ses.Predict(w) })
-	check("Session.PredictSharded (metrics)", func() { ses.PredictSharded(pool, w) })
+	check("Session.PredictBatch (metrics)")
 }

@@ -4,44 +4,29 @@ import (
 	"fmt"
 
 	"pulphd/internal/hv"
-	"pulphd/internal/parallel"
 )
 
-// ShardedAM is an immutable associative memory partitioned into
-// contiguous class shards, so one Predict can fan its per-class
-// Hamming searches out across a worker pool: each shard scans its
-// slice of the prototype matrix and the reduction keeps the paper's
-// minimum-distance vote. Where parallel.AMSearch splits the *words* of
-// every prototype (the PULP cluster's decomposition, which knees at
-// ~8 cores for one query), sharding splits the *classes*, so AMs with
-// many more classes than the paper's 5 keep scaling.
+// ShardedAM is the immutable associative memory one serving generation
+// publishes: the class labels and their prototypes in class-index
+// order, searched by a flat minimum-Hamming-distance scan. The PULP
+// cluster parallelizes inside each prototype's words (parallel.AMSearch);
+// at the paper's 5 classes a whole scan is a few microseconds, so the
+// serving layer runs it serially on the caller.
 //
 // A ShardedAM never changes after construction — the copy-on-write
 // serving layer publishes a fresh one per model generation — so any
-// number of goroutines may search it concurrently, each driving its
-// own pool (or none).
+// number of goroutines may search it concurrently.
 type ShardedAM struct {
 	d      int
 	labels []string
 	protos []hv.Vector
-	// bounds[s] .. bounds[s+1] is shard s's class range.
-	bounds []int
 }
 
-// ShardBest is one shard's search result: the globally lowest class
-// index among the shard's minimum-distance prototypes.
-type ShardBest struct {
-	Index    int // global class index, -1 for an empty shard
-	Distance int
-}
-
-// NewShardedAM partitions classes into at most `shards` contiguous,
-// near-equal shards. labels and protos run in class-index order and
-// are captured by reference — the caller must treat them as frozen
-// from here on (the serving layer guarantees this by construction).
-// shards is clamped to [1, classes]; zero classes yield one empty
-// shard.
-func NewShardedAM(d int, labels []string, protos []hv.Vector, shards int) *ShardedAM {
+// NewShardedAM builds the table. labels and protos run in class-index
+// order and are captured by reference — the caller must treat them as
+// frozen from here on (the serving layer guarantees this by
+// construction).
+func NewShardedAM(d int, labels []string, protos []hv.Vector) *ShardedAM {
 	if len(labels) != len(protos) {
 		panic(fmt.Sprintf("hdc: NewShardedAM: %d labels for %d prototypes", len(labels), len(protos)))
 	}
@@ -50,107 +35,33 @@ func NewShardedAM(d int, labels []string, protos []hv.Vector, shards int) *Shard
 			panic(fmt.Sprintf("hdc: NewShardedAM: prototype %d has dimension %d, want %d", i, p.Dim(), d))
 		}
 	}
-	k := len(protos)
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > k {
-		shards = k
-	}
-	if shards == 0 {
-		shards = 1
-	}
-	bounds := make([]int, shards+1)
-	for s := 1; s <= shards; s++ {
-		bounds[s] = s * k / shards
-	}
-	return &ShardedAM{d: d, labels: labels, protos: protos, bounds: bounds}
+	return &ShardedAM{d: d, labels: labels, protos: protos}
 }
-
-// Dim returns the prototype dimensionality.
-func (am *ShardedAM) Dim() int { return am.d }
 
 // Classes returns the stored class count.
 func (am *ShardedAM) Classes() int { return len(am.protos) }
-
-// Shards returns the shard count.
-func (am *ShardedAM) Shards() int { return len(am.bounds) - 1 }
-
-// Label returns the label of class index i.
-func (am *ShardedAM) Label(i int) string { return am.labels[i] }
 
 // SizeBytes returns the prototype matrix footprint in bytes.
 func (am *ShardedAM) SizeBytes() int {
 	return len(am.protos) * hv.WordsFor(am.d) * 4
 }
 
-// Prototype returns the stored prototype of class index i. It is the
-// AM's own storage, not a copy — the ShardedAM is immutable, so treat
-// it as read-only.
-func (am *ShardedAM) Prototype(i int) hv.Vector { return am.protos[i] }
-
-// SearchShard scans shard s for the minimum-distance prototype. Ties
-// resolve to the lowest class index, exactly as the unsharded scan.
-func (am *ShardedAM) SearchShard(s int, query hv.Vector) ShardBest {
-	best := ShardBest{Index: -1, Distance: am.d + 1}
-	for i := am.bounds[s]; i < am.bounds[s+1]; i++ {
-		if d := hv.Hamming(query, am.protos[i]); d < best.Distance {
-			best = ShardBest{Index: i, Distance: d}
-		}
-	}
-	return best
-}
-
-// Reduce merges per-shard results into the global winner. Shards hold
-// ascending class ranges, so a strict less-than scan in shard order
-// reproduces the lowest-index tie-break of the flat scan bit for bit.
-func Reduce(results []ShardBest) (index, distance int) {
-	best := ShardBest{Index: -1, Distance: 1 << 30}
-	for _, r := range results {
-		if r.Index >= 0 && r.Distance < best.Distance {
-			best = r
-		}
-	}
-	return best.Index, best.Distance
-}
-
 // Nearest returns the index and Hamming distance of the closest
-// prototype, fanning the shard scans across pool (nil pool, or a
-// single shard, scans serially on the caller). The result is
-// bit-identical to AssociativeMemory.Nearest for every shard count
-// and pool size. The pool is driven for the duration of the call and
-// must not be shared with a concurrent collective; concurrent readers
-// each bring their own pool. It panics if the AM is empty.
-func (am *ShardedAM) Nearest(query hv.Vector, pool *parallel.Pool) (index, distance int) {
-	scratch := make([]ShardBest, am.Shards())
-	return am.NearestInto(scratch, query, pool)
-}
-
-// NearestInto is Nearest with caller-owned scratch for the per-shard
-// results (len ≥ Shards()), so steady-state callers allocate nothing.
-func (am *ShardedAM) NearestInto(scratch []ShardBest, query hv.Vector, pool *parallel.Pool) (index, distance int) {
+// prototype. Ties resolve to the lowest class index, bit-identical to
+// AssociativeMemory.Nearest. It panics if the AM is empty or the query
+// dimension differs.
+func (am *ShardedAM) Nearest(query hv.Vector) (index, distance int) {
 	if len(am.protos) == 0 {
 		panic("hdc: ShardedAM.Nearest on empty associative memory")
 	}
 	if query.Dim() != am.d {
 		panic(fmt.Sprintf("hdc: ShardedAM.Nearest: dimension mismatch %d != %d", query.Dim(), am.d))
 	}
-	n := am.Shards()
-	if pool == nil || n == 1 {
-		// The flat scan, shard structure notwithstanding.
-		best, bestDist := 0, am.d+1
-		for i, p := range am.protos {
-			if d := hv.Hamming(query, p); d < bestDist {
-				best, bestDist = i, d
-			}
+	best, bestDist := 0, am.d+1
+	for i, p := range am.protos {
+		if d := hv.Hamming(query, p); d < bestDist {
+			best, bestDist = i, d
 		}
-		return best, bestDist
 	}
-	scratch = scratch[:n]
-	pool.ForRange(n, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			scratch[s] = am.SearchShard(s, query)
-		}
-	})
-	return Reduce(scratch)
+	return best, bestDist
 }

@@ -6,13 +6,12 @@ import (
 	"testing/quick"
 
 	"pulphd/internal/hv"
-	"pulphd/internal/parallel"
 )
 
-// randomShardedAM builds a k-class AM over random prototypes plus a
-// flat AssociativeMemory holding the same prototypes, for equivalence
+// randomShardedAM builds a k-class AM over random prototypes plus an
+// AssociativeMemory holding the same prototypes, for equivalence
 // checks.
-func randomShardedAM(t testing.TB, d, k, shards int, rng *rand.Rand) (*ShardedAM, *AssociativeMemory) {
+func randomShardedAM(t testing.TB, d, k int, rng *rand.Rand) (*ShardedAM, *AssociativeMemory) {
 	t.Helper()
 	labels := make([]string, k)
 	protos := make([]hv.Vector, k)
@@ -23,121 +22,77 @@ func randomShardedAM(t testing.TB, d, k, shards int, rng *rand.Rand) (*ShardedAM
 		protos[i] = hv.NewRandom(d, rng)
 		flat.SetPrototype(labels[i], protos[i])
 	}
-	return NewShardedAM(d, labels, protos, shards), flat
-}
-
-func TestShardedAMLayout(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	cases := []struct{ classes, shards, wantShards int }{
-		{5, 1, 1}, {5, 2, 2}, {5, 8, 5}, {64, 8, 8}, {1, 8, 1}, {0, 4, 1},
-	}
-	for _, tc := range cases {
-		am, _ := randomShardedAM(t, 256, tc.classes, tc.shards, rng)
-		if am.Shards() != tc.wantShards {
-			t.Errorf("%d classes / %d shards: got %d shards, want %d",
-				tc.classes, tc.shards, am.Shards(), tc.wantShards)
-		}
-		// Shards cover [0, classes) contiguously and without overlap.
-		covered := 0
-		for s := 0; s < am.Shards(); s++ {
-			if am.bounds[s] != covered {
-				t.Fatalf("shard %d starts at %d, want %d", s, am.bounds[s], covered)
-			}
-			covered = am.bounds[s+1]
-		}
-		if covered != tc.classes {
-			t.Errorf("%d classes / %d shards: bounds cover %d classes", tc.classes, tc.shards, covered)
-		}
-	}
+	return NewShardedAM(d, labels, protos), flat
 }
 
 func TestShardedAMEmptyPanics(t *testing.T) {
-	am := NewShardedAM(100, nil, nil, 4)
+	am := NewShardedAM(100, nil, nil)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Nearest on empty sharded AM did not panic")
+			t.Fatal("Nearest on empty AM did not panic")
 		}
 	}()
-	am.Nearest(hv.New(100), nil)
+	am.Nearest(hv.New(100))
 }
 
 func TestShardedAMDimensionMismatchPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	am, _ := randomShardedAM(t, 100, 3, 2, rng)
+	am, _ := randomShardedAM(t, 100, 3, rng)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Nearest with wrong query dimension did not panic")
 		}
 	}()
-	am.Nearest(hv.New(101), nil)
+	am.Nearest(hv.New(101))
 }
 
 // TestShardedNearestMatchesFlat checks bit-identical results against
-// the unsharded AssociativeMemory for the shard counts the acceptance
-// criteria name, serial and pooled.
+// AssociativeMemory across class counts, from a single class up.
 func TestShardedNearestMatchesFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	pool := parallel.NewPool(4)
-	defer pool.Close()
 	for _, classes := range []int{1, 2, 5, 17, 64} {
-		for _, shards := range []int{1, 2, 8} {
-			am, flat := randomShardedAM(t, 1000, classes, shards, rng)
-			for q := 0; q < 20; q++ {
-				query := hv.NewRandom(1000, rng)
-				wantIdx, wantDist := flat.Nearest(query)
-				for _, p := range []*parallel.Pool{nil, pool} {
-					idx, dist := am.Nearest(query, p)
-					if idx != wantIdx || dist != wantDist {
-						t.Fatalf("classes=%d shards=%d pool=%v: (%d,%d), want (%d,%d)",
-							classes, shards, p != nil, idx, dist, wantIdx, wantDist)
-					}
-				}
+		am, flat := randomShardedAM(t, 1000, classes, rng)
+		for q := 0; q < 20; q++ {
+			query := hv.NewRandom(1000, rng)
+			wantIdx, wantDist := flat.Nearest(query)
+			if idx, dist := am.Nearest(query); idx != wantIdx || dist != wantDist {
+				t.Fatalf("classes=%d: (%d,%d), want (%d,%d)", classes, idx, dist, wantIdx, wantDist)
 			}
 		}
 	}
 }
 
-// TestShardedNearestTieBreak pins the lowest-index tie-break across a
-// shard boundary: equidistant prototypes in different shards must
-// resolve exactly as the flat scan does.
+// TestShardedNearestTieBreak pins the lowest-index tie-break:
+// equidistant prototypes resolve to the first class, exactly as
+// AssociativeMemory does.
 func TestShardedNearestTieBreak(t *testing.T) {
 	const d = 256
 	proto := hv.New(d)
 	protos := []hv.Vector{proto.Clone(), proto.Clone(), proto.Clone(), proto.Clone()}
-	labels := []string{"a", "b", "c", "d"}
-	am := NewShardedAM(d, labels, protos, 4)
-	pool := parallel.NewPool(4)
-	defer pool.Close()
+	am := NewShardedAM(d, []string{"a", "b", "c", "d"}, protos)
 	query := hv.New(d)
 	query.SetBit(7, 1)
-	for _, p := range []*parallel.Pool{nil, pool} {
-		idx, dist := am.Nearest(query, p)
-		if idx != 0 || dist != 1 {
-			t.Fatalf("tie resolved to (%d,%d), want (0,1)", idx, dist)
-		}
+	if idx, dist := am.Nearest(query); idx != 0 || dist != 1 {
+		t.Fatalf("tie resolved to (%d,%d), want (0,1)", idx, dist)
 	}
 }
 
-// TestQuickShardedEquivalence is the property test: for random AMs,
-// queries and any shard count, sharded search equals the flat scan.
+// TestQuickShardedEquivalence is the property test: for random AMs
+// (including non-word-aligned dimensions) and queries, the serving
+// AM's scan equals AssociativeMemory.Nearest bit for bit.
 func TestQuickShardedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	pool := parallel.NewPool(3)
-	defer pool.Close()
-	f := func(dRaw, kRaw, sRaw uint8, seed int64) bool {
-		d := int(dRaw)%500 + 33 // include non-word-aligned dimensions
+	f := func(dRaw, kRaw uint8, seed int64) bool {
+		d := int(dRaw)%500 + 33
 		k := int(kRaw)%30 + 1
-		shards := int(sRaw)%12 + 1
 		r := rand.New(rand.NewSource(seed))
-		am, flat := randomShardedAM(t, d, k, shards, r)
+		am, flat := randomShardedAM(t, d, k, r)
 		query := hv.NewRandom(d, r)
 		wantIdx, wantDist := flat.Nearest(query)
-		i1, d1 := am.Nearest(query, nil)
-		i2, d2 := am.Nearest(query, pool)
-		return i1 == wantIdx && d1 == wantDist && i2 == wantIdx && d2 == wantDist
+		idx, dist := am.Nearest(query)
+		return idx == wantIdx && dist == wantDist
 	}
-	cfg := &quick.Config{MaxCount: 120, Rand: rng}
-	if err := quick.Check(f, cfg); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 120, Rand: rng}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -117,39 +117,6 @@ func (b *Bundler) Clone() *Bundler {
 	return c
 }
 
-// Merge folds another accumulator's counts into b, as if every vector
-// added to o had been added to b. The per-component counters are added
-// plane-wise with a word-parallel full adder, so merging costs
-// O(words × planes) regardless of how many vectors each side has seen
-// — the primitive that lets a parallel retrain accumulate per-worker
-// bundlers and combine them exactly.
-func (b *Bundler) Merge(o *Bundler) {
-	if o.d != b.d {
-		panic(fmt.Sprintf("hv: Bundler.Merge: dimension mismatch %d != %d", o.d, b.d))
-	}
-	if o.n == 0 {
-		return
-	}
-	for need := bits.Len(uint(b.n + o.n)); len(b.planes) < need; {
-		b.planes = append(b.planes, make([]uint64, b.nw64))
-	}
-	for j := 0; j < b.nw64; j++ {
-		var carry uint64
-		for p := range b.planes {
-			var ow uint64
-			if p < len(o.planes) {
-				ow = o.planes[p][j]
-			}
-			bw := b.planes[p][j]
-			b.planes[p][j] = bw ^ ow ^ carry
-			carry = (bw & ow) | (carry & (bw ^ ow))
-		}
-		// Counts stay below 2^len(planes) by the growth above, so the
-		// adder can never carry out of the top plane.
-	}
-	b.n += o.n
-}
-
 // State exports the accumulator as plain data — the addition count and
 // a deep copy of the bit-sliced count planes — so a serving snapshot
 // can persist learnable class accumulators and a warm restart can

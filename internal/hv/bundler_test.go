@@ -139,54 +139,6 @@ func TestBundlerClone(t *testing.T) {
 	}
 }
 
-func TestBundlerMergeEqualsSequentialAdds(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	// Cover uneven plane depths on both sides, empty sides, and a
-	// non-word-aligned dimension.
-	for _, tc := range []struct{ d, na, nb int }{
-		{100, 3, 5}, {100, 0, 4}, {313, 9, 1}, {313, 1, 31}, {1000, 16, 16}, {70, 7, 0},
-	} {
-		seq := NewBundler(tc.d)
-		ba := NewBundler(tc.d)
-		bb := NewBundler(tc.d)
-		for i := 0; i < tc.na; i++ {
-			v := NewRandom(tc.d, rng)
-			seq.Add(v)
-			ba.Add(v)
-		}
-		for i := 0; i < tc.nb; i++ {
-			v := NewRandom(tc.d, rng)
-			seq.Add(v)
-			bb.Add(v)
-		}
-		ba.Merge(bb)
-		if ba.Count() != tc.na+tc.nb {
-			t.Fatalf("d=%d: merged count %d, want %d", tc.d, ba.Count(), tc.na+tc.nb)
-		}
-		if seq.Count() > 0 && !Equal(ba.Vector(nil), seq.Vector(nil)) {
-			t.Fatalf("d=%d na=%d nb=%d: merge disagrees with sequential adds", tc.d, tc.na, tc.nb)
-		}
-		// Exact count planes, not just the threshold: adding one more
-		// common vector to both must keep them identical.
-		probe := NewRandom(tc.d, rng)
-		seq.Add(probe)
-		ba.Add(probe)
-		if !Equal(ba.Vector(nil), seq.Vector(nil)) {
-			t.Fatalf("d=%d: merged counters drifted from sequential counters", tc.d)
-		}
-	}
-}
-
-func TestBundlerMergeDimensionMismatchPanics(t *testing.T) {
-	b := NewBundler(100)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Merge with wrong dimension did not panic")
-		}
-	}()
-	b.Merge(NewBundler(101))
-}
-
 func TestBundlerPrototypeSimilarity(t *testing.T) {
 	// A prototype bundled from noisy copies of a template stays close
 	// to the template — the learning mechanism of the HD classifier.

@@ -152,12 +152,11 @@ func ReadServingMeta(r io.Reader) (ServingMeta, error) {
 // LoadServing reads a snapshot written by SaveServing and rebuilds the
 // serving model: generation id, labels, prototypes and learnable-class
 // accumulators exactly as exported, item memories regenerated from the
-// stored seed, the associative memory split into at most shards
-// shards. The second return is the snapshot's checkpoint WAL sequence
-// (see SaveServing). Corrupt input — bad magic, implausible geometry, a
-// truncated stream, a CRC mismatch — comes back as an error, never a
-// panic.
-func LoadServing(r io.Reader, shards int) (*hdc.Serving, uint64, error) {
+// stored seed. The second return is the snapshot's checkpoint WAL
+// sequence (see SaveServing). Corrupt input — bad magic, implausible
+// geometry, a truncated stream, a CRC mismatch — comes back as an
+// error, never a panic.
+func LoadServing(r io.Reader) (*hdc.Serving, uint64, error) {
 	br := bufio.NewReader(r)
 	var gotMagic [8]byte
 	if _, err := io.ReadFull(br, gotMagic[:]); err != nil {
@@ -242,7 +241,7 @@ func LoadServing(r io.Reader, shards int) (*hdc.Serving, uint64, error) {
 	if got != want {
 		return nil, 0, fmt.Errorf("model: checksum mismatch: stored %08x, computed %08x", got, want)
 	}
-	sv, err := hdc.NewServingFromState(cfg, shards, st)
+	sv, err := hdc.NewServingFromState(cfg, st)
 	if err != nil {
 		return nil, 0, fmt.Errorf("model: snapshot state invalid: %w", err)
 	}

@@ -15,7 +15,7 @@ func servingFixture(t *testing.T, backend hdc.Backend, learns int) *hdc.Serving 
 	cfg := hdc.EMGConfig()
 	cfg.D = 640
 	cfg.Backend = backend
-	sv, err := hdc.NewServing(cfg, 2)
+	sv, err := hdc.NewServing(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSaveLoadServingRoundTrip(t *testing.T) {
 			if err := SaveServing(&buf, sv, 10); err != nil {
 				t.Fatal(err)
 			}
-			got, walSeq, err := LoadServing(bytes.NewReader(buf.Bytes()), 2)
+			got, walSeq, err := LoadServing(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +75,7 @@ func TestSaveLoadServingResumesLearning(t *testing.T) {
 	if err := SaveServing(&buf, sv, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := LoadServing(bytes.NewReader(buf.Bytes()), 2)
+	got, _, err := LoadServing(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +138,12 @@ func TestLoadServingDetectsCorruption(t *testing.T) {
 	for i := 0; i < len(data); i += 7 {
 		mutated := append([]byte(nil), data...)
 		mutated[i] ^= 0x20
-		if _, _, err := LoadServing(bytes.NewReader(mutated), 2); err == nil {
+		if _, _, err := LoadServing(bytes.NewReader(mutated)); err == nil {
 			t.Fatalf("byte %d flip loaded without error", i)
 		}
 	}
 	for _, n := range []int{0, 7, 8, len(data) / 2, len(data) - 1} {
-		if _, _, err := LoadServing(bytes.NewReader(data[:n]), 2); err == nil {
+		if _, _, err := LoadServing(bytes.NewReader(data[:n])); err == nil {
 			t.Fatalf("truncation to %d bytes loaded", n)
 		}
 	}
@@ -162,7 +162,7 @@ func TestLoadServingRejectsUntrustedGeometry(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		mutated[8+8*8+i] = 0xff
 	}
-	if _, _, err := LoadServing(bytes.NewReader(mutated), 2); err == nil {
+	if _, _, err := LoadServing(bytes.NewReader(mutated)); err == nil {
 		t.Fatal("implausible class count loaded")
 	}
 }

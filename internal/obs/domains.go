@@ -140,16 +140,14 @@ func (m *StreamMetrics) RecordFeedback(predicted, actual string) {
 // copy-on-write model generations of hdc.Serving and the request
 // queue of the /predict–/learn HTTP front end.
 type ServingMetrics struct {
-	// Learns counts Learn/Retrain publications; LearnNanos is the time
-	// from encode to generation publish.
+	// Learns counts Learn publications; LearnNanos is the time from
+	// encode to generation publish.
 	Learns     Counter
 	LearnNanos Histogram
 	// Generation is the id of the currently published model snapshot
-	// (monotonically increasing); Classes and Shards describe its
-	// associative-memory layout.
+	// (monotonically increasing); Classes is its class count.
 	Generation Gauge
 	Classes    Gauge
-	Shards     Gauge
 	// Requests counts /predict requests accepted into the queue;
 	// Rejected counts the ones bounced with 429 by backpressure.
 	Requests Counter
@@ -175,9 +173,6 @@ type ServingMetrics struct {
 	// PanicsRecovered counts worker/dispatcher panics converted into
 	// 500 responses instead of process death.
 	PanicsRecovered Counter
-	// DegradedScans counts predicts that lost a shard mid-search and
-	// fell back to the flat associative-memory scan.
-	DegradedScans Counter
 	// ModelBytes is the resident footprint of the published model
 	// generation (IM + CIM + AM prototypes) in bytes — the gauge that
 	// makes the rematerializing backend's footprint win visible.
@@ -217,14 +212,6 @@ func (m *ServingMetrics) RecordPanicRecovered() {
 	m.PanicsRecovered.Inc()
 }
 
-// RecordDegraded counts one flat-scan fallback after a shard failure.
-func (m *ServingMetrics) RecordDegraded() {
-	if m == nil {
-		return
-	}
-	m.DegradedScans.Inc()
-}
-
 // RecordQueueWait folds one request's queue residency.
 func (m *ServingMetrics) RecordQueueWait(d time.Duration) {
 	if m == nil {
@@ -234,7 +221,7 @@ func (m *ServingMetrics) RecordQueueWait(d time.Duration) {
 }
 
 // RecordPublish folds one generation publication into the metrics.
-func (m *ServingMetrics) RecordPublish(generation uint64, classes, shards int, d time.Duration) {
+func (m *ServingMetrics) RecordPublish(generation uint64, classes int, d time.Duration) {
 	if m == nil {
 		return
 	}
@@ -242,18 +229,16 @@ func (m *ServingMetrics) RecordPublish(generation uint64, classes, shards int, d
 	m.LearnNanos.Observe(d)
 	m.Generation.Set(int64(generation))
 	m.Classes.Set(int64(classes))
-	m.Shards.Set(int64(shards))
 }
 
 // RecordModel updates the generation gauges without counting a learn
 // (initial publication, server startup).
-func (m *ServingMetrics) RecordModel(generation uint64, classes, shards int) {
+func (m *ServingMetrics) RecordModel(generation uint64, classes int) {
 	if m == nil {
 		return
 	}
 	m.Generation.Set(int64(generation))
 	m.Classes.Set(int64(classes))
-	m.Shards.Set(int64(shards))
 }
 
 // RecordRequest counts one serving request. Requests counts every

@@ -39,8 +39,8 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil gauge holds a value")
 	}
 	var svm *ServingMetrics
-	svm.RecordPublish(3, 5, 2, time.Millisecond)
-	svm.RecordModel(3, 5, 2)
+	svm.RecordPublish(3, 5, time.Millisecond)
+	svm.RecordModel(3, 5)
 	svm.RecordRequest(true)
 	svm.RecordRequest(false)
 	svm.RecordServeBatch(8)
@@ -62,14 +62,14 @@ func TestGauge(t *testing.T) {
 
 func TestServingMetrics(t *testing.T) {
 	var m ServingMetrics
-	m.RecordModel(1, 5, 4)
-	m.RecordPublish(2, 6, 4, time.Millisecond)
+	m.RecordModel(1, 5)
+	m.RecordPublish(2, 6, time.Millisecond)
 	m.RecordRequest(true)
 	m.RecordRequest(true)
 	m.RecordRequest(false)
 	m.RecordServeBatch(3)
-	if m.Generation.Value() != 2 || m.Classes.Value() != 6 || m.Shards.Value() != 4 {
-		t.Fatalf("gauges %d/%d/%d", m.Generation.Value(), m.Classes.Value(), m.Shards.Value())
+	if m.Generation.Value() != 2 || m.Classes.Value() != 6 {
+		t.Fatalf("gauges %d/%d", m.Generation.Value(), m.Classes.Value())
 	}
 	if m.Learns.Value() != 1 {
 		t.Fatalf("learns %d, want 1 (RecordModel must not count)", m.Learns.Value())
@@ -204,7 +204,7 @@ func TestPrometheusExposition(t *testing.T) {
 	h := NewHostMetrics()
 	h.Inference.RecordPredict(1500 * time.Nanosecond)
 	h.Inference.RecordBatch(64, true, time.Millisecond)
-	h.Serving.RecordPublish(7, 64, 8, time.Microsecond)
+	h.Serving.RecordPublish(7, 64, time.Microsecond)
 	var buf bytes.Buffer
 	if err := h.Registry.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -216,7 +216,6 @@ func TestPrometheusExposition(t *testing.T) {
 		"# TYPE pulphd_serving_generation gauge",
 		"pulphd_serving_generation 7",
 		"pulphd_serving_classes 64",
-		"pulphd_serving_shards 8",
 		"pulphd_serving_learns_total 1",
 		"pulphd_predict_batch_windows_total 64",
 		"pulphd_predict_batch_serial_fallbacks_total 1",

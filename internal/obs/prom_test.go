@@ -139,7 +139,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	hostile := "cl\\ass\n\"A\""
 	h.Stream.RecordFeedback(hostile, hostile)
 	h.Stream.RecordFeedback("rest", "fist")
-	h.Serving.RecordPublish(3, 5, 4, time.Microsecond)
+	h.Serving.RecordPublish(3, 5, time.Microsecond)
 	h.Serving.RecordRequest(true)
 	h.Serving.RecordQueueWait(time.Microsecond)
 	h.Serving.RecordServeBatch(4)

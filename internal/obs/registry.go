@@ -430,11 +430,10 @@ func NewHostMetrics() *HostMetrics {
 	r.RegisterGaugeFunc("pulphd_stream_rolling_accuracy_permille", "agreement rate over the last 256 corrections, in 1/1000 (-1: no signal yet)", h.Stream.Drift.RollingAccuracyPermille)
 	r.RegisterHistogram("pulphd_predict_encode_latency_ns", "per-request window-encode stage latency in nanoseconds", &h.Inference.EncodeNanos)
 	r.RegisterHistogram("pulphd_predict_search_latency_ns", "per-request AM-search stage latency in nanoseconds", &h.Inference.SearchNanos)
-	r.RegisterCounter("pulphd_serving_learns_total", "generation publications by Learn/Retrain", &h.Serving.Learns)
-	r.RegisterHistogram("pulphd_serving_learn_latency_ns", "Learn/Retrain publish latency in nanoseconds", &h.Serving.LearnNanos)
+	r.RegisterCounter("pulphd_serving_learns_total", "generation publications by Learn", &h.Serving.Learns)
+	r.RegisterHistogram("pulphd_serving_learn_latency_ns", "Learn publish latency in nanoseconds", &h.Serving.LearnNanos)
 	r.RegisterGauge("pulphd_serving_generation", "id of the published model generation", &h.Serving.Generation)
 	r.RegisterGauge("pulphd_serving_classes", "classes in the published generation", &h.Serving.Classes)
-	r.RegisterGauge("pulphd_serving_shards", "associative-memory shards in the published generation", &h.Serving.Shards)
 	r.RegisterCounter("pulphd_serving_requests_total", "/predict requests accepted into the queue", &h.Serving.Requests)
 	r.RegisterCounter("pulphd_serving_rejected_total", "/predict requests rejected by backpressure (429)", &h.Serving.Rejected)
 	r.RegisterCounter("pulphd_serving_batches_total", "request batches drained by the serving dispatcher", &h.Serving.Batches)
@@ -444,7 +443,6 @@ func NewHostMetrics() *HostMetrics {
 	r.RegisterCounter("pulphd_serving_timeouts_total", "/predict requests answered 504 at their deadline", &h.Serving.Timeouts)
 	r.RegisterCounter("pulphd_serving_retries_total", "dispatcher predict attempts retried after a recovered failure", &h.Serving.Retries)
 	r.RegisterCounter("pulphd_serving_panics_recovered_total", "worker/dispatcher panics converted into error responses", &h.Serving.PanicsRecovered)
-	r.RegisterCounter("pulphd_serving_degraded_scans_total", "predicts that fell back to the flat AM scan after a shard failure", &h.Serving.DegradedScans)
 	r.RegisterGauge("pulphd_serving_model_resident_bytes", "resident footprint of the published model (IM + CIM + AM prototypes) in bytes", &h.Serving.ModelBytes)
 	r.RegisterCounter("pulphd_stream_predict_failures_total", "stream decisions dropped because prediction panicked", &h.Stream.PredictFailures)
 	r.RegisterCounter("pulphd_fault_injections_total", "fault-injection corruption calls with BER > 0", &h.Fault.Injections)

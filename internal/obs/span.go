@@ -37,7 +37,7 @@ const NoSpan SpanID = -1
 const spanAttrs = 2
 
 // Attr is one span attribute. Values are int64 — the serving path
-// annotates sizes, shard indices and generation ids, never strings.
+// annotates sizes, class counts and generation ids, never strings.
 type Attr struct {
 	Key   string
 	Value int64
@@ -46,8 +46,9 @@ type Attr struct {
 // Span is one recorded interval. Start and End are nanoseconds since
 // the recorder's epoch; End == 0 marks a span never ended. Track is
 // the timeline row the exporter places the span on: 0 is the request's
-// main track, per-shard searches use 1+shard so concurrent shard scans
-// render side by side instead of as a broken nesting.
+// main track; work running concurrently within one request takes
+// tracks ≥ 1 so it renders side by side instead of as a broken
+// nesting.
 type Span struct {
 	Name   string
 	Parent SpanID
@@ -138,8 +139,8 @@ func (s *Spans) Start(name string, parent SpanID) SpanID {
 	return s.StartTrack(name, parent, 0)
 }
 
-// StartTrack is Start on an explicit exporter track — per-shard
-// searches use 1+shard so concurrent scans get their own rows.
+// StartTrack is Start on an explicit exporter track, so concurrent
+// work within one request gets its own row.
 func (s *Spans) StartTrack(name string, parent SpanID, track int32) SpanID {
 	if s == nil {
 		return NoSpan
@@ -315,12 +316,28 @@ type tracePart interface {
 
 // appendTraceEvents renders every held request as one trace process
 // ("request <id>"), its spans as complete slices: track 0 carries the
-// request's own tree, higher tracks the per-shard fan-out. Span
-// timestamps are nanoseconds; the trace-event unit is microseconds, so
-// durations render in µs (the simulator's cycle traces map one cycle
-// to one µs — the shared timeline is for shape, not unit algebra).
+// request's own tree, higher tracks concurrent lanes. Span timestamps
+// are nanoseconds; the trace-event unit is microseconds, so durations
+// render in µs (the simulator's cycle traces map one cycle to one µs —
+// the shared timeline is for shape, not unit algebra).
 func (t *Timelines) appendTraceEvents(evs []traceEvent, pid int) ([]traceEvent, int) {
-	for _, rec := range t.snapshot() {
+	return t.appendHeld(evs, pid, "")
+}
+
+// appendHeld renders the held recorders oldest-first, only those
+// tagged with model when it is non-empty. It holds t.mu for the whole
+// render: Release recycles an evicted recorder through the free list,
+// where Acquire resets it, so a recorder must not leave the ring while
+// it is being read. Handlers wait on the lock only while an export
+// copies spans into events, never while it writes them out.
+func (t *Timelines) appendHeld(evs []traceEvent, pid int, model string) ([]traceEvent, int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.done {
+		rec := t.done[(t.next+i)%len(t.done)]
+		if model != "" && rec.Model != model {
+			continue
+		}
 		evs = appendSpanEvents(evs, rec, pid)
 		pid++
 	}
@@ -402,9 +419,6 @@ func (t *Timelines) WriteChromeTrace(w io.Writer) error {
 // whose recorder is tagged with the given model — the ?model= filter
 // of /debug/spans. An empty model renders every held timeline.
 func (t *Timelines) WriteChromeTraceModel(w io.Writer, model string) error {
-	if model == "" {
-		return t.WriteChromeTrace(w)
-	}
 	return WriteChromeTrace(w, modelFiltered{t: t, model: model})
 }
 
@@ -415,14 +429,7 @@ type modelFiltered struct {
 }
 
 func (f modelFiltered) appendTraceEvents(evs []traceEvent, pid int) ([]traceEvent, int) {
-	for _, rec := range f.t.snapshot() {
-		if rec.Model != f.model {
-			continue
-		}
-		evs = appendSpanEvents(evs, rec, pid)
-		pid++
-	}
-	return evs, pid
+	return f.t.appendHeld(evs, pid, f.model)
 }
 
 // appendTraceEvents makes the cycle Trace composable with request

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -57,7 +58,7 @@ func runCrashTrial(t *testing.T, trial crashTrial, round int64) {
 	rng := rand.New(rand.NewSource(round*1000 + int64(trial.backend)*100 + int64(len(trial.corrupt))))
 	cfg := testConfig(trial.backend)
 	dir := t.TempDir()
-	r, err := Open(Config{Dir: dir, Shards: 2, SnapshotEvery: 1 << 20})
+	r, err := Open(Config{Dir: dir, SnapshotEvery: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func runCrashTrial(t *testing.T, trial crashTrial, round int64) {
 	}
 	// mirror applies the identical sequence in memory; stateAt[g] is
 	// its serialized state at generation g.
-	mirror, err := hdc.NewServing(cfg, 2)
+	mirror, err := hdc.NewServing(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func runCrashTrial(t *testing.T, trial crashTrial, round int64) {
 		window := randomWindow(cfg, rng)
 		var applyErr error
 		if rng.Intn(3) == 0 {
-			applyErr = r.Correct("m", label, window)
+			applyErr = r.CorrectCtx(context.Background(), "m", label, window)
 		} else {
 			applyErr = r.Learn("m", label, window)
 		}
@@ -110,7 +111,7 @@ func runCrashTrial(t *testing.T, trial crashTrial, round int64) {
 		flipTail(t, walPath, rng, round)
 	}
 
-	r2, err := Open(Config{Dir: dir, Shards: 2})
+	r2, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatalf("reopening after crash: %v", err)
 	}
@@ -193,7 +194,7 @@ func flipTail(t *testing.T, path string, rng *rand.Rand, seed int64) {
 func TestKillNineRecoversEveryModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	dir := t.TempDir()
-	r, err := Open(Config{Dir: dir, Shards: 2, SnapshotEvery: 5})
+	r, err := Open(Config{Dir: dir, SnapshotEvery: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestKillNineRecoversEveryModel(t *testing.T) {
 		if _, err := r.Create(tn.name, cfg); err != nil {
 			t.Fatal(err)
 		}
-		tn.mirror, err = hdc.NewServing(cfg, 2)
+		tn.mirror, err = hdc.NewServing(cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +232,7 @@ func TestKillNineRecoversEveryModel(t *testing.T) {
 		}
 	}
 	// kill -9: no Close, no snapshot, WAL handles abandoned.
-	r2, err := Open(Config{Dir: dir, Shards: 2})
+	r2, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
@@ -263,14 +264,14 @@ func TestRecoveryAcrossSnapshotCrashGap(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	cfg := testConfig(hdc.BackendStored)
 	dir := t.TempDir()
-	r, err := Open(Config{Dir: dir, Shards: 2, SnapshotEvery: 1 << 20})
+	r, err := Open(Config{Dir: dir, SnapshotEvery: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Create("m", cfg); err != nil {
 		t.Fatal(err)
 	}
-	mirror, err := hdc.NewServing(cfg, 2)
+	mirror, err := hdc.NewServing(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestRecoveryAcrossSnapshotCrashGap(t *testing.T) {
 	if err := os.WriteFile(r.walPath("m"), staleWAL, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Open(Config{Dir: dir, Shards: 2})
+	r2, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,8 +52,10 @@ type Config struct {
 	// nothing persists, and eviction is disabled (dropping a model
 	// without a snapshot would lose it).
 	Dir string
-	// Shards is the associative-memory shard count for every model the
-	// registry constructs or loads; values below 1 mean 1.
+	// Shards is ignored.
+	//
+	// Deprecated: the associative memory is one flat table; the field
+	// will be removed.
 	Shards int
 	// ResidentBudget caps the summed ResidentBytes of in-memory models;
 	// past it, least-recently-used models are snapshotted and dropped.
@@ -131,9 +133,6 @@ type Registry struct {
 // loaded: they fault in on first use. Torn WAL tails are truncated
 // away during the scan, so the directory is clean after Open returns.
 func Open(cfg Config) (*Registry, error) {
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
-	}
 	if cfg.SnapshotEvery < 1 {
 		cfg.SnapshotEvery = DefaultSnapshotEvery
 	}
@@ -202,7 +201,7 @@ func (r *Registry) touch(e *entry) { e.lastUse.Store(r.clock.Add(1)) }
 // Serving. In a persistent registry the model's snapshot and WAL land
 // on disk, and the manifest republishes, before Create returns.
 func (r *Registry) Create(name string, mc hdc.Config) (*hdc.Serving, error) {
-	sv, err := hdc.NewServing(mc, r.cfg.Shards)
+	sv, err := hdc.NewServing(mc, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -399,7 +398,7 @@ func (r *Registry) residentLocked(ctx context.Context, e *entry) (*hdc.Serving, 
 	if err != nil {
 		return nil, fmt.Errorf("registry: model %q snapshot: %w", e.name, err)
 	}
-	sv, snapSeq, err := model.LoadServing(f, r.cfg.Shards)
+	sv, snapSeq, err := model.LoadServing(f)
 	f.Close()
 	if err != nil {
 		return nil, fmt.Errorf("registry: model %q snapshot: %w", e.name, err)
@@ -452,38 +451,40 @@ func (r *Registry) residentLocked(ctx context.Context, e *entry) (*hdc.Serving, 
 // model: validate, append to the WAL, apply to the Serving, ack — in
 // that order, so every acknowledged learn survives a crash.
 func (r *Registry) Learn(name, label string, window [][]float64) error {
-	return r.apply(context.Background(), name, OpLearn, label, window)
+	_, err := r.apply(context.Background(), name, OpLearn, label, window)
+	return err
 }
 
-// LearnCtx is Learn with a request context carried into the model's
-// publish path (span recorders ride it).
-func (r *Registry) LearnCtx(ctx context.Context, name, label string, window [][]float64) error {
-	return r.apply(ctx, name, OpLearn, label, window)
-}
-
-// Correct is Learn arriving as online correction feedback: it replays
-// identically but also scores the model's prediction for the window
-// against the corrected label in the drift monitor.
-func (r *Registry) Correct(name, label string, window [][]float64) error {
-	return r.apply(context.Background(), name, OpCorrect, label, window)
-}
-
-// CorrectCtx is Correct with a request context.
+// CorrectCtx is Learn arriving as online correction feedback, with a
+// request context carried into the model's publish path (span
+// recorders ride it): it replays identically but also scores the
+// model's prediction for the window against the corrected label in
+// the drift monitor.
 func (r *Registry) CorrectCtx(ctx context.Context, name, label string, window [][]float64) error {
+	_, err := r.CorrectInfo(ctx, name, label, window)
+	return err
+}
+
+// CorrectInfo is CorrectCtx that also returns the model's Info as
+// captured under the model's lock right after the record applied, so
+// its Generation and Classes are exactly what this correction
+// published, whatever learns race it.
+func (r *Registry) CorrectInfo(ctx context.Context, name, label string, window [][]float64) (Info, error) {
 	return r.apply(ctx, name, OpCorrect, label, window)
 }
 
-func (r *Registry) apply(ctx context.Context, name string, op Op, label string, window [][]float64) error {
+func (r *Registry) apply(ctx context.Context, name string, op Op, label string, window [][]float64) (Info, error) {
 	e, err := r.lookup(name)
 	if err != nil {
-		return err
+		return Info{}, err
 	}
 	e.mu.Lock()
 	err = r.applyLocked(ctx, e, op, label, window)
+	info := r.infoLocked(e)
 	e.mu.Unlock()
 	r.touch(e)
 	r.enforceBudget(ctx, e)
-	return err
+	return info, err
 }
 
 func (r *Registry) applyLocked(ctx context.Context, e *entry, op Op, label string, window [][]float64) error {
@@ -714,6 +715,11 @@ func (r *Registry) ModelInfo(name string) (Info, error) {
 func (r *Registry) info(e *entry) Info {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return r.infoLocked(e)
+}
+
+// infoLocked is info for callers already holding e.mu.
+func (r *Registry) infoLocked(e *entry) Info {
 	info := Info{
 		Name:                    e.name,
 		Generation:              e.generation,

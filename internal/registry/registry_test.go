@@ -2,6 +2,7 @@ package registry
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"os"
@@ -47,7 +48,7 @@ func servingBytes(t *testing.T, sv *hdc.Serving) []byte {
 }
 
 func TestRegistryCreateLookupDelete(t *testing.T) {
-	r, err := Open(Config{Dir: t.TempDir(), Shards: 2})
+	r, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +108,16 @@ func TestRegistryLearnAdvancesInfo(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := r.Correct("m", "rest", randomWindow(cfg, rng)); err != nil {
+	got, err := r.CorrectInfo(context.Background(), "m", "rest", randomWindow(cfg, rng))
+	if err != nil {
 		t.Fatal(err)
 	}
 	info, err := r.ModelInfo("m")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got != info {
+		t.Fatalf("CorrectInfo returned %+v, ModelInfo %+v", got, info)
 	}
 	if info.Generation != 6 || info.Classes != 2 || info.WALRecords != 6 || !info.Resident {
 		t.Fatalf("info after 6 learns: %+v", info)
@@ -181,7 +186,7 @@ func TestRegistryEvictionAndFaultIn(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	cfg := testConfig(hdc.BackendStored)
 	dir := t.TempDir()
-	r, err := Open(Config{Dir: dir, Shards: 2, ResidentBudget: 1})
+	r, err := Open(Config{Dir: dir, ResidentBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestLifecycleSpans(t *testing.T) {
 	cfg := testConfig(hdc.BackendStored)
 	rng := rand.New(rand.NewSource(7))
 
-	r, err := Open(Config{Dir: dir, Shards: 2, SyncWAL: true, SnapshotEvery: 1, Metrics: m})
+	r, err := Open(Config{Dir: dir, SyncWAL: true, SnapshotEvery: 1, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestLifecycleSpans(t *testing.T) {
 	}
 	rec := obs.NewSpans(64)
 	ctx := obs.WithSpans(context.Background(), rec)
-	if err := r.LearnCtx(ctx, "emg", "rest", randomWindow(cfg, rng)); err != nil {
+	if err := r.CorrectCtx(ctx, "emg", "rest", randomWindow(cfg, rng)); err != nil {
 		t.Fatal(err)
 	}
 	names := spanNames(rec)
@@ -59,7 +59,7 @@ func TestLifecycleSpans(t *testing.T) {
 	// Reopen with a 1-byte budget: the first ServingCtx faults the model
 	// in (recover span included), and learning a second model evicts the
 	// first — all inside the recorders that asked for the work.
-	r2, err := Open(Config{Dir: dir, Shards: 2, ResidentBudget: 1, Metrics: m})
+	r2, err := Open(Config{Dir: dir, ResidentBudget: 1, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestLifecycleSpans(t *testing.T) {
 	}
 	rec3 := obs.NewSpans(64)
 	ctx3 := obs.WithSpans(context.Background(), rec3)
-	if err := r2.LearnCtx(ctx3, "other", "fist", randomWindow(cfg, rng)); err != nil {
+	if err := r2.CorrectCtx(ctx3, "other", "fist", randomWindow(cfg, rng)); err != nil {
 		t.Fatal(err)
 	}
 	names3 := spanNames(rec3)

@@ -31,9 +31,6 @@ type SyncConfig struct {
 	// installs into it. Persistent registries are refused — the primary
 	// owns durability.
 	Registry *registry.Registry
-	// Shards is the associative-memory shard count installed models are
-	// rebuilt with; values below 1 mean 1.
-	Shards int
 	// Interval is the gap between sync cycles; values ≤ 0 mean
 	// DefaultSyncInterval.
 	Interval time.Duration
@@ -85,9 +82,6 @@ func NewSyncer(cfg SyncConfig) (*Syncer, error) {
 	}
 	if cfg.Registry.Persistent() {
 		return nil, errors.New("replica: replicas require an ephemeral registry (the primary owns durability)")
-	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultSyncInterval
@@ -260,7 +254,7 @@ func (s *Syncer) fetchSnapshot(ctx context.Context, rec *obs.Spans, parent obs.S
 		return 0, fmt.Errorf("fetch snapshot: primary answered %s", resp.Status)
 	}
 	cr := &countingReader{r: resp.Body}
-	sv, _, err := model.LoadServing(cr, s.cfg.Shards)
+	sv, _, err := model.LoadServing(cr)
 	s.snapshotBytes.Add(cr.n)
 	rec.Annotate(id, "bytes", cr.n)
 	if err != nil {

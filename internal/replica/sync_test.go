@@ -54,7 +54,7 @@ func servingBytes(t *testing.T, sv *hdc.Serving) []byte {
 func newPrimary(t *testing.T, budget int64) (*registry.Registry, *httptest.Server) {
 	t.Helper()
 	reg, err := registry.Open(registry.Config{
-		Dir: t.TempDir(), Shards: 2, ResidentBudget: budget, SnapshotEvery: 4,
+		Dir: t.TempDir(), ResidentBudget: budget, SnapshotEvery: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,14 +67,14 @@ func newPrimary(t *testing.T, budget int64) (*registry.Registry, *httptest.Serve
 	return reg, srv
 }
 
-func newTestSyncer(t *testing.T, primaryURL string, shards int) (*Syncer, *registry.Registry) {
+func newTestSyncer(t *testing.T, primaryURL string) (*Syncer, *registry.Registry) {
 	t.Helper()
-	rep, err := registry.Open(registry.Config{Shards: shards})
+	rep, err := registry.Open(registry.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rep.Close() })
-	s, err := NewSyncer(SyncConfig{Primary: primaryURL, Registry: rep, Shards: shards})
+	s, err := NewSyncer(SyncConfig{Primary: primaryURL, Registry: rep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestReplicaSyncConverges(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			syncer, rep := newTestSyncer(t, srv.URL, 3)
+			syncer, rep := newTestSyncer(t, srv.URL)
 			// acked[name][gen] is the exact state the primary published at
 			// that generation — the set of states a replica may serve.
 			acked := map[string]map[uint64][]byte{}
@@ -195,7 +195,7 @@ func TestSyncDropsDeletedModels(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	syncer, rep := newTestSyncer(t, srv.URL, 1)
+	syncer, rep := newTestSyncer(t, srv.URL)
 	ctx := context.Background()
 	if err := syncer.SyncOnce(ctx); err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestSyncDropsDeletedModels(t *testing.T) {
 func TestSyncRejectsTornTransfer(t *testing.T) {
 	cfg := testConfig(hdc.BackendRemat)
 	rng := rand.New(rand.NewSource(7))
-	reg, err := registry.Open(registry.Config{Dir: t.TempDir(), Shards: 1})
+	reg, err := registry.Open(registry.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestSyncRejectsTornTransfer(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	syncer, rep := newTestSyncer(t, srv.URL, 1)
+	syncer, rep := newTestSyncer(t, srv.URL)
 	ctx := context.Background()
 	if err := syncer.SyncOnce(ctx); err != nil {
 		t.Fatalf("clean sync: %v", err)
@@ -343,7 +343,7 @@ func TestSnapshotLongPoll(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("long-poll across a learn answered %d, want 200", resp.StatusCode)
 	}
-	sv, _, err := model.LoadServing(resp.Body, 1)
+	sv, _, err := model.LoadServing(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}

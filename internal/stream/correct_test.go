@@ -9,14 +9,14 @@ import (
 )
 
 // servingModel builds an online-learning model over the same two
-// patterns trainedClassifier uses, via Retrain.
-func servingModel(t *testing.T, ngram, shards int) *hdc.Serving {
+// patterns trainedClassifier uses, one Learn per window.
+func servingModel(t *testing.T, ngram int) *hdc.Serving {
 	t.Helper()
 	cfg := hdc.EMGConfig()
 	cfg.D = 1000
 	cfg.NGram = ngram
 	cfg.Window = ngram
-	sv, err := hdc.NewServing(cfg, shards)
+	sv, err := hdc.NewServing(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,6 @@ func servingModel(t *testing.T, ngram, shards int) *hdc.Serving {
 	patterns := map[string][]float64{
 		"a": {16, 3, 8, 2}, "b": {3, 14, 2, 10},
 	}
-	var samples []hdc.Sample
 	for i := 0; i < 9; i++ {
 		for _, label := range []string{"a", "b"} {
 			w := make([][]float64, ngram)
@@ -35,11 +34,10 @@ func servingModel(t *testing.T, ngram, shards int) *hdc.Serving {
 				}
 				w[t0] = row
 			}
-			samples = append(samples, hdc.Sample{Label: label, Window: w})
+			if err := sv.Learn(label, w); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if err := sv.Retrain(nil, samples); err != nil {
-		t.Fatal(err)
 	}
 	return sv
 }
@@ -48,7 +46,7 @@ func servingModel(t *testing.T, ngram, shards int) *hdc.Serving {
 // predictor: decisions flow as with the offline classifier, and
 // Correct publishes a new generation without resetting the stream.
 func TestStreamOverServing(t *testing.T) {
-	sv := servingModel(t, 3, 2)
+	sv := servingModel(t, 3)
 	s, err := New(sv, Config{DetectionStride: 1, SmoothWindow: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +91,7 @@ func TestCorrectErrors(t *testing.T) {
 		t.Fatal("Correct on an offline classifier did not error")
 	}
 	// No window buffered yet.
-	s2, err := New(servingModel(t, 3, 1), DefaultConfig())
+	s2, err := New(servingModel(t, 3), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +127,7 @@ func TestReplayOverServing(t *testing.T) {
 	pool := parallel.NewPool(4)
 	defer pool.Close()
 	for _, ngram := range []int{1, 3} {
-		sv := servingModel(t, ngram, 2)
+		sv := servingModel(t, ngram)
 		serial, err := New(sv, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -163,7 +161,7 @@ func TestReplayOverServing(t *testing.T) {
 type wrappedPredictor struct{ *hdc.Serving }
 
 func TestReplayGenericPredictor(t *testing.T) {
-	sv := servingModel(t, 1, 1)
+	sv := servingModel(t, 1)
 	direct, err := New(sv, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

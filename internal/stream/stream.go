@@ -308,8 +308,7 @@ func (s *Classifier) batchPredict(windows [][][]float64, pool *parallel.Pool) (p
 	case *hdc.Classifier:
 		return cls.Batch(pool).PredictBatch(windows, nil), true
 	case *hdc.Serving:
-		ses := cls.NewSession()
-		return ses.PredictBatch(pool, windows, nil), true
+		return cls.NewSession().PredictBatch(windows, nil), true
 	}
 	return nil, false
 }

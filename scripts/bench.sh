@@ -20,7 +20,7 @@ go test -run '^$' \
   -bench 'BenchmarkPredict$|BenchmarkPredictBatch$' \
   -benchmem -count "$COUNT" ./internal/hdc/ "$@" | tee -a "$OUT"
 go test -run '^$' \
-  -bench 'BenchmarkServingPredictUnsharded$|BenchmarkServingPredictSharded$|BenchmarkServingSearchUnsharded$|BenchmarkServingSearchSharded$|BenchmarkServingLearn$' \
+  -bench 'BenchmarkServingPredictUnsharded$|BenchmarkServingSearchUnsharded$|BenchmarkServingLearn$' \
   -benchmem -count "$COUNT" ./internal/hdc/ "$@" | tee -a "$OUT"
 go test -run '^$' \
   -bench 'BenchmarkParallelAMSearch$|BenchmarkParallelMajority$' \

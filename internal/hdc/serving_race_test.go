@@ -2,6 +2,7 @@ package hdc
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -16,111 +17,117 @@ import (
 // new generation per sample. Readers assert they only ever observe
 // fully-built generations; the watcher asserts ids never go backwards
 // and the learner that every learn published exactly one generation.
+// NewServing's deprecated shard count must change nothing, so the
+// hammer runs once per count the serving layer used to fan out over.
 func TestServingConcurrentPredictLearn(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	cfg := servingConfig()
-	sv, err := NewServing(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	train := syntheticSamples(cfg, 6, 36, rng)
-	learnAll(t, sv, train)
-	valid := make(map[string]bool)
-	for _, s := range train {
-		valid[s.Label] = true
-	}
-	valid["X"] = true // the label the online learner adds
+	for _, shards := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(42 + shards)))
+			cfg := servingConfig()
+			sv, err := NewServing(cfg, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			train := syntheticSamples(cfg, 6, 36, rng)
+			learnAll(t, sv, train)
+			valid := make(map[string]bool)
+			for _, s := range train {
+				valid[s.Label] = true
+			}
+			valid["X"] = true // the label the online learner adds
 
-	iters := 150
-	if testing.Short() {
-		iters = 30
-	}
-	var stop atomic.Bool
-	var wg sync.WaitGroup
+			iters := 150
+			if testing.Short() {
+				iters = 30
+			}
+			var stop atomic.Bool
+			var wg sync.WaitGroup
 
-	// Session readers, one window at a time.
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			ses := sv.NewSession()
-			w := syntheticSamples(cfg, 6, 1, r)[0].Window
-			for !stop.Load() {
-				label, dist := ses.PredictCtx(context.Background(), nil, w)
-				if !valid[label] || dist < 0 || dist > cfg.D {
-					t.Errorf("reader observed (%q,%d)", label, dist)
-					return
+			// Session readers, one window at a time.
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					r := rand.New(rand.NewSource(seed))
+					ses := sv.NewSession()
+					w := syntheticSamples(cfg, 6, 1, r)[0].Window
+					for !stop.Load() {
+						label, dist := ses.PredictCtx(context.Background(), nil, w)
+						if !valid[label] || dist < 0 || dist > cfg.D {
+							t.Errorf("reader observed (%q,%d)", label, dist)
+							return
+						}
+					}
+				}(int64(g))
+			}
+			// A batch reader on its own Session.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(99))
+				ses := sv.NewSession()
+				var windows [][][]float64
+				for _, s := range syntheticSamples(cfg, 6, 4, r) {
+					windows = append(windows, s.Window)
+				}
+				var out []Prediction
+				for !stop.Load() {
+					out = ses.PredictBatch(windows, out)
+					for _, p := range out {
+						if !valid[p.Label] || p.Distance < 0 || p.Distance > cfg.D {
+							t.Errorf("batch reader observed (%q,%d)", p.Label, p.Distance)
+							return
+						}
+					}
+				}
+			}()
+			// Readers through the sync.Pool convenience path.
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					r := rand.New(rand.NewSource(seed))
+					w := syntheticSamples(cfg, 6, 1, r)[0].Window
+					for !stop.Load() {
+						if label, _ := sv.Predict(w); !valid[label] {
+							t.Errorf("pooled reader observed label %q", label)
+							return
+						}
+					}
+				}(int64(10 + g))
+			}
+			// Generation watcher: ids only move forward.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var last uint64
+				for !stop.Load() {
+					g := sv.Generation()
+					if g < last {
+						t.Errorf("generation went backwards: %d after %d", g, last)
+						return
+					}
+					last = g
+				}
+			}()
+
+			// The writer: an online learner, one generation per sample.
+			before := sv.Generation()
+			for i, s := range syntheticSamples(cfg, 6, iters, rng) {
+				label := s.Label
+				if i%5 == 0 {
+					label = "X"
+				}
+				if err := sv.Learn(label, s.Window); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}(int64(g))
-	}
-	// A batch reader on its own Session.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r := rand.New(rand.NewSource(99))
-		ses := sv.NewSession()
-		var windows [][][]float64
-		for _, s := range syntheticSamples(cfg, 6, 4, r) {
-			windows = append(windows, s.Window)
-		}
-		var out []Prediction
-		for !stop.Load() {
-			out = ses.PredictBatch(windows, out)
-			for _, p := range out {
-				if !valid[p.Label] || p.Distance < 0 || p.Distance > cfg.D {
-					t.Errorf("batch reader observed (%q,%d)", p.Label, p.Distance)
-					return
-				}
-			}
-		}
-	}()
-	// Readers through the sync.Pool convenience path.
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			w := syntheticSamples(cfg, 6, 1, r)[0].Window
-			for !stop.Load() {
-				if label, _ := sv.Predict(w); !valid[label] {
-					t.Errorf("pooled reader observed label %q", label)
-					return
-				}
-			}
-		}(int64(10 + g))
-	}
-	// Generation watcher: ids only move forward.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var last uint64
-		for !stop.Load() {
-			g := sv.Generation()
-			if g < last {
-				t.Errorf("generation went backwards: %d after %d", g, last)
-				return
-			}
-			last = g
-		}
-	}()
+			stop.Store(true)
+			wg.Wait()
 
-	// The writer: an online learner, one generation per sample.
-	before := sv.Generation()
-	for i, s := range syntheticSamples(cfg, 6, iters, rng) {
-		label := s.Label
-		if i%5 == 0 {
-			label = "X"
-		}
-		if err := sv.Learn(label, s.Window); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stop.Store(true)
-	wg.Wait()
-
-	if published := sv.Generation() - before; published != uint64(iters) {
-		t.Errorf("published %d generations, want %d", published, iters)
+			if published := sv.Generation() - before; published != uint64(iters) {
+				t.Errorf("published %d generations, want %d", published, iters)
+			}
+		})
 	}
 }

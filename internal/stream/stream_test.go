@@ -20,7 +20,8 @@ func trainedClassifier(t *testing.T, ngram int) *hdc.Classifier {
 		"a": {16, 3, 8, 2}, "b": {3, 14, 2, 10},
 	}
 	for i := 0; i < 9; i++ {
-		for label, p := range patterns {
+		for _, label := range []string{"a", "b"} {
+			p := patterns[label]
 			w := make([][]float64, ngram)
 			for t0 := range w {
 				row := make([]float64, 4)
@@ -106,9 +107,13 @@ func TestSmoothingSuppressesIsolatedErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rawErr, smErr, total := 0, 0, 0
 	for i := 0; i < 400; i++ {
-		sample := []float64{16 + rng.NormFloat64(), 3 + rng.NormFloat64(), 8 + rng.NormFloat64(), 2 + rng.NormFloat64()}
+		p := []float64{16, 3, 8, 2}
 		if i%10 == 0 {
-			sample[1] += 15 // periodic single-sample artifact toward "b"
+			p = []float64{3, 14, 2, 10} // periodic single-sample artifact: one "b" sample
+		}
+		sample := make([]float64, len(p))
+		for c := range p {
+			sample[c] = p[c] + rng.NormFloat64()
 		}
 		d, ok := push(t, s, sample)
 		if !ok || i < 20 {
@@ -123,7 +128,7 @@ func TestSmoothingSuppressesIsolatedErrors(t *testing.T) {
 		}
 	}
 	if rawErr == 0 {
-		t.Skip("artifacts did not flip any raw decision; nothing to smooth")
+		t.Fatal("artifacts flipped no raw decision; the test no longer exercises smoothing")
 	}
 	if smErr >= rawErr {
 		t.Fatalf("smoothing did not help: raw %d/%d errors, smoothed %d/%d", rawErr, total, smErr, total)

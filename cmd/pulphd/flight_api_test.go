@@ -27,40 +27,34 @@ type flightSummaryDoc struct {
 	} `json:"entries"`
 }
 
-// waitFlightCapture polls the flight endpoint until a capture whose
-// trigger contains want appears (the dispatcher side of a completion
-// can land just after the HTTP response).
-func waitFlightCapture(t *testing.T, srv interface {
+// flightCapture fetches the flight summary at url and fails unless it
+// holds a capture whose trigger contains want. One fetch suffices: the
+// handler captures before it answers.
+func flightCapture(t *testing.T, srv interface {
 	Client() *http.Client
 }, url, want string) flightSummaryDoc {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	var doc flightSummaryDoc
-	for time.Now().Before(deadline) {
-		resp, err := srv.Client().Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		doc = flightSummaryDoc{}
-		err = json.NewDecoder(resp.Body).Decode(&doc)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range doc.Entries {
-			if strings.Contains(e.Trigger, want) {
-				return doc
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
+	resp, err := srv.Client().Get(url)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("no %q capture within deadline: %+v", want, doc)
+	defer resp.Body.Close()
+	var doc flightSummaryDoc
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range doc.Entries {
+		if strings.Contains(e.Trigger, want) {
+			return doc
+		}
+	}
+	t.Fatalf("no %q capture: %+v", want, doc)
 	return doc
 }
 
 // TestFlightCapturesTimeout forces a 504 (1 ns predict deadline) and
-// asserts the request's complete timeline — root and queue residency —
-// lands in /debug/flight tagged with the model name.
+// asserts the request's complete timeline — root and predict — lands
+// in /debug/flight tagged with the model name.
 func TestFlightCapturesTimeout(t *testing.T) {
 	api, srv, _ := newRegistryTestAPI(t, t.TempDir())
 	api.timelines = obs.NewTimelines(8, 64)
@@ -72,7 +66,7 @@ func TestFlightCapturesTimeout(t *testing.T) {
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (%s)", code, body)
 	}
-	doc := waitFlightCapture(t, srv, srv.URL+"/debug/flight?summary=1", "timeout")
+	doc := flightCapture(t, srv, srv.URL+"/debug/flight?summary=1", "timeout")
 	var found bool
 	for _, e := range doc.Entries {
 		if !strings.Contains(e.Trigger, "timeout") {
@@ -94,7 +88,7 @@ func TestFlightCapturesTimeout(t *testing.T) {
 	}
 
 	// The full dump renders the same capture as a complete Chrome-trace
-	// timeline: request root, queue residency, model@generation label.
+	// timeline: request root, predict, model@generation label.
 	resp, err := srv.Client().Get(srv.URL + "/debug/flight")
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +111,7 @@ func TestFlightCapturesTimeout(t *testing.T) {
 			label, _ = ev.Args["name"].(string)
 		}
 	}
-	if !names["request"] || !names["queue.wait"] {
+	if !names["request"] || !names["predict"] {
 		t.Fatalf("trace misses timeline spans: %v", names)
 	}
 	if !strings.Contains(label, "timeout") || !strings.Contains(label, "default@") {
@@ -145,7 +139,7 @@ func TestFlightCapturesRetry(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("retried predict status %d (%s)", code, body)
 	}
-	doc := waitFlightCapture(t, srv, srv.URL+"/debug/flight?summary=1&model=default", "retry")
+	doc := flightCapture(t, srv, srv.URL+"/debug/flight?summary=1&model=default", "retry")
 	e := doc.Entries[len(doc.Entries)-1]
 	if e.Model != "default" || e.Generation == 0 {
 		t.Fatalf("retry capture tags model=%q generation=%d", e.Model, e.Generation)
@@ -171,7 +165,7 @@ func TestFlightCapturesRetry(t *testing.T) {
 // TestFlightDisabled404 pins the disabled surface: without a ring the
 // endpoint is an honest 404, matching /debug/spans.
 func TestFlightDisabled404(t *testing.T) {
-	_, srv := newTestAPI(t, 8, 4)
+	_, srv := newTestAPI(t)
 	code, body := get(t, srv, "/debug/flight")
 	if code != http.StatusNotFound || !strings.Contains(body, "flight recorder disabled") {
 		t.Fatalf("disabled flight: %d %s", code, body)
@@ -188,11 +182,11 @@ func TestSpansModelFilter(t *testing.T) {
 		t.Fatalf("predict: %d %s", code, body)
 	}
 	if code, body := get(t, srv, "/debug/spans?model=default"); code != http.StatusOK ||
-		!strings.Contains(body, "queue.wait") || !strings.Contains(body, "· default") {
+		!strings.Contains(body, "am.search") || !strings.Contains(body, "· default") {
 		t.Fatalf("spans for default: %d %s", code, body)
 	}
 	if code, body := get(t, srv, "/debug/spans?model=ghost"); code != http.StatusOK ||
-		strings.Contains(body, "queue.wait") {
+		strings.Contains(body, "am.search") {
 		t.Fatalf("spans for ghost not empty: %d %s", code, body)
 	}
 }
@@ -270,10 +264,10 @@ func TestTailObservabilityAllocs(t *testing.T) {
 		}),
 	}
 	api.slo.Record("default", time.Millisecond, false) // build the tracker
-	p := &pendingPredict{enqueued: time.Now()}
+	start := time.Now()
 	if allocs := testing.AllocsPerRun(1000, func() {
-		api.capture(p)
-		api.recordSLO(p.model, p.enqueued, false)
+		api.capture(nil, "default", 1, 0, start)
+		api.recordSLO("", start, false)
 	}); allocs != 0 {
 		t.Fatalf("healthy-path observability allocates %v/op", allocs)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"strings"
@@ -11,20 +12,26 @@ import (
 	"pulphd/internal/obs"
 )
 
-// TestPredictTimeout pins the per-request deadline: with the
-// dispatcher stalled the handler answers 504 and counts the timeout;
-// once the dispatcher runs it skips the expired request instead of
-// classifying into the void, and fresh requests still get 200.
+// TestPredictTimeout pins the per-request deadline: a predict stalled
+// past its deadline answers 504 and counts the timeout, and fresh
+// requests still get 200.
 func TestPredictTimeout(t *testing.T) {
 	m := &obs.ServingMetrics{}
-	api := newTestServer(t, trainedServing(t), 4, 4, m) // dispatcher not started yet
+	api := newTestServer(t, trainedServing(t), 4, m)
 	api.timeout = 30 * time.Millisecond
+	var stall atomic.Bool
+	stall.Store(true)
+	api.beforePredict = func() {
+		if stall.Load() {
+			time.Sleep(2 * api.timeout)
+		}
+	}
 	srv := serveTestAPI(t, api)
 	cfg := testServingConfig()
 
 	code, body := postJSON(t, srv, "/predict", windowJSON(t, cfg, 2))
 	if code != http.StatusGatewayTimeout {
-		t.Fatalf("stalled dispatcher: status %d, want 504 (%s)", code, body)
+		t.Fatalf("stalled predict: status %d, want 504 (%s)", code, body)
 	}
 	if !strings.Contains(body, "deadline") {
 		t.Fatalf("504 body does not name the deadline: %s", body)
@@ -33,10 +40,7 @@ func TestPredictTimeout(t *testing.T) {
 		t.Fatalf("timeouts counter %d, want 1", m.Timeouts.Value())
 	}
 
-	// Start the dispatcher: the expired request is still queued with a
-	// dead context; the dispatcher must skip it and answer new work.
-	api.start()
-	t.Cleanup(api.stop)
+	stall.Store(false)
 	code, body = postJSON(t, srv, "/predict", windowJSON(t, cfg, 2))
 	if code != http.StatusOK {
 		t.Fatalf("after timeout: status %d, want 200 (%s)", code, body)
@@ -48,17 +52,16 @@ func TestPredictTimeout(t *testing.T) {
 
 // TestPredictPanicRecovery pins the bounded-retry contract: a predict
 // attempt that panics (here: the injected fault hook, once) is
-// recovered, the cached sessions are dropped, and the retry succeeds —
-// the caller sees a normal answer, the counters see the incident.
+// recovered and the retry succeeds — the caller sees a normal answer,
+// the counters see the incident.
 func TestPredictPanicRecovery(t *testing.T) {
 	sv := trainedServing(t)
 	m := &obs.ServingMetrics{}
-	api := newTestServer(t, sv, 4, 4, m)
-	req := func() *pendingPredict { return &pendingPredict{window: testWindow(sv.Config(), 2), sv: sv} }
-	if res := api.predictOne(req()); res.err != nil || res.label != "rest" {
+	api := newTestServer(t, sv, 4, m)
+	ctx, w := context.Background(), testWindow(sv.Config(), 2)
+	if res := api.predictOne(ctx, sv, w); res.err != nil || res.label != "rest" {
 		t.Fatalf("healthy predict: %+v", res)
 	}
-	warm := api.sessions[sv]
 
 	fired := false
 	api.beforePredict = func() {
@@ -67,7 +70,7 @@ func TestPredictPanicRecovery(t *testing.T) {
 			panic("injected predict fault")
 		}
 	}
-	res := api.predictOne(req())
+	res := api.predictOne(ctx, sv, w)
 	if res.err != nil {
 		t.Fatalf("predict after recovery failed: %v", res.err)
 	}
@@ -76,9 +79,6 @@ func TestPredictPanicRecovery(t *testing.T) {
 	}
 	if m.PanicsRecovered.Value() != 1 || m.Retries.Value() != 1 {
 		t.Fatalf("panics=%d retries=%d, want 1/1", m.PanicsRecovered.Value(), m.Retries.Value())
-	}
-	if ses := api.sessions[sv]; ses == nil || ses == warm {
-		t.Fatal("cached session survived a recovered panic")
 	}
 }
 
@@ -89,12 +89,12 @@ func TestPredictPanicRecovery(t *testing.T) {
 func TestPredictRetriesExhausted(t *testing.T) {
 	sv := trainedServing(t)
 	m := &obs.ServingMetrics{}
-	api := newTestServer(t, sv, 4, 4, m)
+	api := newTestServer(t, sv, 4, m)
 	api.retries = 1
 	api.retryBackoff = 0
 	api.beforePredict = func() { panic("injected predict fault") }
 
-	res := api.predictOne(&pendingPredict{window: testWindow(sv.Config(), 2), sv: sv})
+	res := api.predictOne(context.Background(), sv, testWindow(sv.Config(), 2))
 	if res.err == nil {
 		t.Fatal("poisoned predict returned no error")
 	}
@@ -112,7 +112,7 @@ func TestPredictRetriesExhausted(t *testing.T) {
 // healthy request is served normally.
 func TestPredictPanicThroughHTTP(t *testing.T) {
 	m := &obs.ServingMetrics{}
-	api := newTestServer(t, trainedServing(t), 8, 4, m)
+	api := newTestServer(t, trainedServing(t), 8, m)
 	api.retryBackoff = 0
 	var failing atomic.Bool
 	failing.Store(true)
@@ -121,8 +121,6 @@ func TestPredictPanicThroughHTTP(t *testing.T) {
 			panic("injected predict fault")
 		}
 	}
-	api.start()
-	t.Cleanup(api.stop)
 	srv := serveTestAPI(t, api)
 	cfg := testServingConfig()
 

@@ -20,10 +20,8 @@ import (
 // leaked).
 func TestHDLoadAgainstRealServer(t *testing.T) {
 	sv := trainedServing(t)
-	api := newTestServer(t, sv, 64, 8, nil)
+	api := newTestServer(t, sv, 64, nil)
 	api.timelines = obs.NewTimelines(4, 64)
-	api.start()
-	t.Cleanup(api.stop)
 	srv := serveTestAPI(t, api)
 
 	cfg := sv.Config()

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -17,21 +18,19 @@ import (
 
 // newHealthAPI builds an untrained serving model behind a full mux
 // (health endpoints included) with request tracing on. configure runs
-// before the dispatcher and server start, so tests can install a
-// logger or swap the timeline ring without racing live handlers.
+// before the server starts, so tests can install a logger or swap the
+// timeline ring without racing live handlers.
 func newHealthAPI(t *testing.T, configure func(*apiServer)) (*apiServer, *httptest.Server) {
 	t.Helper()
 	sv, err := hdc.NewServing(testServingConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	api := newTestServer(t, sv, 8, 4, nil)
+	api := newTestServer(t, sv, 8, nil)
 	api.timelines = obs.NewTimelines(8, 64)
 	if configure != nil {
 		configure(api)
 	}
-	api.start()
-	t.Cleanup(api.stop)
 	return api, serveTestAPI(t, api)
 }
 
@@ -100,7 +99,7 @@ func TestReadyzSnapshotModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	cls.Train("rest", testWindow(cls.Config(), 2))
-	srv := serveTestAPI(t, newTestServer(t, cls.Serving(), 4, 4, nil))
+	srv := serveTestAPI(t, newTestServer(t, cls.Serving(), 4, nil))
 	if code, body := get(t, srv, "/readyz"); code != 200 {
 		t.Fatalf("readyz on snapshot model: %d (%s)", code, body)
 	}
@@ -123,19 +122,35 @@ func TestDebugSpansEndpoint(t *testing.T) {
 	}
 	var doc struct {
 		TraceEvents []struct {
-			Name string `json:"name"`
+			Name string         `json:"name"`
+			Pid  int            `json:"pid"`
+			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal([]byte(res), &doc); err != nil {
 		t.Fatalf("/debug/spans is not valid trace JSON: %v", err)
 	}
 	names := map[string]bool{}
+	span := map[string]float64{} // "pid name" → span index
 	for _, ev := range doc.TraceEvents {
 		names[ev.Name] = true
+		if idx, ok := ev.Args["span"].(float64); ok {
+			span[fmt.Sprint(ev.Pid, ev.Name)] = idx
+		}
 	}
-	for _, want := range []string{"request", "queue.wait", "batch", "predict", "encode", "am.search", "learn.encode", "learn.publish"} {
+	for _, want := range []string{"request", "predict", "encode", "am.search", "learn.encode", "learn.publish"} {
 		if !names[want] {
 			t.Errorf("/debug/spans lacks a %q span (have %v)", want, names)
+		}
+	}
+	// The predict tree is request → predict → {encode, am.search}.
+	for _, ev := range doc.TraceEvents {
+		parent := map[string]string{"predict": "request", "encode": "predict", "am.search": "predict"}[ev.Name]
+		if parent == "" {
+			continue
+		}
+		if got, want := ev.Args["parent"], span[fmt.Sprint(ev.Pid, parent)]; got != want {
+			t.Errorf("%s span parent %v, want the %s span %v", ev.Name, got, parent, want)
 		}
 	}
 

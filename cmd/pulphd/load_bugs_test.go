@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,20 +13,20 @@ import (
 )
 
 // This file pins the serving-path bugs the load harness exposed:
-// the 429 shed path leaking span recorders, the per-batch generation
-// snapshot misreporting which model a predict scanned, the retry
-// backoff overflowing into a negative sleep, and timeout storms
-// churning recorders instead of recycling them.
+// the 429 shed path leaking span recorders, a predict misreporting
+// which generation it scanned, the retry backoff overflowing into a
+// negative sleep, and timeout storms churning recorders instead of
+// recycling them.
 
 // TestShedReleasesRecorder pins the 429 path's recorder hygiene: a
-// shed request must end the request/queue.wait spans it opened and
-// file its recorder back into the timeline ring. Pre-fix, the handler
-// returned without either, so every shed leaked a recorder and the
-// ring stayed empty exactly when load (and shedding) was highest.
+// shed request must end the request span it opened and file its
+// recorder back into the timeline ring. Returning without either
+// leaks a recorder per shed and leaves the ring empty exactly when
+// load (and shedding) is highest.
 func TestShedReleasesRecorder(t *testing.T) {
-	api := newTestServer(t, trainedServing(t), 1, 1, nil) // dispatcher never started
+	api := newTestServer(t, trainedServing(t), 1, nil)
 	api.timelines = obs.NewTimelines(2, 16)
-	api.queue <- &pendingPredict{} // fill the queue: everything sheds
+	api.inflight.Store(1) // one predict already in flight: everything sheds
 	srv := serveTestAPI(t, api)
 
 	for i := 0; i < 4; i++ {
@@ -40,64 +41,61 @@ func TestShedReleasesRecorder(t *testing.T) {
 	if got := api.timelines.Requests(); got != 2 {
 		t.Fatalf("timeline ring holds %d requests after 4 sheds, want 2 (recorders leaked)", got)
 	}
-	// The filed timelines must be complete span trees: request and
-	// queue.wait both present and ended.
+	// The filed timelines must be complete span trees with the request
+	// root present.
 	w := httptest.NewRecorder()
 	api.handleSpans(w, httptest.NewRequest(http.MethodGet, "/debug/spans", nil))
-	spans := w.Body.String()
-	for _, want := range []string{`"request"`, `"queue.wait"`} {
-		if !json.Valid(w.Body.Bytes()) || !strings.Contains(spans, want) {
-			t.Fatalf("shed timeline export lacks %s: %s", want, spans)
-		}
+	if !json.Valid(w.Body.Bytes()) || !strings.Contains(w.Body.String(), `"request"`) {
+		t.Fatalf("shed timeline export lacks the request span: %s", w.Body.String())
 	}
 }
 
 // TestPredictReportsScannedGeneration pins the generation a predict
 // response carries to the generation its atomic load actually scanned.
-// The dispatcher used to snapshot Serving.Generation() once per batch;
-// a /learn publishing mid-batch then made later requests in the batch
-// report a generation older than the model that classified them. The
-// fault hook interleaves deterministically: before the second
-// request's predict it publishes a learn through the registry, so the
-// second request in the same batch scans (and must report) the new id.
+// Reading the model's generation before the predict misreports it
+// whenever a /learn publishes in between. The fault hook interleaves
+// deterministically: just before the second predict it publishes a
+// learn through the registry, so that predict scans (and must report)
+// the new id while the first reports the old one.
 func TestPredictReportsScannedGeneration(t *testing.T) {
 	sv := trainedServing(t)
-	api := newTestServer(t, sv, 8, 8, nil)
+	api := newTestServer(t, sv, 8, nil)
+	srv := serveTestAPI(t, api)
 
 	genBefore := sv.Generation()
-	attempts := 0 // dispatcher goroutine only
+	var attempts atomic.Int32
 	api.beforePredict = func() {
-		if attempts++; attempts == 2 {
+		if attempts.Add(1) == 2 {
 			if err := api.reg.Learn("default", "point", testWindow(sv.Config(), 9)); err != nil {
-				t.Errorf("mid-batch learn: %v", err)
+				t.Errorf("interleaved learn: %v", err)
 			}
 		}
 	}
 
-	// Queue both requests before the dispatcher starts so they form
-	// one batch, processed in order.
-	p1 := &pendingPredict{window: testWindow(sv.Config(), 2), sv: sv, done: make(chan predictResult, 1)}
-	p2 := &pendingPredict{window: testWindow(sv.Config(), 16), sv: sv, done: make(chan predictResult, 1)}
-	api.queue <- p1
-	api.queue <- p2
-	api.start()
-	t.Cleanup(api.stop)
-
-	r1, r2 := <-p1.done, <-p2.done
-	if r1.err != nil || r2.err != nil {
-		t.Fatalf("batch predicts failed: %v / %v", r1.err, r2.err)
+	predict := func(level float64) predictResponse {
+		t.Helper()
+		code, body := postJSON(t, srv, "/predict", windowJSON(t, sv.Config(), level))
+		if code != http.StatusOK {
+			t.Fatalf("predict: status %d (%s)", code, body)
+		}
+		var res predictResponse
+		if err := json.Unmarshal([]byte(body), &res); err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
+	r1 := predict(2)
+	r2 := predict(16)
 	genAfter := sv.Generation()
 	if genAfter != genBefore+1 {
 		t.Fatalf("learn did not publish: generation %d → %d", genBefore, genAfter)
 	}
-	// Request 1 loaded the old generation before the learn landed.
-	if r1.generation != genBefore {
-		t.Fatalf("first request reports generation %d, want %d", r1.generation, genBefore)
+	if r1.Generation != genBefore {
+		t.Fatalf("first request reports generation %d, want %d", r1.Generation, genBefore)
 	}
 	// Request 2 scanned the newly published model and must say so.
-	if r2.generation != genAfter {
-		t.Fatalf("second request scanned generation %d but reports %d", genAfter, r2.generation)
+	if r2.Generation != genAfter {
+		t.Fatalf("second request scanned generation %d but reports %d", genAfter, r2.Generation)
 	}
 }
 
@@ -139,64 +137,36 @@ func TestRetryBackoffSaturates(t *testing.T) {
 	}
 }
 
-// TestCompleteReleasesOnce pins the recorder-ownership handshake: of
-// the two sides (handler, dispatcher) exactly the second completion
-// releases the recorder — never both, never neither.
-func TestCompleteReleasesOnce(t *testing.T) {
-	api := &apiServer{timelines: obs.NewTimelines(4, 8)}
-	rec := api.timelines.Acquire(1)
-	p := &pendingPredict{rec: rec, root: rec.Start("request", obs.NoSpan)}
-	api.complete(p)
-	if got := api.timelines.Requests(); got != 0 {
-		t.Fatalf("first completion released the recorder (ring holds %d)", got)
-	}
-	api.complete(p)
-	if got := api.timelines.Requests(); got != 1 {
-		t.Fatalf("second completion did not release exactly once (ring holds %d)", got)
-	}
-}
-
 // TestTimeoutStormRecorderHygiene pins that a sustained deadline storm
-// — every request abandoned by its handler at a 1 ns timeout — leaves
-// the timeline ring healthy: the dispatcher's completion recycles each
-// abandoned recorder (no allocate-per-request churn, ring fills to its
-// keep bound) and the span export stays a valid trace. Runs under
-// -race in CI, so the handler/dispatcher recorder handoff is also
-// exercised for data races.
+// — every request at a 1 ns timeout — leaves the timeline ring
+// healthy: each handler recycles its recorder before answering (no
+// allocate-per-request churn, ring at its keep bound) and the span
+// export stays a valid trace. Runs under -race in CI.
 func TestTimeoutStormRecorderHygiene(t *testing.T) {
-	api := newTestServer(t, trainedServing(t), 64, 8, nil)
+	api := newTestServer(t, trainedServing(t), 64, nil)
 	api.timeout = time.Nanosecond
 	api.timelines = obs.NewTimelines(4, 64)
-	api.start()
-	t.Cleanup(api.stop)
 	srv := serveTestAPI(t, api)
 
 	const storm = 30
 	got504 := 0
 	for i := 0; i < storm; i++ {
-		code, _ := postJSON(t, srv, "/predict", windowJSON(t, testServingConfig(), 2))
+		code, body := postJSON(t, srv, "/predict", windowJSON(t, testServingConfig(), 2))
 		switch code {
 		case http.StatusGatewayTimeout:
 			got504++
 		case http.StatusOK:
-			// The dispatcher occasionally wins the race against a 1 ns
-			// timer; both outcomes must keep the ring healthy.
+			// The context's deadline timer can fire after the predict
+			// returns; both outcomes must keep the ring healthy.
 		default:
-			t.Fatalf("storm request %d: status %d, want 504 or 200", i, code)
+			t.Fatalf("storm request %d: status %d, want 504 or 200 (%s)", i, code, body)
 		}
 	}
 	if got504 == 0 {
 		t.Fatal("storm produced no 504s; timeout path not exercised")
 	}
-	// Every storm request is eventually completed by both sides, so
-	// all recorders are released: the ring must fill to keep=4.
-	deadline := time.Now().Add(5 * time.Second)
-	for api.timelines.Requests() != 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("timeline ring holds %d requests, want 4 (abandoned recorders not recycled)",
-				api.timelines.Requests())
-		}
-		time.Sleep(5 * time.Millisecond)
+	if got := api.timelines.Requests(); got != 4 {
+		t.Fatalf("timeline ring holds %d requests, want 4 (timed-out recorders not recycled)", got)
 	}
 	w := httptest.NewRecorder()
 	api.handleSpans(w, httptest.NewRequest(http.MethodGet, "/debug/spans", nil))

@@ -28,9 +28,7 @@ func newRegistryTestAPI(t *testing.T, dir string) (*apiServer, *httptest.Server,
 			t.Fatal(err)
 		}
 	}
-	api := newRegistryAPIServer(reg, "default", testServingConfig(), 8, 4, nil)
-	api.start()
-	t.Cleanup(api.stop)
+	api := newRegistryAPIServer(reg, "default", testServingConfig(), 8, nil)
 	return api, serveTestAPI(t, api), reg
 }
 

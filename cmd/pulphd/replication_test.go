@@ -36,10 +36,8 @@ func bootReplNode(t *testing.T, dir string, readOnly bool) *replNode {
 			t.Fatal(err)
 		}
 	}
-	api := newRegistryAPIServer(reg, "default", testServingConfig(), 8, 4, nil)
+	api := newRegistryAPIServer(reg, "default", testServingConfig(), 8, nil)
 	api.readOnly = readOnly
-	api.start()
-	t.Cleanup(api.stop)
 	mux := http.NewServeMux()
 	api.register(mux)
 	replica.NewHandler(reg).Register(mux)

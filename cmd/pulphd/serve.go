@@ -152,7 +152,7 @@ type serveFlags struct {
 	addr, logLevel, logFormat, imBackend, stateDir, defaultModel *string
 	role, peers, primary                                         *string
 	demo, walSync                                                *bool
-	workers, queueDepth, maxBatch                                *int
+	workers, queueDepth                                          *int
 	traceRequests, flightKeep, predictRetries, snapshotEvery     *int
 	seed, residentBudget                                         *int64
 	grace, predictTimeout, retryBackoff, sloLatency              *time.Duration
@@ -167,15 +167,12 @@ func newServeFlags(fs *flag.FlagSet) *serveFlags {
 	sf.demo = fs.Bool("demo", true, "train the served model on a synthetic EMG subject and continuously replay its session so the metrics move")
 	sf.workers = fs.Int("workers", 4, "worker-pool size of the demo workload's batched replay")
 	sf.seed = fs.Int64("seed", 2018, "dataset generation seed")
-	// The queue-depth/max-batch defaults are pinned from hdload sweeps
-	// at the measured saturation knee (scripts/loadsweep.sh, see
-	// benchmarks/README.md): at knee-rate load, 128/32 roughly halves
-	// p99 and cuts p999 ~3× versus the previous 64/16, and under 2×
-	// overload it sheds fewer requests at equal tail latency. Shallower
-	// queues with small batches are fragile — the dispatcher drains too
-	// slowly and arrival bursts turn into sheds or multi-second waits.
-	sf.queueDepth = fs.Int("queue-depth", 128, "predict queue bound; further requests get 429")
-	sf.maxBatch = fs.Int("max-batch", 32, "most predict requests classified in one dispatcher batch")
+	// -queue-depth bounds the predicts in flight across all handler
+	// goroutines. Its default of 128 comes from hdload knee sweeps
+	// (scripts/loadsweep.sh, benchmarks/README.md) run when it bounded
+	// a predict queue; the flag kept its name so deployments keep
+	// working.
+	sf.queueDepth = fs.Int("queue-depth", 128, "most /predict requests in flight at once; further ones get 429")
 	sf.logLevel = fs.String("log-level", "info", "structured log level: debug, info, warn or error (debug logs every request with its id)")
 	sf.logFormat = fs.String("log-format", "text", "structured log format: text or json")
 	sf.traceRequests = fs.Int("trace-requests", 32, "request span timelines retained for /debug/spans; 0 disables request tracing")
@@ -205,14 +202,14 @@ func runServe(args []string) int {
 	fs := flag.NewFlagSet("pulphd serve", flag.ExitOnError)
 	sf := newServeFlags(fs)
 	addr, demo, workers, seed := sf.addr, sf.demo, sf.workers, sf.seed
-	queueDepth, maxBatch, logLevel, logFormat := sf.queueDepth, sf.maxBatch, sf.logLevel, sf.logFormat
+	queueDepth, logLevel, logFormat := sf.queueDepth, sf.logLevel, sf.logFormat
 	traceRequests, flightKeep := sf.traceRequests, sf.flightKeep
 	sloLatency, sloTarget, sloBudget, sloBurn := sf.sloLatency, sf.sloTarget, sf.sloBudget, sf.sloBurn
 	grace, predictTimeout, predictRetries, retryBackoff := sf.grace, sf.predictTimeout, sf.predictRetries, sf.retryBackoff
 	imBackend, stateDir, residentBudget := sf.imBackend, sf.stateDir, sf.residentBudget
 	walSync, snapshotEvery, defaultModel := sf.walSync, sf.snapshotEvery, sf.defaultModel
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: pulphd serve [-metrics-addr host:port] [-queue-depth n] [-max-batch n] [-log-level l] [-trace-requests n]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: pulphd serve [-metrics-addr host:port] [-queue-depth n] [-log-level l] [-trace-requests n]\n\n")
 		fmt.Fprintf(os.Stderr, "Serves online-learning models over HTTP. The legacy single-model routes\n")
 		fmt.Fprintf(os.Stderr, "— POST /predict classifies a window, POST /learn folds a label-corrected\n")
 		fmt.Fprintf(os.Stderr, "window into a new model generation — serve the default registry model\n")
@@ -316,7 +313,7 @@ func runServe(args []string) int {
 	h.Serving.RecordFootprint(sv.ResidentBytes())
 	baseCfg := hdc.EMGConfig()
 	baseCfg.Backend = backend
-	api := newRegistryAPIServer(reg, *defaultModel, baseCfg, *queueDepth, *maxBatch, h.Serving)
+	api := newRegistryAPIServer(reg, *defaultModel, baseCfg, *queueDepth, h.Serving)
 	api.log = logger
 	api.timeout = *predictTimeout
 	api.retries = *predictRetries
@@ -397,8 +394,6 @@ func runServe(args []string) int {
 		}
 		syncer.RegisterMetrics(h.Registry)
 	}
-	api.start()
-	defer api.stop()
 
 	if *demo {
 		go rtpprof.Do(context.Background(), rtpprof.Labels("task", "demo-workload"),
@@ -414,8 +409,8 @@ func runServe(args []string) int {
 	}
 
 	// Serve until a termination signal, then drain gracefully: stop
-	// accepting (handlers answer 503), let in-flight requests finish
-	// under the Shutdown deadline, and only then stop the dispatcher.
+	// accepting (handlers answer 503) and let in-flight requests finish
+	// under the Shutdown deadline.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	if syncer != nil {

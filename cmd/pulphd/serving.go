@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"runtime/pprof"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -28,13 +27,13 @@ const modelHeader = "X-PULPHD-Model"
 // This file is the HTTP front end of the online-learning serving
 // layer over the model registry: POST /predict classifies windows
 // against the current model generation, POST /learn folds
-// label-corrected windows back in. Predict requests flow through a
-// bounded queue into a single dispatcher goroutine that drains the
-// queue in batches and owns every serving session — concurrent HTTP
-// handlers never share scratch, and a full queue sheds load with 429
-// instead of queueing unboundedly.
+// label-corrected windows back in. Every predict runs on its own
+// handler goroutine through the model's pooled sessions, so
+// concurrent requests classify on every CPU at once; a bound on the
+// predicts in flight sheds load with 429 instead of piling work onto
+// saturated CPUs.
 //
-// The queue and dispatcher serve many named models:
+// The handlers serve many named models:
 // /models/{name}/predict and /models/{name}/learn route by path, the
 // legacy /predict and /learn routes accept an X-PULPHD-Model header or
 // fall through to the default model, and /models hosts the admin
@@ -81,8 +80,8 @@ var errReadOnly = errors.New("replica is read-only; send learns and model admin 
 // bounded retries — answered 500, never a process crash.
 var errPredictPanic = errors.New("internal error during predict")
 
-// errDeadline marks a predict whose per-request deadline expired —
-// answered 504 by the handler, skipped by the dispatcher.
+// errDeadline marks a predict whose context was done (deadline
+// expired, client gone) before its answer was ready — answered 504.
 var errDeadline = errors.New("predict deadline exceeded")
 
 // decodePredictWindow parses and validates one window payload. It is
@@ -111,73 +110,23 @@ func decodePredictWindow(sv *hdc.Serving, body io.Reader) ([][]float64, error) {
 	return req.Window, nil
 }
 
-// pendingPredict is one queued predict: the decoded window, the
-// request-scoped observability it rides (ctx carries the span recorder
-// into the model layers; root is the request span, wait the open
-// queue-residency span), and the channel its result comes back on.
-type pendingPredict struct {
-	window [][]float64
-	// sv is the model this request resolved to at enqueue time; model
-	// carries the name for the response when the request routed
-	// explicitly.
-	sv       *hdc.Serving
-	model    string
-	ctx      context.Context
-	rec      *obs.Spans
-	root     obs.SpanID
-	wait     obs.SpanID
-	enqueued time.Time
-	done     chan predictResult
-
-	// completions resolves recorder ownership between the handler and
-	// the dispatcher: each side adds one when it is finished with the
-	// request, and whichever side lands second ends the root span and
-	// files the recorder back into the timeline ring. The handler
-	// normally finishes second (it waits for done); when it abandons
-	// the request first — deadline expired, client gone — the
-	// dispatcher's completion recycles the recorder instead, so a
-	// sustained timeout storm reuses the same recorders rather than
-	// allocating one per abandoned request.
-	completions atomic.Int32
-
-	// trig accumulates flight-recorder trigger bits from both sides
-	// (handler: timeout, shed; dispatcher: error, retry) and
-	// gen the generation the dispatcher's predict scanned. Atomic
-	// because both sides may write on the tail paths; the second
-	// completion reads them when it decides whether to pin the
-	// timeline.
-	trig atomic.Uint32
-	gen  atomic.Uint64
-}
-
-// addTrigger ORs one trigger bit in (atomic.Uint32 gains Or only in
-// go1.23; this CAS loop is the 1.22 spelling).
-func (p *pendingPredict) addTrigger(t flight.Trigger) {
-	for {
-		old := p.trig.Load()
-		if old&uint32(t) == uint32(t) || p.trig.CompareAndSwap(old, old|uint32(t)) {
-			return
-		}
-	}
-}
-
+// predictResult is one predict's outcome: the answer, the generation
+// it scanned, and whether it needed a retry after a recovered panic.
 type predictResult struct {
 	label      string
 	distance   int
 	generation uint64
-	model      string
-	// retried carries the tail-event fact out of the dispatcher: the
-	// predict needed at least one retry after a recovered panic.
-	retried bool
-	err     error
+	retried    bool
+	err        error
 }
 
-// apiServer owns the bounded predict queue and the dispatcher that
-// drains it, over the model registry.
+// apiServer serves the HTTP API over the model registry.
 type apiServer struct {
-	queue    chan *pendingPredict
-	maxBatch int
-	m        *obs.ServingMetrics
+	// inflight counts predicts between admission and answer;
+	// maxInflight is the bound past which new ones shed with 429.
+	inflight    atomic.Int64
+	maxInflight int64
+	m           *obs.ServingMetrics
 
 	// reg is the multi-tenant model registry; defaultModel names the
 	// model the legacy /predict and /learn routes serve, and baseConfig
@@ -186,34 +135,29 @@ type apiServer struct {
 	defaultModel string
 	baseConfig   hdc.Config
 
-	// sessions caches the dispatcher's serving sessions, keyed by
-	// Serving instance (an evict/fault-in cycle makes a new instance, so
-	// stale keys die with their model). Dispatcher goroutine only.
-	sessions map[*hdc.Serving]*hdc.Session
-
-	// beforePredict, when non-nil, runs on the dispatcher goroutine
-	// before every predict attempt. Tests set it to inject panics and
-	// to interleave learns; production leaves it nil.
+	// beforePredict, when non-nil, runs on the handler goroutine
+	// before every predict attempt. Tests set it to inject panics, to
+	// stall predicts and to interleave learns; production leaves it
+	// nil.
 	beforePredict func()
 
-	// timeout bounds one predict from enqueue to answer (0: none): the
-	// handler answers 504 when it expires and the dispatcher skips
-	// requests whose context is already dead. retries and retryBackoff
-	// bound the re-attempts after a recovered predict panic; backoff
-	// doubles per attempt.
+	// timeout bounds one predict from arrival to answer (0: none): a
+	// predict whose context is done before its answer is ready gets
+	// 504. retries and retryBackoff bound the re-attempts after a
+	// recovered predict panic; backoff doubles per attempt.
 	timeout      time.Duration
 	retries      int
 	retryBackoff time.Duration
 
 	// log receives the structured request log; timelines, when
 	// non-nil, keeps the most recent request span trees for
-	// /debug/spans. Both are optional and set before start().
+	// /debug/spans. Both are optional and set before serving.
 	log       *slog.Logger
 	timelines *obs.Timelines
 
 	// slo is the per-tenant SLO engine (burn rates, breach callback)
 	// and flight the tail-event recorder that /debug/flight dumps.
-	// Both optional, set before start(), and nil-safe throughout.
+	// Both optional, set before serving, and nil-safe throughout.
 	slo    *sloeng.Engine
 	flight *flight.Ring
 
@@ -228,22 +172,17 @@ type apiServer struct {
 	// finish under http.Server.Shutdown.
 	nextID   atomic.Uint64
 	draining atomic.Bool
-
-	stopped chan struct{}
 }
 
 // newRegistryAPIServer builds the server over a model registry. The
 // legacy /predict and /learn routes serve defaultModel; the /models
 // routes serve every tenant. baseConfig is the geometry POST /models
-// creates models with. The dispatcher is not running yet; start it
-// with start(). queueDepth is the backpressure bound (further predicts
-// get 429), maxBatch the most windows one dispatcher drain classifies
-// together.
+// creates models with. maxInflight is the backpressure bound: past
+// that many predicts in flight, further ones get 429.
 func newRegistryAPIServer(reg *modreg.Registry, defaultModel string, baseConfig hdc.Config,
-	queueDepth, maxBatch int, m *obs.ServingMetrics) *apiServer {
+	maxInflight int, m *obs.ServingMetrics) *apiServer {
 	return &apiServer{
-		queue:        make(chan *pendingPredict, max(queueDepth, 1)),
-		maxBatch:     max(maxBatch, 1),
+		maxInflight:  int64(max(maxInflight, 1)),
 		m:            m,
 		reg:          reg,
 		defaultModel: defaultModel,
@@ -251,146 +190,31 @@ func newRegistryAPIServer(reg *modreg.Registry, defaultModel string, baseConfig 
 		retries:      2,
 		retryBackoff: 2 * time.Millisecond,
 		log:          slog.New(slog.NewTextHandler(io.Discard, nil)),
-		stopped:      make(chan struct{}),
 	}
 }
 
-// start runs the dispatcher until stop. It owns every Session, so no
-// lock is needed anywhere on the predict path. The dispatcher
-// goroutine carries a pprof label so CPU profiles separate batch
-// classification from HTTP handling.
-func (s *apiServer) start() {
-	go pprof.Do(context.Background(), pprof.Labels("task", "serve-dispatcher"),
-		func(context.Context) { s.dispatch() })
-}
-
-// beginDrain refuses new work with 503 while requests already queued
-// or in flight complete — the first step of graceful shutdown, before
+// beginDrain refuses new work with 503 while requests already in
+// flight complete — the first step of graceful shutdown, before
 // http.Server.Shutdown waits the handlers out.
 func (s *apiServer) beginDrain() {
 	s.draining.Store(true)
 }
 
-// stop halts the dispatcher and fails queued requests.
-func (s *apiServer) stop() {
-	close(s.stopped)
-}
-
-// dispatch drains the queue in batches: take one request (blocking),
-// opportunistically take up to maxBatch-1 more, classify them, answer
-// everyone. Each request is classified through its own context so its
-// span recorder sees the batch it rode and the encode and AM-search
-// stages.
-func (s *apiServer) dispatch() {
-	batch := make([]*pendingPredict, 0, s.maxBatch)
-	for {
-		batch = batch[:0]
-		select {
-		case <-s.stopped:
-			s.failQueued()
-			return
-		case p := <-s.queue:
-			batch = append(batch, p)
-		}
-	fill:
-		for len(batch) < s.maxBatch {
-			select {
-			case p := <-s.queue:
-				batch = append(batch, p)
-			default:
-				break fill
-			}
-		}
-		// The batch counts when drained, before any answer goes out, so a
-		// client holding its answer always sees its batch in /metrics.
-		s.m.RecordServeBatch(len(batch))
-		now := time.Now()
-		for _, p := range batch {
-			p.rec.End(p.wait)
-			if !p.enqueued.IsZero() {
-				s.m.RecordQueueWait(now.Sub(p.enqueued))
-			}
-		}
-		for _, p := range batch {
-			if p.sv.Classes() == 0 {
-				s.answer(p, predictResult{err: errNoModel})
-				continue
-			}
-			if p.ctx != nil && p.ctx.Err() != nil {
-				// The handler already answered (deadline) or the client
-				// went away; don't burn the batch's time on it.
-				s.answer(p, predictResult{err: errDeadline})
-				continue
-			}
-			bs := p.rec.Start("batch", p.rec.Parent())
-			p.rec.Annotate(bs, "size", int64(len(batch)))
-			p.rec.SetParent(bs)
-			res := s.predictOne(p)
-			p.rec.End(bs)
-			s.answer(p, res)
-		}
-	}
-}
-
-// answer sends the dispatcher's result and marks the dispatcher's side
-// of the request complete. The dispatcher's tail-event facts (result
-// generation, error/retry trigger bits) are published first:
-// complete runs before the send so recorder ownership — and the flight
-// capture the second completion performs — is already resolved when
-// the handler wakes: either the handler is still waiting on done (it
-// completes second and recycles the recorder itself), or it abandoned
-// the request (the dispatcher is second and recycles here, after its
-// last span write).
-func (s *apiServer) answer(p *pendingPredict, res predictResult) {
-	p.gen.Store(res.generation)
-	if res.retried {
-		p.addTrigger(flight.TrigRetry)
-	}
-	if res.err != nil && !errors.Is(res.err, errNoModel) {
-		// errNoModel is a client-shaped 409, not a tail event; the
-		// deadline sentinel is the 504 taxonomy bit, everything else
-		// (panic-retries exhausted, shutdown) is an error capture.
-		if errors.Is(res.err, errDeadline) {
-			p.addTrigger(flight.TrigTimeout)
-		} else {
-			p.addTrigger(flight.TrigError)
-		}
-	}
-	s.complete(p)
-	p.done <- res
-}
-
-// complete marks one side (handler or dispatcher) finished with the
-// request; the second completion ends the root span, pins the timeline
-// into the flight recorder when the request tripped a trigger, and
-// files the recorder into the timeline ring for recycling.
-func (s *apiServer) complete(p *pendingPredict) {
-	if p.completions.Add(1) == 2 {
-		p.rec.End(p.root)
-		s.capture(p)
-		s.timelines.Release(p.rec)
-	}
-}
-
-// capture decides whether the finished request is a tail event and, if
+// capture decides whether a finished request is a tail event and, if
 // so, copies its timeline into the flight recorder before the recorder
-// is recycled. The accumulated trigger bits come from both sides of
-// the request; the slow trigger is computed here against the model's
-// SLO latency objective. On the healthy path this is a handful of
-// atomic loads and compares — no allocation, no capture.
-func (s *apiServer) capture(p *pendingPredict) {
+// is recycled. trig carries the request's tail-event bits; the slow
+// bit is added here against the model's SLO latency objective. On the
+// healthy path this is a handful of loads and compares — no
+// allocation, no capture.
+func (s *apiServer) capture(rec *obs.Spans, model string, gen uint64, trig flight.Trigger, start time.Time) {
 	if s.flight == nil {
 		return
 	}
-	trig := flight.Trigger(p.trig.Load())
-	dur := time.Since(p.enqueued)
-	model := orDefault(p.model, s.defaultModel)
-	if trig&flight.TrigSlow == 0 {
-		if th := s.slo.SlowThreshold(model); th > 0 && dur > th {
-			trig |= flight.TrigSlow
-		}
+	dur := time.Since(start)
+	if th := s.slo.SlowThreshold(model); th > 0 && dur > th {
+		trig |= flight.TrigSlow
 	}
-	s.flight.Capture(p.rec, model, p.gen.Load(), trig, dur)
+	s.flight.Capture(rec, model, gen, trig, dur)
 }
 
 // recordSLO folds one finished request into the per-tenant SLO engine
@@ -420,24 +244,27 @@ func (s *apiServer) backoff(attempt int) time.Duration {
 	return b << uint(attempt)
 }
 
-// predictOne classifies one queued request with bounded retries: a
-// predict that panics (a poisoned model) is recovered, the cached
-// sessions are dropped, and the attempt repeats after a doubling
-// backoff. When the retry budget is spent the request fails with
-// errPredictPanic (a 500) — the process never dies with it. The
-// reported generation is read from the session after the predict — the
-// generation its atomic load actually scanned — because a /learn can
-// publish mid-batch and make any generation captured earlier stale.
-func (s *apiServer) predictOne(p *pendingPredict) predictResult {
-	ctx := p.ctx
-	if ctx == nil {
-		ctx = context.Background()
+// predictOne classifies one window with bounded retries: a predict
+// that panics (a poisoned model) is recovered and the attempt repeats
+// after a doubling backoff. When the retry budget is spent the request
+// fails with errPredictPanic (a 500) — the process never dies with it.
+// A context done before the answer is ready fails it with errDeadline;
+// the predict runs either way (it costs microseconds), so a timed-out
+// request's timeline still shows its encode and search. The reported
+// generation is the one the predict's own atomic load scanned, because
+// a /learn can publish at any moment.
+func (s *apiServer) predictOne(ctx context.Context, sv *hdc.Serving, window [][]float64) predictResult {
+	if sv.Classes() == 0 {
+		return predictResult{err: errNoModel}
 	}
 	for attempt := 0; ; attempt++ {
-		label, dist, gen, err := s.tryPredict(ctx, p)
+		label, dist, gen, err := s.tryPredict(ctx, sv, window)
 		if err == nil {
-			return predictResult{label: label, distance: dist, generation: gen,
-				model: p.model, retried: attempt > 0}
+			res := predictResult{label: label, distance: dist, generation: gen, retried: attempt > 0}
+			if ctx.Err() != nil {
+				res.err = errDeadline
+			}
+			return res
 		}
 		if attempt >= s.retries {
 			return predictResult{retried: attempt > 0,
@@ -445,63 +272,35 @@ func (s *apiServer) predictOne(p *pendingPredict) predictResult {
 		}
 		s.m.RecordRetry()
 		if d := s.backoff(attempt); d > 0 {
-			time.Sleep(d)
+			t := time.NewTimer(d)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+			}
+		}
+		if ctx.Err() != nil {
+			return predictResult{retried: true, err: errDeadline}
 		}
 	}
 }
 
-// sessionFor returns the dispatcher's cached session for sv.
-func (s *apiServer) sessionFor(sv *hdc.Serving) *hdc.Session {
-	if ses := s.sessions[sv]; ses != nil {
-		return ses
-	}
-	// Evict/fault-in cycles retire Serving instances; cap the cache so
-	// retired keys cannot accumulate without bound. Sessions are cheap
-	// to rebuild (a pooled scratch buffer), so a full clear is fine.
-	if len(s.sessions) >= 64 {
-		clear(s.sessions)
-	}
-	if s.sessions == nil {
-		s.sessions = make(map[*hdc.Serving]*hdc.Session)
-	}
-	ses := sv.NewSession()
-	s.sessions[sv] = ses
-	return ses
-}
-
 // tryPredict runs one predict attempt, converting a panic into an
-// error after dropping the cached sessions — a panic mid-encode can
-// leave a session's scratch half written. The generation is read from
-// the session after the predict: the generation its atomic load
-// actually scanned.
-func (s *apiServer) tryPredict(ctx context.Context, p *pendingPredict) (label string, dist int, gen uint64, err error) {
+// error. The pooled session the panicking predict held never goes
+// back to the pool, so its half-written scratch is never reused.
+func (s *apiServer) tryPredict(ctx context.Context, sv *hdc.Serving, window [][]float64) (label string, dist int, gen uint64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.m.RecordPanicRecovered()
 			s.log.Warn("predict panic recovered", "panic", r)
-			clear(s.sessions)
 			err = fmt.Errorf("recovered: %v", r)
 		}
 	}()
 	if s.beforePredict != nil {
 		s.beforePredict()
 	}
-	ses := s.sessionFor(p.sv)
-	label, dist = ses.PredictCtx(ctx, nil, p.window)
-	return label, dist, ses.Generation(), nil
-}
-
-// failQueued answers everything still queued at shutdown.
-func (s *apiServer) failQueued() {
-	for {
-		select {
-		case p := <-s.queue:
-			p.rec.End(p.wait)
-			s.answer(p, predictResult{err: errors.New("server shutting down")})
-		default:
-			return
-		}
-	}
+	label, dist, gen = sv.PredictCtx(ctx, window)
+	return label, dist, gen, nil
 }
 
 // register installs the serving endpoints on mux.
@@ -772,12 +571,10 @@ func (s *apiServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 	id := s.nextID.Add(1)
 	start := time.Now()
 	// When request tracing is on, the recorder rides the context down
-	// through model resolution (fault-in spans) and queue → batch →
-	// encode → search; the handler owns it and files it into
-	// the timeline ring when the request is answered. It is acquired
-	// before the model resolves so a cold fault-in lands in this
-	// request's timeline, which means the pre-enqueue error paths below
-	// must close the root span and recycle it themselves.
+	// through model resolution (fault-in spans) and predict → encode →
+	// search; this handler alone writes it, and files it into the
+	// timeline ring on every path. It is acquired before the model
+	// resolves so a cold fault-in lands in this request's timeline.
 	rec := s.timelines.Acquire(id)
 	ctx := r.Context()
 	root := obs.NoSpan
@@ -796,8 +593,9 @@ func (s *apiServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, registryErrCode(err, http.StatusInternalServerError), err)
 		return
 	}
+	model := orDefault(name, s.defaultModel)
 	if rec != nil {
-		rec.Model = orDefault(name, s.defaultModel)
+		rec.Model = model
 	}
 	window, err := decodePredictWindow(sv, http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
@@ -808,105 +606,75 @@ func (s *apiServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.reg.Metrics().RecordOp(orDefault(name, s.defaultModel), "predict")
-	// The per-request deadline rides the context: when it expires the
-	// handler answers 504 below, and the dispatcher sees the dead
-	// context and skips the request instead of classifying into the
-	// void. cancel runs when the handler returns, whichever came first.
-	var timeoutC <-chan time.Time
+	s.reg.Metrics().RecordOp(model, "predict")
+	if s.inflight.Add(1) > s.maxInflight {
+		// Shed: the CPUs already hold as many predicts as the bound
+		// allows. The timeline still closes, pins the shed into the
+		// flight recorder and recycles — leaking it here would defeat
+		// the free list exactly when load is highest.
+		s.inflight.Add(-1)
+		s.m.RecordRequest(false)
+		rec.End(root)
+		s.capture(rec, model, 0, flight.TrigShed, start)
+		s.timelines.Release(rec)
+		s.recordSLO(name, start, true)
+		s.log.Debug("predict shed", "request", id, "reason", "too many predicts in flight")
+		httpError(w, http.StatusTooManyRequests, errors.New("too many predicts in flight; retry"))
+		return
+	}
+	defer s.inflight.Add(-1)
+	s.m.RecordRequest(true)
 	if s.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
 		defer cancel()
-		tm := time.NewTimer(s.timeout)
-		defer tm.Stop()
-		timeoutC = tm.C
 	}
-	p := &pendingPredict{
-		window:   window,
-		sv:       sv,
-		model:    name,
-		ctx:      ctx,
-		rec:      rec,
-		root:     root,
-		wait:     rec.Start("queue.wait", root),
-		enqueued: start,
-		done:     make(chan predictResult, 1),
+	res := s.predictOne(ctx, sv, window)
+
+	// The timeline closes, pins into the flight recorder when the
+	// request tripped a trigger, and recycles before the answer goes
+	// out, so a client holding its answer finds its timeline in
+	// /debug/spans.
+	var trig flight.Trigger
+	if res.retried {
+		trig |= flight.TrigRetry
 	}
-	select {
-	case s.queue <- p:
-		s.m.RecordRequest(true)
+	code := http.StatusOK
+	switch {
+	case res.err == nil:
+	case errors.Is(res.err, errNoModel):
+		code = http.StatusConflict
+	case errors.Is(res.err, errDeadline):
+		code = http.StatusGatewayTimeout
+		trig |= flight.TrigTimeout
+		s.m.RecordTimeout()
 	default:
-		// Shed: the dispatcher never sees this request, so the handler
-		// alone closes the spans it opened, pins the shed into the
-		// flight recorder, and recycles the recorder — leaking it here
-		// would defeat the free list exactly when load is highest.
-		s.m.RecordRequest(false)
-		rec.End(p.wait)
-		rec.End(root)
-		p.addTrigger(flight.TrigShed)
-		s.capture(p)
-		s.timelines.Release(rec)
-		s.recordSLO(name, start, true)
-		s.log.Debug("predict shed", "request", id, "reason", "queue full")
-		httpError(w, http.StatusTooManyRequests, errors.New("predict queue full; retry"))
+		code = http.StatusInternalServerError
+		trig |= flight.TrigError
+	}
+	rec.End(root)
+	s.capture(rec, model, res.generation, trig, start)
+	s.timelines.Release(rec)
+	// errNoModel is the client's 409, not a burn against the model's
+	// error budget; every 5xx is.
+	if code != http.StatusConflict {
+		s.recordSLO(name, start, code != http.StatusOK)
+	}
+	if res.err != nil {
+		s.log.Debug("predict failed", "request", id, "error", res.err)
+		httpError(w, code, res.err)
 		return
 	}
-	select {
-	case res := <-p.done:
-		s.complete(p)
-		if res.err != nil {
-			code := http.StatusServiceUnavailable
-			switch {
-			case errors.Is(res.err, errNoModel):
-				code = http.StatusConflict
-			case errors.Is(res.err, errPredictPanic):
-				code = http.StatusInternalServerError
-			case errors.Is(res.err, errDeadline):
-				code = http.StatusGatewayTimeout
-			}
-			// errNoModel is the client's 409, not a burn against the
-			// model's error budget; every 5xx is.
-			if !errors.Is(res.err, errNoModel) {
-				s.recordSLO(name, start, true)
-			}
-			s.log.Debug("predict failed", "request", id, "error", res.err)
-			httpError(w, code, res.err)
-			return
-		}
-		s.recordSLO(name, start, false)
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(predictResponse{
-			Label:      res.label,
-			Distance:   res.distance,
-			Generation: res.generation,
-			Model:      res.model,
-		})
-		s.log.Debug("predict", "request", id, "label", res.label,
-			"distance", res.distance, "generation", res.generation,
-			"duration", time.Since(start))
-	case <-timeoutC:
-		// Deadline expired before the dispatcher answered. Answer 504
-		// now; the dispatcher will see the dead context and skip the
-		// request (or its answer lands in the buffered channel, read by
-		// nobody). The handler must not touch the recorder past this
-		// point — the dispatcher may still be writing spans into it —
-		// so the timeout trigger is published first and complete hands
-		// ownership over: the dispatcher's own completion captures the
-		// flight entry and recycles the recorder after its last span
-		// write.
-		s.m.RecordTimeout()
-		s.recordSLO(name, start, true)
-		s.log.Debug("predict timeout", "request", id, "after", s.timeout)
-		httpError(w, http.StatusGatewayTimeout, errDeadline)
-		p.addTrigger(flight.TrigTimeout)
-		s.complete(p)
-	case <-r.Context().Done():
-		// The dispatcher will still answer p.done (buffered), nobody
-		// blocks; the client just went away. As with the timeout path,
-		// complete hands the recorder to the dispatcher for recycling.
-		s.complete(p)
-	}
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(predictResponse{
+		Label:      res.label,
+		Distance:   res.distance,
+		Generation: res.generation,
+		Model:      name,
+	})
+	s.log.Debug("predict", "request", id, "label", res.label,
+		"distance", res.distance, "generation", res.generation,
+		"duration", time.Since(start))
 }
 
 func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
@@ -926,10 +694,10 @@ func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
 	}
 	id := s.nextID.Add(1)
 	start := time.Now()
-	// The learn recorder is single-owner (no dispatcher side): acquired
-	// before model resolution so a cold fault-in and the WAL append /
-	// fsync spans land in this request's timeline, closed and recycled
-	// by this handler on every path.
+	// As for predicts, the recorder is acquired before model resolution
+	// so a cold fault-in and the WAL append / fsync spans land in this
+	// request's timeline, closed and recycled by this handler on every
+	// path.
 	rec := s.timelines.Acquire(id)
 	ctx := r.Context()
 	root := obs.NoSpan
@@ -984,20 +752,14 @@ func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
 	// the SLO engine sees every server-side outcome. Client-shaped
 	// rejections (4xx) burn no error budget.
 	code := 0
+	var trig flight.Trigger
 	if err != nil {
 		code = registryErrCode(err, http.StatusBadRequest)
 	}
-	if s.flight != nil {
-		var trig flight.Trigger
-		if code >= 500 {
-			trig |= flight.TrigError
-		}
-		dur := time.Since(start)
-		if th := s.slo.SlowThreshold(effective); th > 0 && dur > th {
-			trig |= flight.TrigSlow
-		}
-		s.flight.Capture(rec, effective, gen, trig, dur)
+	if code >= 500 {
+		trig = flight.TrigError
 	}
+	s.capture(rec, effective, gen, trig, start)
 	s.timelines.Release(rec)
 	if err != nil {
 		s.m.RecordRequest(false)

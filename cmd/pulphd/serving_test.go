@@ -7,10 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pulphd/internal/hdc"
 	"pulphd/internal/obs"
@@ -60,9 +63,9 @@ func trainedServing(t testing.TB) *hdc.Serving {
 }
 
 // newTestServer builds an API server over an ephemeral registry whose
-// default model is sv. Neither the dispatcher nor an HTTP front end is
-// running yet.
-func newTestServer(t *testing.T, sv *hdc.Serving, queueDepth, maxBatch int, m *obs.ServingMetrics) *apiServer {
+// default model is sv, admitting up to maxInflight concurrent
+// predicts. No HTTP front end is running yet.
+func newTestServer(t *testing.T, sv *hdc.Serving, maxInflight int, m *obs.ServingMetrics) *apiServer {
 	t.Helper()
 	reg, err := modreg.Open(modreg.Config{})
 	if err != nil {
@@ -72,7 +75,7 @@ func newTestServer(t *testing.T, sv *hdc.Serving, queueDepth, maxBatch int, m *o
 	if err := reg.Adopt("default", sv); err != nil {
 		t.Fatal(err)
 	}
-	return newRegistryAPIServer(reg, "default", testServingConfig(), queueDepth, maxBatch, m)
+	return newRegistryAPIServer(reg, "default", testServingConfig(), maxInflight, m)
 }
 
 // serveTestAPI mounts api's routes behind an httptest server, closed
@@ -86,13 +89,11 @@ func serveTestAPI(t *testing.T, api *apiServer) *httptest.Server {
 	return srv
 }
 
-// newTestAPI builds a trained model behind a running API server and an
-// httptest front end. Stop and close are hooked into t.Cleanup.
-func newTestAPI(t *testing.T, queueDepth, maxBatch int) (*apiServer, *httptest.Server) {
+// newTestAPI builds a trained model behind an API server and an
+// httptest front end, closed at cleanup.
+func newTestAPI(t *testing.T) (*apiServer, *httptest.Server) {
 	t.Helper()
-	api := newTestServer(t, trainedServing(t), queueDepth, maxBatch, nil)
-	api.start()
-	t.Cleanup(api.stop)
+	api := newTestServer(t, trainedServing(t), 8, nil)
 	return api, serveTestAPI(t, api)
 }
 
@@ -130,7 +131,7 @@ func windowJSON(t *testing.T, cfg hdc.Config, level float64) string {
 }
 
 func TestPredictHandler(t *testing.T) {
-	_, srv := newTestAPI(t, 8, 4)
+	_, srv := newTestAPI(t)
 	cfg := testServingConfig()
 	cases := []struct {
 		name      string
@@ -185,7 +186,7 @@ func TestPredictHandler(t *testing.T) {
 }
 
 func TestLearnHandler(t *testing.T) {
-	api, srv := newTestAPI(t, 8, 4)
+	api, srv := newTestAPI(t)
 	cfg := testServingConfig()
 	gen := served(t, api).Generation()
 
@@ -241,7 +242,7 @@ func TestLearnHandler(t *testing.T) {
 // report exactly the generations g0+1 … g0+K, each once, each with the
 // class count its own publication produced.
 func TestLearnReportsPublishedGeneration(t *testing.T) {
-	api, srv := newTestAPI(t, 8, 4)
+	api, srv := newTestAPI(t)
 	sv := served(t, api)
 	g0, c0 := sv.Generation(), sv.Classes()
 	const k = 32
@@ -282,22 +283,124 @@ func TestLearnReportsPublishedGeneration(t *testing.T) {
 	}
 }
 
-// TestPredictQueueOverflow pins the backpressure contract: with the
-// dispatcher stalled and the queue full, /predict sheds load with 429
-// and counts the rejection.
+// goPredict posts body to /predict on its own goroutine and delivers
+// the status code (0 on a transport error) on the returned channel.
+func goPredict(t *testing.T, srv *httptest.Server, body string) <-chan int {
+	code := make(chan int, 1)
+	go func() {
+		resp, err := srv.Client().Post(srv.URL+"/predict", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			code <- 0
+			return
+		}
+		resp.Body.Close()
+		code <- resp.StatusCode
+	}()
+	return code
+}
+
+// TestPredictQueueOverflow pins the backpressure contract: with as
+// many predicts in flight as the bound allows, /predict sheds load
+// with 429 and counts the rejection, and the stalled predict still
+// answers once it resumes.
 func TestPredictQueueOverflow(t *testing.T) {
 	m := &obs.ServingMetrics{}
-	api := newTestServer(t, trainedServing(t), 1, 1, m) // dispatcher never started
-	api.queue <- &pendingPredict{}                      // fill the queue
+	api := newTestServer(t, trainedServing(t), 1, m)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	api.beforePredict = func() {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+	}
 	srv := serveTestAPI(t, api)
+	body := windowJSON(t, testServingConfig(), 2)
 
-	code, body := postJSON(t, srv, "/predict", windowJSON(t, testServingConfig(), 2))
+	first := goPredict(t, srv, body)
+	<-entered
+	code, res := postJSON(t, srv, "/predict", body)
 	if code != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429 (%s)", code, body)
+		t.Fatalf("status %d, want 429 (%s)", code, res)
 	}
-	if m.Rejected.Value() != 1 || m.Requests.Value() != 1 {
-		t.Fatalf("rejected=%d requests=%d, want 1/1", m.Rejected.Value(), m.Requests.Value())
+	if m.Rejected.Value() != 1 || m.Requests.Value() != 2 {
+		t.Fatalf("rejected=%d requests=%d, want 1/2", m.Rejected.Value(), m.Requests.Value())
 	}
+	close(release)
+	if code := <-first; code != http.StatusOK {
+		t.Fatalf("stalled predict: status %d, want 200", code)
+	}
+}
+
+// TestPredictsRunConcurrently pins that predicts classify on their own
+// goroutines: two /predicts whose predicts each wait for the other to
+// start must both get there and answer 200. Funnelling predicts
+// through one goroutine would keep the second from starting until the
+// first gave up waiting.
+func TestPredictsRunConcurrently(t *testing.T) {
+	api := newTestServer(t, trainedServing(t), 8, nil)
+	api.retries = 0
+	var started atomic.Int32
+	both := make(chan struct{})
+	api.beforePredict = func() {
+		if started.Add(1) == 2 {
+			close(both)
+		}
+		select {
+		case <-both:
+		case <-time.After(2 * time.Second):
+			t.Error("a predict waited 2 s for the other to start")
+		}
+	}
+	srv := serveTestAPI(t, api)
+	body := windowJSON(t, testServingConfig(), 2)
+
+	a, b := goPredict(t, srv, body), goPredict(t, srv, body)
+	for i, code := range []int{<-a, <-b} {
+		if code != http.StatusOK {
+			t.Errorf("predict %d: status %d, want 200", i, code)
+		}
+	}
+}
+
+// TestEvictedModelIsReleased pins that serving a predict leaves no
+// reference to the model behind: once the registry evicts it, the
+// *hdc.Serving must become garbage. A per-model session cache keyed by
+// the Serving would keep every evicted model reachable, growing memory
+// past -resident-budget.
+func TestEvictedModelIsReleased(t *testing.T) {
+	reg, err := modreg.Open(modreg.Config{Dir: t.TempDir(), ResidentBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reg.Close() })
+	released := make(chan struct{})
+	func() {
+		sv := trainedServing(t)
+		runtime.SetFinalizer(sv, func(*hdc.Serving) { close(released) })
+		if err := reg.Adopt("default", sv); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	api := newRegistryAPIServer(reg, "default", testServingConfig(), 8, nil)
+	srv := serveTestAPI(t, api)
+	if code, body := postJSON(t, srv, "/predict", windowJSON(t, testServingConfig(), 2)); code != http.StatusOK {
+		t.Fatalf("predict: status %d (%s)", code, body)
+	}
+	reg.EnforceBudget()
+	if info, err := reg.ModelInfo("default"); err != nil || info.Resident {
+		t.Fatalf("default model still resident after eviction (%+v, %v)", info, err)
+	}
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-released:
+			return
+		case <-time.After(time.Millisecond):
+		}
+	}
+	t.Fatal("evicted model still reachable after 50 GC cycles")
 }
 
 // TestPredictNoModel pins the empty-model behavior: 409, not a panic.
@@ -306,9 +409,7 @@ func TestPredictNoModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	api := newTestServer(t, sv, 4, 4, nil)
-	api.start()
-	defer api.stop()
+	api := newTestServer(t, sv, 4, nil)
 	srv := serveTestAPI(t, api)
 	code, body := postJSON(t, srv, "/predict", windowJSON(t, sv.Config(), 2))
 	if code != http.StatusConflict {
@@ -331,9 +432,7 @@ func TestServingMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Serving.RecordModel(sv.Generation(), sv.Classes())
-	api := newTestServer(t, sv, 8, 4, h.Serving)
-	api.start()
-	defer api.stop()
+	api := newTestServer(t, sv, 8, h.Serving)
 	mux := newMetricsMux(h)
 	api.register(mux)
 	srv := httptest.NewServer(mux)
@@ -365,8 +464,6 @@ func TestServingMetricsEndpoint(t *testing.T) {
 		"pulphd_serving_learns_total 3",
 		"pulphd_serving_requests_total 4",
 		"pulphd_serving_rejected_total 0",
-		"pulphd_serving_batches_total 1",
-		"pulphd_serving_batch_requests_total 1",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics lacks %q", want)

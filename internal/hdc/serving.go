@@ -37,7 +37,7 @@ type generation struct {
 
 // Serving is a hot-swappable HD classifier: any number of goroutines
 // may predict (each through its own Session, or the pooled Predict
-// convenience) while Learn publishes new model generations.
+// and PredictCtx) while Learn publishes new model generations.
 // Predictions are served from the generation current at their start;
 // a Learn becomes visible atomically to every subsequent load.
 type Serving struct {
@@ -221,15 +221,27 @@ func (sv *Serving) session() *Session {
 	return sv.NewSession()
 }
 
-// Predict classifies one window against the current generation. Safe
-// for any number of concurrent callers; the per-call encode scratch
-// comes from an internal session pool. Hot loops that want
-// guaranteed-zero allocation hold their own Session instead.
+// Predict classifies one window against the current generation. It is
+// PredictCtx without request observability and without the generation.
 func (sv *Serving) Predict(window [][]float64) (label string, distance int) {
-	ses := sv.session()
-	label, distance = ses.predict(nil, metrics(), window)
-	sv.sessions.Put(ses)
+	label, distance, _ = sv.PredictCtx(context.Background(), window)
 	return label, distance
+}
+
+// PredictCtx classifies one window against the current generation and
+// returns the id of the generation it scanned — a Learn can publish
+// between a caller reading Generation and the predict's own atomic
+// load, so callers that report where an answer came from use this one.
+// Safe for any number of concurrent callers; the encode scratch comes
+// from an internal session pool. A predict that panics never returns
+// its session to the pool: a panic mid-encode can leave the scratch
+// half written. Spans and stage latencies record as in
+// Session.PredictCtx.
+func (sv *Serving) PredictCtx(ctx context.Context, window [][]float64) (label string, distance int, generation uint64) {
+	ses := sv.session()
+	label, distance, generation = ses.predict(obs.SpansFrom(ctx), metrics(), window)
+	sv.sessions.Put(ses)
+	return label, distance, generation
 }
 
 // Session is a per-goroutine serving handle holding encode scratch, so
@@ -240,12 +252,6 @@ func (sv *Serving) Predict(window [][]float64) (label string, distance int) {
 type Session struct {
 	sv  *Serving
 	ctx *batchCtx
-	// lastGen is the id of the generation the most recent predict
-	// loaded and scanned. A Learn can publish between a caller reading
-	// Serving.Generation() and the predict's own atomic load, so
-	// callers that report the generation a result came from must read
-	// it here, not from the Serving.
-	lastGen uint64
 }
 
 // NewSession returns a fresh serving handle.
@@ -263,19 +269,20 @@ func (sv *Serving) NewSession() *Session {
 // Deprecated: the pool argument is ignored — the AM scan runs flat on
 // the caller — and will be removed from the signature; pass nil.
 func (s *Session) PredictCtx(ctx context.Context, pool *parallel.Pool, window [][]float64) (label string, distance int) {
-	return s.predict(obs.SpansFrom(ctx), metrics(), window)
+	label, distance, _ = s.predict(obs.SpansFrom(ctx), metrics(), window)
+	return label, distance
 }
 
 // predict is the one predict body: encode the window, then scan the
-// generation loaded at the start of the call. Spans record when rec is
-// non-nil and latencies when m is; both are optional.
-func (s *Session) predict(rec *obs.Spans, m *obs.InferenceMetrics, window [][]float64) (string, int) {
+// generation loaded at the start of the call, whose id it returns.
+// Spans record when rec is non-nil and latencies when m is; both are
+// optional.
+func (s *Session) predict(rec *obs.Spans, m *obs.InferenceMetrics, window [][]float64) (string, int, uint64) {
 	gen := s.sv.gen.Load()
 	am := gen.am
 	if am.Classes() == 0 {
 		panic("hdc: Serving.Predict with no classes")
 	}
-	s.lastGen = gen.id
 	var start, encoded time.Time
 	if m != nil {
 		start = time.Now()
@@ -298,14 +305,8 @@ func (s *Session) predict(rec *obs.Spans, m *obs.InferenceMetrics, window [][]fl
 		m.RecordStages(encoded.Sub(start), done.Sub(encoded))
 		m.RecordPredict(done.Sub(start))
 	}
-	return am.labels[idx], dist
+	return am.labels[idx], dist, gen.id
 }
-
-// Generation returns the id of the generation the session's most
-// recent predict actually scanned (0 before any predict). Like every
-// Session method it is single-goroutine: only the goroutine driving
-// the session may read it.
-func (s *Session) Generation() uint64 { return s.lastGen }
 
 // PredictBatch classifies every window in order against the current
 // generation. Results land in out, grown only when its capacity is
@@ -325,7 +326,7 @@ func (s *Session) PredictBatch(windows [][][]float64, out []Prediction) []Predic
 	}
 	out = out[:len(windows)]
 	for i, w := range windows {
-		label, dist := s.predict(nil, nil, w)
+		label, dist, _ := s.predict(nil, nil, w)
 		out[i] = Prediction{Label: label, Distance: dist}
 	}
 	if m != nil {

@@ -3,6 +3,8 @@ package hdc
 import (
 	"context"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -47,6 +49,47 @@ func TestPredictCtxMatchesPredict(t *testing.T) {
 		if m := tc.metrics; m != nil && (m.Predicts.Value() != 1 || m.EncodeNanos.Snapshot().Count != 1) {
 			t.Errorf("%s: predicts=%d encodes=%d, want 1/1", tc.name, m.Predicts.Value(), m.EncodeNanos.Snapshot().Count)
 		}
+	}
+}
+
+// TestServingPredictCtxReportsScannedGeneration pins the pooled
+// predict's generation to the one it scanned, before and after a
+// publication, and its answer to Predict's.
+func TestServingPredictCtxReportsScannedGeneration(t *testing.T) {
+	sv, w := ctxServing(t)
+	for i := 0; i < 2; i++ {
+		wantLabel, wantDist := sv.Predict(w)
+		label, dist, gen := sv.PredictCtx(context.Background(), w)
+		if label != wantLabel || dist != wantDist || gen != sv.Generation() {
+			t.Fatalf("PredictCtx = (%q,%d,%d), want (%q,%d,%d)",
+				label, dist, gen, wantLabel, wantDist, sv.Generation())
+		}
+		if err := sv.Learn("rest", w); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestServingPredictPanicDropsSession pins that a pooled predict which
+// panics never files its session back: the next pooled call must not
+// get the scratch the panic left half written. One P and no GC keep
+// the pool's private slot deterministic.
+func TestServingPredictPanicDropsSession(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	sv, _ := ctxServing(t)
+	ses := sv.session() // the pooled session the training learns used
+	sv.sessions.Put(ses)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("predict on a malformed window did not panic")
+			}
+		}()
+		sv.PredictCtx(context.Background(), [][]float64{{1}}) // one channel of four
+	}()
+	if sv.session() == ses {
+		t.Fatal("the session of a panicked predict went back to the pool")
 	}
 }
 

@@ -137,8 +137,8 @@ func (m *StreamMetrics) RecordFeedback(predicted, actual string) {
 }
 
 // ServingMetrics instruments the online-learning serving layer: the
-// copy-on-write model generations of hdc.Serving and the request
-// queue of the /predict–/learn HTTP front end.
+// copy-on-write model generations of hdc.Serving and the requests of
+// the /predict–/learn HTTP front end.
 type ServingMetrics struct {
 	// Learns counts Learn publications; LearnNanos is the time from
 	// encode to generation publish.
@@ -148,29 +148,17 @@ type ServingMetrics struct {
 	// (monotonically increasing); Classes is its class count.
 	Generation Gauge
 	Classes    Gauge
-	// Requests counts /predict requests accepted into the queue;
-	// Rejected counts the ones bounced with 429 by backpressure.
+	// Requests counts /predict and /learn requests; Rejected counts
+	// the ones refused (429 backpressure, malformed bodies, draining).
 	Requests Counter
 	Rejected Counter
-	// Batches counts dispatcher drains; BatchRequests the requests
-	// they served, so BatchRequests/Batches is the mean batch size.
-	Batches       Counter
-	BatchRequests Counter
-	// QueueWaitNanos is the time a predict request spent in the
-	// bounded queue before the dispatcher picked it up — the serving
-	// stage the paper's on-device chain does not have, and the first
-	// place overload shows.
-	QueueWaitNanos Histogram
-	// BatchSizes distributes dispatcher drain sizes (powers-of-two
-	// buckets from 1, set up by NewHostMetrics).
-	BatchSizes Histogram
-	// Timeouts counts predict requests answered 504 because the
-	// per-request deadline expired before the dispatcher's result.
+	// Timeouts counts predict requests answered 504 because their
+	// context was done (deadline, client gone) before the answer.
 	Timeouts Counter
-	// Retries counts dispatcher predict attempts re-run after a
-	// recovered transient failure (the bounded-backoff retry loop).
+	// Retries counts predict attempts re-run after a recovered panic
+	// (the bounded-backoff retry loop).
 	Retries Counter
-	// PanicsRecovered counts worker/dispatcher panics converted into
+	// PanicsRecovered counts predict panics converted into retries or
 	// 500 responses instead of process death.
 	PanicsRecovered Counter
 	// ModelBytes is the resident footprint of the published model
@@ -195,7 +183,7 @@ func (m *ServingMetrics) RecordTimeout() {
 	m.Timeouts.Inc()
 }
 
-// RecordRetry counts one re-attempted dispatcher predict.
+// RecordRetry counts one re-attempted predict.
 func (m *ServingMetrics) RecordRetry() {
 	if m == nil {
 		return
@@ -210,14 +198,6 @@ func (m *ServingMetrics) RecordPanicRecovered() {
 		return
 	}
 	m.PanicsRecovered.Inc()
-}
-
-// RecordQueueWait folds one request's queue residency.
-func (m *ServingMetrics) RecordQueueWait(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.QueueWaitNanos.Observe(d)
 }
 
 // RecordPublish folds one generation publication into the metrics.
@@ -252,16 +232,6 @@ func (m *ServingMetrics) RecordRequest(accepted bool) {
 	if !accepted {
 		m.Rejected.Inc()
 	}
-}
-
-// RecordServeBatch folds one dispatcher drain of n requests.
-func (m *ServingMetrics) RecordServeBatch(n int) {
-	if m == nil {
-		return
-	}
-	m.Batches.Inc()
-	m.BatchRequests.Add(int64(n))
-	m.BatchSizes.ObserveNanos(int64(n))
 }
 
 // FaultMetrics instruments the fault-injection layer (internal/fault):

@@ -2,11 +2,11 @@
 // fixed-size ring of recently captured tail-event request timelines.
 // The serving path runs with span recording on for every request (the
 // obs.Timelines slab); when a request ends badly — timeout, error,
-// shed after waiting, panic retry — or slower than its model's
+// shed, panic retry — or slower than its model's
 // latency objective, its full span timeline is copied into the ring
 // before the recorder is recycled. The ring is therefore a black box
 // that always holds the last N incidents with
-// handler→queue→batch→search detail, model name and generation,
+// handler→encode→search detail, model name and generation,
 // dumpable as Chrome trace JSON (GET /debug/flight) and written to
 // disk automatically on an SLO burn-rate breach.
 //
@@ -19,6 +19,7 @@ package flight
 import (
 	"encoding/json"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -37,7 +38,7 @@ const (
 	TrigTimeout Trigger = 1 << iota
 	// TrigError marks a 500 (retries exhausted, or the model failed).
 	TrigError
-	// TrigShed marks a 429 shed by queue backpressure.
+	// TrigShed marks a 429 shed by the in-flight predict bound.
 	TrigShed
 	// TrigRetry marks a request that needed at least one predict retry
 	// after a recovered panic.
@@ -257,100 +258,21 @@ func (r *Ring) WriteSummary(w io.Writer, model string) error {
 	return json.NewEncoder(w).Encode(doc)
 }
 
-// traceEvent and chromeTrace mirror the Trace Event Format JSON the
-// obs exporter emits (its types are unexported); chrome://tracing and
-// Perfetto load either.
-type traceEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	Ts    int64          `json:"ts"`
-	Dur   int64          `json:"dur,omitempty"`
-	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
-	Cat   string         `json:"cat,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-}
-
 // WriteChromeTrace renders the held captures as Chrome trace-event
-// JSON, one process per capture labelled with sequence number, model,
-// generation and trigger; span slices mirror the /debug/spans layout
-// (track 0 the request tree, higher tracks the shard fan-out).
+// JSON through the obs span encoder, one process per capture labelled
+// with sequence number, trigger, model and generation; every slice
+// also carries those tags in its args.
 func (r *Ring) WriteChromeTrace(w io.Writer, model string) error {
-	evs := []traceEvent{}
-	for pid, e := range r.Snapshot(model) {
-		evs = appendEntryEvents(evs, e, pid+1)
-	}
-	return json.NewEncoder(w).Encode(chromeTrace{TraceEvents: evs, DisplayTimeUnit: "ns"})
-}
-
-// appendEntryEvents renders one capture as one trace process.
-func appendEntryEvents(evs []traceEvent, e Entry, pid int) []traceEvent {
-	label := "flight " + utoa(e.Seq) + " · " + e.Trigger.String()
-	if e.Model != "" {
-		label += " · " + e.Model + "@" + utoa(e.Generation)
-	}
-	evs = append(evs, traceEvent{
-		Name: "process_name", Phase: "M", Pid: pid,
-		Args: map[string]any{"name": label},
-	}, traceEvent{
-		Name: "process_sort_index", Phase: "M", Pid: pid,
-		Args: map[string]any{"sort_index": pid},
-	})
-	tracks := map[int32]bool{}
-	for i, sp := range e.Spans {
-		if !tracks[sp.Track] {
-			tracks[sp.Track] = true
-			name := "request"
-			if sp.Track > 0 {
-				name = "shard fan-out"
-			}
-			evs = append(evs, traceEvent{
-				Name: "thread_name", Phase: "M", Pid: pid, Tid: int(sp.Track),
-				Args: map[string]any{"name": name},
-			})
+	var evs []obs.TraceEvent
+	for i, e := range r.Snapshot(model) {
+		trig := e.Trigger.String()
+		label := "flight " + strconv.FormatUint(e.Seq, 10) + " · " + trig
+		if e.Model != "" {
+			label += " · " + e.Model + "@" + strconv.FormatUint(e.Generation, 10)
 		}
-		end := sp.End
-		if end < sp.Start {
-			end = sp.Start
-		}
-		args := map[string]any{
-			"span": i, "parent": int(sp.Parent),
-			"request": e.ID, "model": e.Model, "generation": e.Generation,
-			"trigger": e.Trigger.String(),
-		}
-		for _, a := range sp.Attrs {
-			if a.Key != "" {
-				args[a.Key] = a.Value
-			}
-		}
-		dur := (end - sp.Start) / 1e3
-		if dur < 1 {
-			dur = 1
-		}
-		evs = append(evs, traceEvent{
-			Name: sp.Name, Phase: "X", Ts: sp.Start / 1e3, Dur: dur,
-			Pid: pid, Tid: int(sp.Track), Cat: "flight", Args: args,
+		evs = obs.AppendSpanEvents(evs, i+1, label, "flight", e.Spans, map[string]any{
+			"request": e.ID, "model": e.Model, "generation": e.Generation, "trigger": trig,
 		})
 	}
-	return evs
-}
-
-// utoa formats a uint64 for trace process labels.
-func utoa(v uint64) string {
-	var digits [20]byte
-	i := len(digits)
-	for {
-		i--
-		digits[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return string(digits[i:])
+	return obs.EncodeChromeTrace(w, evs)
 }

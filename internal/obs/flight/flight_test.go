@@ -16,7 +16,7 @@ func testRec(id uint64, spans int) *obs.Spans {
 	root := rec.Start("request", obs.NoSpan)
 	rec.Annotate(root, "id", int64(id))
 	for i := 0; i < spans; i++ {
-		sp := rec.Start("queue.wait", root)
+		sp := rec.Start("encode", root)
 		rec.End(sp)
 	}
 	rec.End(root)
@@ -75,7 +75,7 @@ func TestCaptureFidelity(t *testing.T) {
 		e.Duration != 85*time.Millisecond || e.Dropped != 0 {
 		t.Fatalf("entry %+v", e)
 	}
-	if len(e.Spans) != 4 || e.Spans[0].Name != "request" || e.Spans[1].Name != "queue.wait" {
+	if len(e.Spans) != 4 || e.Spans[0].Name != "request" || e.Spans[1].Name != "encode" {
 		t.Fatalf("spans %+v", e.Spans)
 	}
 	// A zero trigger must not capture: callers hand bits over blindly.
@@ -241,7 +241,7 @@ func TestConcurrentCaptureDumpRecycle(t *testing.T) {
 				root := obs.NoSpan
 				if rec != nil {
 					root = rec.Start("request", obs.NoSpan)
-					sp := rec.Start("batch", root)
+					sp := rec.Start("predict", root)
 					rec.End(sp)
 					rec.End(root)
 				}

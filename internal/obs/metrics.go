@@ -91,75 +91,44 @@ const HistogramBuckets = 24
 // histBase is the upper bound of bucket 0 in nanoseconds.
 const histBase = 256
 
-// Histogram is a fixed-bucket histogram with exponential
-// (powers-of-two) bounds. The zero value is a latency histogram with
-// a 256 ns first bucket, ready to use; SetBase rescales the geometry
-// for other units (a base of 1 buckets small counts such as batch
-// sizes by powers of two). A nil *Histogram is a no-op.
+// Histogram is a fixed-bucket latency histogram with exponential
+// (powers-of-two) bounds from a 256 ns first bucket. The zero value is
+// ready to use; a nil *Histogram is a no-op.
 type Histogram struct {
 	counts [HistogramBuckets]atomic.Int64
 	sum    atomic.Int64
-	base   atomic.Int64 // 0 means histBase
 }
 
-// SetBase sets the upper bound of bucket 0 (and thereby the whole
-// powers-of-two geometry). Call it at setup time, before the first
-// Observe; base < 1 resets to the 256 ns default.
-func (h *Histogram) SetBase(base int64) {
-	if h == nil {
-		return
-	}
-	if base < 1 {
-		base = 0
-	}
-	h.base.Store(base)
-}
-
-// Base returns the upper bound of bucket 0.
-func (h *Histogram) Base() int64 {
-	if h == nil {
-		return histBase
-	}
-	if b := h.base.Load(); b > 0 {
-		return b
-	}
-	return histBase
-}
-
-// bucketFor maps a value to its bucket index for the given base.
-func bucketFor(ns, base int64) int {
+// bucketFor maps a nanosecond value to its bucket index.
+func bucketFor(ns int64) int {
 	if ns < 0 {
 		ns = 0
 	}
-	idx := bits.Len64(uint64(ns) / uint64(base))
+	idx := bits.Len64(uint64(ns) / histBase)
 	if idx >= HistogramBuckets {
 		idx = HistogramBuckets - 1
 	}
 	return idx
 }
 
-// BucketBound returns the inclusive upper bound of bucket i in the
-// default 256 ns geometry, or -1 for the +Inf overflow bucket.
-func BucketBound(i int) int64 { return bucketBound(i, histBase) }
-
-// bucketBound is BucketBound for an arbitrary base.
-func bucketBound(i int, base int64) int64 {
+// BucketBound returns the inclusive upper bound of bucket i in
+// nanoseconds, or -1 for the +Inf overflow bucket.
+func BucketBound(i int) int64 {
 	if i >= HistogramBuckets-1 {
 		return -1
 	}
-	return base<<i - 1
+	return histBase<<i - 1
 }
 
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) { h.ObserveNanos(int64(d)) }
 
-// ObserveNanos records one nanosecond measurement (or, after SetBase,
-// one measurement in the histogram's unit).
+// ObserveNanos records one nanosecond measurement.
 func (h *Histogram) ObserveNanos(ns int64) {
 	if h == nil {
 		return
 	}
-	h.counts[bucketFor(ns, h.Base())].Add(1)
+	h.counts[bucketFor(ns)].Add(1)
 	h.sum.Add(ns)
 }
 
@@ -175,22 +144,14 @@ type HistogramSnapshot struct {
 	Counts [HistogramBuckets]int64
 	SumNs  int64
 	Count  int64
-	// Base is the bucket-0 upper bound of the source histogram, so
-	// exporters compute the right bucket bounds for any geometry.
-	Base int64
 }
-
-// BucketBound returns the inclusive upper bound of bucket i in the
-// snapshot's geometry, or -1 for the +Inf overflow bucket.
-func (s HistogramSnapshot) BucketBound(i int) int64 { return bucketBound(i, s.Base) }
 
 // Snapshot copies the current state; the zero snapshot for nil.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Base: histBase}
+	var s HistogramSnapshot
 	if h == nil {
 		return s
 	}
-	s.Base = h.Base()
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
 		s.Count += s.Counts[i]

@@ -141,8 +141,6 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	h.Stream.RecordFeedback("rest", "fist")
 	h.Serving.RecordPublish(3, 5, time.Microsecond)
 	h.Serving.RecordRequest(true)
-	h.Serving.RecordQueueWait(time.Microsecond)
-	h.Serving.RecordServeBatch(4)
 	h.Pool.RecordCollective(4, 4)
 	h.Models.RecordFleet(2, 1, 4096)
 	h.Models.RecordOp("emg", "learn")

@@ -256,7 +256,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		for i, n := range s.Counts {
 			cum += n
 			le := "+Inf"
-			if b := s.BucketBound(i); b >= 0 {
+			if b := BucketBound(i); b >= 0 {
 				le = fmt.Sprintf("%d", b+1)
 			}
 			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", h.name, le, cum); err != nil {
@@ -279,7 +279,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		for i, n := range s.Counts {
 			cum += n
 			le := "+Inf"
-			if b := s.BucketBound(i); b >= 0 {
+			if b := BucketBound(i); b >= 0 {
 				le = strconv.FormatFloat(float64(b+1)/1e9, 'g', -1, 64)
 			}
 			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", h.name, le, cum); err != nil {
@@ -411,7 +411,6 @@ func NewHostMetrics() *HostMetrics {
 		Models:    NewRegistryMetrics(),
 		Registry:  NewRegistry(),
 	}
-	h.Serving.BatchSizes.SetBase(1)
 	r := h.Registry
 	r.RegisterCounter("pulphd_predict_total", "Predict calls", &h.Inference.Predicts)
 	r.RegisterHistogram("pulphd_predict_latency_ns", "Predict latency in nanoseconds", &h.Inference.PredictNanos)
@@ -434,15 +433,11 @@ func NewHostMetrics() *HostMetrics {
 	r.RegisterHistogram("pulphd_serving_learn_latency_ns", "Learn publish latency in nanoseconds", &h.Serving.LearnNanos)
 	r.RegisterGauge("pulphd_serving_generation", "id of the published model generation", &h.Serving.Generation)
 	r.RegisterGauge("pulphd_serving_classes", "classes in the published generation", &h.Serving.Classes)
-	r.RegisterCounter("pulphd_serving_requests_total", "/predict requests accepted into the queue", &h.Serving.Requests)
+	r.RegisterCounter("pulphd_serving_requests_total", "/predict and /learn requests, rejected ones included", &h.Serving.Requests)
 	r.RegisterCounter("pulphd_serving_rejected_total", "/predict requests rejected by backpressure (429)", &h.Serving.Rejected)
-	r.RegisterCounter("pulphd_serving_batches_total", "request batches drained by the serving dispatcher", &h.Serving.Batches)
-	r.RegisterCounter("pulphd_serving_batch_requests_total", "requests served through dispatcher batches", &h.Serving.BatchRequests)
-	r.RegisterHistogram("pulphd_serving_queue_wait_ns", "predict queue residency before dispatch in nanoseconds", &h.Serving.QueueWaitNanos)
-	r.RegisterHistogram("pulphd_serving_batch_size", "dispatcher drain sizes (requests per batch; powers-of-two buckets)", &h.Serving.BatchSizes)
-	r.RegisterCounter("pulphd_serving_timeouts_total", "/predict requests answered 504 at their deadline", &h.Serving.Timeouts)
-	r.RegisterCounter("pulphd_serving_retries_total", "dispatcher predict attempts retried after a recovered failure", &h.Serving.Retries)
-	r.RegisterCounter("pulphd_serving_panics_recovered_total", "worker/dispatcher panics converted into error responses", &h.Serving.PanicsRecovered)
+	r.RegisterCounter("pulphd_serving_timeouts_total", "/predict requests answered 504 because their deadline passed or the client left first", &h.Serving.Timeouts)
+	r.RegisterCounter("pulphd_serving_retries_total", "predict attempts retried after a recovered panic", &h.Serving.Retries)
+	r.RegisterCounter("pulphd_serving_panics_recovered_total", "predict panics recovered instead of crashing the process", &h.Serving.PanicsRecovered)
 	r.RegisterGauge("pulphd_serving_model_resident_bytes", "resident footprint of the published model (IM + CIM + AM prototypes) in bytes", &h.Serving.ModelBytes)
 	r.RegisterCounter("pulphd_stream_predict_failures_total", "stream decisions dropped because prediction panicked", &h.Stream.PredictFailures)
 	r.RegisterCounter("pulphd_fault_injections_total", "fault-injection corruption calls with BER > 0", &h.Fault.Injections)

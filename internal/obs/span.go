@@ -2,8 +2,8 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"io"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,11 +11,11 @@ import (
 
 // This file is the request-scoped half of the observability layer: a
 // span recorder that rides a context.Context through the serving path
-// (HTTP handler → queue wait → batch formation → per-shard AM search
-// → generation swap), a bounded ring of completed request timelines,
-// and a Chrome trace-event exporter that renders those timelines —
-// alone or side by side with the simulator cycle Trace — in one
-// Perfetto view.
+// (HTTP handler → model resolve → encode → AM search, or learn encode
+// → generation publish), a bounded ring of completed request
+// timelines, and the one Chrome trace-event encoder for span timelines
+// (AppendSpanEvents), which renders them — alone or side by side with
+// the simulator cycle Trace — in one Perfetto view.
 //
 // The recorder is built for the serving hot path: Start reserves a
 // slot with one atomic add and writes it without locks (each span is
@@ -44,15 +44,10 @@ type Attr struct {
 }
 
 // Span is one recorded interval. Start and End are nanoseconds since
-// the recorder's epoch; End == 0 marks a span never ended. Track is
-// the timeline row the exporter places the span on: 0 is the request's
-// main track; work running concurrently within one request takes
-// tracks ≥ 1 so it renders side by side instead of as a broken
-// nesting.
+// the recorder's epoch; End == 0 marks a span never ended.
 type Span struct {
 	Name   string
 	Parent SpanID
-	Track  int32
 	Start  int64
 	End    int64
 	Attrs  [spanAttrs]Attr
@@ -67,9 +62,9 @@ type Spans struct {
 	// ID tags the recorder with the request id it traces.
 	ID uint64
 	// Model tags the recorder with the tenant model the request
-	// resolved to ("" when the server runs without a registry). Set it
-	// once, before any concurrent span writers start; exporters use it
-	// for per-tenant (?model=) filtering and process labels.
+	// resolved to. Set it once, before any concurrent span writers
+	// start; exporters use it for per-tenant (?model=) filtering and
+	// process labels.
 	Model string
 
 	epoch   int64 // unix nanos at Reset
@@ -112,10 +107,9 @@ func (s *Spans) Reset(id uint64) {
 }
 
 // SetParent stages the span that subtrees started by downstream layers
-// attach under. The serving path hands a request from handler to
-// dispatcher to model sequentially, so each stage sets the attachment
-// point before calling into the next; only the goroutine currently
-// driving the request may call it.
+// attach under. The handler stages the request root before calling
+// into the registry and model layers; only the goroutine driving the
+// request may call it.
 func (s *Spans) SetParent(id SpanID) {
 	if s == nil {
 		return
@@ -132,16 +126,10 @@ func (s *Spans) Parent() SpanID {
 	return s.parent
 }
 
-// Start opens a span under parent (NoSpan for a root) on the request's
-// main track. It never blocks and never allocates; when the recorder
-// is full the span is dropped and NoSpan returned.
+// Start opens a span under parent (NoSpan for a root). It never
+// blocks and never allocates; when the recorder is full the span is
+// dropped and NoSpan returned.
 func (s *Spans) Start(name string, parent SpanID) SpanID {
-	return s.StartTrack(name, parent, 0)
-}
-
-// StartTrack is Start on an explicit exporter track, so concurrent
-// work within one request gets its own row.
-func (s *Spans) StartTrack(name string, parent SpanID, track int32) SpanID {
 	if s == nil {
 		return NoSpan
 	}
@@ -153,7 +141,6 @@ func (s *Spans) StartTrack(name string, parent SpanID, track int32) SpanID {
 	sp := &s.spans[idx]
 	sp.Name = name
 	sp.Parent = parent
-	sp.Track = track
 	sp.Start = s.now() - s.epoch
 	sp.End = 0
 	sp.Attrs = [spanAttrs]Attr{}
@@ -311,16 +298,12 @@ func (t *Timelines) snapshot() []*Spans {
 // it; pid is the first free process id and the next free one is
 // returned.
 type tracePart interface {
-	appendTraceEvents(evs []traceEvent, pid int) ([]traceEvent, int)
+	appendTraceEvents(evs []TraceEvent, pid int) ([]TraceEvent, int)
 }
 
 // appendTraceEvents renders every held request as one trace process
-// ("request <id>"), its spans as complete slices: track 0 carries the
-// request's own tree, higher tracks concurrent lanes. Span timestamps
-// are nanoseconds; the trace-event unit is microseconds, so durations
-// render in µs (the simulator's cycle traces map one cycle to one µs —
-// the shared timeline is for shape, not unit algebra).
-func (t *Timelines) appendTraceEvents(evs []traceEvent, pid int) ([]traceEvent, int) {
+// ("request <id> · <model>") through AppendSpanEvents.
+func (t *Timelines) appendTraceEvents(evs []TraceEvent, pid int) ([]TraceEvent, int) {
 	return t.appendHeld(evs, pid, "")
 }
 
@@ -330,7 +313,7 @@ func (t *Timelines) appendTraceEvents(evs []traceEvent, pid int) ([]traceEvent, 
 // where Acquire resets it, so a recorder must not leave the ring while
 // it is being read. Handlers wait on the lock only while an export
 // copies spans into events, never while it writes them out.
-func (t *Timelines) appendHeld(evs []traceEvent, pid int, model string) ([]traceEvent, int) {
+func (t *Timelines) appendHeld(evs []TraceEvent, pid int, model string) ([]TraceEvent, int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i := range t.done {
@@ -338,75 +321,54 @@ func (t *Timelines) appendHeld(evs []traceEvent, pid int, model string) ([]trace
 		if model != "" && rec.Model != model {
 			continue
 		}
-		evs = appendSpanEvents(evs, rec, pid)
+		label := "request " + strconv.FormatUint(rec.ID, 10)
+		if rec.Model != "" {
+			label += " · " + rec.Model
+		}
+		evs = AppendSpanEvents(evs, pid, label, "request", rec.spans[:rec.Len()], nil)
 		pid++
 	}
 	return evs, pid
 }
 
-// appendSpanEvents renders one recorder as one trace process.
-func appendSpanEvents(evs []traceEvent, rec *Spans, pid int) []traceEvent {
-	name := requestProcessName(rec.ID)
-	if rec.Model != "" {
-		name += " · " + rec.Model
-	}
-	evs = append(evs, traceEvent{
+// AppendSpanEvents renders one span timeline as trace process pid: a
+// process_name row carrying label, then one complete ("X") slice per
+// span, every one on thread 0. A slice's args hold its span index and
+// parent, then the entries of args (nil for none), then the span's own
+// attributes; cat tags every slice. Span timestamps are nanoseconds
+// and the trace-event unit is microseconds, so durations render in µs
+// (the simulator's cycle traces map one cycle to one µs — the shared
+// timeline is for shape, not unit algebra). /debug/spans,
+// /debug/flight and flight breach dumps all render through it.
+func AppendSpanEvents(evs []TraceEvent, pid int, label, cat string, spans []Span, args map[string]any) []TraceEvent {
+	evs = append(evs, TraceEvent{
 		Name: "process_name", Phase: "M", Pid: pid,
-		Args: map[string]any{"name": name},
+		Args: map[string]any{"name": label},
 	})
-	tracks := map[int32]bool{}
-	for i := 0; i < rec.Len(); i++ {
-		sp := rec.Span(i)
-		if !tracks[sp.Track] {
-			tracks[sp.Track] = true
-			name := "request"
-			if sp.Track > 0 {
-				name = "shard fan-out"
-			}
-			evs = append(evs, traceEvent{
-				Name: "thread_name", Phase: "M", Pid: pid, Tid: int(sp.Track),
-				Args: map[string]any{"name": name},
-			}, traceEvent{
-				Name: "thread_sort_index", Phase: "M", Pid: pid, Tid: int(sp.Track),
-				Args: map[string]any{"sort_index": int(sp.Track)},
-			})
-		}
+	for i, sp := range spans {
 		end := sp.End
 		if end < sp.Start {
 			end = sp.Start // never-ended span: zero-length slice
 		}
-		args := map[string]any{"span": i, "parent": int(sp.Parent)}
-		for _, a := range sp.Attrs {
-			if a.Key != "" {
-				args[a.Key] = a.Value
+		a := map[string]any{"span": i, "parent": int(sp.Parent)}
+		for k, v := range args {
+			a[k] = v
+		}
+		for _, at := range sp.Attrs {
+			if at.Key != "" {
+				a[at.Key] = at.Value
 			}
 		}
 		dur := (end - sp.Start) / 1e3
 		if dur < 1 {
 			dur = 1 // sub-µs spans still visible
 		}
-		evs = append(evs, traceEvent{
+		evs = append(evs, TraceEvent{
 			Name: sp.Name, Phase: "X", Ts: sp.Start / 1e3, Dur: dur,
-			Pid: pid, Tid: int(sp.Track), Cat: "request", Args: args,
+			Pid: pid, Cat: cat, Args: a,
 		})
 	}
 	return evs
-}
-
-// requestProcessName formats the per-request process label without
-// importing fmt on the export path's behalf (it is cold anyway).
-func requestProcessName(id uint64) string {
-	digits := [20]byte{}
-	i := len(digits)
-	for {
-		i--
-		digits[i] = byte('0' + id%10)
-		id /= 10
-		if id == 0 {
-			break
-		}
-	}
-	return "request " + string(digits[i:])
 }
 
 // WriteChromeTrace renders the held request timelines as Chrome
@@ -428,13 +390,13 @@ type modelFiltered struct {
 	model string
 }
 
-func (f modelFiltered) appendTraceEvents(evs []traceEvent, pid int) ([]traceEvent, int) {
+func (f modelFiltered) appendTraceEvents(evs []TraceEvent, pid int) ([]TraceEvent, int) {
 	return f.t.appendHeld(evs, pid, f.model)
 }
 
 // appendTraceEvents makes the cycle Trace composable with request
 // timelines (implements tracePart).
-func (t *Trace) appendTraceEvents(evs []traceEvent, pid int) ([]traceEvent, int) {
+func (t *Trace) appendTraceEvents(evs []TraceEvent, pid int) ([]TraceEvent, int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.appendEventsLocked(evs, pid)
@@ -446,7 +408,7 @@ func (t *Trace) appendTraceEvents(evs []traceEvent, pid int) ([]traceEvent, int)
 // request trees side by side. Process ids are assigned in argument
 // order.
 func WriteChromeTrace(w io.Writer, parts ...tracePart) error {
-	var evs []traceEvent
+	var evs []TraceEvent
 	pid := 1
 	for _, p := range parts {
 		if p == nil {
@@ -454,6 +416,5 @@ func WriteChromeTrace(w io.Writer, parts ...tracePart) error {
 		}
 		evs, pid = p.appendTraceEvents(evs, pid)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: evs, DisplayTimeUnit: "ns"})
+	return EncodeChromeTrace(w, evs)
 }

@@ -95,19 +95,19 @@ func TestSpansDropWhenFull(t *testing.T) {
 }
 
 // TestSpansChromeTraceGolden pins the exporter byte-for-byte on a
-// fixed clock: metadata (process/thread naming), complete slices with
-// µs timestamps, parent/attr args, and the shard fan-out track.
+// fixed clock: the process label, complete slices with µs timestamps
+// on thread 0, and parent/attr args.
 func TestSpansChromeTraceGolden(t *testing.T) {
 	s := NewSpans(8)
-	s.now = fixedClock(2000)                // 2 µs per clock read
-	s.Reset(42)                             // epoch = 2000
-	root := s.Start("request", NoSpan)      // start 2000
-	wait := s.Start("queue.wait", root)     // start 4000
-	s.End(wait)                             // end 6000
-	sh := s.StartTrack("am.shard", root, 1) // start 8000
-	s.Annotate(sh, "shard", 0)
-	s.End(sh)   // end 10000
-	s.End(root) // end 12000
+	s.now = fixedClock(2000)             // 2 µs per clock read
+	s.Reset(42)                          // epoch = 2000
+	root := s.Start("request", NoSpan)   // start 2000
+	enc := s.Start("encode", root)       // start 4000
+	s.End(enc)                           // end 6000
+	search := s.Start("am.search", root) // start 8000
+	s.Annotate(search, "classes", 5)
+	s.End(search) // end 10000
+	s.End(root)   // end 12000
 
 	tl := NewTimelines(4, 8)
 	tl.Release(s)
@@ -117,13 +117,9 @@ func TestSpansChromeTraceGolden(t *testing.T) {
 	}
 	want := `{"traceEvents":[` +
 		`{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"request 42"}},` +
-		`{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"request"}},` +
-		`{"name":"thread_sort_index","ph":"M","ts":0,"pid":1,"tid":0,"args":{"sort_index":0}},` +
 		`{"name":"request","ph":"X","ts":2,"dur":10,"pid":1,"tid":0,"cat":"request","args":{"parent":-1,"span":0}},` +
-		`{"name":"queue.wait","ph":"X","ts":4,"dur":2,"pid":1,"tid":0,"cat":"request","args":{"parent":0,"span":1}},` +
-		`{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":1,"args":{"name":"shard fan-out"}},` +
-		`{"name":"thread_sort_index","ph":"M","ts":0,"pid":1,"tid":1,"args":{"sort_index":1}},` +
-		`{"name":"am.shard","ph":"X","ts":8,"dur":2,"pid":1,"tid":1,"cat":"request","args":{"parent":0,"shard":0,"span":2}}` +
+		`{"name":"encode","ph":"X","ts":4,"dur":2,"pid":1,"tid":0,"cat":"request","args":{"parent":0,"span":1}},` +
+		`{"name":"am.search","ph":"X","ts":8,"dur":2,"pid":1,"tid":0,"cat":"request","args":{"classes":5,"parent":0,"span":2}}` +
 		`],"displayTimeUnit":"ns"}` + "\n"
 	if got := buf.String(); got != want {
 		t.Errorf("golden mismatch:\n got: %s\nwant: %s", got, want)
@@ -207,9 +203,9 @@ func TestTimelinesRingRecycles(t *testing.T) {
 	}
 }
 
-// TestTimelinesRecycleDistinct pins the recycle discipline a serving
-// path with handler/dispatcher recorder handoff depends on: a recorder
-// is never simultaneously live in two places — every Acquire hands out
+// TestTimelinesRecycleDistinct pins the recycle discipline concurrent
+// handlers depend on: a recorder is never simultaneously live in two
+// places — every Acquire hands out
 // a recorder distinct from every other outstanding one and from every
 // recorder held in the done ring.
 func TestTimelinesRecycleDistinct(t *testing.T) {
@@ -255,7 +251,7 @@ func TestSpansConcurrentStart(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				id := s.StartTrack("s", NoSpan, int32(g))
+				id := s.Start("s", NoSpan)
 				if id != NoSpan {
 					s.Annotate(id, "i", int64(i))
 					s.End(id)

@@ -105,12 +105,12 @@ func (t *Trace) Totals() []PlatformTotal {
 	return out
 }
 
-// traceEvent is one Chrome trace-event JSON object. The format is the
+// TraceEvent is one Chrome trace-event JSON object. The format is the
 // Trace Event Format's JSON Array/Object flavour; chrome://tracing
 // and Perfetto both load it. Timestamps are microseconds by spec — we
 // map one simulated cycle to one microsecond, so durations read
 // directly as cycles.
-type traceEvent struct {
+type TraceEvent struct {
 	Name  string         `json:"name"`
 	Phase string         `json:"ph"`
 	Ts    int64          `json:"ts"`
@@ -123,8 +123,17 @@ type traceEvent struct {
 
 // chromeTrace is the top-level JSON object.
 type chromeTrace struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
+	TraceEvents     []TraceEvent `json:"traceEvents"`
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
+}
+
+// EncodeChromeTrace writes evs as one Chrome trace-event JSON
+// document; no events encode as an empty list, never null.
+func EncodeChromeTrace(w io.Writer, evs []TraceEvent) error {
+	if evs == nil {
+		evs = []TraceEvent{}
+	}
+	return json.NewEncoder(w).Encode(chromeTrace{TraceEvents: evs, DisplayTimeUnit: "ns"})
 }
 
 // WriteChromeTrace renders the trace as Chrome trace-event JSON. One
@@ -136,27 +145,26 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	evs, _ := t.appendEventsLocked(nil, 1)
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: evs, DisplayTimeUnit: "ns"})
+	return EncodeChromeTrace(w, evs)
 }
 
 // appendEventsLocked renders the platform timelines as trace events,
 // one process per platform starting at pidBase. Callers hold t.mu.
-func (t *Trace) appendEventsLocked(evs []traceEvent, pidBase int) ([]traceEvent, int) {
+func (t *Trace) appendEventsLocked(evs []TraceEvent, pidBase int) ([]TraceEvent, int) {
 	for pi, pt := range t.platforms {
 		pid := pidBase + pi
-		evs = append(evs, traceEvent{
+		evs = append(evs, TraceEvent{
 			Name: "process_name", Phase: "M", Pid: pid,
 			Args: map[string]any{"name": fmt.Sprintf("%s (%d cores)", pt.name, pt.cores)},
-		}, traceEvent{
+		}, TraceEvent{
 			Name: "process_sort_index", Phase: "M", Pid: pid,
 			Args: map[string]any{"sort_index": pi},
 		})
 		for tid, lane := range laneNames {
-			evs = append(evs, traceEvent{
+			evs = append(evs, TraceEvent{
 				Name: "thread_name", Phase: "M", Pid: pid, Tid: tid,
 				Args: map[string]any{"name": lane},
-			}, traceEvent{
+			}, TraceEvent{
 				Name: "thread_sort_index", Phase: "M", Pid: pid, Tid: tid,
 				Args: map[string]any{"sort_index": tid},
 			})
@@ -169,7 +177,7 @@ func (t *Trace) appendEventsLocked(evs []traceEvent, pidBase int) ([]traceEvent,
 				if dur <= 0 {
 					return
 				}
-				evs = append(evs, traceEvent{
+				evs = append(evs, TraceEvent{
 					Name: r.Name, Phase: "X", Ts: ts, Dur: dur,
 					Pid: pid, Tid: tid, Cat: laneNames[tid],
 					Args: map[string]any{"cycles": dur, "cores": pt.cores},

@@ -124,11 +124,6 @@ func (am *AdaptiveMemory) Classify(query hv.Vector) (string, int) {
 		panic(fmt.Sprintf("hdc: AdaptiveMemory.Classify: dimension mismatch %d != %d", query.Dim(), am.d))
 	}
 	am.refresh()
-	best, bestDist := 0, am.d+1
-	for i, p := range am.protos {
-		if d := hv.Hamming(query, p); d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return am.labels[best], bestDist
+	best, dist := hv.Nearest(query, am.protos)
+	return am.labels[best], dist
 }

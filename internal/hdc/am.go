@@ -127,7 +127,7 @@ func (am *AssociativeMemory) Classify(query hv.Vector) (label string, distance i
 }
 
 // Nearest returns the index and Hamming distance of the closest
-// prototype.
+// prototype (hv.Nearest: ties resolve to the lowest class index).
 func (am *AssociativeMemory) Nearest(query hv.Vector) (index, distance int) {
 	if len(am.prototypes) == 0 {
 		panic("hdc: AM.Classify on empty associative memory")
@@ -136,13 +136,7 @@ func (am *AssociativeMemory) Nearest(query hv.Vector) (index, distance int) {
 		panic(fmt.Sprintf("hdc: AM.Classify: dimension mismatch %d != %d", query.Dim(), am.d))
 	}
 	am.refresh()
-	best, bestDist := 0, am.d+1
-	for i, p := range am.prototypes {
-		if d := hv.Hamming(query, p); d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best, bestDist
+	return hv.Nearest(query, am.prototypes)
 }
 
 // Distances returns the Hamming distance from query to every

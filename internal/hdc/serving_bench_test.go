@@ -50,6 +50,24 @@ func BenchmarkServingSearchUnsharded(b *testing.B) {
 	}
 }
 
+// BenchmarkServingSearchNear is BenchmarkServingSearchUnsharded with a
+// learned window's encoding as the query, the shape serving traffic
+// has: once the scan meets the query's own class, the bound stops every
+// later prototype after its first checked step. The random query above
+// is ≈ d/2 from every class, which the bound cannot prune.
+func BenchmarkServingSearchNear(b *testing.B) {
+	sv, samples := benchServing(b, 256)
+	am := sv.AM()
+	ses := sv.NewSession()
+	ses.ctx.encodeTo(ses.ctx.query, samples[len(samples)/2].Window, sv.cfg.NGram)
+	query := ses.ctx.query
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		am.Nearest(query)
+	}
+}
+
 // BenchmarkServingLearn measures one online-learning publication:
 // encode, accumulate, rebinarize one class, copy-on-write publish.
 func BenchmarkServingLearn(b *testing.B) {

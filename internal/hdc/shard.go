@@ -8,7 +8,7 @@ import (
 
 // ShardedAM is the immutable associative memory one serving generation
 // publishes: the class labels and their prototypes in class-index
-// order, searched by a flat minimum-Hamming-distance scan. The PULP
+// order, searched by hv.Nearest's bounded minimum-Hamming scan. The PULP
 // cluster parallelizes inside each prototype's words (parallel.AMSearch);
 // at the paper's 5 classes a whole scan is a few microseconds, so the
 // serving layer runs it serially on the caller.
@@ -47,9 +47,9 @@ func (am *ShardedAM) SizeBytes() int {
 }
 
 // Nearest returns the index and Hamming distance of the closest
-// prototype. Ties resolve to the lowest class index, bit-identical to
-// AssociativeMemory.Nearest. It panics if the AM is empty or the query
-// dimension differs.
+// prototype through hv.Nearest, the scan AssociativeMemory and
+// AdaptiveMemory share: ties resolve to the lowest class index. It
+// panics if the AM is empty or the query dimension differs.
 func (am *ShardedAM) Nearest(query hv.Vector) (index, distance int) {
 	if len(am.protos) == 0 {
 		panic("hdc: ShardedAM.Nearest on empty associative memory")
@@ -57,11 +57,5 @@ func (am *ShardedAM) Nearest(query hv.Vector) (index, distance int) {
 	if query.Dim() != am.d {
 		panic(fmt.Sprintf("hdc: ShardedAM.Nearest: dimension mismatch %d != %d", query.Dim(), am.d))
 	}
-	best, bestDist := 0, am.d+1
-	for i, p := range am.protos {
-		if d := hv.Hamming(query, p); d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best, bestDist
+	return hv.Nearest(query, am.protos)
 }

@@ -5,24 +5,43 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pulphd/internal/hdref"
 	"pulphd/internal/hv"
 )
 
-// randomShardedAM builds a k-class AM over random prototypes plus an
-// AssociativeMemory holding the same prototypes, for equivalence
-// checks.
-func randomShardedAM(t testing.TB, d, k int, rng *rand.Rand) (*ShardedAM, *AssociativeMemory) {
+// randomShardedAM builds a k-class AM over random prototypes — about
+// one in four a copy of an earlier class, so equidistant classes occur
+// — plus an AssociativeMemory and the golden model's AM (hdref.RefAM:
+// a per-bit Hamming argmin, ties to the lowest index) holding the same
+// prototypes. Labels are unique, so equal labels mean equal indexes.
+func randomShardedAM(t testing.TB, d, k int, rng *rand.Rand) (*ShardedAM, *AssociativeMemory, *hdref.RefAM) {
 	t.Helper()
 	labels := make([]string, k)
 	protos := make([]hv.Vector, k)
 	flat := NewAssociativeMemory(d, 1)
+	ref := &hdref.RefAM{Labels: labels}
 	for i := 0; i < k; i++ {
 		labels[i] = string(rune('a' + i%26))
 		labels[i] += string(rune('0' + i/26%10))
-		protos[i] = hv.NewRandom(d, rng)
+		if i > 0 && rng.Intn(4) == 0 {
+			protos[i] = protos[rng.Intn(i)].Clone()
+		} else {
+			protos[i] = hv.NewRandom(d, rng)
+		}
 		flat.SetPrototype(labels[i], protos[i])
+		ref.Prototypes = append(ref.Prototypes, protos[i].Bits())
 	}
-	return NewShardedAM(d, labels, protos), flat
+	return NewShardedAM(d, labels, protos), flat, ref
+}
+
+// testQuery returns either a random query, ≈ d/2 from every class so
+// the bounded scan scores nearly every word, or — when near — a
+// prototype with a few flipped bits, so the bound prunes the others.
+func testQuery(am *ShardedAM, near bool, rng *rand.Rand) hv.Vector {
+	if !near {
+		return hv.NewRandom(am.d, rng)
+	}
+	return am.protos[rng.Intn(len(am.protos))].Clone().FlipBits(rng.Intn(min(8, am.d+1)), rng)
 }
 
 func TestShardedAMEmptyPanics(t *testing.T) {
@@ -37,7 +56,7 @@ func TestShardedAMEmptyPanics(t *testing.T) {
 
 func TestShardedAMDimensionMismatchPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	am, _ := randomShardedAM(t, 100, 3, rng)
+	am, _, _ := randomShardedAM(t, 100, 3, rng)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Nearest with wrong query dimension did not panic")
@@ -46,17 +65,23 @@ func TestShardedAMDimensionMismatchPanics(t *testing.T) {
 	am.Nearest(hv.New(101))
 }
 
-// TestShardedNearestMatchesFlat checks bit-identical results against
-// AssociativeMemory across class counts, from a single class up.
+// TestShardedNearestMatchesFlat checks ShardedAM and AssociativeMemory
+// against hdref.RefAM across class counts, from a single class up, at
+// dimensions that are not a multiple of 64, on random and near queries.
 func TestShardedNearestMatchesFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, classes := range []int{1, 2, 5, 17, 64} {
-		am, flat := randomShardedAM(t, 1000, classes, rng)
-		for q := 0; q < 20; q++ {
-			query := hv.NewRandom(1000, rng)
-			wantIdx, wantDist := flat.Nearest(query)
-			if idx, dist := am.Nearest(query); idx != wantIdx || dist != wantDist {
-				t.Fatalf("classes=%d: (%d,%d), want (%d,%d)", classes, idx, dist, wantIdx, wantDist)
+	for _, d := range []int{1000, 10000} {
+		for _, classes := range []int{1, 2, 5, 17, 64} {
+			am, flat, ref := randomShardedAM(t, d, classes, rng)
+			for q := 0; q < 20; q++ {
+				query := testQuery(am, q%2 == 1, rng)
+				wantLabel, wantDist := ref.Classify(query.Bits())
+				if idx, dist := am.Nearest(query); am.labels[idx] != wantLabel || dist != wantDist {
+					t.Fatalf("d=%d classes=%d: ShardedAM (%s,%d), want (%s,%d)", d, classes, am.labels[idx], dist, wantLabel, wantDist)
+				}
+				if label, dist := flat.Classify(query); label != wantLabel || dist != wantDist {
+					t.Fatalf("d=%d classes=%d: AssociativeMemory (%s,%d), want (%s,%d)", d, classes, label, dist, wantLabel, wantDist)
+				}
 			}
 		}
 	}
@@ -78,19 +103,20 @@ func TestShardedNearestTieBreak(t *testing.T) {
 }
 
 // TestQuickShardedEquivalence is the property test: for random AMs
-// (including non-word-aligned dimensions) and queries, the serving
-// AM's scan equals AssociativeMemory.Nearest bit for bit.
+// (non-word-aligned dimensions up to several vector-kernel steps,
+// duplicated classes) and random or near queries, the serving AM's
+// scan equals hdref.RefAM's bit for bit.
 func TestQuickShardedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	f := func(dRaw, kRaw uint8, seed int64) bool {
-		d := int(dRaw)%500 + 33
+	f := func(dRaw uint16, kRaw uint8, near bool, seed int64) bool {
+		d := int(dRaw)%6000 + 33
 		k := int(kRaw)%30 + 1
 		r := rand.New(rand.NewSource(seed))
-		am, flat := randomShardedAM(t, d, k, r)
-		query := hv.NewRandom(d, r)
-		wantIdx, wantDist := flat.Nearest(query)
+		am, _, ref := randomShardedAM(t, d, k, r)
+		query := testQuery(am, near, r)
+		wantLabel, wantDist := ref.Classify(query.Bits())
 		idx, dist := am.Nearest(query)
-		return idx == wantIdx && dist == wantDist
+		return am.labels[idx] == wantLabel && dist == wantDist
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120, Rand: rng}); err != nil {
 		t.Fatal(err)

@@ -64,3 +64,38 @@ func FuzzMajorityAgainstReference(f *testing.F) {
 		}
 	})
 }
+
+// FuzzHammingAgainstReference cross-checks both Hamming kernels
+// against the unpacked golden model at arbitrary dimensions (up to
+// 188 words: two 32-pair vector steps plus every tail shape) and
+// bounds: HammingWords must match exactly, and hammingWithin must be
+// exact below its bound and at or above it otherwise.
+func FuzzHammingAgainstReference(f *testing.F) {
+	f.Add([]byte{0xff, 0x01}, []byte{0x0f}, uint16(13), uint16(5))
+	f.Add([]byte{0xaa, 0x55, 0x00}, []byte{0x55}, uint16(5999), uint16(900))
+	f.Add([]byte{0x12, 0x34}, []byte{0x12, 0x35}, uint16(4097), uint16(0))
+	f.Fuzz(func(t *testing.T, rawA, rawB []byte, dRaw, boundRaw uint16) {
+		d := int(dRaw)%6000 + 1
+		// Component i is bit i%8 of raw byte i/8, the raw bytes
+		// repeating to fill the dimension.
+		unpack := func(raw []byte) []byte {
+			bits := make([]byte, d)
+			for i := range bits {
+				if len(raw) > 0 {
+					bits[i] = raw[(i/8)%len(raw)] >> (uint(i) % 8) & 1
+				}
+			}
+			return bits
+		}
+		ba, bb := unpack(rawA), unpack(rawB)
+		a, b := FromBits(ba), FromBits(bb)
+		want := hdref.Hamming(hdref.Bits(ba), hdref.Bits(bb))
+		bound := int(boundRaw) % (d + 2)
+		forEachHammingKernel(t, func(t *testing.T) {
+			if got := Hamming(a, b); got != want {
+				t.Fatalf("d=%d: Hamming=%d, reference %d", d, got, want)
+			}
+			checkWithin(t, a.words, b.words, want, bound)
+		})
+	})
+}

@@ -491,3 +491,30 @@ func TestTruncate(t *testing.T) {
 		}()
 	}
 }
+
+// TestNearestTieBreakAndPanics pins Nearest's edges: equidistant
+// members resolve to the lowest index, and an empty set or a member of
+// another dimension panics.
+func TestNearestTieBreakAndPanics(t *testing.T) {
+	const d = 1000
+	q := New(d)
+	q.SetBit(999, 1)
+	far := New(d).FlipBits(500, rand.New(rand.NewSource(3)))
+	set := []Vector{far, New(d), New(d), far}
+	if idx, dist := Nearest(q, set); idx != 1 || dist != 1 {
+		t.Fatalf("tie resolved to (%d,%d), want (1,1)", idx, dist)
+	}
+	for name, call := range map[string]func(){
+		"empty set":          func() { Nearest(q, nil) },
+		"dimension mismatch": func() { Nearest(q, []Vector{New(d), New(d + 1)}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Nearest with %s did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}

@@ -2,6 +2,7 @@ package hv
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -145,4 +146,42 @@ func TestQuickBitsRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestQuickNearestMatchesReference checks the bounded scan on both
+// kernels against the golden model's AM (hdref.RefAM: a per-bit
+// Hamming argmin, ties to the lowest index). Dimensions run to 6,000
+// (several vector steps; most not a multiple of 64), sets hold
+// duplicated members so ties occur, and half the queries sit a few
+// flipped bits from one member — the case where the bound prunes the
+// others. A random query is ≈ d/2 from every member and is scored
+// almost in full.
+func TestQuickNearestMatchesReference(t *testing.T) {
+	forEachHammingKernel(t, func(t *testing.T) {
+		f := func(x uint16, seed int64, kRaw, flips uint8, near bool) bool {
+			d := int(x)%6000 + 1
+			rng := rand.New(rand.NewSource(seed))
+			set := make([]Vector, int(kRaw)%24+1)
+			ref := hdref.RefAM{}
+			for i := range set {
+				if i > 0 && rng.Intn(4) == 0 {
+					set[i] = set[rng.Intn(i)].Clone()
+				} else {
+					set[i] = NewRandom(d, rng)
+				}
+				ref.Labels = append(ref.Labels, strconv.Itoa(i))
+				ref.Prototypes = append(ref.Prototypes, set[i].Bits())
+			}
+			q := NewRandom(d, rng)
+			if near {
+				q = set[rng.Intn(len(set))].Clone().FlipBits(min(int(flips)%8, d), rng)
+			}
+			wantLabel, wantDist := ref.Classify(q.Bits())
+			idx, dist := Nearest(q, set)
+			return strconv.Itoa(idx) == wantLabel && dist == wantDist
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(15))}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

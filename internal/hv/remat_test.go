@@ -38,7 +38,7 @@ func TestExpandRowGolden(t *testing.T) {
 	}
 	// Frozen absolute values: regenerating with the documented formula
 	// by hand must land on these exact words.
-	h := Splitmix64(uint64(2018)^Splitmix64(uint64(1)<<32|0) + golden)
+	h := Splitmix64(uint64(2018) ^ Splitmix64(uint64(1)<<32|0) + golden)
 	if row.Word(0) != uint32(h) || row.Word(1) != uint32(h>>32) {
 		t.Fatalf("block 0 = %08x %08x, want halves of %016x", row.Word(0), row.Word(1), h)
 	}

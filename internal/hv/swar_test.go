@@ -1,6 +1,7 @@
 package hv
 
 import (
+	"math"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -34,14 +35,6 @@ func TestSwarKernelsMatchScalar(t *testing.T) {
 			a, b := back(), back()
 			n := len(a)
 
-			wantHam := 0
-			for i := range a {
-				wantHam += bits.OnesCount32(a[i] ^ b[i])
-			}
-			if got := HammingWords(a, b); got != wantHam {
-				t.Errorf("d=%d off=%d: HammingWords=%d want %d", d, off, got, wantHam)
-			}
-
 			wantOnes := 0
 			for _, w := range a {
 				wantOnes += bits.OnesCount32(w)
@@ -59,6 +52,67 @@ func TestSwarKernelsMatchScalar(t *testing.T) {
 			}
 		}
 	}
+}
+
+// forEachHammingKernel runs f once per Hamming kernel, flipping the
+// init-time selector so hammingWithin (and HammingWords through it)
+// takes that kernel, and restores the host's choice afterwards. On a
+// host without AVX-512 VPOPCNTDQ the vector half logs and skips.
+func forEachHammingKernel(t *testing.T, f func(t *testing.T)) {
+	host := useVPOPCNTDQ
+	defer func() { useVPOPCNTDQ = host }()
+	for _, k := range []struct {
+		name   string
+		vector bool
+	}{{"portable", false}, {"vpopcntdq", true}} {
+		t.Run(k.name, func(t *testing.T) {
+			if k.vector && !host {
+				t.Skip("host has no AVX-512 VPOPCNTDQ: vector kernel not exercised")
+			}
+			useVPOPCNTDQ = k.vector
+			f(t)
+		})
+	}
+}
+
+// checkWithin asserts hammingWithin's contract for one bound: exact
+// below the bound, some value ≥ bound otherwise.
+func checkWithin(t *testing.T, a, b []uint32, want, bound int) {
+	t.Helper()
+	got := hammingWithin(a, b, bound)
+	if want < bound && got != want {
+		t.Fatalf("%d words: hammingWithin(bound=%d)=%d, want exactly %d", len(a), bound, got, want)
+	}
+	if want >= bound && got < bound {
+		t.Fatalf("%d words: hammingWithin(bound=%d)=%d below the bound (distance %d)", len(a), bound, got, want)
+	}
+}
+
+// TestHammingKernelsMatchScalar checks both kernels against a per-word
+// popcount at every word count from 0 to 170 — every step, tail and
+// odd-word shape of both kernels (a step scores 32 word pairs in the
+// vector kernel, 8 in the Go loop) — on aligned and odd-offset slices,
+// unbounded and at bounds on both sides of the distance.
+func TestHammingKernelsMatchScalar(t *testing.T) {
+	forEachHammingKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(14))
+		for nw := 0; nw <= 170; nw++ {
+			for _, off := range []int{0, 1} {
+				a := randWords(nw+off, rng)[off:]
+				b := randWords(nw+off, rng)[off:]
+				want := 0
+				for i := range a {
+					want += bits.OnesCount32(a[i] ^ b[i])
+				}
+				if got := HammingWords(a, b); got != want {
+					t.Fatalf("%d words off=%d: HammingWords=%d want %d", nw, off, got, want)
+				}
+				for _, bound := range []int{0, 1, want / 3, want, want + 1, math.MaxInt} {
+					checkWithin(t, a, b, want, bound)
+				}
+			}
+		}
+	})
 }
 
 // TestSwarMajorityMatchesScalar cross-checks MajorityWords — both the

@@ -67,7 +67,7 @@ func TestFetchFlight(t *testing.T) {
 // ties), and the list truncates to n.
 func TestWorstOffenders(t *testing.T) {
 	events := []FlightEvent{
-		{Seq: 1, DurationMs: 99},  // previous phase — excluded
+		{Seq: 1, DurationMs: 99}, // previous phase — excluded
 		{Seq: 2, DurationMs: 1},
 		{Seq: 3, DurationMs: 5},
 		{Seq: 4, DurationMs: 5},

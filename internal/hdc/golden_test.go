@@ -15,18 +15,24 @@ import (
 
 // goldenMemories converts a classifier's packed memories to the
 // unpacked representation.
-func goldenMemories(c *Classifier) (im []hdref.Bits, cim *hdref.RefCIM) {
-	for i := 0; i < c.IM().Len(); i++ {
-		im = append(im, hdref.Bits(c.IM().Vector(i).Bits()))
-	}
-	cim = &hdref.RefCIM{Min: c.cfg.MinLevel, Max: c.cfg.MaxLevel}
-	for l := 0; l < c.CIM().Levels(); l++ {
-		cim.Levels = append(cim.Levels, hdref.Bits(c.CIM().VectorForLevel(l).Bits()))
-	}
-	return im, cim
+func goldenMemories(c *Classifier) ([]hdref.Bits, *hdref.RefCIM) {
+	return goldenTables(c.cfg, c.IM(), c.CIM())
 }
 
-func goldenSpatial(c *Classifier, im []hdref.Bits, cim *hdref.RefCIM, samples []float64) hdref.Bits {
+// goldenTables converts packed item memories built for cfg to the
+// unpacked representation.
+func goldenTables(cfg Config, im *ItemMemory, cim *ContinuousItemMemory) (items []hdref.Bits, levels *hdref.RefCIM) {
+	for i := 0; i < im.Len(); i++ {
+		items = append(items, hdref.Bits(im.Vector(i).Bits()))
+	}
+	levels = &hdref.RefCIM{Min: cfg.MinLevel, Max: cfg.MaxLevel}
+	for l := 0; l < cim.Levels(); l++ {
+		levels.Levels = append(levels.Levels, hdref.Bits(cim.VectorForLevel(l).Bits()))
+	}
+	return items, levels
+}
+
+func goldenSpatial(im []hdref.Bits, cim *hdref.RefCIM, samples []float64) hdref.Bits {
 	levels := make([]hdref.Bits, len(samples))
 	for i, x := range samples {
 		levels[i] = cim.Levels[cim.Quantize(x)]
@@ -59,7 +65,7 @@ func TestGoldenSpatialEncodingAgrees(t *testing.T) {
 			for i := range samples {
 				samples[i] = rng.Float64() * 21
 			}
-			want := goldenSpatial(c, im, cim, samples)
+			want := goldenSpatial(im, cim, samples)
 			got := c.spatial.Encode(samples)
 			if !hv.Equal(got, hv.FromBits(want)) {
 				t.Fatalf("channels=%d trial=%d: packed spatial encoding deviates from golden model",
@@ -81,7 +87,7 @@ func TestGoldenNGramAgrees(t *testing.T) {
 	refSeq := make([]hdref.Bits, 4)
 	for t0 := range window {
 		window[t0] = []float64{rng.Float64() * 21, rng.Float64() * 21, rng.Float64() * 21, rng.Float64() * 21}
-		refSeq[t0] = goldenSpatial(c, im, cim, window[t0])
+		refSeq[t0] = goldenSpatial(im, cim, window[t0])
 	}
 	want := hdref.NGram(refSeq)
 	got := c.EncodeWindow(window)
@@ -112,7 +118,7 @@ func TestGoldenEndToEndPredictionsAgree(t *testing.T) {
 				samples[ch] = pat[ch] + rng.NormFloat64()
 			}
 			c.Train(label, [][]float64{samples})
-			encoded = append(encoded, goldenSpatial(c, im, cim, samples))
+			encoded = append(encoded, goldenSpatial(im, cim, samples))
 		}
 		refAM.Labels = append(refAM.Labels, label)
 		refAM.Prototypes = append(refAM.Prototypes, hdref.BundleWindows(encoded, nil))
@@ -143,7 +149,7 @@ func TestGoldenEndToEndPredictionsAgree(t *testing.T) {
 		for ch := range samples {
 			samples[ch] = pat[ch] + rng.NormFloat64()*2
 		}
-		wantLabel, wantDist := refAM.Classify(goldenSpatial(c, im, cim, samples))
+		wantLabel, wantDist := refAM.Classify(goldenSpatial(im, cim, samples))
 		gotLabel, gotDist := c.Predict([][]float64{samples})
 		if gotLabel != wantLabel || gotDist != wantDist {
 			t.Fatalf("trial %d: packed (%q,%d) != golden (%q,%d)",

@@ -57,7 +57,8 @@ type Serving struct {
 
 // NewServing returns an empty learnable serving classifier for cfg.
 // Item memories are generated deterministically from cfg.Seed, exactly
-// as New.
+// as New; a stored backend reuses the tables of the last equal cfg
+// (see storedTables).
 //
 // Deprecated: the shards argument is ignored — the associative memory
 // is one flat table — and will be removed from the signature.
@@ -65,9 +66,42 @@ func NewServing(cfg Config, shards int) (*Serving, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	sv := &Serving{cfg: cfg, im: newConfigIM(cfg), cim: newConfigCIM(cfg)}
+	im, cim := servingTables(cfg)
+	sv := &Serving{cfg: cfg, im: im, cim: cim}
 	sv.gen.Store(&generation{id: 0, am: NewShardedAM(cfg.D, nil, nil)})
 	return sv, nil
+}
+
+// storedTables is the stored-backend IM/CIM pair NewServing built
+// last and the Config it was built for. A serving model never writes
+// its item memories, so every serving model of an equal Config reads
+// one prestored copy (§2.1.1), and a registry fault-in decodes a
+// snapshot instead of regenerating 32 KB of rows from the seed. It is
+// one slot rather than a map because models can be created with any
+// seed, and a map would pin a table pair for every seed ever seen.
+// Classifiers (New) keep private tables: InjectBitErrors and
+// CorruptTransfer corrupt them in place.
+var storedTables struct {
+	mu  sync.Mutex
+	cfg Config
+	im  *ItemMemory
+	cim *ContinuousItemMemory
+}
+
+// servingTables returns the item memories of a new serving model:
+// the shared stored pair, rebuilt when cfg differs from the last
+// stored Config, or fresh expansion keys for the remat backend.
+func servingTables(cfg Config) (*ItemMemory, *ContinuousItemMemory) {
+	if cfg.Backend != BackendStored {
+		return newConfigIM(cfg), newConfigCIM(cfg)
+	}
+	storedTables.mu.Lock()
+	defer storedTables.mu.Unlock()
+	if storedTables.im == nil || storedTables.cfg != cfg {
+		storedTables.cfg = cfg
+		storedTables.im, storedTables.cim = newConfigIM(cfg), newConfigCIM(cfg)
+	}
+	return storedTables.im, storedTables.cim
 }
 
 // Serving snapshots a trained classifier into a serving instance:
@@ -119,7 +153,10 @@ func (sv *Serving) AM() *ShardedAM { return sv.gen.Load().am }
 // generation in bytes: item memory + continuous item memory + AM
 // prototypes. With the rematerializing backend the IM+CIM term is
 // expansion keys rather than matrices — the footprint win the
-// pulphd_serving_model_resident_bytes gauge makes visible.
+// pulphd_serving_model_resident_bytes gauge makes visible. Stored
+// tables count once per model even when NewServing shares them, so a
+// resident-bytes budget does not depend on which models happen to
+// share.
 func (sv *Serving) ResidentBytes() int {
 	return sv.im.SizeBytes() + sv.cim.SizeBytes() + sv.gen.Load().am.SizeBytes()
 }

@@ -64,9 +64,10 @@ func (sv *Serving) State() ServingState {
 // restored instance publishes the stored generation id, prototypes and
 // labels, and its class accumulators resume from the stored counts, so
 // a Learn sequence applied after restore publishes exactly the
-// generations the original would have. Item memories are regenerated
-// from cfg.Seed as everywhere else; cfg must therefore be the
-// configuration the state was exported under.
+// generations the original would have. Item memories come from
+// NewServing, derived from cfg.Seed (or shared, for a stored cfg seen
+// last); cfg must therefore be the configuration the state was
+// exported under.
 func NewServingFromState(cfg Config, st ServingState) (*Serving, error) {
 	sv, err := NewServing(cfg, 1)
 	if err != nil {

@@ -1,0 +1,70 @@
+package registry
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"pulphd/internal/hdc"
+)
+
+// BenchmarkRegistryEvictFaultIn times one evict → fault-in round trip
+// of a persistent five-class model at the paper's EMG geometry, the
+// cycle a model pays each time the resident budget pushes it out and
+// a request pulls it back. evict-ns/op and faultin-ns/op split the
+// round trip. A dirty model takes one learn before each eviction, so
+// the eviction writes and fsyncs a snapshot; a clean model's eviction
+// writes nothing. Fault-in on the stored backend reuses the item
+// memories NewServing shares; remat rebuilds its expansion keys.
+func BenchmarkRegistryEvictFaultIn(b *testing.B) {
+	for _, state := range []string{"clean", "dirty"} {
+		for _, backend := range []hdc.Backend{hdc.BackendStored, hdc.BackendRemat} {
+			b.Run(state+"/"+backend.String(), func(b *testing.B) {
+				benchEvictFaultIn(b, backend, state == "dirty")
+			})
+		}
+	}
+}
+
+func benchEvictFaultIn(b *testing.B, backend hdc.Backend, dirty bool) {
+	cfg := hdc.EMGConfig()
+	cfg.Backend = backend
+	rng := rand.New(rand.NewSource(1))
+	r, err := Open(Config{Dir: b.TempDir(), ResidentBudget: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.Create("m", cfg); err != nil {
+		b.Fatal(err)
+	}
+	labels := []string{"rest", "fist", "point", "grip", "open"}
+	for i := 0; i < 5*len(labels); i++ {
+		if err := r.Learn("m", labels[i%len(labels)], randomWindow(cfg, rng)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := r.Snapshot("m"); err != nil {
+		b.Fatal(err)
+	}
+	w := randomWindow(cfg, rng)
+	var evict, faultIn time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dirty {
+			if err := r.Learn("m", "rest", w); err != nil {
+				b.Fatal(err)
+			}
+		}
+		t0 := time.Now()
+		r.EnforceBudget()
+		t1 := time.Now()
+		if _, err := r.Serving("m"); err != nil {
+			b.Fatal(err)
+		}
+		evict += t1.Sub(t0)
+		faultIn += time.Since(t1)
+	}
+	b.ReportMetric(float64(evict.Nanoseconds())/float64(b.N), "evict-ns/op")
+	b.ReportMetric(float64(faultIn.Nanoseconds())/float64(b.N), "faultin-ns/op")
+}

@@ -301,7 +301,9 @@ func TestRecoveryAcrossSnapshotCrashGap(t *testing.T) {
 	if err := os.WriteFile(r.walPath("m"), staleWAL, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Open(Config{Dir: dir})
+	// The 1-byte budget evicts nothing on its own (a lone model is
+	// always the one just used); EnforceBudget below evicts on demand.
+	r2, err := Open(Config{Dir: dir, ResidentBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,6 +317,27 @@ func TestRecoveryAcrossSnapshotCrashGap(t *testing.T) {
 	}
 	if !bytes.Equal(servingBytes(t, sv), servingBytes(t, mirror)) {
 		t.Fatal("recovered state differs after snapshot-gap crash")
+	}
+	// The stale records make the model dirty: evicting it folds them
+	// into a snapshot and empties the WAL, and a second fault-in comes
+	// back at the same generation.
+	r2.EnforceBudget()
+	if info, _ := r2.ModelInfo("m"); info.Resident {
+		t.Fatal("model still resident after eviction")
+	}
+	if st, err := os.Stat(r2.walPath("m")); err != nil {
+		t.Fatal(err)
+	} else if st.Size() != 0 {
+		t.Fatalf("eviction left %d bytes of stale records in the wal", st.Size())
+	}
+	if sv, err = r2.Serving("m"); err != nil {
+		t.Fatal(err)
+	}
+	if sv.Generation() != 5 {
+		t.Fatalf("second fault-in at generation %d, want 5", sv.Generation())
+	}
+	if !bytes.Equal(servingBytes(t, sv), servingBytes(t, mirror)) {
+		t.Fatal("second fault-in differs from the mirror")
 	}
 	// And learning continues cleanly from the recovered state.
 	w := randomWindow(cfg, rng)

@@ -4,9 +4,12 @@
 // disk. Online Learn/Correct records are framed and logged before they
 // are applied, so a restart — graceful or kill -9 — replays the WAL
 // tail onto the latest snapshot and recovers every model to its exact
-// pre-crash generation, byte for byte. Cold models are evicted to disk
-// under a configurable resident-bytes budget (least recently used
-// first) and faulted back in on their next request.
+// pre-crash generation, byte for byte. Cold models are evicted under a
+// configurable resident-bytes budget (least recently used first) and
+// faulted back in on their next request. Eviction snapshots only a
+// dirty model, one whose WAL holds records; a clean model's state
+// already is its snapshot plus an empty WAL, so it is dropped without
+// writing anything.
 //
 // Locking is two-level and ordered registry → entry: the registry
 // mutex guards the name table and the manifest, each entry's mutex
@@ -58,8 +61,9 @@ type Config struct {
 	// will be removed.
 	Shards int
 	// ResidentBudget caps the summed ResidentBytes of in-memory models;
-	// past it, least-recently-used models are snapshotted and dropped.
-	// Zero or negative means unlimited. Ignored when Dir is empty.
+	// past it, least-recently-used models are dropped, each snapshotted
+	// first if its WAL holds records. Zero or negative means unlimited.
+	// Ignored when Dir is empty.
 	ResidentBudget int64
 	// SnapshotEvery is how many WAL records a model accumulates before
 	// an automatic snapshot folds them in and truncates the log; values
@@ -662,20 +666,26 @@ func (r *Registry) pickVictim(keep *entry) (*entry, int64) {
 	return victim, total
 }
 
-// evictLocked snapshots e (folding its WAL in) and drops its resident
-// state. Caller holds e.mu; the model is resident.
+// evictLocked drops e's resident state. A dirty model — any WAL
+// record, stale crash-gap records included — is snapshotted first,
+// folding its log in; a clean one already is its snapshot plus an
+// empty log, so it writes nothing. The registry.evict span's
+// wal_records annotation says which case ran. Caller holds e.mu; the
+// model is resident.
 func (r *Registry) evictLocked(ctx context.Context, e *entry) error {
 	sp := obs.SpansFrom(ctx)
 	id := sp.Start("registry.evict", sp.Parent())
-	sv0 := e.sv.Load()
-	sp.Annotate(id, "bytes", int64(sv0.ResidentBytes()))
+	sv := e.sv.Load()
+	sp.Annotate(id, "bytes", int64(sv.ResidentBytes()))
+	sp.Annotate(id, "wal_records", int64(e.wal.Records()))
 	defer sp.End(id)
-	if err := r.snapshotLocked(ctx, e); err != nil {
-		return err
+	if e.wal.Records() > 0 {
+		if err := r.snapshotLocked(ctx, e); err != nil {
+			return err
+		}
 	}
 	e.wal.Close()
 	e.wal = nil
-	sv := e.sv.Load()
 	e.generation = sv.Generation()
 	e.classes = sv.Classes()
 	e.sv.Store(nil)
@@ -766,8 +776,9 @@ func (r *Registry) recordFleetLocked() {
 	r.m().RecordFleet(len(r.entries), resident, bytes)
 }
 
-// Close snapshots every resident model (folding WAL tails into clean
-// snapshots), closes the logs, and marks the registry closed. The
+// Close snapshots every resident model with a non-empty WAL (folding
+// the tail into a clean snapshot; a clean model's snapshot already is
+// its state), closes the logs, and marks the registry closed. The
 // first error is returned but every model is still attempted.
 func (r *Registry) Close() error {
 	r.mu.Lock()
@@ -784,7 +795,8 @@ func (r *Registry) Close() error {
 	var first error
 	for _, e := range entries {
 		e.mu.Lock()
-		if !e.deleted && e.sv.Load() != nil && r.Persistent() {
+		// e.wal is non-nil exactly while e is resident and persistent.
+		if e.wal != nil && e.wal.Records() > 0 {
 			if err := r.snapshotLocked(context.Background(), e); err != nil && first == nil {
 				first = err
 			}

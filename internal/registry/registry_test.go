@@ -11,6 +11,7 @@ import (
 
 	"pulphd/internal/hdc"
 	"pulphd/internal/model"
+	"pulphd/internal/obs"
 )
 
 // testConfig is a small model geometry that keeps these tests fast.
@@ -305,5 +306,74 @@ func TestRegistryAutoSnapshotCadence(t *testing.T) {
 	info, _ := r.ModelInfo("m")
 	if info.WALRecords != 1 || info.Generation != 7 {
 		t.Fatalf("after 7 learns at cadence 3: %+v", info)
+	}
+}
+
+// TestCleanEvictionWritesNothing pins that eviction writes a snapshot
+// only for a dirty model. A clean model's state already is its
+// snapshot plus an empty WAL, so evicting it must leave the .snap file
+// in place and the snapshot counter still; fault-in must still come
+// back byte-identical. One learn makes it dirty, and the next eviction
+// folds it in.
+func TestCleanEvictionWritesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	cfg := testConfig(hdc.BackendStored)
+	m := obs.NewRegistryMetrics()
+	r, err := Open(Config{Dir: t.TempDir(), ResidentBudget: 1, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.Create("m", cfg); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := r.Learn("m", "g", randomWindow(cfg, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Snapshot("m"); err != nil {
+		t.Fatal(err)
+	}
+	snapPath := filepath.Join(r.Dir(), "m.snap")
+	// evictAndReload evicts m under the 1-byte budget and faults it back
+	// in, reporting whether .snap is still the same file and how many
+	// snapshots the round trip wrote.
+	evictAndReload := func() (sameFile bool, snapshots int64) {
+		t.Helper()
+		sv := mustServing(t, r, "m")
+		want, wantGen := servingBytes(t, sv), sv.Generation()
+		before, err := os.Stat(snapPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps := m.Snapshots.Value()
+		r.EnforceBudget()
+		if info, _ := r.ModelInfo("m"); info.Resident {
+			t.Fatal("model still resident after EnforceBudget")
+		}
+		after, err := os.Stat(snapPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = m.Snapshots.Value() - snaps
+		sv = mustServing(t, r, "m")
+		if sv.Generation() != wantGen {
+			t.Fatalf("fault-in at generation %d, want %d", sv.Generation(), wantGen)
+		}
+		if !bytes.Equal(servingBytes(t, sv), want) {
+			t.Fatal("fault-in did not restore the evicted model byte-identically")
+		}
+		return os.SameFile(before, after), snaps
+	}
+
+	if same, snaps := evictAndReload(); !same || snaps != 0 {
+		t.Fatalf("clean eviction: snapshot file kept %v, snapshots written %d; want kept and 0", same, snaps)
+	}
+	if err := r.Learn("m", "g", randomWindow(cfg, rng)); err != nil {
+		t.Fatal(err)
+	}
+	if same, snaps := evictAndReload(); same || snaps != 1 {
+		t.Fatalf("dirty eviction: snapshot file kept %v, snapshots written %d; want replaced and 1", same, snaps)
 	}
 }

@@ -22,7 +22,9 @@ func spanNames(rec *obs.Spans) map[string]int {
 // write and recovery paths and asserts every lifecycle stage shows up
 // in the request timeline: wal.append and wal.fsync under a durable
 // learn, registry.snapshot when the cadence fires, registry.evict
-// under budget pressure, and registry.faultin / registry.recover when
+// under budget pressure (annotated with wal_records, and followed by a
+// registry.snapshot only when that count is non-zero), and
+// registry.faultin / registry.recover when
 // a cold model loads — plus the fsync and fault-in latency histograms
 // moving alongside.
 func TestLifecycleSpans(t *testing.T) {
@@ -96,4 +98,49 @@ func TestLifecycleSpans(t *testing.T) {
 	if names3["registry.evict"] == 0 {
 		t.Errorf("budget-pressure learn timeline lacks registry.evict span: %v", names3)
 	}
+	// emg's WAL was empty, so that eviction wrote no snapshot, and the
+	// evict span says why.
+	if got := evictWALRecords(t, rec3); got != 0 {
+		t.Errorf("clean eviction annotated wal_records=%d, want 0", got)
+	}
+	if names3["registry.snapshot"] != 0 {
+		t.Errorf("clean eviction wrote a snapshot: %v", names3)
+	}
+
+	// A learn leaves emg one WAL record; evicting it again folds that
+	// record into a snapshot inside the evicting request's timeline.
+	if err := r2.Learn("emg", "rest", randomWindow(cfg, rng)); err != nil {
+		t.Fatal(err)
+	}
+	rec4 := obs.NewSpans(64)
+	ctx4 := obs.WithSpans(context.Background(), rec4)
+	if err := r2.CorrectCtx(ctx4, "other", "fist", randomWindow(cfg, rng)); err != nil {
+		t.Fatal(err)
+	}
+	if got := evictWALRecords(t, rec4); got != 1 {
+		t.Errorf("dirty eviction annotated wal_records=%d, want 1", got)
+	}
+	if names4 := spanNames(rec4); names4["registry.snapshot"] == 0 {
+		t.Errorf("dirty eviction timeline lacks registry.snapshot span: %v", names4)
+	}
+}
+
+// evictWALRecords returns the wal_records annotation of the one
+// registry.evict span rec holds.
+func evictWALRecords(t *testing.T, rec *obs.Spans) int64 {
+	t.Helper()
+	for i := 0; i < rec.Len(); i++ {
+		sp := rec.Span(i)
+		if sp.Name != "registry.evict" {
+			continue
+		}
+		for _, a := range sp.Attrs {
+			if a.Key == "wal_records" {
+				return a.Value
+			}
+		}
+		t.Fatalf("registry.evict span lacks wal_records: %+v", sp.Attrs)
+	}
+	t.Fatal("no registry.evict span")
+	return 0
 }

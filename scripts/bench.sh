@@ -25,6 +25,11 @@ go test -run '^$' \
 go test -run '^$' \
   -bench 'BenchmarkParallelAMSearch$|BenchmarkParallelMajority$' \
   -benchmem -count "$COUNT" . "$@" | tee -a "$OUT"
+# Registry rung: one evict -> fault-in round trip per op, clean and
+# dirty, on both item-memory backends (writes snapshots to a temp dir).
+go test -run '^$' \
+  -bench 'BenchmarkRegistryEvictFaultIn$' \
+  -benchmem -count "$COUNT" ./internal/registry/ "$@" | tee -a "$OUT"
 
 # Stored-vs-remat encode comparison: appended to latest.txt so the
 # regression gate covers it, and condensed into BENCH_remat.json.

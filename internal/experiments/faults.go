@@ -68,12 +68,14 @@ func corruptedHDCopy(trained *hdc.Classifier, plat pulp.Platform, m fault.Model)
 		// identical to an aliasing Platform.Transfer at the same DMA
 		// sites), the rematerialized one composes the same masks into
 		// its generators. AM sites follow the IM sites; prototypes are
-		// always stored, so they transfer in place.
+		// always stored, so each transfers in place on a copy that
+		// SetPrototype installs.
 		cp.IM().CorruptTransfer(m)
 		base := cp.IM().Len()
-		for c := 0; c < cp.AM().Classes(); c++ {
+		for c, label := range labels {
 			v := cp.AM().Prototype(c)
 			p.Transfer(fault.SiteOf(fault.PointDMA, base+c), v.Words(), v.Words(), v.Dim())
+			cp.AM().SetPrototype(label, v)
 		}
 	}
 	return cp

@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"math/rand"
 	"testing"
 
 	"pulphd/internal/emg"
+	"pulphd/internal/fault"
 	"pulphd/internal/hdc"
+	"pulphd/internal/hdref"
+	"pulphd/internal/hv"
+	"pulphd/internal/pulp"
 )
 
 // sweepPrepared builds a small campaign for the robustness sweep.
@@ -131,5 +136,45 @@ func TestFaultSweepDeterministic(t *testing.T) {
 	}
 	if a.SVM[0] != b.SVM[0] {
 		t.Errorf("SVM: %.6f vs %.6f across reruns", a.SVM[0], b.SVM[0])
+	}
+}
+
+// TestCorruptedHDCopyWritesReachTheAM pins that both corruption passes
+// of corruptedHDCopy land in the AM the copy classifies with: the
+// stored-memory pass makes every prototype differ from the trained
+// one, the DMA pass of a platform with a DMA changes them again, and
+// the copy answers exactly as hdref.RefAM built over its Prototype
+// rows, on the test windows and on queries a few bits from each row.
+func TestCorruptedHDCopyWritesReachTheAM(t *testing.T) {
+	p := sweepPrepared(t)
+	sub := p.Subjects[0]
+	trained := trainHD(sub, hdConfigFor(p, 1000))
+	m := fault.Model{BER: 0.02, Seed: 11}
+	stored := corruptedHDCopy(trained, pulp.CortexM4Platform(), m)
+	dma := corruptedHDCopy(trained, pulp.WolfPlatform(8, true), m)
+	ref := &hdref.RefAM{Labels: dma.AM().Labels()}
+	for i := range ref.Labels {
+		clean, s, d := trained.AM().Prototype(i), stored.AM().Prototype(i), dma.AM().Prototype(i)
+		if hv.Equal(s, clean) {
+			t.Fatalf("prototype %d: the stored-memory pass left it clean", i)
+		}
+		if hv.Equal(d, s) {
+			t.Fatalf("prototype %d: the DMA pass left it unchanged", i)
+		}
+		ref.Prototypes = append(ref.Prototypes, d.Bits())
+	}
+	rng := rand.New(rand.NewSource(12))
+	var queries []hv.Vector
+	for i := range ref.Labels {
+		queries = append(queries, dma.AM().Prototype(i).FlipBits(3, rng))
+	}
+	for _, w := range sub.Test[:20] {
+		queries = append(queries, dma.EncodeWindow(w.Window))
+	}
+	for _, q := range queries {
+		wantLabel, wantDist := ref.Classify(q.Bits())
+		if label, dist := dma.AM().Classify(q); label != wantLabel || dist != wantDist {
+			t.Fatalf("copy answers (%s,%d), reference over Prototype (%s,%d)", label, dist, wantLabel, wantDist)
+		}
 	}
 }

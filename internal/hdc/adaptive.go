@@ -22,7 +22,7 @@ type AdaptiveMemory struct {
 	labels []string
 	votes  [][]float64 // decayed per-component vote mass toward 1
 	norms  []float64   // decayed total mass
-	protos []hv.Vector
+	protos *hv.Slab
 	dirty  []bool
 	rng    *rand.Rand
 }
@@ -37,7 +37,7 @@ func NewAdaptiveMemory(d int, decay float64, seed int64) *AdaptiveMemory {
 	if decay <= 0 || decay > 1 {
 		panic(fmt.Sprintf("hdc: NewAdaptiveMemory: decay %g outside (0,1]", decay))
 	}
-	return &AdaptiveMemory{d: d, decay: decay, rng: rand.New(rand.NewSource(seed))}
+	return &AdaptiveMemory{d: d, decay: decay, protos: hv.NewSlab(d, nil), rng: rand.New(rand.NewSource(seed))}
 }
 
 // Dim returns the prototype dimensionality.
@@ -70,7 +70,7 @@ func (am *AdaptiveMemory) Update(label string, encoded hv.Vector) {
 		am.labels = append(am.labels, label)
 		am.votes = append(am.votes, make([]float64, am.d))
 		am.norms = append(am.norms, 0)
-		am.protos = append(am.protos, hv.New(am.d))
+		am.protos = am.protos.With(i, hv.New(am.d))
 		am.dirty = append(am.dirty, false)
 	}
 	v := am.votes[i]
@@ -104,15 +104,16 @@ func (am *AdaptiveMemory) refresh() {
 				p.SetBit(c, 1)
 			}
 		}
-		am.protos[i] = p
+		am.protos = am.protos.With(i, p)
 		am.dirty[i] = false
 	}
 }
 
-// Prototype returns the current thresholded prototype of class i.
+// Prototype returns a copy of the current thresholded prototype of
+// class i.
 func (am *AdaptiveMemory) Prototype(i int) hv.Vector {
 	am.refresh()
-	return am.protos[i]
+	return am.protos.Row(i)
 }
 
 // Classify returns the nearest class and its Hamming distance.
@@ -124,6 +125,6 @@ func (am *AdaptiveMemory) Classify(query hv.Vector) (string, int) {
 		panic(fmt.Sprintf("hdc: AdaptiveMemory.Classify: dimension mismatch %d != %d", query.Dim(), am.d))
 	}
 	am.refresh()
-	best, dist := hv.Nearest(query, am.protos)
+	best, dist := am.protos.Nearest(query)
 	return am.labels[best], dist
 }

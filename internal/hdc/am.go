@@ -15,9 +15,11 @@ import (
 // ("the AM matrix can be continuously updated for on-line learning",
 // §3) through Update.
 type AssociativeMemory struct {
-	d          int
-	labels     []string
-	prototypes []hv.Vector
+	d      int
+	labels []string
+	// slab holds the prototypes; every write replaces it with a
+	// copy-on-write successor, so a slab once read is never changed.
+	slab *hv.Slab
 	// accumulators back incremental training; nil entries mean the
 	// prototype was installed directly and cannot be updated.
 	accum []*hv.Bundler
@@ -31,30 +33,32 @@ type AssociativeMemory struct {
 // prototypes. seed drives the majority tie-breaking during prototype
 // thresholding.
 func NewAssociativeMemory(d int, seed int64) *AssociativeMemory {
-	return &AssociativeMemory{d: d, rng: rand.New(rand.NewSource(seed))}
+	return &AssociativeMemory{d: d, slab: hv.NewSlab(d, nil), rng: rand.New(rand.NewSource(seed))}
 }
 
 // Dim returns the prototype dimensionality.
 func (am *AssociativeMemory) Dim() int { return am.d }
 
 // Classes returns the number of stored prototypes.
-func (am *AssociativeMemory) Classes() int { return len(am.prototypes) }
+func (am *AssociativeMemory) Classes() int { return len(am.labels) }
 
 // Labels returns the class labels in index order.
 func (am *AssociativeMemory) Labels() []string {
 	return append([]string(nil), am.labels...)
 }
 
-// Prototype returns the prototype hypervector of class index i.
+// Prototype returns a copy of the prototype hypervector of class
+// index i. Writing the copy does not change the AM; install it with
+// SetPrototype.
 func (am *AssociativeMemory) Prototype(i int) hv.Vector {
 	am.refresh()
-	return am.prototypes[i]
+	return am.slab.Row(i)
 }
 
 // SizeBytes returns the AM matrix footprint in bytes (5×313 words ≈
 // 7 kB for the 5-class EMG task at 10,000-D).
 func (am *AssociativeMemory) SizeBytes() int {
-	return len(am.prototypes) * hv.WordsFor(am.d) * 4
+	return amBytes(am.slab)
 }
 
 func (am *AssociativeMemory) index(label string) int {
@@ -78,7 +82,7 @@ func (am *AssociativeMemory) Update(label string, encoded hv.Vector) {
 	if i < 0 {
 		i = len(am.labels)
 		am.labels = append(am.labels, label)
-		am.prototypes = append(am.prototypes, hv.New(am.d))
+		am.slab = am.slab.With(i, hv.New(am.d))
 		am.accum = append(am.accum, hv.NewBundler(am.d))
 		am.dirty = append(am.dirty, false)
 	}
@@ -89,11 +93,12 @@ func (am *AssociativeMemory) Update(label string, encoded hv.Vector) {
 	am.dirty[i] = true
 }
 
-// refresh re-thresholds any prototype whose accumulator changed.
+// refresh re-thresholds any prototype whose accumulator changed,
+// straight into the slab, drawing ties from the AM's rng.
 func (am *AssociativeMemory) refresh() {
 	for i, d := range am.dirty {
 		if d {
-			am.prototypes[i] = am.accum[i].Vector(am.rng)
+			am.slab = am.slab.WithBundle(i, am.accum[i], am.rng)
 			am.dirty[i] = false
 		}
 	}
@@ -109,11 +114,10 @@ func (am *AssociativeMemory) SetPrototype(label string, proto hv.Vector) {
 	if i < 0 {
 		i = len(am.labels)
 		am.labels = append(am.labels, label)
-		am.prototypes = append(am.prototypes, hv.Vector{})
 		am.accum = append(am.accum, nil)
 		am.dirty = append(am.dirty, false)
 	}
-	am.prototypes[i] = proto.Clone()
+	am.slab = am.slab.With(i, proto)
 	am.accum[i] = nil
 	am.dirty[i] = false
 }
@@ -127,16 +131,16 @@ func (am *AssociativeMemory) Classify(query hv.Vector) (label string, distance i
 }
 
 // Nearest returns the index and Hamming distance of the closest
-// prototype (hv.Nearest: ties resolve to the lowest class index).
+// prototype (hv.Slab.Nearest: ties resolve to the lowest class index).
 func (am *AssociativeMemory) Nearest(query hv.Vector) (index, distance int) {
-	if len(am.prototypes) == 0 {
+	if len(am.labels) == 0 {
 		panic("hdc: AM.Classify on empty associative memory")
 	}
 	if query.Dim() != am.d {
 		panic(fmt.Sprintf("hdc: AM.Classify: dimension mismatch %d != %d", query.Dim(), am.d))
 	}
 	am.refresh()
-	return hv.Nearest(query, am.prototypes)
+	return am.slab.Nearest(query)
 }
 
 // Distances returns the Hamming distance from query to every
@@ -150,14 +154,7 @@ func (am *AssociativeMemory) Distances(query hv.Vector) []int {
 // back in and reach a steady state with no allocation.
 func (am *AssociativeMemory) DistancesTo(dst []int, query hv.Vector) []int {
 	am.refresh()
-	if cap(dst) < len(am.prototypes) {
-		dst = make([]int, len(am.prototypes))
-	}
-	dst = dst[:len(am.prototypes)]
-	for i, p := range am.prototypes {
-		dst[i] = hv.Hamming(query, p)
-	}
-	return dst
+	return am.slab.Distances(dst, query)
 }
 
 // InjectFaults flips n random components in every stored prototype,
@@ -171,8 +168,8 @@ func (am *AssociativeMemory) InjectFaults(n int, rng *rand.Rand) {
 	for i := range am.accum {
 		am.accum[i] = nil
 	}
-	for _, p := range am.prototypes {
-		p.FlipBits(n, rng)
+	for i := range am.labels {
+		am.slab = am.slab.With(i, am.slab.Row(i).FlipBits(n, rng))
 	}
 }
 
@@ -187,16 +184,16 @@ type Ranked struct {
 // classifier's decision confidence; robustness studies read it
 // directly.
 func (am *AssociativeMemory) Rank(query hv.Vector) []Ranked {
-	if len(am.prototypes) == 0 {
+	if len(am.labels) == 0 {
 		panic("hdc: AM.Rank on empty associative memory")
 	}
 	if query.Dim() != am.d {
 		panic(fmt.Sprintf("hdc: AM.Rank: dimension mismatch %d != %d", query.Dim(), am.d))
 	}
 	am.refresh()
-	out := make([]Ranked, len(am.prototypes))
-	for i, p := range am.prototypes {
-		out[i] = Ranked{Label: am.labels[i], Distance: hv.Hamming(query, p)}
+	out := make([]Ranked, len(am.labels))
+	for i, d := range am.slab.Distances(nil, query) {
+		out[i] = Ranked{Label: am.labels[i], Distance: d}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Distance < out[j].Distance })
 	return out

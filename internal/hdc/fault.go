@@ -74,8 +74,10 @@ func (am *AssociativeMemory) Corrupt(m fault.Model) int {
 		am.accum[i] = nil
 	}
 	flips := 0
-	for i, p := range am.prototypes {
+	for i := range am.labels {
+		p := am.slab.Row(i)
 		flips += m.CorruptVector(fault.SiteOf(fault.PointAM, i), p)
+		am.slab = am.slab.With(i, p)
 	}
 	return flips
 }

@@ -1,9 +1,11 @@
 package hdc
 
 import (
+	"math/rand"
 	"testing"
 
 	"pulphd/internal/fault"
+	"pulphd/internal/hdref"
 	"pulphd/internal/hv"
 )
 
@@ -108,5 +110,41 @@ func TestAMCorruptFreezesPrototypes(t *testing.T) {
 	// Reading again (which triggers refresh) must keep the faults.
 	if !hv.Equal(after, c.AM().Prototype(0)) {
 		t.Fatal("refresh reverted the corrupted prototype")
+	}
+}
+
+// TestFaultWritersReachTheAM pins that the prototype writers corrupt
+// the rows the AM classifies with, not a copy: after InjectBitErrors
+// and InjectFaults at a nonzero rate, every row Prototype returns
+// differs from its clean row, and the AM answers exactly as
+// hdref.RefAM built over those rows, on queries a few bits from each
+// corrupted row.
+func TestFaultWritersReachTheAM(t *testing.T) {
+	for name, inject := range map[string]func(c *Classifier){
+		"InjectBitErrors": func(c *Classifier) { c.InjectBitErrors(fault.Model{BER: 0.05, Seed: 9}) },
+		"InjectFaults":    func(c *Classifier) { c.AM().InjectFaults(100, rand.New(rand.NewSource(9))) },
+	} {
+		c, _ := trainedToy(t)
+		clean := make([]hv.Vector, c.AM().Classes())
+		for i := range clean {
+			clean[i] = c.AM().Prototype(i)
+		}
+		inject(c)
+		ref := &hdref.RefAM{Labels: c.AM().Labels()}
+		for i := range clean {
+			p := c.AM().Prototype(i)
+			if hv.Equal(p, clean[i]) {
+				t.Fatalf("%s left prototype %d clean", name, i)
+			}
+			ref.Prototypes = append(ref.Prototypes, p.Bits())
+		}
+		rng := rand.New(rand.NewSource(10))
+		for i := range clean {
+			q := c.AM().Prototype(i).FlipBits(3, rng)
+			wantLabel, wantDist := ref.Classify(q.Bits())
+			if label, dist := c.AM().Classify(q); label != wantLabel || dist != wantDist {
+				t.Fatalf("%s: AM answers (%s,%d), reference over Prototype (%s,%d)", name, label, dist, wantLabel, wantDist)
+			}
+		}
 	}
 }

@@ -17,7 +17,8 @@ import (
 // (§3) safe under concurrent query traffic. The model is published as
 // immutable generations behind an atomic pointer — Learn accumulates
 // into the class bundler and rebinarizes that class (the paper's
-// one-shot training), then swaps in a fresh ShardedAM without ever
+// one-shot training) straight into a copy of its 8-class slab block,
+// then swaps in a generation sharing every other block, without ever
 // mutating the one in-flight predicts are reading.
 //
 // Invariants (tested by the race/property layers):
@@ -29,10 +30,25 @@ import (
 //     the accelerator's rule, so no rng stream is involved: replaying
 //     the same Learn sequence publishes identical prototypes.
 
-// generation is one immutable published model snapshot.
+// generation is one immutable published model snapshot: the class
+// labels and their prototypes in class-index order. labels is a prefix
+// of the learner's append-only label slice, so a publish copies no
+// labels; am is searched by hv.Slab.Nearest, the scan AssociativeMemory
+// and AdaptiveMemory share. The PULP cluster parallelizes inside each
+// prototype's words (parallel.AMSearch); at the paper's 5 classes a
+// whole scan is a few microseconds, so the serving layer runs it
+// serially on the caller.
 type generation struct {
-	id uint64
-	am *ShardedAM
+	id     uint64
+	labels []string
+	am     *hv.Slab
+}
+
+// newGeneration returns generation id over am and labels, a slice the
+// learner only appends to. The generation's slice is capped at its
+// length, so no append through it can reach the learner's array.
+func newGeneration(id uint64, labels []string, am *hv.Slab) *generation {
+	return &generation{id: id, labels: labels[:len(labels):len(labels)], am: am}
 }
 
 // Serving is a hot-swappable HD classifier: any number of goroutines
@@ -47,9 +63,13 @@ type Serving struct {
 
 	gen atomic.Pointer[generation]
 
-	// mu serializes learners; readers never take it.
+	// mu serializes learners; readers never take it. labels only
+	// grows: a published generation reads a prefix of it, whose
+	// elements are never written again. index maps a label to its
+	// class index.
 	mu     sync.Mutex
 	labels []string
+	index  map[string]int
 	accum  []*hv.Bundler // nil entry: fixed prototype, not learnable
 
 	sessions sync.Pool
@@ -67,8 +87,8 @@ func NewServing(cfg Config, shards int) (*Serving, error) {
 		return nil, err
 	}
 	im, cim := servingTables(cfg)
-	sv := &Serving{cfg: cfg, im: im, cim: cim}
-	sv.gen.Store(&generation{id: 0, am: NewShardedAM(cfg.D, nil, nil)})
+	sv := &Serving{cfg: cfg, im: im, cim: cim, index: map[string]int{}}
+	sv.gen.Store(newGeneration(0, nil, hv.NewSlab(cfg.D, nil)))
 	return sv, nil
 }
 
@@ -105,29 +125,35 @@ func servingTables(cfg Config) (*ItemMemory, *ContinuousItemMemory) {
 }
 
 // Serving snapshots a trained classifier into a serving instance:
-// generation 0 holds copies of the current prototypes, and the class
-// accumulators are cloned so online learning continues from the
-// trained counts. The serving instance shares the classifier's
-// read-only item memories but is otherwise detached — training either
-// side afterwards does not affect the other. Classes with fixed
-// prototypes (SetPrototype, Truncated) serve but reject Learn.
+// generation 0 holds the current prototypes (the classifier's slab,
+// which neither side ever writes), and the class accumulators are
+// cloned so online learning continues from the trained counts. The
+// serving instance shares the classifier's read-only item memories but
+// is otherwise detached — training either side afterwards does not
+// affect the other. Classes with fixed prototypes (SetPrototype,
+// Truncated) serve but reject Learn.
 func (c *Classifier) Serving() *Serving {
 	sv := &Serving{cfg: c.cfg, im: c.im, cim: c.cim}
 	c.am.refresh()
 	sv.labels = append([]string(nil), c.am.labels...)
-	protos := make([]hv.Vector, len(c.am.prototypes))
-	for i, p := range c.am.prototypes {
-		protos[i] = p.Clone()
-	}
+	sv.index = indexLabels(sv.labels)
 	sv.accum = make([]*hv.Bundler, len(c.am.accum))
 	for i, b := range c.am.accum {
 		if b != nil {
 			sv.accum[i] = b.Clone()
 		}
 	}
-	labels := append([]string(nil), sv.labels...)
-	sv.gen.Store(&generation{id: 0, am: NewShardedAM(c.cfg.D, labels, protos)})
+	sv.gen.Store(newGeneration(0, sv.labels, c.am.slab))
 	return sv
+}
+
+// indexLabels maps each label to its index.
+func indexLabels(labels []string) map[string]int {
+	index := make(map[string]int, len(labels))
+	for i, l := range labels {
+		index[l] = i
+	}
+	return index
 }
 
 // Config returns the classifier configuration.
@@ -138,16 +164,12 @@ func (sv *Serving) Config() Config { return sv.cfg }
 func (sv *Serving) Generation() uint64 { return sv.gen.Load().id }
 
 // Classes returns the class count of the published generation.
-func (sv *Serving) Classes() int { return sv.gen.Load().am.Classes() }
+func (sv *Serving) Classes() int { return sv.gen.Load().am.Len() }
 
 // Labels returns the class labels of the published generation.
 func (sv *Serving) Labels() []string {
-	return append([]string(nil), sv.gen.Load().am.labels...)
+	return append([]string(nil), sv.gen.Load().labels...)
 }
-
-// AM returns the published generation's associative memory. It is
-// immutable; any number of goroutines may search it.
-func (sv *Serving) AM() *ShardedAM { return sv.gen.Load().am }
 
 // ResidentBytes returns the resident model footprint of the published
 // generation in bytes: item memory + continuous item memory + AM
@@ -158,7 +180,15 @@ func (sv *Serving) AM() *ShardedAM { return sv.gen.Load().am }
 // resident-bytes budget does not depend on which models happen to
 // share.
 func (sv *Serving) ResidentBytes() int {
-	return sv.im.SizeBytes() + sv.cim.SizeBytes() + sv.gen.Load().am.SizeBytes()
+	return sv.im.SizeBytes() + sv.cim.SizeBytes() + amBytes(sv.gen.Load().am)
+}
+
+// amBytes is the logical prototype footprint of am: WordsFor(d) packed
+// words per class. The slab's padding to whole steps and the empty
+// lanes of its last block are not counted, so resident-byte budgets
+// read the same for any layout.
+func amBytes(am *hv.Slab) int {
+	return am.Len() * hv.WordsFor(am.Dim()) * 4
 }
 
 // ValidateWindow reports whether window has the shape the encoders
@@ -187,8 +217,10 @@ func (sv *Serving) Learn(label string, window [][]float64) error {
 // LearnCtx folds one label-corrected window into the model and
 // publishes a new generation: accumulate into the class bundler,
 // rebinarize that class (majority threshold, ties deterministically
-// 0), copy-on-write the prototype table, swap the pointer. In-flight
-// predicts keep reading the old generation; no reader is ever blocked.
+// 0) into a copy of its slab block, swap the pointer. A publish copies
+// one 8-class block and the block-pointer slice; labels are shared.
+// In-flight predicts keep reading the old generation; no reader is
+// ever blocked.
 // When ctx carries an obs.Spans recorder the encode and the
 // publication record as learn.encode and learn.publish spans under the
 // recorder's staged parent.
@@ -214,16 +246,11 @@ func (sv *Serving) LearnCtx(ctx context.Context, label string, window [][]float6
 	pub := rec.Start("learn.publish", rec.Parent())
 	defer rec.End(pub)
 	sv.mu.Lock()
-	i := -1
-	for j, l := range sv.labels {
-		if l == label {
-			i = j
-			break
-		}
-	}
-	if i < 0 {
+	i, ok := sv.index[label]
+	if !ok {
 		i = len(sv.labels)
 		sv.labels = append(sv.labels, label)
+		sv.index[label] = i
 		sv.accum = append(sv.accum, hv.NewBundler(sv.cfg.D))
 	}
 	if sv.accum[i] == nil {
@@ -231,21 +258,15 @@ func (sv *Serving) LearnCtx(ctx context.Context, label string, window [][]float6
 		return fmt.Errorf("hdc: Learn: class %q has a fixed prototype", label)
 	}
 	sv.accum[i].Add(ses.ctx.query)
-	proto := sv.accum[i].Vector(nil)
-
 	old := sv.gen.Load()
-	labels := append([]string(nil), sv.labels...)
-	protos := make([]hv.Vector, len(sv.labels))
-	copy(protos, old.am.protos)
-	protos[i] = proto
-	next := &generation{id: old.id + 1, am: NewShardedAM(sv.cfg.D, labels, protos)}
+	next := newGeneration(old.id+1, sv.labels, old.am.WithBundle(i, sv.accum[i], nil))
 	sv.gen.Store(next)
 	sv.mu.Unlock()
 	rec.Annotate(pub, "generation", int64(next.id))
-	rec.Annotate(pub, "classes", int64(next.am.Classes()))
+	rec.Annotate(pub, "classes", int64(next.am.Len()))
 	if m != nil {
-		m.RecordPublish(next.id, next.am.Classes(), time.Since(start))
-		m.RecordFootprint(sv.im.SizeBytes() + sv.cim.SizeBytes() + next.am.SizeBytes())
+		m.RecordPublish(next.id, next.am.Len(), time.Since(start))
+		m.RecordFootprint(sv.im.SizeBytes() + sv.cim.SizeBytes() + amBytes(next.am))
 	}
 	return nil
 }
@@ -317,7 +338,7 @@ func (s *Session) PredictCtx(ctx context.Context, pool *parallel.Pool, window []
 func (s *Session) predict(rec *obs.Spans, m *obs.InferenceMetrics, window [][]float64) (string, int, uint64) {
 	gen := s.sv.gen.Load()
 	am := gen.am
-	if am.Classes() == 0 {
+	if am.Len() == 0 {
 		panic("hdc: Serving.Predict with no classes")
 	}
 	var start, encoded time.Time
@@ -332,7 +353,7 @@ func (s *Session) predict(rec *obs.Spans, m *obs.InferenceMetrics, window [][]fl
 		encoded = time.Now()
 	}
 	search := rec.Start("am.search", root)
-	rec.Annotate(search, "classes", int64(am.Classes()))
+	rec.Annotate(search, "classes", int64(am.Len()))
 	rec.Annotate(search, "generation", int64(gen.id))
 	idx, dist := am.Nearest(s.ctx.query)
 	rec.End(search)
@@ -342,16 +363,15 @@ func (s *Session) predict(rec *obs.Spans, m *obs.InferenceMetrics, window [][]fl
 		m.RecordStages(encoded.Sub(start), done.Sub(encoded))
 		m.RecordPredict(done.Sub(start))
 	}
-	return am.labels[idx], dist, gen.id
+	return gen.labels[idx], dist, gen.id
 }
 
 // PredictBatch classifies every window in order against the current
 // generation. Results land in out, grown only when its capacity is
 // short, so steady-state callers allocate nothing. Each window is
 // classified against the generation current at its turn; a Learn
-// landing midway applies to the remaining windows — batch callers who
-// need one consistent snapshot classify against AM() directly. With a
-// metrics sink installed the call records as one batch.
+// landing midway applies to the remaining windows. With a metrics sink
+// installed the call records as one batch.
 func (s *Session) PredictBatch(windows [][][]float64, out []Prediction) []Prediction {
 	m := metrics()
 	var start time.Time

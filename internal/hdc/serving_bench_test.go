@@ -41,7 +41,7 @@ func BenchmarkServingPredictUnsharded(b *testing.B) {
 // BenchmarkServingSearchUnsharded isolates the AM search (no encode).
 func BenchmarkServingSearchUnsharded(b *testing.B) {
 	sv, _ := benchServing(b, 256)
-	am := sv.AM()
+	am := sv.gen.Load().am
 	query := hv.NewRandom(sv.Config().D, rand.New(rand.NewSource(2)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -52,12 +52,12 @@ func BenchmarkServingSearchUnsharded(b *testing.B) {
 
 // BenchmarkServingSearchNear is BenchmarkServingSearchUnsharded with a
 // learned window's encoding as the query, the shape serving traffic
-// has: once the scan meets the query's own class, the bound stops every
-// later prototype after its first checked step. The random query above
-// is ≈ d/2 from every class, which the bound cannot prune.
+// has: once the scan meets the query's own class, every later block is
+// dropped after its first few steps. The random query above is ≈ d/2
+// from every class, which the scan cannot drop early.
 func BenchmarkServingSearchNear(b *testing.B) {
 	sv, samples := benchServing(b, 256)
-	am := sv.AM()
+	am := sv.gen.Load().am
 	ses := sv.NewSession()
 	ses.ctx.encodeTo(ses.ctx.query, samples[len(samples)/2].Window, sv.cfg.NGram)
 	query := ses.ctx.query
@@ -76,6 +76,21 @@ func BenchmarkServingLearn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := sv.Learn(samples[0].Label, samples[0].Window); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServingLearnWide is BenchmarkServingLearn at the wide-am
+// workload's 1,029 classes, where the cost of a publish that grows
+// with the class count shows: the learned class is the last one.
+func BenchmarkServingLearnWide(b *testing.B) {
+	sv, samples := benchServing(b, 1029)
+	s := samples[len(samples)-1]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sv.Learn(s.Label, s.Window); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -131,3 +131,63 @@ func TestServingConcurrentPredictLearn(t *testing.T) {
 		})
 	}
 }
+
+// TestServingNewClassesUnderReaders pins the shared label slice and
+// the appended slab blocks under the race detector: a learner adds 40
+// new classes, so the label slice grows past several capacities and
+// the slab past several 8-class blocks, while readers predict and read
+// the published labels. Every answer must name a class the generation
+// it came from already held: a label index never runs past the
+// labels a generation carries.
+func TestServingNewClassesUnderReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cfg := servingConfig()
+	sv, err := NewServing(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := syntheticSamples(cfg, 41, 41, rng)
+	if err := sv.Learn(samples[0].Label, samples[0].Window); err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	var wg, started sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		started.Add(1)
+		go func() {
+			defer wg.Done()
+			ses := sv.NewSession()
+			sv.Predict(samples[0].Window)
+			started.Done()
+			for i := 0; !stop.Load(); i++ {
+				label, _, gen := sv.PredictCtx(context.Background(), samples[i%len(samples)].Window)
+				if label == "" || gen == 0 {
+					t.Errorf("read (%q, generation %d)", label, gen)
+					return
+				}
+				ses.PredictBatch([][][]float64{samples[0].Window}, nil)
+				if labels := sv.Labels(); len(labels) < 1 || labels[0] != samples[0].Label {
+					t.Errorf("published labels %v", labels)
+					return
+				}
+			}
+		}()
+	}
+	started.Wait()
+	for _, s := range samples[1:] {
+		if err := sv.Learn(s.Label, s.Window); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if sv.Classes() != len(samples) {
+		t.Fatalf("classes %d, want %d", sv.Classes(), len(samples))
+	}
+	for i, s := range samples {
+		if label, dist := sv.Predict(s.Window); label != s.Label || dist != 0 {
+			t.Fatalf("class %d: predicts (%q,%d), want (%q,0)", i, label, dist, s.Label)
+		}
+	}
+}

@@ -50,7 +50,7 @@ func (sv *Serving) State() ServingState {
 	st := ServingState{Generation: gen.id}
 	st.Classes = make([]ServingClassState, len(sv.labels))
 	for i, label := range sv.labels {
-		cs := ServingClassState{Label: label, Prototype: gen.am.protos[i].Clone()}
+		cs := ServingClassState{Label: label, Prototype: gen.am.Row(i)}
 		if sv.accum[i] != nil {
 			cs.Learnable = true
 			cs.AccumCount, cs.AccumPlanes = sv.accum[i].State()
@@ -75,21 +75,20 @@ func NewServingFromState(cfg Config, st ServingState) (*Serving, error) {
 	}
 	labels := make([]string, len(st.Classes))
 	protos := make([]hv.Vector, len(st.Classes))
-	seen := make(map[string]bool, len(st.Classes))
 	sv.accum = make([]*hv.Bundler, len(st.Classes))
 	for i, cs := range st.Classes {
 		if cs.Label == "" {
 			return nil, fmt.Errorf("hdc: NewServingFromState: class %d has an empty label", i)
 		}
-		if seen[cs.Label] {
+		if _, dup := sv.index[cs.Label]; dup {
 			return nil, fmt.Errorf("hdc: NewServingFromState: duplicate label %q", cs.Label)
 		}
-		seen[cs.Label] = true
+		sv.index[cs.Label] = i
 		if cs.Prototype.Dim() != cfg.D {
 			return nil, fmt.Errorf("hdc: NewServingFromState: class %q prototype dimension %d != %d", cs.Label, cs.Prototype.Dim(), cfg.D)
 		}
 		labels[i] = cs.Label
-		protos[i] = cs.Prototype.Clone()
+		protos[i] = cs.Prototype
 		if cs.Learnable {
 			if cs.AccumCount < 1 {
 				return nil, fmt.Errorf("hdc: NewServingFromState: learnable class %q has count %d", cs.Label, cs.AccumCount)
@@ -102,6 +101,6 @@ func NewServingFromState(cfg Config, st ServingState) (*Serving, error) {
 		}
 	}
 	sv.labels = labels
-	sv.gen.Store(&generation{id: st.Generation, am: NewShardedAM(cfg.D, append([]string(nil), labels...), protos)})
+	sv.gen.Store(newGeneration(st.Generation, labels, hv.NewSlab(cfg.D, protos)))
 	return sv, nil
 }

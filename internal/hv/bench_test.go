@@ -48,6 +48,49 @@ func BenchmarkHammingPortable(b *testing.B) {
 	BenchmarkHamming(b)
 }
 
+// wideAM returns the rows and query of the nearest-row rungs, shaped
+// like the wide-am workload's associative memory: 1,029 rows at
+// 10,000-D, where the query's own class sits among the first five rows
+// at 250–290 bits and every other row is a distractor at
+// 1,100–2,000 bits.
+func wideAM() (rows []Vector, q Vector) {
+	rng := rand.New(rand.NewSource(1))
+	q = NewRandom(10000, rng)
+	rows = make([]Vector, 1029)
+	for i := range rows {
+		flips := 1100 + rng.Intn(901)
+		if i == 2 {
+			flips = 250 + rng.Intn(41)
+		}
+		rows[i] = q.Clone().FlipBits(flips, rng)
+	}
+	return rows, q
+}
+
+// BenchmarkNearest is one associative-memory scan on the host's
+// kernel over wideAM's rows: the AM search of a wide-am predict.
+func BenchmarkNearest(b *testing.B) {
+	rows, q := wideAM()
+	s := NewSlab(10000, rows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink int
+	for i := 0; i < b.N; i++ {
+		idx, _ := s.Nearest(q)
+		sink += idx
+	}
+	_ = sink
+}
+
+// BenchmarkNearestPortable is BenchmarkNearest with the Go loop
+// forced, the scan every host without AVX-512 VPOPCNTDQ runs.
+func BenchmarkNearestPortable(b *testing.B) {
+	host := useVPOPCNTDQ
+	useVPOPCNTDQ = false
+	defer func() { useVPOPCNTDQ = host }()
+	BenchmarkNearest(b)
+}
+
 func BenchmarkCountOnes(b *testing.B) {
 	vs := benchVecs(1)
 	b.ReportAllocs()

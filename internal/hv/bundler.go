@@ -194,33 +194,46 @@ func (b *Bundler) Vector(rng *rand.Rand) Vector {
 // flip per tied component in ascending component order, so the rng
 // stream matches Vector exactly.
 func (b *Bundler) VectorTo(dst Vector, rng *rand.Rand) {
-	if b.n == 0 {
-		panic("hv: Bundler.Vector: no vectors added")
-	}
 	if dst.d != b.d {
 		panic(fmt.Sprintf("hv: Bundler.VectorTo: dimension mismatch %d != %d", dst.d, b.d))
 	}
-	threshold := uint64(b.n / 2)
-	ties := b.n%2 == 0 && rng != nil
+	t := b.threshold()
 	var colbuf [64]uint64
 	col := colbuf[:len(b.planes)]
 	for j := 0; j < b.nw64; j++ {
-		for p, plane := range b.planes {
-			col[p] = plane[j]
-		}
-		gt, eq := compare64(col, threshold)
-		if ties {
-			// A position beyond the dimension holds count 0 < n/2, so
-			// eq can never reach into the masked tail.
-			for m := eq; m != 0; m &= m - 1 {
-				if rng.Intn(2) == 1 {
-					gt |= 1 << uint(bits.TrailingZeros64(m))
-				}
-			}
-		}
+		gt := b.word(j, col, t, rng)
 		dst.words[2*j] = uint32(gt)
 		if 2*j+1 < b.nw {
 			dst.words[2*j+1] = uint32(gt >> 32)
 		}
 	}
+}
+
+// threshold returns the count a component must exceed to be 1, and
+// panics if nothing has been added.
+func (b *Bundler) threshold() uint64 {
+	if b.n == 0 {
+		panic("hv: Bundler.Vector: no vectors added")
+	}
+	return uint64(b.n / 2)
+}
+
+// word returns uint64 word j (components 64j…64j+63) of the
+// thresholded prototype, using col (len(b.planes) long) as scratch.
+// Exact ties at an even count take one rng flip each, lowest component
+// first; a nil rng leaves them 0. Components beyond the dimension hold
+// count 0, below any threshold and any tie, so they come out 0.
+func (b *Bundler) word(j int, col []uint64, t uint64, rng *rand.Rand) uint64 {
+	for p, plane := range b.planes {
+		col[p] = plane[j]
+	}
+	gt, eq := compare64(col, t)
+	if rng != nil && b.n%2 == 0 {
+		for m := eq; m != 0; m &= m - 1 {
+			if rng.Intn(2) == 1 {
+				gt |= 1 << uint(bits.TrailingZeros64(m))
+			}
+		}
+	}
+	return gt
 }

@@ -1,6 +1,8 @@
 package hv
 
 import (
+	"math/rand"
+	"strconv"
 	"testing"
 
 	"pulphd/internal/hdref"
@@ -67,35 +69,83 @@ func FuzzMajorityAgainstReference(f *testing.F) {
 
 // FuzzHammingAgainstReference cross-checks both Hamming kernels
 // against the unpacked golden model at arbitrary dimensions (up to
-// 188 words: two 32-pair vector steps plus every tail shape) and
-// bounds: HammingWords must match exactly, and hammingWithin must be
-// exact below its bound and at or above it otherwise.
+// 188 words: two 32-pair vector steps plus every tail shape).
 func FuzzHammingAgainstReference(f *testing.F) {
-	f.Add([]byte{0xff, 0x01}, []byte{0x0f}, uint16(13), uint16(5))
-	f.Add([]byte{0xaa, 0x55, 0x00}, []byte{0x55}, uint16(5999), uint16(900))
-	f.Add([]byte{0x12, 0x34}, []byte{0x12, 0x35}, uint16(4097), uint16(0))
-	f.Fuzz(func(t *testing.T, rawA, rawB []byte, dRaw, boundRaw uint16) {
+	f.Add([]byte{0xff, 0x01}, []byte{0x0f}, uint16(13))
+	f.Add([]byte{0xaa, 0x55, 0x00}, []byte{0x55}, uint16(5999))
+	f.Add([]byte{0x12, 0x34}, []byte{0x12, 0x35}, uint16(4097))
+	f.Fuzz(func(t *testing.T, rawA, rawB []byte, dRaw uint16) {
 		d := int(dRaw)%6000 + 1
-		// Component i is bit i%8 of raw byte i/8, the raw bytes
-		// repeating to fill the dimension.
-		unpack := func(raw []byte) []byte {
-			bits := make([]byte, d)
-			for i := range bits {
-				if len(raw) > 0 {
-					bits[i] = raw[(i/8)%len(raw)] >> (uint(i) % 8) & 1
-				}
-			}
-			return bits
-		}
-		ba, bb := unpack(rawA), unpack(rawB)
+		ba, bb := unpackRaw(rawA, d), unpackRaw(rawB, d)
 		a, b := FromBits(ba), FromBits(bb)
 		want := hdref.Hamming(hdref.Bits(ba), hdref.Bits(bb))
-		bound := int(boundRaw) % (d + 2)
 		forEachHammingKernel(t, func(t *testing.T) {
 			if got := Hamming(a, b); got != want {
 				t.Fatalf("d=%d: Hamming=%d, reference %d", d, got, want)
 			}
-			checkWithin(t, a.words, b.words, want, bound)
+		})
+	})
+}
+
+// unpackRaw expands fuzz bytes to d components: component i is bit
+// i%8 of raw byte i/8, the raw bytes repeating to fill the dimension.
+func unpackRaw(raw []byte, d int) []byte {
+	bits := make([]byte, d)
+	for i := range bits {
+		if len(raw) > 0 {
+			bits[i] = raw[(i/8)%len(raw)] >> (uint(i) % 8) & 1
+		}
+	}
+	return bits
+}
+
+// FuzzNearestAgainstReference cross-checks Slab.Nearest on both
+// kernels against the golden model's AM (hdref.RefAM: a per-bit
+// Hamming argmin, ties to the lowest index). The fuzzer picks the
+// dimension, the row count (1–40, so every partial last block occurs),
+// the bytes of a seed row and of the query, and an rng seed. Every row
+// is the seed row with a few bits flipped, or a copy of an earlier row,
+// so duplicates occur within and across blocks; an even seed replaces
+// the query by a near one, so the scan drops blocks at every step.
+func FuzzNearestAgainstReference(f *testing.F) {
+	f.Add([]byte{0xff, 0x01}, []byte{0x0f}, uint16(13), uint8(3), int64(1))
+	f.Add([]byte{0xaa, 0x55, 0x00}, []byte{0xaa, 0x54}, uint16(9999), uint8(40), int64(2))
+	f.Add([]byte{0x12, 0x34}, []byte{0x12, 0x35}, uint16(1025), uint8(17), int64(3))
+	f.Fuzz(func(t *testing.T, rawQ, rawRow []byte, dRaw uint16, nRaw uint8, seed int64) {
+		d := int(dRaw)%10000 + 1
+		n := int(nRaw)%40 + 1
+		rng := rand.New(rand.NewSource(seed))
+		base := unpackRaw(rawRow, d)
+		q := unpackRaw(rawQ, d)
+		if seed%2 == 0 {
+			// A near query: the seed row with a few bits flipped.
+			q = append([]byte(nil), base...)
+			for k := rng.Intn(d/64 + 2); k > 0; k-- {
+				q[rng.Intn(d)] ^= 1
+			}
+		}
+		ref := hdref.RefAM{}
+		rows := make([]Vector, n)
+		for i := range rows {
+			row := append([]byte(nil), base...)
+			if i > 0 && rng.Intn(3) == 0 {
+				row = ref.Prototypes[rng.Intn(i)]
+			} else {
+				for k := rng.Intn(2 * (d/64 + 1)); k > 0; k-- {
+					row[rng.Intn(d)] ^= 1
+				}
+			}
+			rows[i] = FromBits(row)
+			ref.Labels = append(ref.Labels, strconv.Itoa(i))
+			ref.Prototypes = append(ref.Prototypes, row)
+		}
+		s := NewSlab(d, rows)
+		wantLabel, wantDist := ref.Classify(q)
+		query := FromBits(q)
+		forEachHammingKernel(t, func(t *testing.T) {
+			if idx, dist := s.Nearest(query); strconv.Itoa(idx) != wantLabel || dist != wantDist {
+				t.Fatalf("d=%d rows=%d: Nearest=(%d,%d), reference (%s,%d)", d, n, idx, dist, wantLabel, wantDist)
+			}
 		})
 	})
 }

@@ -2,10 +2,10 @@ package hv
 
 import "math/bits"
 
-// useVPOPCNTDQ selects the AVX-512 VPOPCNTDQ Hamming kernel. It is set
-// once, at init, from CPUID and XGETBV, and nothing else sets it: no
-// flag, environment variable or build tag. The kernel tests flip it to
-// run every case through both kernels.
+// useVPOPCNTDQ selects the AVX-512 VPOPCNTDQ kernels of HammingWords
+// and Slab.Nearest. It is set once, at init, from CPUID and XGETBV, and
+// nothing else sets it: no flag, environment variable or build tag. The
+// kernel tests flip it to run every case through both kernels.
 var useVPOPCNTDQ = hasVPOPCNTDQ()
 
 // hasVPOPCNTDQ reports whether the CPU has AVX512F and
@@ -30,23 +30,29 @@ func hasVPOPCNTDQ() bool {
 	return ebx7&avx512f != 0 && ecx7&vpopcntdq != 0
 }
 
-// hammingWithin returns the number of differing bits between a and
-// the first len(a) words of b. It is exact when that distance is below
-// bound; otherwise it may stop early and return any value ≥ bound.
-// The word pairs go to the VPOPCNTDQ kernel when the host has it,
-// which reads them unaligned, so odd-offset subslices take the vector
-// path too; a trailing odd word is counted here.
-func hammingWithin(a, b []uint32, bound int) int {
+// hamming returns the number of differing bits between a and b, which
+// have equal length. The word pairs go to the VPOPCNTDQ kernel when
+// the host has it, which reads them unaligned, so odd-offset subslices
+// take the vector path too; a trailing odd word is counted here.
+func hamming(a, b []uint32) int {
 	n := len(a)
 	if !useVPOPCNTDQ || n < 2 {
-		return hammingPortable(a, b, bound)
+		return hammingPortable(a, b)
 	}
-	b = b[:n]
-	total := hammingVPOPCNTDQ(&a[0], &b[0], n/2, bound)
+	total := hammingVPOPCNTDQ(&a[0], &b[0], n/2)
 	if n%2 == 1 {
 		total += bits.OnesCount32(a[n-1] ^ b[n-1])
 	}
 	return total
+}
+
+// nearest is Slab.Nearest's scan of query words q over blocks, whose
+// last block holds lanes rows, on the host's kernel.
+func nearest(q []uint32, blocks [][]uint64, lanes int) (index, distance int) {
+	if !useVPOPCNTDQ {
+		return nearestPortable(q, blocks, lanes)
+	}
+	return nearestVPOPCNTDQ(&q[0], len(q), &blocks[0], len(blocks), lanes)
 }
 
 // The functions below are implemented in hamming_amd64.s.
@@ -58,11 +64,22 @@ func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // hammingVPOPCNTDQ popcounts a^b over n word pairs (2n packed words,
-// read as uint64s at any alignment) under hammingWithin's bound
-// contract. It scores 32 pairs per step with four 512-bit VPOPCNTQ and
-// returns once the running count reaches bound; the pairs after the
-// last full step run through 8-pair vector steps and a scalar POPCNTQ
-// tail without a check.
+// read as uint64s at any alignment): 32 pairs per step with four
+// 512-bit VPOPCNTQ into one vector of lane sums, then 8-pair steps, one
+// horizontal sum and a scalar POPCNTQ tail.
 //
 //go:noescape
-func hammingVPOPCNTDQ(a, b *uint32, n, bound int) int
+func hammingVPOPCNTDQ(a, b *uint32, n int) int
+
+// nearestVPOPCNTDQ is nearestPortable in one call: q points at the
+// query's nw packed words, blocks at the slab's nblocks blocks, and
+// lanes counts the rows of the last block. Per block it broadcasts
+// each query uint64, XORs it with the block's line and adds the
+// VPOPCNTQ of the eight lanes into one vector of partial distances;
+// after every 8-word (512-bit) step, and after the tail words, one
+// unsigned compare against the broadcast best drops the block when no
+// lane is below it. The packed words are read only up to nw: an odd
+// last word is loaded as 32 bits.
+//
+//go:noescape
+func nearestVPOPCNTDQ(q *uint32, nw int, blocks *[]uint64, nblocks, lanes int) (index, distance int)

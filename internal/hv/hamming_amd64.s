@@ -30,22 +30,21 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VMOVQ         X0, DX; \
 	ADDQ          DX, AX
 
-// func hammingVPOPCNTDQ(a, b *uint32, n, bound int) int
+// func hammingVPOPCNTDQ(a, b *uint32, n int) int
 //
-// SI, DI walk a and b; CX counts the word pairs left; R8 holds the
-// bound; AX is the running distance.
-TEXT ·hammingVPOPCNTDQ(SB), NOSPLIT, $0-40
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ n+16(FP), CX
-	MOVQ bound+24(FP), R8
-	XORQ AX, AX
-	CMPQ CX, $32
-	JB   rest
+// SI, DI walk a and b; CX counts the word pairs left; Z4 sums the
+// lanes; AX is the distance.
+TEXT ·hammingVPOPCNTDQ(SB), NOSPLIT, $0-32
+	MOVQ   a+0(FP), SI
+	MOVQ   b+8(FP), DI
+	MOVQ   n+16(FP), CX
+	XORQ   AX, AX
+	VPXORQ Z4, Z4, Z4
+	CMPQ   CX, $32
+	JB     rest
 
 step32:
-	// 32 pairs: four 512-bit loads from each side, XOR, VPOPCNTQ,
-	// then one horizontal sum into AX for the bound check.
+	// 32 pairs: four 512-bit loads from each side, XOR, VPOPCNTQ.
 	VMOVDQU64 (SI), Z0
 	VMOVDQU64 64(SI), Z1
 	VMOVDQU64 128(SI), Z2
@@ -61,21 +60,18 @@ step32:
 	VPADDQ    Z1, Z0, Z0
 	VPADDQ    Z3, Z2, Z2
 	VPADDQ    Z2, Z0, Z0
-	HSUM
+	VPADDQ    Z0, Z4, Z4
 	ADDQ      $256, SI
 	ADDQ      $256, DI
 	SUBQ      $32, CX
-	CMPQ      AX, R8
-	JGE       done
 	CMPQ      CX, $32
 	JAE       step32
 
 rest:
-	// Fewer than 32 pairs left: 8-pair vector steps summed in Z4,
-	// then the scalar tail. Neither checks the bound.
-	VPXORQ Z4, Z4, Z4
-	CMPQ   CX, $8
-	JB     sum8
+	// Fewer than 32 pairs left: 8-pair vector steps, the horizontal
+	// sum, then the scalar tail.
+	CMPQ CX, $8
+	JB   sum8
 
 step8:
 	VMOVDQU64 (SI), Z0
@@ -106,5 +102,136 @@ step1:
 
 done:
 	VZEROUPPER
-	MOVQ AX, ret+32(FP)
+	MOVQ AX, ret+24(FP)
+	RET
+
+// SCORE adds to Z0 the distances of the eight lanes of the block line
+// at off(DI) to the query uint64 at qoff(AX). Clobbers Z1.
+#define SCORE(qoff, off) \
+	VPBROADCASTQ qoff(AX), Z1; \
+	VPXORQ       off(DI), Z1, Z1; \
+	VPOPCNTQ     Z1, Z1; \
+	VPADDQ       Z1, Z0, Z0
+
+// func nearestVPOPCNTDQ(q *uint32, nw int, blocks *[]uint64, nblocks, lanes int) (index, distance int)
+//
+// SI is the query; R8 counts its full 8-word steps, R9 the uint64
+// words after them, and bit 0 of R10 marks an odd last packed word.
+// BX walks the block slice headers and R11 counts the blocks left; R12
+// is the row of the current block's lane 0. R13 is the best distance,
+// broadcast in Z6, and R14 its row. Per block, DI walks the lines, AX
+// the query, CX the steps, and Z0 holds the eight partial distances.
+// K2 marks the lanes of the last block past the slab's last row; they
+// start at unreached (Z7), the initial best, so they never keep a
+// block alive and never win. The 64-byte frame receives Z0 when a
+// block scores all its words.
+TEXT ·nearestVPOPCNTDQ(SB), NOSPLIT, $64-56
+	MOVQ         q+0(FP), SI
+	MOVQ         nw+8(FP), R10
+	MOVQ         blocks+16(FP), BX
+	MOVQ         nblocks+24(FP), R11
+	MOVQ         lanes+32(FP), CX
+	MOVL         $0xff, DX
+	SHLL         CX, DX
+	KMOVW        DX, K2
+	MOVQ         R10, R8
+	SHRQ         $1, R8
+	MOVQ         R8, R9
+	ANDQ         $7, R9
+	SHRQ         $3, R8
+	MOVQ         $0x4000000000000000, R13
+	VPBROADCASTQ R13, Z6
+	VMOVDQA64    Z6, Z7
+	MOVQ         $-1, R14
+	XORQ         R12, R12
+
+block:
+	MOVQ   (BX), DI
+	MOVQ   SI, AX
+	VPXORQ Z0, Z0, Z0
+	CMPQ   R11, $1
+	JNE    steps
+	VMOVDQA64 Z7, K2, Z0
+
+steps:
+	MOVQ  R8, CX
+	TESTQ CX, CX
+	JZ    tail
+
+step:
+	// One 512-bit step of eight rows, then drop the block if no lane
+	// is below the best.
+	SCORE(0, 0)
+	SCORE(8, 64)
+	SCORE(16, 128)
+	SCORE(24, 192)
+	SCORE(32, 256)
+	SCORE(40, 320)
+	SCORE(48, 384)
+	SCORE(56, 448)
+	ADDQ     $64, AX
+	ADDQ     $512, DI
+	VPCMPUQ  $1, Z6, Z0, K1
+	KORTESTW K1, K1
+	JZ       next
+	DECQ     CX
+	JNZ      step
+
+tail:
+	// The uint64 words after the last full step form one partial step.
+	MOVQ  R9, CX
+	TESTQ CX, CX
+	JZ    odd
+
+tail1:
+	SCORE(0, 0)
+	ADDQ     $8, AX
+	ADDQ     $64, DI
+	DECQ     CX
+	JNZ      tail1
+	VPCMPUQ  $1, Z6, Z0, K1
+	KORTESTW K1, K1
+	JZ       next
+
+odd:
+	// An odd last packed word is read as 32 bits, never past the query.
+	TESTQ        $1, R10
+	JZ           walk
+	MOVL         (AX), DX
+	VPBROADCASTQ DX, Z1
+	VPXORQ       (DI), Z1, Z1
+	VPOPCNTQ     Z1, Z1
+	VPADDQ       Z1, Z0, Z0
+
+walk:
+	// The block scored every word: take the lanes below the best in
+	// index order, each replacing it only when strictly smaller.
+	VPCMPUQ   $1, Z6, Z0, K1
+	KMOVW     K1, DX
+	TESTL     DX, DX
+	JZ        next
+	VMOVDQU64 Z0, (SP)
+
+lane:
+	BSFL DX, CX
+	MOVQ (SP)(CX*8), AX
+	CMPQ AX, R13
+	JAE  cleared
+	MOVQ AX, R13
+	LEAQ (R12)(CX*1), R14
+
+cleared:
+	LEAL         -1(DX), DI
+	ANDL         DI, DX
+	JNZ          lane
+	VPBROADCASTQ R13, Z6
+
+next:
+	ADDQ $24, BX
+	ADDQ $8, R12
+	DECQ R11
+	JNZ  block
+	VZEROUPPER
+	MOVQ R14, index+40(FP)
+	MOVQ R13, distance+48(FP)
 	RET

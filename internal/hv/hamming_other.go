@@ -2,13 +2,18 @@
 
 package hv
 
-// useVPOPCNTDQ is always false off amd64, where hammingPortable is the
-// only kernel; the kernel tests read it to skip their vector half.
+// useVPOPCNTDQ is always false off amd64, where the Go loops are the
+// only kernels; the kernel tests read it to skip their vector half.
 var useVPOPCNTDQ bool
 
-// hammingWithin returns the number of differing bits between a and
-// the first len(a) words of b. It is exact when that distance is below
-// bound; otherwise it may stop early and return any value ≥ bound.
-func hammingWithin(a, b []uint32, bound int) int {
-	return hammingPortable(a, b, bound)
+// hamming returns the number of differing bits between a and b, which
+// have equal length.
+func hamming(a, b []uint32) int {
+	return hammingPortable(a, b)
+}
+
+// nearest is Slab.Nearest's scan of query words q over blocks, whose
+// last block holds lanes rows.
+func nearest(q []uint32, blocks [][]uint64, lanes int) (index, distance int) {
+	return nearestPortable(q, blocks, lanes)
 }

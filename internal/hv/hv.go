@@ -7,9 +7,10 @@
 // The package provides the three MAP operations of HD computing —
 // Multiplication (componentwise XOR), Addition (componentwise majority
 // with ties broken at random-but-reproducibly), and Permutation
-// (rotation of components) — together with Hamming distance and the
+// (rotation of components) — together with Hamming distance, the
 // counter-based Bundler used to accumulate prototype hypervectors
-// during training.
+// during training, and the Slab that holds an associative memory's
+// prototypes for its nearest-prototype scan.
 //
 // Component i of a vector lives in word i/32 at bit position i%32
 // (LSB first). The last word of a vector whose dimension is not a
@@ -19,7 +20,6 @@ package hv
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"math/rand"
 	"strings"
@@ -218,29 +218,6 @@ func Equal(a, b Vector) bool {
 func Hamming(a, b Vector) int {
 	checkSameDim("Hamming", a, b)
 	return HammingWords(a.words, b.words)
-}
-
-// Nearest returns the index of the vector in set closest to q in
-// Hamming distance, and that distance. Ties keep the lowest index. It
-// panics if set is empty or a vector's dimension differs from q's.
-//
-// The running best distance is the bound of every later comparison,
-// so a vector stops being scored once its partial distance reaches
-// the best: its full distance can only be larger or equal, and an
-// equal one loses the tie to the earlier index. The answer is the one
-// an exhaustive scan gives.
-func Nearest(q Vector, set []Vector) (index, distance int) {
-	if len(set) == 0 {
-		panic("hv: Nearest: empty set")
-	}
-	index, distance = -1, math.MaxInt
-	for i, v := range set {
-		checkSameDim("Nearest", q, v)
-		if d := hammingWithin(q.words, v.words, distance); d < distance {
-			index, distance = i, d
-		}
-	}
-	return index, distance
 }
 
 // NormalizedHamming returns Hamming(a,b)/d in [0,1]. Unrelated random

@@ -492,26 +492,39 @@ func TestTruncate(t *testing.T) {
 	}
 }
 
-// TestNearestTieBreakAndPanics pins Nearest's edges: equidistant
-// members resolve to the lowest index, and an empty set or a member of
-// another dimension panics.
+// TestNearestTieBreakAndPanics pins Slab.Nearest's edges on both
+// kernels: equidistant rows resolve to the lowest index, within a
+// block and across blocks, and an empty slab, a query or row of
+// another dimension, or a row index past the end panics.
 func TestNearestTieBreakAndPanics(t *testing.T) {
 	const d = 1000
 	q := New(d)
 	q.SetBit(999, 1)
 	far := New(d).FlipBits(500, rand.New(rand.NewSource(3)))
-	set := []Vector{far, New(d), New(d), far}
-	if idx, dist := Nearest(q, set); idx != 1 || dist != 1 {
-		t.Fatalf("tie resolved to (%d,%d), want (1,1)", idx, dist)
+	rows := []Vector{far, New(d), New(d), far}
+	across := make([]Vector, 19)
+	for i := range across {
+		across[i] = far
 	}
+	across[9], across[17] = New(d), New(d)
+	forEachHammingKernel(t, func(t *testing.T) {
+		if idx, dist := NewSlab(d, rows).Nearest(q); idx != 1 || dist != 1 {
+			t.Fatalf("tie within a block resolved to (%d,%d), want (1,1)", idx, dist)
+		}
+		if idx, dist := NewSlab(d, across).Nearest(q); idx != 9 || dist != 1 {
+			t.Fatalf("tie across blocks resolved to (%d,%d), want (9,1)", idx, dist)
+		}
+	})
 	for name, call := range map[string]func(){
-		"empty set":          func() { Nearest(q, nil) },
-		"dimension mismatch": func() { Nearest(q, []Vector{New(d), New(d + 1)}) },
+		"empty slab":               func() { NewSlab(d, nil).Nearest(q) },
+		"query dimension mismatch": func() { NewSlab(d+1, []Vector{New(d + 1)}).Nearest(q) },
+		"row dimension mismatch":   func() { NewSlab(d, []Vector{New(d), New(d + 1)}) },
+		"With past the end":        func() { NewSlab(d, rows).With(5, q) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Nearest with %s did not panic", name)
+					t.Errorf("%s did not panic", name)
 				}
 			}()
 			call()

@@ -148,20 +148,25 @@ func TestQuickBitsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickNearestMatchesReference checks the bounded scan on both
+// TestQuickNearestMatchesReference checks Slab.Nearest on both
 // kernels against the golden model's AM (hdref.RefAM: a per-bit
-// Hamming argmin, ties to the lowest index). Dimensions run to 6,000
-// (several vector steps; most not a multiple of 64), sets hold
-// duplicated members so ties occur, and half the queries sit a few
-// flipped bits from one member — the case where the bound prunes the
-// others. A random query is ≈ d/2 from every member and is scored
+// Hamming argmin, ties to the lowest index). Row counts run 1–40, so
+// the last block holds every count of lanes from 1 to 8; dimensions
+// run 1–6,000 (most not a multiple of 64, many with an odd word count)
+// plus 10,000. About one row in four copies an earlier row, in its own
+// block or another, so ties occur. Half the queries sit a few flipped
+// bits from one row — the case where blocks are dropped after their
+// first steps; a random query is ≈ d/2 from every row and is scored
 // almost in full.
 func TestQuickNearestMatchesReference(t *testing.T) {
 	forEachHammingKernel(t, func(t *testing.T) {
 		f := func(x uint16, seed int64, kRaw, flips uint8, near bool) bool {
 			d := int(x)%6000 + 1
+			if x%16 == 0 {
+				d = 10000
+			}
 			rng := rand.New(rand.NewSource(seed))
-			set := make([]Vector, int(kRaw)%24+1)
+			set := make([]Vector, int(kRaw)%40+1)
 			ref := hdref.RefAM{}
 			for i := range set {
 				if i > 0 && rng.Intn(4) == 0 {
@@ -177,10 +182,10 @@ func TestQuickNearestMatchesReference(t *testing.T) {
 				q = set[rng.Intn(len(set))].Clone().FlipBits(min(int(flips)%8, d), rng)
 			}
 			wantLabel, wantDist := ref.Classify(q.Bits())
-			idx, dist := Nearest(q, set)
+			idx, dist := NewSlab(d, set).Nearest(q)
 			return strconv.Itoa(idx) == wantLabel && dist == wantDist
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(15))}); err != nil {
+		if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(15))}); err != nil {
 			t.Fatal(err)
 		}
 	})

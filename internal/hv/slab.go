@@ -1,0 +1,283 @@
+package hv
+
+import (
+	"fmt"
+	"math/bits"
+	"math/rand"
+)
+
+// blockLanes is the number of rows a Slab block interleaves: one
+// 512-bit vector of uint64 partial distances.
+const blockLanes = 8
+
+// stepWords is the number of uint64 row words one scan step scores
+// per row: 512 bits.
+const stepWords = 8
+
+// unreached starts the running best of a scan and every missing lane
+// of a slab's last block. It is above any distance, and a missing lane
+// (all zero words) adds at most the query's dimension to it, far below
+// overflow.
+const unreached = 1 << 62
+
+// Slab is an immutable table of d-dimensional binary rows laid out for
+// the associative memory's nearest-row scan: the prototype matrix of
+// DAC'18 §3, which the paper's AM kernel searches by XOR and popcount.
+//
+// Rows are grouped into blocks of eight, word-interleaved: uint64 word
+// w (packed words 2w and 2w+1) of rows 8g…8g+7 is one 64-byte line of
+// block g. One query word broadcast, XORed with the line and
+// popcounted scores eight rows at once, and the eight partial
+// distances sit in one vector with no horizontal sum. Every row is
+// padded with zero words to whole 512-bit steps, so a 10,000-D row
+// (313 packed words) takes 160 uint64 and a block 10,240 bytes. Lanes
+// past the last row of the last block are zero.
+//
+// A Slab never changes after construction. With and WithBundle return
+// a new Slab that copies one block and the block-pointer slice and
+// shares every other block, so a copy-on-write publish costs one block
+// at any row count, and any number of goroutines may search any Slab.
+type Slab struct {
+	d      int
+	n      int
+	blocks [][]uint64
+}
+
+// NewSlab returns a slab holding copies of rows, in order. It panics
+// if d is not positive or a row's dimension differs from d.
+func NewSlab(d int, rows []Vector) *Slab {
+	if d <= 0 {
+		panic(fmt.Sprintf("hv: NewSlab: dimension must be positive, got %d", d))
+	}
+	s := &Slab{d: d, n: len(rows), blocks: make([][]uint64, (len(rows)+blockLanes-1)/blockLanes)}
+	for g := range s.blocks {
+		s.blocks[g] = make([]uint64, s.blockLen())
+	}
+	for i, v := range rows {
+		s.checkRow("NewSlab", v)
+		putRow(s.blocks[i/blockLanes][i%blockLanes:], v.words)
+	}
+	return s
+}
+
+// blockLen returns the uint64 words of one block: eight rows of
+// WordsFor(d) packed words, padded to whole steps.
+func (s *Slab) blockLen() int {
+	steps := (WordsFor(s.d) + 2*stepWords - 1) / (2 * stepWords)
+	return steps * stepWords * blockLanes
+}
+
+func (s *Slab) checkRow(op string, v Vector) {
+	if v.d != s.d {
+		panic(fmt.Sprintf("hv: %s: dimension mismatch %d != %d", op, v.d, s.d))
+	}
+}
+
+// putRow stores packed words ws as one lane of a block: uint64 word w
+// goes to lane[w*blockLanes].
+func putRow(lane []uint64, ws []uint32) {
+	for w := 0; 2*w < len(ws); w++ {
+		x := uint64(ws[2*w])
+		if 2*w+1 < len(ws) {
+			x |= uint64(ws[2*w+1]) << 32
+		}
+		lane[w*blockLanes] = x
+	}
+}
+
+// Dim returns the row dimensionality.
+func (s *Slab) Dim() int { return s.d }
+
+// Len returns the number of rows.
+func (s *Slab) Len() int { return s.n }
+
+// Row returns a copy of row i.
+func (s *Slab) Row(i int) Vector {
+	if i < 0 || i >= s.n {
+		panic(fmt.Sprintf("hv: Slab.Row: row %d out of range [0,%d)", i, s.n))
+	}
+	v := New(s.d)
+	lane := s.blocks[i/blockLanes][i%blockLanes:]
+	for w := range v.words {
+		v.words[w] = uint32(lane[w/2*blockLanes] >> (32 * uint(w%2)))
+	}
+	return v
+}
+
+// With returns a slab whose row i is a copy of v and whose other rows
+// are s's; i == Len() appends. s is unchanged.
+func (s *Slab) With(i int, v Vector) *Slab {
+	s.checkRow("Slab.With", v)
+	next, lane := s.cow(i)
+	putRow(lane, v.words)
+	return next
+}
+
+// WithBundle is With of b.Vector(rng) without the intermediate vector:
+// the thresholded prototype is written straight into the copied block,
+// drawing ties from rng exactly as Bundler.Vector does.
+func (s *Slab) WithBundle(i int, b *Bundler, rng *rand.Rand) *Slab {
+	if b.d != s.d {
+		panic(fmt.Sprintf("hv: Slab.WithBundle: dimension mismatch %d != %d", b.d, s.d))
+	}
+	t := b.threshold()
+	next, lane := s.cow(i)
+	var colbuf [64]uint64
+	col := colbuf[:len(b.planes)]
+	for j := 0; j < b.nw64; j++ {
+		lane[j*blockLanes] = b.word(j, col, t, rng)
+	}
+	return next
+}
+
+// cow returns a copy of s with row i's block replaced by a private
+// copy (a fresh zero block when i appends a block), and row i's lane
+// of that copy. It panics unless 0 ≤ i ≤ Len().
+func (s *Slab) cow(i int) (*Slab, []uint64) {
+	if i < 0 || i > s.n {
+		panic(fmt.Sprintf("hv: Slab.With: row %d out of range [0,%d]", i, s.n))
+	}
+	next := &Slab{d: s.d, n: max(s.n, i+1)}
+	g := i / blockLanes
+	next.blocks = make([][]uint64, max(len(s.blocks), g+1))
+	copy(next.blocks, s.blocks)
+	var blk []uint64
+	if g < len(s.blocks) {
+		blk = append(blk, s.blocks[g]...) // no zeroing before the copy
+	} else {
+		blk = make([]uint64, s.blockLen())
+	}
+	next.blocks[g] = blk
+	return next, blk[i%blockLanes:]
+}
+
+// Nearest returns the index of the row closest to q in Hamming
+// distance, and that distance. Ties keep the lowest index. It panics
+// if the slab is empty or q's dimension differs. It allocates nothing.
+//
+// The scan visits the blocks in order and drops a block after any
+// 512-bit step at which all eight partial distances have reached the
+// best distance so far: the full distances can only be larger or
+// equal, and an equal one loses the tie to the earlier index. A block
+// that scores all its words holds exact distances, and its lanes are
+// taken in index order, replacing the best only when strictly smaller.
+// The answer is the one an exhaustive scan gives. The host's kernel
+// runs the scan (see hamming_amd64.go): an AVX-512 VPOPCNTDQ loop that
+// scores a block's eight rows per instruction, or nearestPortable.
+func (s *Slab) Nearest(q Vector) (index, distance int) {
+	if s.n == 0 {
+		panic("hv: Slab.Nearest on an empty slab")
+	}
+	s.checkRow("Slab.Nearest", q)
+	return nearest(q.words, s.blocks, s.n-(len(s.blocks)-1)*blockLanes)
+}
+
+// Distances writes the Hamming distance from q to every row, in row
+// order, into dst, grown only when its capacity is short, and returns
+// it.
+func (s *Slab) Distances(dst []int, q Vector) []int {
+	s.checkRow("Slab.Distances", q)
+	if cap(dst) < s.n {
+		dst = make([]int, s.n)
+	}
+	dst = dst[:s.n]
+	for i := range dst {
+		lane := s.blocks[i/blockLanes][i%blockLanes:]
+		d := 0
+		for w := 0; 2*w < len(q.words); w++ {
+			d += bits.OnesCount64(queryWord(q.words, w) ^ lane[w*blockLanes])
+		}
+		dst[i] = d
+	}
+	return dst
+}
+
+// queryWord returns uint64 word w of packed words q: q[2w] in the low
+// half, q[2w+1] (or zero past the end) in the high half.
+func queryWord(q []uint32, w int) uint64 {
+	if 2*w+1 < len(q) {
+		return pair64(q[2*w], q[2*w+1])
+	}
+	return uint64(q[2*w])
+}
+
+// nearestPortable is Slab.Nearest's scan in Go, the only kernel off
+// amd64 and the fallback on amd64 hosts without VPOPCNTDQ. q holds the
+// query's packed words, blocks the slab's blocks, and lanes the rows
+// of the last block (1–8). It scores the same words as the vector
+// kernel and returns the same answer.
+//
+// Whole steps go through blockStep, which reads the step's 512
+// contiguous block bytes in order; the words after them, and a query
+// not 8-byte aligned, take a word-pair loop. Dropping whole blocks
+// scores more words than dropping each row on its own would, but on
+// the wide-am rows it ran faster than a row-at-a-time scan down the
+// interleaved lanes: the reads stay sequential, and the block has one
+// unpredictable exit where each row has its own.
+func nearestPortable(q []uint32, blocks [][]uint64, lanes int) (index, distance int) {
+	full := len(q) / 2 // query uint64 words with both halves inside q
+	q64, ok := words64(q)
+	steps := full / stepWords
+	if !ok {
+		steps = 0
+	}
+	best := uint64(unreached)
+	index = -1
+	for g, blk := range blocks {
+		var acc [blockLanes]uint64
+		if g == len(blocks)-1 {
+			for l := lanes; l < blockLanes; l++ {
+				acc[l] = unreached
+			}
+		}
+		alive := true
+		for s := 0; alive && s < steps; s++ {
+			blockStep(&acc, q64[s*stepWords:], blk[s*stepWords*blockLanes:])
+			alive = anyBelow(&acc, best)
+		}
+		if w := steps * stepWords; alive && w < full {
+			for ; w < full; w++ {
+				x := pair64(q[2*w], q[2*w+1])
+				for l := range acc {
+					acc[l] += uint64(bits.OnesCount64(x ^ blk[w*blockLanes+l]))
+				}
+			}
+			alive = anyBelow(&acc, best)
+		}
+		if !alive {
+			continue
+		}
+		if len(q)%2 == 1 {
+			x := uint64(q[len(q)-1])
+			for l := range acc {
+				acc[l] += uint64(bits.OnesCount64(x ^ blk[full*blockLanes+l]))
+			}
+		}
+		for l, a := range acc {
+			if a < best {
+				best, index = a, g*blockLanes+l
+			}
+		}
+	}
+	return index, int(best)
+}
+
+// blockStep adds to the eight partial distances in acc one 512-bit
+// step: query words y[0:8] against the step's lines x[0:64].
+func blockStep(acc *[blockLanes]uint64, y, x []uint64) {
+	y = y[:stepWords:stepWords]
+	x = x[: stepWords*blockLanes : stepWords*blockLanes]
+	for l := range acc {
+		acc[l] += uint64(bits.OnesCount64(y[0]^x[l]) + bits.OnesCount64(y[1]^x[8+l]) +
+			bits.OnesCount64(y[2]^x[16+l]) + bits.OnesCount64(y[3]^x[24+l]) +
+			bits.OnesCount64(y[4]^x[32+l]) + bits.OnesCount64(y[5]^x[40+l]) +
+			bits.OnesCount64(y[6]^x[48+l]) + bits.OnesCount64(y[7]^x[56+l]))
+	}
+}
+
+// anyBelow reports whether any of the eight partial distances is below
+// bound.
+func anyBelow(acc *[blockLanes]uint64, bound uint64) bool {
+	return acc[0] < bound || acc[1] < bound || acc[2] < bound || acc[3] < bound ||
+		acc[4] < bound || acc[5] < bound || acc[6] < bound || acc[7] < bound
+}

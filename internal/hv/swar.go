@@ -1,7 +1,6 @@
 package hv
 
 import (
-	"math"
 	"math/bits"
 	"unsafe"
 )
@@ -21,11 +20,11 @@ import (
 // Both paths are bit-identical to the plain word-at-a-time loops for
 // every dimension, including non-word-aligned tails.
 //
-// Hamming distance has its own dispatch: hammingWithin runs the
-// platform's bounded kernel (hamming_amd64.go selects an AVX-512
-// VPOPCNTDQ assembly loop from CPUID at init, which reads misaligned
-// slices as they are; every other host runs hammingPortable below),
-// and HammingWords is its unbounded call.
+// Hamming distance has its own dispatch: HammingWords runs the
+// platform's kernel (hamming_amd64.go selects an AVX-512 VPOPCNTDQ
+// assembly loop from CPUID at init, which reads misaligned slices as
+// they are; every other host runs hammingPortable below). The
+// associative-memory scan, Slab.Nearest, is dispatched the same way.
 //
 // The functions operate on raw packed word slices so that both the
 // Vector methods and the parallel worker pool (which processes word
@@ -74,30 +73,18 @@ func XorWords(dst, a, b []uint32) {
 }
 
 // HammingWords returns the number of differing bits between a and b.
-// b must be at least as long as a. It is hammingWithin with no bound,
-// so it runs whichever kernel the host selected at init.
+// b must be at least as long as a. It runs whichever kernel the host
+// selected at init.
 func HammingWords(a, b []uint32) int {
-	return hammingWithin(a, b, math.MaxInt)
+	return hamming(a, b[:len(a)])
 }
 
-// hammingPortable is the pure-Go bounded Hamming kernel, the only one
-// off amd64 and the fallback on amd64 hosts without VPOPCNTDQ. The
-// contract, shared with the vector kernel: the result is exact when
-// the distance is below bound, and otherwise some value ≥ bound.
-//
-// It popcounts 64 bits (two packed words) at a time in an 8-wide
-// unroll whose full slice expressions keep the body free of bounds
-// checks, and returns early once the running count reaches bound after
-// an unrolled step. Under the default GOAMD64=v1 build every
-// bits.OnesCount64 carries a CPU-feature branch whose fallback call
-// spills the loop's live values, so the shape is tuned to keep few of
-// them: the odd trailing word is counted first, misaligned slices take
-// a separate plain loop, and the bound is checked every 8 pairs. On a
-// Sapphire Rapids-class Xeon a check every 4 pairs made the scan of an
-// unprunable random query 11–15 % slower than the unbounded loop; at 8
-// it is no slower.
-func hammingPortable(a, b []uint32, bound int) int {
-	b = b[:len(a)]
+// hammingPortable is the pure-Go Hamming kernel, the only one off
+// amd64 and the fallback on amd64 hosts without VPOPCNTDQ. It
+// popcounts 64 bits (two packed words) at a time in an 8-wide unroll
+// whose full slice expressions keep the body free of bounds checks;
+// misaligned slices take a plain 32-bit loop. b is as long as a.
+func hammingPortable(a, b []uint32) int {
 	a64, okA := words64(a)
 	b64, okB := words64(b)
 	if !okA || !okB {
@@ -120,9 +107,6 @@ func hammingPortable(a, b []uint32, bound int) int {
 			bits.OnesCount64(x[2]^y[2]) + bits.OnesCount64(x[3]^y[3]) +
 			bits.OnesCount64(x[4]^y[4]) + bits.OnesCount64(x[5]^y[5]) +
 			bits.OnesCount64(x[6]^y[6]) + bits.OnesCount64(x[7]^y[7])
-		if total >= bound {
-			return total
-		}
 	}
 	for ; j < len(a64); j++ {
 		total += bits.OnesCount64(a64[j] ^ b64[j])

@@ -14,13 +14,13 @@ OUT=benchmarks/latest.txt
 REMAT_JSON=benchmarks/BENCH_remat.json
 
 go test -run '^$' \
-  -bench 'BenchmarkXor$|BenchmarkHamming$|BenchmarkHammingPortable$|BenchmarkCountOnes$|BenchmarkMajority$|BenchmarkBundlerAdd$|BenchmarkBundlerVectorTo$' \
+  -bench 'BenchmarkXor$|BenchmarkHamming$|BenchmarkHammingPortable$|BenchmarkNearest$|BenchmarkNearestPortable$|BenchmarkCountOnes$|BenchmarkMajority$|BenchmarkBundlerAdd$|BenchmarkBundlerVectorTo$' \
   -benchmem -count "$COUNT" ./internal/hv/ "$@" | tee "$OUT"
 go test -run '^$' \
   -bench 'BenchmarkPredict$|BenchmarkPredictBatch$' \
   -benchmem -count "$COUNT" ./internal/hdc/ "$@" | tee -a "$OUT"
 go test -run '^$' \
-  -bench 'BenchmarkServingPredictUnsharded$|BenchmarkServingSearchUnsharded$|BenchmarkServingSearchNear$|BenchmarkServingLearn$' \
+  -bench 'BenchmarkServingPredictUnsharded$|BenchmarkServingSearchUnsharded$|BenchmarkServingSearchNear$|BenchmarkServingLearn$|BenchmarkServingLearnWide$' \
   -benchmem -count "$COUNT" ./internal/hdc/ "$@" | tee -a "$OUT"
 go test -run '^$' \
   -bench 'BenchmarkParallelAMSearch$|BenchmarkParallelMajority$' \

@@ -27,6 +27,7 @@ type Prediction struct {
 // gets its own encoders (they carry mutable scratch) over the shared
 // read-only item memories.
 type batchCtx struct {
+	geom     geometry
 	spatial  *SpatialEncoder
 	temporal *TemporalEncoder
 	seq      []hv.Vector
@@ -36,6 +37,12 @@ type batchCtx struct {
 	bundle   *hv.Bundler
 	query    hv.Vector
 }
+
+// geometry is the part of a Config that sizes encode scratch: any two
+// models that agree on it (and on the backend) can share scratch.
+type geometry struct{ d, channels, ngram, window int }
+
+func (c Config) geometry() geometry { return geometry{c.D, c.Channels, c.NGram, c.Window} }
 
 func newBatchCtx(c *Classifier) *batchCtx {
 	return newEncodeCtx(c.cfg, c.im, c.cim)
@@ -47,6 +54,7 @@ func newBatchCtx(c *Classifier) *batchCtx {
 func newEncodeCtx(cfg Config, im *ItemMemory, cim *ContinuousItemMemory) *batchCtx {
 	d := cfg.D
 	bc := &batchCtx{
+		geom:     cfg.geometry(),
 		spatial:  NewSpatialEncoder(im, cim),
 		temporal: NewTemporalEncoder(d, cfg.NGram),
 		seq:      make([]hv.Vector, cfg.Window),

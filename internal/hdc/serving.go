@@ -71,8 +71,6 @@ type Serving struct {
 	labels []string
 	index  map[string]int
 	accum  []*hv.Bundler // nil entry: fixed prototype, not learnable
-
-	sessions sync.Pool
 }
 
 // NewServing returns an empty learnable serving classifier for cfg.
@@ -86,10 +84,7 @@ func NewServing(cfg Config, shards int) (*Serving, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	im, cim := servingTables(cfg)
-	sv := &Serving{cfg: cfg, im: im, cim: cim, index: map[string]int{}}
-	sv.gen.Store(newGeneration(0, nil, hv.NewSlab(cfg.D, nil)))
-	return sv, nil
+	return NewServingFromState(cfg, ServingState{Prototypes: hv.NewSlab(cfg.D, nil)})
 }
 
 // storedTables is the stored-backend IM/CIM pair NewServing built
@@ -232,10 +227,9 @@ func (sv *Serving) LearnCtx(ctx context.Context, label string, window [][]float6
 		return fmt.Errorf("hdc: Learn: empty label")
 	}
 	rec := obs.SpansFrom(ctx)
-	ses := sv.session()
-	defer sv.sessions.Put(ses)
+	bc := sv.scratch()
 	enc := rec.Start("learn.encode", rec.Parent())
-	ses.ctx.encodeTo(ses.ctx.query, window, sv.cfg.NGram)
+	bc.encodeTo(bc.query, window, sv.cfg.NGram)
 	rec.End(enc)
 
 	m := servingMetrics()
@@ -255,13 +249,15 @@ func (sv *Serving) LearnCtx(ctx context.Context, label string, window [][]float6
 	}
 	if sv.accum[i] == nil {
 		sv.mu.Unlock()
+		sv.release(bc)
 		return fmt.Errorf("hdc: Learn: class %q has a fixed prototype", label)
 	}
-	sv.accum[i].Add(ses.ctx.query)
+	sv.accum[i].Add(bc.query)
 	old := sv.gen.Load()
 	next := newGeneration(old.id+1, sv.labels, old.am.WithBundle(i, sv.accum[i], nil))
 	sv.gen.Store(next)
 	sv.mu.Unlock()
+	sv.release(bc)
 	rec.Annotate(pub, "generation", int64(next.id))
 	rec.Annotate(pub, "classes", int64(next.am.Len()))
 	if m != nil {
@@ -271,12 +267,31 @@ func (sv *Serving) LearnCtx(ctx context.Context, label string, window [][]float6
 	return nil
 }
 
-// session returns a pooled Session (allocating one on first use).
-func (sv *Serving) session() *Session {
-	if s, ok := sv.sessions.Get().(*Session); ok {
-		return s
+// scratchPools hold the encode scratch of pooled predicts and learns
+// for the whole process, one pool per backend (the two build different
+// spatial-encoder scratch). Scratch is sized by a model's geometry,
+// not by the model: it is bound to a model's item memories for one
+// call and unbound before it goes back, so it serves every model of
+// its geometry, a fault-in allocates none, and a pooled object never
+// keeps an evicted model reachable. A per-model pool would pin its
+// model until the second GC after eviction.
+var scratchPools [BackendRemat + 1]sync.Pool
+
+// scratch returns pooled encode scratch bound to sv's item memories,
+// or new scratch when the pool holds none of sv's geometry; scratch of
+// another geometry is dropped.
+func (sv *Serving) scratch() *batchCtx {
+	if bc, ok := scratchPools[sv.cfg.Backend].Get().(*batchCtx); ok && bc.geom == sv.cfg.geometry() {
+		bc.spatial.im, bc.spatial.cim = sv.im, sv.cim
+		return bc
 	}
-	return sv.NewSession()
+	return newEncodeCtx(sv.cfg, sv.im, sv.cim)
+}
+
+// release unbinds bc from sv's item memories and pools it.
+func (sv *Serving) release(bc *batchCtx) {
+	bc.spatial.im, bc.spatial.cim = nil, nil
+	scratchPools[sv.cfg.Backend].Put(bc)
 }
 
 // Predict classifies one window against the current generation. It is
@@ -291,14 +306,14 @@ func (sv *Serving) Predict(window [][]float64) (label string, distance int) {
 // between a caller reading Generation and the predict's own atomic
 // load, so callers that report where an answer came from use this one.
 // Safe for any number of concurrent callers; the encode scratch comes
-// from an internal session pool. A predict that panics never returns
-// its session to the pool: a panic mid-encode can leave the scratch
+// from the process's scratch pools. A predict that panics never
+// returns its scratch to the pool: a panic mid-encode can leave it
 // half written. Spans and stage latencies record as in
 // Session.PredictCtx.
 func (sv *Serving) PredictCtx(ctx context.Context, window [][]float64) (label string, distance int, generation uint64) {
-	ses := sv.session()
-	label, distance, generation = ses.predict(obs.SpansFrom(ctx), metrics(), window)
-	sv.sessions.Put(ses)
+	bc := sv.scratch()
+	label, distance, generation = sv.predict(bc, obs.SpansFrom(ctx), metrics(), window)
+	sv.release(bc)
 	return label, distance, generation
 }
 
@@ -327,16 +342,16 @@ func (sv *Serving) NewSession() *Session {
 // Deprecated: the pool argument is ignored — the AM scan runs flat on
 // the caller — and will be removed from the signature; pass nil.
 func (s *Session) PredictCtx(ctx context.Context, pool *parallel.Pool, window [][]float64) (label string, distance int) {
-	label, distance, _ = s.predict(obs.SpansFrom(ctx), metrics(), window)
+	label, distance, _ = s.sv.predict(s.ctx, obs.SpansFrom(ctx), metrics(), window)
 	return label, distance
 }
 
-// predict is the one predict body: encode the window, then scan the
-// generation loaded at the start of the call, whose id it returns.
-// Spans record when rec is non-nil and latencies when m is; both are
-// optional.
-func (s *Session) predict(rec *obs.Spans, m *obs.InferenceMetrics, window [][]float64) (string, int, uint64) {
-	gen := s.sv.gen.Load()
+// predict is the one predict body: encode the window with scratch bc,
+// then scan the generation loaded at the start of the call, whose id
+// it returns. Spans record when rec is non-nil and latencies when m
+// is; both are optional.
+func (sv *Serving) predict(bc *batchCtx, rec *obs.Spans, m *obs.InferenceMetrics, window [][]float64) (string, int, uint64) {
+	gen := sv.gen.Load()
 	am := gen.am
 	if am.Len() == 0 {
 		panic("hdc: Serving.Predict with no classes")
@@ -347,7 +362,7 @@ func (s *Session) predict(rec *obs.Spans, m *obs.InferenceMetrics, window [][]fl
 	}
 	root := rec.Start("predict", rec.Parent())
 	enc := rec.Start("encode", root)
-	s.ctx.encodeTo(s.ctx.query, window, s.sv.cfg.NGram)
+	bc.encodeTo(bc.query, window, sv.cfg.NGram)
 	rec.End(enc)
 	if m != nil {
 		encoded = time.Now()
@@ -355,7 +370,7 @@ func (s *Session) predict(rec *obs.Spans, m *obs.InferenceMetrics, window [][]fl
 	search := rec.Start("am.search", root)
 	rec.Annotate(search, "classes", int64(am.Len()))
 	rec.Annotate(search, "generation", int64(gen.id))
-	idx, dist := am.Nearest(s.ctx.query)
+	idx, dist := am.Nearest(bc.query)
 	rec.End(search)
 	rec.End(root)
 	if m != nil {
@@ -383,7 +398,7 @@ func (s *Session) PredictBatch(windows [][][]float64, out []Prediction) []Predic
 	}
 	out = out[:len(windows)]
 	for i, w := range windows {
-		label, dist, _ := s.predict(nil, nil, w)
+		label, dist, _ := s.sv.predict(s.ctx, nil, nil, w)
 		out[i] = Prediction{Label: label, Distance: dist}
 	}
 	if m != nil {

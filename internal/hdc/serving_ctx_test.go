@@ -71,15 +71,15 @@ func TestServingPredictCtxReportsScannedGeneration(t *testing.T) {
 }
 
 // TestServingPredictPanicDropsSession pins that a pooled predict which
-// panics never files its session back: the next pooled call must not
+// panics never files its scratch back: the next pooled call must not
 // get the scratch the panic left half written. One P and no GC keep
 // the pool's private slot deterministic.
 func TestServingPredictPanicDropsSession(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	sv, _ := ctxServing(t)
-	ses := sv.session() // the pooled session the training learns used
-	sv.sessions.Put(ses)
+	bc := sv.scratch() // the pooled scratch the training learns used
+	sv.release(bc)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -88,8 +88,59 @@ func TestServingPredictPanicDropsSession(t *testing.T) {
 		}()
 		sv.PredictCtx(context.Background(), [][]float64{{1}}) // one channel of four
 	}()
-	if sv.session() == ses {
-		t.Fatal("the session of a panicked predict went back to the pool")
+	if sv.scratch() == bc {
+		t.Fatal("the scratch of a panicked predict went back to the pool")
+	}
+}
+
+// TestPooledScratchServesItsGeometry pins what the process-wide pools
+// hold: scratch goes back unbound from the model's item memories, so
+// nothing pooled keeps a model's tables reachable; a model of another
+// seed but the same geometry reuses it; a model of another geometry
+// gets new scratch. One P and no GC keep the pool's private slot
+// deterministic.
+func TestPooledScratchServesItsGeometry(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	sv, w := ctxServing(t)
+	pool := &scratchPools[sv.cfg.Backend]
+	for pool.Get() != nil { // drain what the training learns filed
+	}
+	// A Put may be dropped (the race detector drops one in four), so
+	// retry until a Get hands the scratch back.
+	var bc *batchCtx
+	for i := 0; i < 64 && bc == nil; i++ {
+		sv.Predict(w)
+		bc, _ = pool.Get().(*batchCtx)
+	}
+	if bc == nil {
+		t.Fatal("pooled predicts never filed their scratch back")
+	}
+	if bc.spatial.im != nil || bc.spatial.cim != nil {
+		t.Fatal("pooled scratch still points at its last model's item memories")
+	}
+	cfg := sv.Config()
+	cfg.Seed++
+	sameGeom, err := NewServing(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *batchCtx
+	for i := 0; i < 64 && got != bc; i++ {
+		pool.Put(bc)
+		got = sameGeom.scratch()
+	}
+	if got != bc || got.spatial.im != sameGeom.im || got.spatial.cim != sameGeom.cim {
+		t.Fatal("a model of the same geometry did not get the pooled scratch, bound to its own item memories")
+	}
+	sameGeom.release(bc)
+	cfg.D += 64
+	wider, err := NewServing(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wider.scratch() == bc {
+		t.Fatal("a model of another dimension got scratch sized for the pooled geometry")
 	}
 }
 

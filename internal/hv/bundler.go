@@ -28,7 +28,9 @@ type Bundler struct {
 	n    int
 	// planes[b] holds bit b of the per-component counts.
 	planes [][]uint64
-	// scratch stages one input vector in uint64 words.
+	// scratch stages one input vector in uint64 words. The first Add
+	// allocates it, so a restored accumulator that never learns again
+	// never does.
 	scratch []uint64
 }
 
@@ -39,7 +41,7 @@ func NewBundler(d int) *Bundler {
 	}
 	nw := WordsFor(d)
 	nw64 := (nw + 1) / 2
-	return &Bundler{d: d, nw: nw, nw64: nw64, scratch: make([]uint64, nw64)}
+	return &Bundler{d: d, nw: nw, nw64: nw64}
 }
 
 // Dim returns the dimensionality of the accumulated vectors.
@@ -54,12 +56,13 @@ func (b *Bundler) Add(v Vector) {
 		panic(fmt.Sprintf("hv: Bundler.Add: dimension mismatch %d != %d", v.d, b.d))
 	}
 	ws := v.words
+	s := b.stage()
 	j := 0
 	for ; j+1 < len(ws); j += 2 {
-		b.scratch[j>>1] = pair64(ws[j], ws[j+1])
+		s[j>>1] = pair64(ws[j], ws[j+1])
 	}
 	if j < len(ws) {
-		b.scratch[j>>1] = uint64(ws[j])
+		s[j>>1] = uint64(ws[j])
 	}
 	b.addScratch()
 }
@@ -69,15 +72,25 @@ func (b *Bundler) AddBits(bits []byte) {
 	if len(bits) != b.d {
 		panic(fmt.Sprintf("hv: Bundler.AddBits: dimension mismatch %d != %d", len(bits), b.d))
 	}
-	for j := range b.scratch {
-		b.scratch[j] = 0
+	s := b.stage()
+	for j := range s {
+		s[j] = 0
 	}
 	for i, x := range bits {
 		if x != 0 {
-			b.scratch[i>>6] |= 1 << (uint(i) & 63)
+			s[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
 	b.addScratch()
+}
+
+// stage returns the scratch an Add stages its input in, allocating it
+// on first use.
+func (b *Bundler) stage() []uint64 {
+	if b.scratch == nil {
+		b.scratch = make([]uint64, b.nw64)
+	}
+	return b.scratch
 }
 
 // addScratch folds the staged vector into the count planes with a
@@ -101,13 +114,7 @@ func (b *Bundler) addScratch() {
 // accumulators with it so online learning can continue from a trained
 // state without aliasing the original.
 func (b *Bundler) Clone() *Bundler {
-	c := &Bundler{
-		d:       b.d,
-		nw:      b.nw,
-		nw64:    b.nw64,
-		n:       b.n,
-		scratch: make([]uint64, b.nw64),
-	}
+	c := &Bundler{d: b.d, nw: b.nw, nw64: b.nw64, n: b.n}
 	if len(b.planes) > 0 {
 		c.planes = make([][]uint64, len(b.planes))
 		for p, plane := range b.planes {
@@ -117,31 +124,26 @@ func (b *Bundler) Clone() *Bundler {
 	return c
 }
 
-// State exports the accumulator as plain data — the addition count and
-// a deep copy of the bit-sliced count planes — so a serving snapshot
-// can persist learnable class accumulators and a warm restart can
-// resume counting exactly where the process died. The inverse is
-// NewBundlerFromState.
+// State returns the accumulator as plain data: the addition count and
+// the bits.Len(n) bit-sliced count planes that carry live digits (a
+// Reset bundler keeps its planes with n back at 0). The planes are the
+// bundler's own storage, not copies: read them only while no Add can
+// run, and never write them. A serving snapshot encodes them under the
+// learner lock; NewBundlerFromState is the inverse.
 func (b *Bundler) State() (n int, planes [][]uint64) {
-	// A Reset bundler keeps its allocated planes with n back at 0;
-	// export only the bits.Len(n) planes that carry live count digits,
-	// which is exactly what NewBundlerFromState validates against.
-	live := bits.Len(uint(b.n))
-	if live > 0 {
-		planes = make([][]uint64, live)
-		for p := range planes {
-			planes[p] = append([]uint64(nil), b.planes[p]...)
-		}
-	}
-	return b.n, planes
+	return b.n, b.planes[:bits.Len(uint(b.n))]
 }
 
 // NewBundlerFromState rebuilds an accumulator from State output. The
 // plane geometry is validated against (d, n): exactly bits.Len(n)
 // planes of WordsFor(d)-packed width, so a corrupted or hostile
 // snapshot cannot construct an accumulator whose later Adds write out
-// of bounds. The planes are deep-copied; the caller's slices stay
-// independent.
+// of bounds.
+//
+// The bundler takes ownership of planes and counts on in them: the
+// caller must not use the slices afterwards. The plane stack is capped
+// at its length, so the plane a later Add appends goes into a new
+// array, never into spare capacity of the caller's.
 func NewBundlerFromState(d, n int, planes [][]uint64) (*Bundler, error) {
 	if d <= 0 {
 		return nil, fmt.Errorf("hv: NewBundlerFromState: dimension must be positive, got %d", d)
@@ -153,15 +155,14 @@ func NewBundlerFromState(d, n int, planes [][]uint64) (*Bundler, error) {
 		return nil, fmt.Errorf("hv: NewBundlerFromState: %d planes for count %d, want %d", len(planes), n, want)
 	}
 	b := NewBundler(d)
+	for p, plane := range planes {
+		if len(plane) != b.nw64 {
+			return nil, fmt.Errorf("hv: NewBundlerFromState: plane %d has %d words, want %d", p, len(plane), b.nw64)
+		}
+	}
 	b.n = n
 	if len(planes) > 0 {
-		b.planes = make([][]uint64, len(planes))
-		for p, plane := range planes {
-			if len(plane) != b.nw64 {
-				return nil, fmt.Errorf("hv: NewBundlerFromState: plane %d has %d words, want %d", p, len(plane), b.nw64)
-			}
-			b.planes[p] = append([]uint64(nil), plane...)
-		}
+		b.planes = planes[:len(planes):len(planes)]
 	}
 	return b, nil
 }

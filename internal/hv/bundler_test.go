@@ -156,3 +156,38 @@ func TestBundlerPrototypeSimilarity(t *testing.T) {
 		t.Fatalf("prototype distance %d from template; bundling failed to denoise", dist)
 	}
 }
+
+// TestBundlerFromStateAdoptsPlanes pins the snapshot seam's ownership
+// contract: the rebuilt bundler counts on in the caller's plane
+// arrays (no copy), State hands back those same arrays, and the plane
+// a later Add appends never lands in spare capacity of the caller's
+// plane stack.
+func TestBundlerFromStateAdoptsPlanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const d = 200
+	src := NewBundler(d)
+	for i := 0; i < 3; i++ {
+		src.Add(NewRandom(d, rng))
+	}
+	n, live := src.State()
+	stack := make([][]uint64, len(live), len(live)+1)
+	for p := range stack {
+		stack[p] = append([]uint64(nil), live[p]...)
+	}
+	b, err := NewBundlerFromState(d, n, stack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got := b.State(); &got[0][0] != &stack[0][0] {
+		t.Fatal("NewBundlerFromState copied the planes it was handed")
+	}
+	v := NewRandom(d, rng)
+	src.Add(v)
+	b.Add(v) // count 4 needs a third plane
+	if spare := stack[:len(stack)+1][len(stack)]; spare != nil {
+		t.Fatal("the new plane was appended into the caller's plane stack")
+	}
+	if !Equal(b.Vector(nil), src.Vector(nil)) {
+		t.Fatal("the rebuilt bundler counts differently from the original")
+	}
+}

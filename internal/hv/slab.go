@@ -46,18 +46,55 @@ type Slab struct {
 // NewSlab returns a slab holding copies of rows, in order. It panics
 // if d is not positive or a row's dimension differs from d.
 func NewSlab(d int, rows []Vector) *Slab {
-	if d <= 0 {
-		panic(fmt.Sprintf("hv: NewSlab: dimension must be positive, got %d", d))
-	}
-	s := &Slab{d: d, n: len(rows), blocks: make([][]uint64, (len(rows)+blockLanes-1)/blockLanes)}
-	for g := range s.blocks {
-		s.blocks[g] = make([]uint64, s.blockLen())
-	}
-	for i, v := range rows {
+	s := NewSlabBuilder(d).s
+	for _, v := range rows {
 		s.checkRow("NewSlab", v)
-		putRow(s.blocks[i/blockLanes][i%blockLanes:], v.words)
+		s.push(v.words)
 	}
 	return s
+}
+
+// SlabBuilder fills a new Slab one row at a time, allocating a block
+// every eight rows, so a decoder never holds a row outside the slab
+// longer than it takes to check it. Build hands the slab over; the
+// builder must not be used after it.
+type SlabBuilder struct{ s *Slab }
+
+// NewSlabBuilder returns a builder for a slab of d-dimensional rows.
+// It panics if d is not positive.
+func NewSlabBuilder(d int) SlabBuilder {
+	if d <= 0 {
+		panic(fmt.Sprintf("hv: slab dimension must be positive, got %d", d))
+	}
+	return SlabBuilder{s: &Slab{d: d}}
+}
+
+// AddWords appends a row given as the WordsFor(d) packed words of
+// Vector.Words. Like FromWords, it rejects a wrong word count or bits
+// set above the dimension, and then the slab is unchanged.
+func (b SlabBuilder) AddWords(words []uint32) error {
+	s := b.s
+	if len(words) != WordsFor(s.d) {
+		return fmt.Errorf("hv: SlabBuilder.AddWords: %d words for %d-D, want %d", len(words), s.d, WordsFor(s.d))
+	}
+	if last := words[len(words)-1]; last&^(Vector{d: s.d}).tailMask() != 0 {
+		return fmt.Errorf("hv: SlabBuilder.AddWords: bits set above dimension %d in final word %08x", s.d, last)
+	}
+	s.push(words)
+	return nil
+}
+
+// Build returns the slab of the rows added so far.
+func (b SlabBuilder) Build() *Slab { return b.s }
+
+// push appends packed words ws as row n, starting a zero block when
+// the last one is full.
+func (s *Slab) push(ws []uint32) {
+	if s.n%blockLanes == 0 {
+		s.blocks = append(s.blocks, make([]uint64, s.blockLen()))
+	}
+	putRow(s.blocks[s.n/blockLanes][s.n%blockLanes:], ws)
+	s.n++
 }
 
 // blockLen returns the uint64 words of one block: eight rows of
@@ -93,15 +130,22 @@ func (s *Slab) Len() int { return s.n }
 
 // Row returns a copy of row i.
 func (s *Slab) Row(i int) Vector {
+	v := New(s.d)
+	s.RowTo(v, i)
+	return v
+}
+
+// RowTo is Row without the allocation: it copies row i into dst, which
+// must have the slab's dimensionality.
+func (s *Slab) RowTo(dst Vector, i int) {
 	if i < 0 || i >= s.n {
 		panic(fmt.Sprintf("hv: Slab.Row: row %d out of range [0,%d)", i, s.n))
 	}
-	v := New(s.d)
+	s.checkRow("Slab.RowTo", dst)
 	lane := s.blocks[i/blockLanes][i%blockLanes:]
-	for w := range v.words {
-		v.words[w] = uint32(lane[w/2*blockLanes] >> (32 * uint(w%2)))
+	for w := range dst.words {
+		dst.words[w] = uint32(lane[w/2*blockLanes] >> (32 * uint(w%2)))
 	}
-	return v
 }
 
 // With returns a slab whose row i is a copy of v and whose other rows

@@ -106,3 +106,41 @@ func TestSlabNearestAllocationFree(t *testing.T) {
 		}
 	})
 }
+
+// TestSlabBuilderMatchesNewSlab pins that a slab built row by row from
+// packed words equals NewSlab over the same rows, and that AddWords
+// rejects a wrong word count or bits above the dimension without
+// adding a row.
+func TestSlabBuilderMatchesNewSlab(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	const d, n = 1000, 11
+	rows := make([]Vector, n)
+	b := NewSlabBuilder(d)
+	for i := range rows {
+		rows[i] = NewRandom(d, rng)
+		if err := b.AddWords(rows[i].Words()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := append([]uint32(nil), rows[0].Words()...)
+	bad[len(bad)-1] |= 1 << 31 // 1000 = 31×32 + 8: bit 31 of word 31 is past the dimension
+	for name, ws := range map[string][]uint32{"tail bits": bad, "short": bad[:len(bad)-1]} {
+		if err := b.AddWords(ws); err == nil {
+			t.Fatalf("AddWords accepted a row with %s", name)
+		}
+	}
+	got, want := b.Build(), NewSlab(d, rows)
+	if got.Len() != n {
+		t.Fatalf("built slab has %d rows, want %d", got.Len(), n)
+	}
+	for i := range rows {
+		if !Equal(got.Row(i), want.Row(i)) {
+			t.Fatalf("row %d differs from NewSlab's", i)
+		}
+	}
+	q := NewRandom(d, rng)
+	gi, gd := got.Nearest(q)
+	if wi, wd := want.Nearest(q); gi != wi || gd != wd {
+		t.Fatalf("built slab answers (%d,%d), NewSlab (%d,%d)", gi, gd, wi, wd)
+	}
+}

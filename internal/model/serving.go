@@ -1,7 +1,6 @@
 package model
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -34,7 +33,8 @@ const maxAccumPlanes = 48
 
 // SaveServing writes a serving model's complete learner state
 // (configuration, generation id, labels, prototypes, learnable-class
-// accumulators) to w in snapshot version 3.
+// accumulators) to w in snapshot version 3: EncodeServing, then one
+// Write after the learner lock is released.
 //
 // walSeq is the checkpoint sequence number: the WAL sequence the next
 // logged record will carry at the moment the snapshot was cut. Replay
@@ -44,22 +44,59 @@ const maxAccumPlanes = 48
 // stale records all carry sequences below walSeq and are not applied
 // twice. Callers persisting a model outside a WAL pairing pass 0.
 func SaveServing(w io.Writer, sv *hdc.Serving, walSeq uint64) error {
-	return SaveServingState(w, sv.Config(), sv.State(), walSeq)
+	snap, _, err := EncodeServing(sv, walSeq)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(snap); err != nil {
+		return fmt.Errorf("model: write snapshot: %w", err)
+	}
+	return nil
 }
 
-// SaveServingState writes an already-cut serving state. Callers that
-// need to know exactly which generation went over the wire (the
-// replication exporter) take the State() cut themselves, read
-// st.Generation, and serialize the same cut here — calling SaveServing
-// directly would race a concurrent Learn between reading the
-// generation and cutting the state.
-func SaveServingState(w io.Writer, cfg hdc.Config, st hdc.ServingState, walSeq uint64) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magicV3[:]); err != nil {
-		return fmt.Errorf("model: write header: %w", err)
+// EncodeServing returns sv's version-3 snapshot (see SaveServing) and
+// the generation it was cut at. The cut is consistent: the state is
+// read under the learner lock (hdc.Serving.ReadState), so the bytes
+// describe exactly the returned generation. The lock is held only
+// while the live state is copied into one exactly sized buffer (each
+// plane word once, each prototype through one reused row), and the
+// CRC is computed after it is released.
+func EncodeServing(sv *hdc.Serving, walSeq uint64) (snap []byte, generation uint64, err error) {
+	cfg := sv.Config()
+	row := hv.New(cfg.D) // one prototype at a time, read out of the slab
+	sv.ReadState(func(st hdc.ServingState) {
+		generation = st.Generation
+		snap, err = appendServing(make([]byte, 0, servingSize(cfg, st)), cfg, st, walSeq, row)
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	cw := &crcWriter{w: bw, crc: crc32.NewIEEE()}
-	head := []uint64{
+	snap = binary.LittleEndian.AppendUint32(snap, crc32.ChecksumIEEE(snap[len(magicV3):]))
+	return snap, generation, nil
+}
+
+// servingSize returns the encoded length of st, CRC trailer included.
+func servingSize(cfg hdc.Config, st hdc.ServingState) int {
+	size := len(magicV3) + servingHeadLen + 4
+	for i, label := range st.Labels {
+		size += 4 + len(label) + 4*hv.WordsFor(cfg.D) + 1
+		if b := st.Accums[i]; b != nil {
+			_, planes := b.State()
+			size += 8 + 4
+			for _, plane := range planes {
+				size += 8 * len(plane)
+			}
+		}
+	}
+	return size
+}
+
+// appendServing appends st's snapshot body, magic first, CRC trailer
+// not included, to buf; row is scratch of the model's dimension.
+func appendServing(buf []byte, cfg hdc.Config, st hdc.ServingState, walSeq uint64, row hv.Vector) ([]byte, error) {
+	le := binary.LittleEndian
+	buf = append(buf, magicV3[:]...)
+	for _, v := range [servingHeadLen / 8]uint64{
 		uint64(cfg.D),
 		uint64(cfg.Channels),
 		uint64(cfg.Levels),
@@ -68,58 +105,39 @@ func SaveServingState(w io.Writer, cfg hdc.Config, st hdc.ServingState, walSeq u
 		uint64(cfg.NGram),
 		uint64(cfg.Window),
 		uint64(cfg.Seed),
-		uint64(len(st.Classes)),
+		uint64(len(st.Labels)),
 		uint64(cfg.Backend),
 		st.Generation,
 		walSeq,
+	} {
+		buf = le.AppendUint64(buf, v)
 	}
-	for _, v := range head {
-		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("model: write config: %w", err)
+	for i, label := range st.Labels {
+		if len(label) > maxLabelLen {
+			return nil, fmt.Errorf("model: label %q exceeds %d bytes", label, maxLabelLen)
 		}
-	}
-	for _, cs := range st.Classes {
-		if len(cs.Label) > maxLabelLen {
-			return fmt.Errorf("model: label %q exceeds %d bytes", cs.Label, maxLabelLen)
+		buf = le.AppendUint32(buf, uint32(len(label)))
+		buf = append(buf, label...)
+		st.Prototypes.RowTo(row, i)
+		for _, w := range row.Words() {
+			buf = le.AppendUint32(buf, w)
 		}
-		if err := binary.Write(cw, binary.LittleEndian, uint32(len(cs.Label))); err != nil {
-			return fmt.Errorf("model: write label: %w", err)
-		}
-		if _, err := io.WriteString(cw, cs.Label); err != nil {
-			return fmt.Errorf("model: write label: %w", err)
-		}
-		if err := binary.Write(cw, binary.LittleEndian, cs.Prototype.Words()); err != nil {
-			return fmt.Errorf("model: write prototype %q: %w", cs.Label, err)
-		}
-		learnable := uint8(0)
-		if cs.Learnable {
-			learnable = 1
-		}
-		if err := binary.Write(cw, binary.LittleEndian, learnable); err != nil {
-			return fmt.Errorf("model: write class %q: %w", cs.Label, err)
-		}
-		if !cs.Learnable {
+		b := st.Accums[i]
+		if b == nil {
+			buf = append(buf, 0)
 			continue
 		}
-		if err := binary.Write(cw, binary.LittleEndian, uint64(cs.AccumCount)); err != nil {
-			return fmt.Errorf("model: write accumulator %q: %w", cs.Label, err)
-		}
-		if err := binary.Write(cw, binary.LittleEndian, uint32(len(cs.AccumPlanes))); err != nil {
-			return fmt.Errorf("model: write accumulator %q: %w", cs.Label, err)
-		}
-		for _, plane := range cs.AccumPlanes {
-			if err := binary.Write(cw, binary.LittleEndian, plane); err != nil {
-				return fmt.Errorf("model: write accumulator %q: %w", cs.Label, err)
+		n, planes := b.State()
+		buf = append(buf, 1)
+		buf = le.AppendUint64(buf, uint64(n))
+		buf = le.AppendUint32(buf, uint32(len(planes)))
+		for _, plane := range planes {
+			for _, x := range plane {
+				buf = le.AppendUint64(buf, x)
 			}
 		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, cw.crc.Sum32()); err != nil {
-		return fmt.Errorf("model: write checksum: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("model: flush: %w", err)
-	}
-	return nil
+	return buf, nil
 }
 
 // ServingMeta is the cheap-to-read head of a serving snapshot: the
@@ -138,15 +156,17 @@ type ServingMeta struct {
 
 // ReadServingMeta reads just the snapshot head from r.
 func ReadServingMeta(r io.Reader) (ServingMeta, error) {
-	br := bufio.NewReader(r)
-	var gotMagic [8]byte
-	if _, err := io.ReadFull(br, gotMagic[:]); err != nil {
+	var p [len(magicV3) + servingHeadLen]byte
+	if _, err := io.ReadFull(r, p[:len(magicV3)]); err != nil {
 		return ServingMeta{}, fmt.Errorf("model: read header: %w", err)
 	}
-	if gotMagic != magicV3 {
-		return ServingMeta{}, fmt.Errorf("model: bad magic %q (want %q)", gotMagic, magicV3)
+	if got := [8]byte(p[:len(magicV3)]); got != magicV3 {
+		return ServingMeta{}, fmt.Errorf("model: bad magic %q (want %q)", got, magicV3)
 	}
-	return readServingHeadBody(br)
+	if _, err := io.ReadFull(r, p[len(magicV3):]); err != nil {
+		return ServingMeta{}, fmt.Errorf("model: read config: %w", err)
+	}
+	return parseServingHead(p[len(magicV3):])
 }
 
 // LoadServing reads a snapshot written by SaveServing and rebuilds the
@@ -156,91 +176,79 @@ func ReadServingMeta(r io.Reader) (ServingMeta, error) {
 // sequence (see SaveServing). Corrupt input — bad magic, implausible
 // geometry, a truncated stream, a CRC mismatch — comes back as an
 // error, never a panic.
+//
+// The body is read in chunks through one reused buffer and decoded in
+// one pass: each prototype straight into the model's slab, each
+// class's count planes into one array the class's accumulator adopts.
+// Nothing is allocated before the field that sizes it is validated,
+// and nothing more than one class's planes ahead of the bytes read.
 func LoadServing(r io.Reader) (*hdc.Serving, uint64, error) {
-	br := bufio.NewReader(r)
-	var gotMagic [8]byte
-	if _, err := io.ReadFull(br, gotMagic[:]); err != nil {
+	d := &decoder{r: r, buf: make([]byte, decodeChunk)}
+	p, err := d.take(len(magicV3))
+	if err != nil {
 		return nil, 0, fmt.Errorf("model: read header: %w", err)
 	}
-	if gotMagic != magicV3 {
-		return nil, 0, fmt.Errorf("model: bad magic %q (want %q)", gotMagic, magicV3)
+	if got := [8]byte(p); got != magicV3 {
+		return nil, 0, fmt.Errorf("model: bad magic %q (want %q)", got, magicV3)
 	}
-	cr := &crcReader{r: br, crc: crc32.NewIEEE()}
-	meta, err := readServingHeadBody(cr)
+	d.crc = 0 // the CRC covers everything after the magic
+	if p, err = d.take(servingHeadLen); err != nil {
+		return nil, 0, fmt.Errorf("model: read config: %w", err)
+	}
+	meta, err := parseServingHead(p)
 	if err != nil {
 		return nil, 0, err
 	}
 	cfg := meta.Config
-	words := hv.WordsFor(cfg.D)
-	nw64 := (words + 1) / 2
+	if cfg.D < 1 {
+		return nil, 0, fmt.Errorf("model: dimension %d not positive", cfg.D)
+	}
+	nw64 := (hv.WordsFor(cfg.D) + 1) / 2
 	st := hdc.ServingState{Generation: meta.Generation}
+	protos := hv.NewSlabBuilder(cfg.D)
+	row := make([]uint32, hv.WordsFor(cfg.D))
 	for i := 0; i < meta.Classes; i++ {
-		var n uint32
-		if err := binary.Read(cr, binary.LittleEndian, &n); err != nil {
+		if p, err = d.take(4); err != nil {
 			return nil, 0, fmt.Errorf("model: read label %d: %w", i, err)
 		}
+		n := binary.LittleEndian.Uint32(p)
 		if n > maxLabelLen {
 			return nil, 0, fmt.Errorf("model: label %d length %d exceeds %d", i, n, maxLabelLen)
 		}
-		label := make([]byte, n)
-		if _, err := io.ReadFull(cr, label); err != nil {
+		if p, err = d.take(int(n)); err != nil {
 			return nil, 0, fmt.Errorf("model: read label %d: %w", i, err)
 		}
-		buf := make([]uint32, words)
-		if err := binary.Read(cr, binary.LittleEndian, buf); err != nil {
+		label := string(p)
+		if err := d.uint32s(row); err != nil {
 			return nil, 0, fmt.Errorf("model: read prototype %q: %w", label, err)
 		}
-		proto, err := hv.FromWords(cfg.D, buf)
-		if err != nil {
+		if err := protos.AddWords(row); err != nil {
 			return nil, 0, fmt.Errorf("model: prototype %q: %w", label, err)
 		}
-		cs := hdc.ServingClassState{Label: string(label), Prototype: proto}
-		var learnable uint8
-		if err := binary.Read(cr, binary.LittleEndian, &learnable); err != nil {
+		if p, err = d.take(1); err != nil {
 			return nil, 0, fmt.Errorf("model: read class %q: %w", label, err)
 		}
-		if learnable > 1 {
-			return nil, 0, fmt.Errorf("model: class %q has learnable flag %d", label, learnable)
+		var acc *hv.Bundler
+		switch p[0] {
+		case 0:
+		case 1:
+			if acc, err = d.accumulator(cfg.D, nw64, label); err != nil {
+				return nil, 0, err
+			}
+		default:
+			return nil, 0, fmt.Errorf("model: class %q has learnable flag %d", label, p[0])
 		}
-		if learnable == 1 {
-			cs.Learnable = true
-			var count uint64
-			if err := binary.Read(cr, binary.LittleEndian, &count); err != nil {
-				return nil, 0, fmt.Errorf("model: read accumulator %q: %w", label, err)
-			}
-			var planes uint32
-			if err := binary.Read(cr, binary.LittleEndian, &planes); err != nil {
-				return nil, 0, fmt.Errorf("model: read accumulator %q: %w", label, err)
-			}
-			if planes > maxAccumPlanes {
-				return nil, 0, fmt.Errorf("model: accumulator %q declares %d planes (max %d)", label, planes, maxAccumPlanes)
-			}
-			// The plane count is the count's bit length by construction;
-			// checking before allocating keeps a hostile (count, planes)
-			// pair from both the allocation and the FromState error path.
-			if count > 1<<maxAccumPlanes || int(planes) != bits.Len64(count) {
-				return nil, 0, fmt.Errorf("model: accumulator %q has %d planes for count %d", label, planes, count)
-			}
-			cs.AccumCount = int(count)
-			cs.AccumPlanes = make([][]uint64, planes)
-			for p := range cs.AccumPlanes {
-				plane := make([]uint64, nw64)
-				if err := binary.Read(cr, binary.LittleEndian, plane); err != nil {
-					return nil, 0, fmt.Errorf("model: read accumulator %q plane %d: %w", label, p, err)
-				}
-				cs.AccumPlanes[p] = plane
-			}
-		}
-		st.Classes = append(st.Classes, cs)
+		st.Labels = append(st.Labels, label)
+		st.Accums = append(st.Accums, acc)
 	}
-	want := cr.crc.Sum32()
-	var got uint32
-	if err := binary.Read(br, binary.LittleEndian, &got); err != nil {
+	want := d.crc
+	if p, err = d.take(4); err != nil {
 		return nil, 0, fmt.Errorf("model: read checksum: %w", err)
 	}
-	if got != want {
+	if got := binary.LittleEndian.Uint32(p); got != want {
 		return nil, 0, fmt.Errorf("model: checksum mismatch: stored %08x, computed %08x", got, want)
 	}
+	st.Prototypes = protos.Build()
 	sv, err := hdc.NewServingFromState(cfg, st)
 	if err != nil {
 		return nil, 0, fmt.Errorf("model: snapshot state invalid: %w", err)
@@ -248,15 +256,111 @@ func LoadServing(r io.Reader) (*hdc.Serving, uint64, error) {
 	return sv, meta.WALSeq, nil
 }
 
-// readServingHeadBody is readServingHead minus the magic — for callers
-// that already consumed it (LoadServing threads the CRC reader through
-// everything after the magic).
-func readServingHeadBody(r io.Reader) (ServingMeta, error) {
-	head := make([]uint64, 12)
-	for i := range head {
-		if err := binary.Read(r, binary.LittleEndian, &head[i]); err != nil {
-			return ServingMeta{}, fmt.Errorf("model: read config: %w", err)
+// servingHeadLen is the byte length of the version-3 head after the
+// magic: twelve little-endian uint64 fields.
+const servingHeadLen = 12 * 8
+
+// decodeChunk is the decoder's buffer: every read of a snapshot body
+// goes through it, a chunk at a time.
+const decodeChunk = 4096
+
+// decoder reads a snapshot through one reused buffer, folding every
+// byte it hands out into a running CRC-32 (IEEE).
+type decoder struct {
+	r        io.Reader
+	buf      []byte
+	off, end int // buf[off:end] is read from r but not yet taken
+	crc      uint32
+}
+
+// take returns the next n bytes (n ≤ decodeChunk), reading from r as
+// needed. They stay valid until the next take.
+func (d *decoder) take(n int) ([]byte, error) {
+	if d.end-d.off < n {
+		d.end = copy(d.buf, d.buf[d.off:d.end])
+		d.off = 0
+		m, err := io.ReadAtLeast(d.r, d.buf[d.end:], n-d.end)
+		d.end += m
+		if err != nil {
+			return nil, err
 		}
+	}
+	p := d.buf[d.off : d.off+n]
+	d.off += n
+	d.crc = crc32.Update(d.crc, crc32.IEEETable, p)
+	return p, nil
+}
+
+// uint32s fills dst with little-endian words.
+func (d *decoder) uint32s(dst []uint32) error {
+	for len(dst) > 0 {
+		k := min(len(dst), decodeChunk/4)
+		p, err := d.take(4 * k)
+		if err != nil {
+			return err
+		}
+		for i := range dst[:k] {
+			dst[i] = binary.LittleEndian.Uint32(p[4*i:])
+		}
+		dst = dst[k:]
+	}
+	return nil
+}
+
+// uint64s fills dst with little-endian words.
+func (d *decoder) uint64s(dst []uint64) error {
+	for len(dst) > 0 {
+		k := min(len(dst), decodeChunk/8)
+		p, err := d.take(8 * k)
+		if err != nil {
+			return err
+		}
+		for i := range dst[:k] {
+			dst[i] = binary.LittleEndian.Uint64(p[8*i:])
+		}
+		dst = dst[k:]
+	}
+	return nil
+}
+
+// accumulator decodes a learnable class's count and planes. The plane
+// count is checked against maxAccumPlanes and the count's bit length
+// before anything is allocated; the planes then decode into one array
+// of exactly planes×nw64 words, which the returned bundler adopts.
+func (d *decoder) accumulator(dim, nw64 int, label string) (*hv.Bundler, error) {
+	p, err := d.take(8 + 4)
+	if err != nil {
+		return nil, fmt.Errorf("model: read accumulator %q: %w", label, err)
+	}
+	count := binary.LittleEndian.Uint64(p)
+	planes := binary.LittleEndian.Uint32(p[8:])
+	if planes > maxAccumPlanes {
+		return nil, fmt.Errorf("model: accumulator %q declares %d planes (max %d)", label, planes, maxAccumPlanes)
+	}
+	if count > 1<<maxAccumPlanes || int(planes) != bits.Len64(count) {
+		return nil, fmt.Errorf("model: accumulator %q has %d planes for count %d", label, planes, count)
+	}
+	words := make([]uint64, int(planes)*nw64)
+	if err := d.uint64s(words); err != nil {
+		return nil, fmt.Errorf("model: read accumulator %q planes: %w", label, err)
+	}
+	stack := make([][]uint64, planes)
+	for i := range stack {
+		stack[i] = words[i*nw64 : (i+1)*nw64 : (i+1)*nw64]
+	}
+	b, err := hv.NewBundlerFromState(dim, int(count), stack)
+	if err != nil {
+		return nil, fmt.Errorf("model: accumulator %q: %w", label, err)
+	}
+	return b, nil
+}
+
+// parseServingHead decodes and bounds-checks the version-3 head, the
+// servingHeadLen bytes after the magic.
+func parseServingHead(p []byte) (ServingMeta, error) {
+	var head [servingHeadLen / 8]uint64
+	for i := range head {
+		head[i] = binary.LittleEndian.Uint64(p[8*i:])
 	}
 	m := ServingMeta{
 		Config: hdc.Config{

@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -165,4 +166,62 @@ func TestLoadServingRejectsUntrustedGeometry(t *testing.T) {
 	if _, _, err := LoadServing(bytes.NewReader(mutated)); err == nil {
 		t.Fatal("implausible class count loaded")
 	}
+}
+
+// TestServingCodecAllocationsPerModel pins that the snapshot codec
+// allocates per model and per class, never per count plane: a model
+// whose classes each learned 1,000 times (ten planes) saves and loads
+// in exactly as many allocations as one at five learns (three planes).
+// The encoder's one buffer must be exactly sized.
+func TestServingCodecAllocationsPerModel(t *testing.T) {
+	for _, backend := range []hdc.Backend{hdc.BackendStored, hdc.BackendRemat} {
+		t.Run(backend.String(), func(t *testing.T) {
+			var saves, loads [2]float64
+			for k, learns := range []int{5, 1000} {
+				sv := emgModel(t, backend, learns)
+				snap, gen, err := EncodeServing(sv, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gen != sv.Generation() || len(snap) != cap(snap) {
+					t.Fatalf("encoded generation %d into %d of %d bytes; want generation %d, exactly sized",
+						gen, len(snap), cap(snap), sv.Generation())
+				}
+				saves[k] = testing.AllocsPerRun(20, func() {
+					if err := SaveServing(io.Discard, sv, 0); err != nil {
+						t.Fatal(err)
+					}
+				})
+				loads[k] = testing.AllocsPerRun(20, func() {
+					if _, _, err := LoadServing(bytes.NewReader(snap)); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if saves[0] != saves[1] || loads[0] != loads[1] {
+				t.Fatalf("allocations at 5 vs 1,000 learns per class: save %v vs %v, load %v vs %v",
+					saves[0], saves[1], loads[0], loads[1])
+			}
+		})
+	}
+}
+
+// emgModel returns a serving model at the paper's EMG geometry whose
+// five classes each learned learns random windows.
+func emgModel(t *testing.T, backend hdc.Backend, learns int) *hdc.Serving {
+	t.Helper()
+	cfg := hdc.EMGConfig()
+	cfg.Backend = backend
+	sv, err := hdc.NewServing(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	labels := []string{"rest", "fist", "point", "grip", "open"}
+	for i := 0; i < learns*len(labels); i++ {
+		if err := sv.Learn(labels[i%len(labels)], fixtureWindow(cfg, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sv
 }

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -15,18 +16,22 @@ import (
 // round trip. A dirty model takes one learn before each eviction, so
 // the eviction writes and fsyncs a snapshot; a clean model's eviction
 // writes nothing. Fault-in on the stored backend reuses the item
-// memories NewServing shares; remat rebuilds its expansion keys.
+// memories NewServing shares; remat rebuilds its expansion keys. Each
+// class learns 5 or 1,000 times before the loop: three or ten count
+// planes per class, the second where a hot tenant's classes sit.
 func BenchmarkRegistryEvictFaultIn(b *testing.B) {
 	for _, state := range []string{"clean", "dirty"} {
 		for _, backend := range []hdc.Backend{hdc.BackendStored, hdc.BackendRemat} {
-			b.Run(state+"/"+backend.String(), func(b *testing.B) {
-				benchEvictFaultIn(b, backend, state == "dirty")
-			})
+			for _, learns := range []int{5, 1000} {
+				b.Run(fmt.Sprintf("%s/%s/learns=%d", state, backend, learns), func(b *testing.B) {
+					benchEvictFaultIn(b, backend, state == "dirty", learns)
+				})
+			}
 		}
 	}
 }
 
-func benchEvictFaultIn(b *testing.B, backend hdc.Backend, dirty bool) {
+func benchEvictFaultIn(b *testing.B, backend hdc.Backend, dirty bool, learns int) {
 	cfg := hdc.EMGConfig()
 	cfg.Backend = backend
 	rng := rand.New(rand.NewSource(1))
@@ -39,7 +44,7 @@ func benchEvictFaultIn(b *testing.B, backend hdc.Backend, dirty bool) {
 		b.Fatal(err)
 	}
 	labels := []string{"rest", "fist", "point", "grip", "open"}
-	for i := 0; i < 5*len(labels); i++ {
+	for i := 0; i < learns*len(labels); i++ {
 		if err := r.Learn("m", labels[i%len(labels)], randomWindow(cfg, rng)); err != nil {
 			b.Fatal(err)
 		}

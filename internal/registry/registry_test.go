@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"pulphd/internal/hdc"
 	"pulphd/internal/model"
@@ -375,5 +377,42 @@ func TestCleanEvictionWritesNothing(t *testing.T) {
 	}
 	if same, snaps := evictAndReload(); same || snaps != 1 {
 		t.Fatalf("dirty eviction: snapshot file kept %v, snapshots written %d; want replaced and 1", same, snaps)
+	}
+}
+
+// TestEvictedModelFreedAtNextGC pins that nothing the serving paths
+// leave behind keeps an evicted model alive: after a learn and a
+// pooled predict, the first GC after eviction must find the model
+// unreachable. Encode scratch that pointed at its model (a per-model
+// sync.Pool) would hold it until the second GC.
+func TestEvictedModelFreedAtNextGC(t *testing.T) {
+	r, err := Open(Config{Dir: t.TempDir(), ResidentBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	cfg := testConfig(hdc.BackendStored)
+	rng := rand.New(rand.NewSource(3))
+	released := make(chan struct{})
+	func() {
+		sv, err := r.Create("m", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(sv, func(*hdc.Serving) { close(released) })
+		if err := r.Learn("m", "rest", randomWindow(cfg, rng)); err != nil {
+			t.Fatal(err)
+		}
+		sv.Predict(randomWindow(cfg, rng))
+	}()
+	r.EnforceBudget()
+	if info, _ := r.ModelInfo("m"); info.Resident {
+		t.Fatal("model still resident after EnforceBudget")
+	}
+	runtime.GC()
+	select {
+	case <-released:
+	case <-time.After(5 * time.Second):
+		t.Fatal("evicted model survived the first GC after eviction")
 	}
 }

@@ -3,7 +3,6 @@ package registry
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"pulphd/internal/hdc"
 	"pulphd/internal/model"
@@ -14,26 +13,23 @@ import (
 // consistent generation-stamped snapshots, a replica installs them
 // under the same atomic served pointer every other path uses. Neither
 // side needs anything beyond the machinery the registry already has —
-// State() cuts are learner-lock consistent, snapshots carry a CRC
+// snapshot encodes are learner-lock consistent, snapshots carry a CRC
 // trailer, and an Install is one pointer store.
 
-// ExportServing streams name's complete serving state to w in
-// snapshot format (PULPHD03) and returns the generation the cut was
-// taken at. The cut is consistent — State() serializes against Learn —
-// so the bytes always describe exactly the returned generation. Cold
-// models fault in first (their WAL tail folds in during fault-in, so
-// the export is never stale). The snapshot is written with walSeq 0:
-// the receiver owns no WAL pairing for it.
-func (r *Registry) ExportServing(ctx context.Context, name string, w io.Writer) (uint64, error) {
+// ExportServing returns name's complete serving state in snapshot
+// format (PULPHD03) and the generation the cut was taken at. The cut
+// is consistent — model.EncodeServing reads the state under the
+// learner lock — so the bytes always describe exactly the returned
+// generation, and the lock is released before the caller writes them
+// anywhere. Cold models fault in first (their WAL tail folds in during
+// fault-in, so the export is never stale). The snapshot is encoded
+// with walSeq 0: the receiver owns no WAL pairing for it.
+func (r *Registry) ExportServing(ctx context.Context, name string) (snap []byte, generation uint64, err error) {
 	sv, err := r.ServingCtx(ctx, name)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	st := sv.State()
-	if err := model.SaveServingState(w, sv.Config(), st, 0); err != nil {
-		return 0, err
-	}
-	return st.Generation, nil
+	return model.EncodeServing(sv, 0)
 }
 
 // Install publishes sv under name, replacing any existing model's

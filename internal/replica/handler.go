@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -90,12 +89,11 @@ func (h *Handler) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Buffer the export: the cut is tiny (remat models are ~hundreds of
-	// bytes, stored EMG models tens of KB), and a complete in-memory
-	// frame means the response carries an honest Content-Length and the
-	// generation header describes exactly the bytes that follow.
-	var buf bytes.Buffer
-	gen, err := h.reg.ExportServing(r.Context(), name, &buf)
+	// The export is one in-memory frame (remat models are ~hundreds of
+	// bytes, stored EMG models tens of KB), so the response carries an
+	// honest Content-Length and the generation header describes exactly
+	// the bytes that follow.
+	snap, gen, err := h.reg.ExportServing(r.Context(), name)
 	if err != nil {
 		code := http.StatusInternalServerError
 		if errors.Is(err, registry.ErrNotFound) {
@@ -105,9 +103,9 @@ func (h *Handler) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(snap)))
 	w.Header().Set("X-PULPHD-Generation", strconv.FormatUint(gen, 10))
-	w.Write(buf.Bytes())
+	w.Write(snap)
 }
 
 // waitNewer blocks until name's generation upper bound exceeds

@@ -26,7 +26,8 @@ go test -run '^$' \
   -bench 'BenchmarkParallelAMSearch$|BenchmarkParallelMajority$' \
   -benchmem -count "$COUNT" . "$@" | tee -a "$OUT"
 # Registry rung: one evict -> fault-in round trip per op, clean and
-# dirty, on both item-memory backends (writes snapshots to a temp dir).
+# dirty, on both item-memory backends, at 5 and 1,000 learns per class
+# (writes snapshots to a temp dir).
 go test -run '^$' \
   -bench 'BenchmarkRegistryEvictFaultIn$' \
   -benchmem -count "$COUNT" ./internal/registry/ "$@" | tee -a "$OUT"

@@ -13,21 +13,12 @@ import (
 func FuzzPredictHTTP(f *testing.F) {
 	cfg := testServingConfig()
 	sv := trainedServing(f)
-
-	f.Add(`{"window": [[1, 2, 3, 4]]}`)
-	f.Add(`{"window": [[1, 2, 3, 4], [5, 6, 7, 8]]}`)
-	f.Add(`{"window": []}`)
-	f.Add(`{"window": [[1]]}`)
-	f.Add(`{"window": [[1e999, 2, 3, 4]]}`)
-	f.Add(`{"window": null}`)
-	f.Add(`{"label": "x", "window": [[1, 2, 3, 4]]}`)
-	f.Add(`{}`)
-	f.Add(``)
-	f.Add(`[[1, 2, 3, 4]]`)
-	f.Add(`{"window": [[1, 2, 3, 4]]}{"window": [[1, 2, 3, 4]]}`)
-
+	for _, body := range fuzzPredictSeeds {
+		f.Add(body)
+	}
+	wb := new(wireBuf) // reused across inputs, as the pool reuses it
 	f.Fuzz(func(t *testing.T, body string) {
-		window, err := decodePredictWindow(sv, strings.NewReader(body))
+		window, err := wb.decodePredict(sv, strings.NewReader(body))
 		if err != nil {
 			return
 		}
@@ -37,4 +28,20 @@ func FuzzPredictHTTP(f *testing.F) {
 			t.Fatalf("accepted window predicted (%q,%d)", label, dist)
 		}
 	})
+}
+
+// fuzzPredictSeeds is FuzzPredictHTTP's seed corpus;
+// FuzzWireAgainstEncodingJSON starts from it too.
+var fuzzPredictSeeds = []string{
+	`{"window": [[1, 2, 3, 4]]}`,
+	`{"window": [[1, 2, 3, 4], [5, 6, 7, 8]]}`,
+	`{"window": []}`,
+	`{"window": [[1]]}`,
+	`{"window": [[1e999, 2, 3, 4]]}`,
+	`{"window": null}`,
+	`{"label": "x", "window": [[1, 2, 3, 4]]}`,
+	`{}`,
+	``,
+	`[[1, 2, 3, 4]]`,
+	`{"window": [[1, 2, 3, 4]]}{"window": [[1, 2, 3, 4]]}`,
 }

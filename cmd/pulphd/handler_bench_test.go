@@ -1,0 +1,130 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"pulphd/internal/hdc"
+	modreg "pulphd/internal/registry"
+)
+
+// handlerFixture drives the hot-route handlers in memory: an ephemeral
+// registry whose default model has the EMG geometry (10,000-D, four
+// channels, one-sample windows) and five classes, one request whose
+// body is rewound per call, and a ResponseWriter that discards the
+// answer. Metrics, tracing, the SLO engine and the flight recorder are
+// off.
+type handlerFixture struct {
+	sv             *hdc.Serving
+	predict, learn http.HandlerFunc
+	req            *http.Request
+	body           *rewindBody
+	w              *discardWriter
+	predictBody    []byte
+	learnBodies    [][]byte
+}
+
+func newHandlerFixture(tb testing.TB) *handlerFixture {
+	tb.Helper()
+	cfg := hdc.EMGConfig()
+	sv, err := hdc.NewServing(cfg, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	reg, err := modreg.Open(modreg.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { reg.Close() })
+	if err := reg.Adopt("default", sv); err != nil {
+		tb.Fatal(err)
+	}
+	api := newRegistryAPIServer(reg, "default", cfg, 128, nil)
+	fx := &handlerFixture{
+		sv:      sv,
+		predict: api.handlePredict,
+		learn:   api.handleLearn,
+		req:     httptest.NewRequest(http.MethodPost, "/predict", nil),
+		body:    new(rewindBody),
+		w:       &discardWriter{h: http.Header{}},
+	}
+	// Five gestures at distinct levels, with samples written as a
+	// client's json.Marshal writes sensor floats.
+	for c, label := range []string{"rest", "fist", "point", "pinch", "spread"} {
+		base := 1.5 + 4*float64(c)
+		window := [][]float64{{base + 0.318230412345678, base + 1.0731, base + 0.5558210937, base + 2.25}}
+		if err := sv.Learn(label, window); err != nil {
+			tb.Fatal(err)
+		}
+		body, err := json.Marshal(learnRequest{Label: label, Window: window})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		fx.learnBodies = append(fx.learnBodies, body)
+	}
+	fx.predictBody, err = json.Marshal(predictRequest{Window: [][]float64{{9.7124980134, 10.913, 9.28812476, 11.0401}}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fx.serve(fx.predict, fx.predictBody) // warm the pools
+	return fx
+}
+
+// serve runs h on the fixture's request with body and returns the
+// status code.
+func (fx *handlerFixture) serve(h http.HandlerFunc, body []byte) int {
+	fx.body.Reset(body)
+	fx.req.Body = fx.body
+	fx.w.code = http.StatusOK
+	h(fx.w, fx.req)
+	return fx.w.code
+}
+
+// rewindBody is a request body a benchmark rewinds instead of
+// allocating a new one per request.
+type rewindBody struct{ bytes.Reader }
+
+func (*rewindBody) Close() error { return nil }
+
+// discardWriter is a ResponseWriter that keeps only the status code.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+
+// BenchmarkHandlePredict is the HTTP/JSON handler rung of the layer
+// ladder: one /predict per op through handlePredict, from reading the
+// body to the appended answer, with the predict itself inside. The
+// client, loopback and net/http's connection handling are not in it.
+func BenchmarkHandlePredict(b *testing.B) {
+	fx := newHandlerFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if code := fx.serve(fx.predict, fx.predictBody); code != http.StatusOK {
+			b.Fatalf("status %d", code)
+		}
+	}
+}
+
+// BenchmarkHandleLearn is the same rung for /learn, cycling over the
+// five classes. The registry has no state directory, so it times the
+// codec, the correction's drift predict, the encode and the publish,
+// not a WAL fsync.
+func BenchmarkHandleLearn(b *testing.B) {
+	fx := newHandlerFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		if code := fx.serve(fx.learn, fx.learnBodies[i%len(fx.learnBodies)]); code != http.StatusOK {
+			b.Fatalf("status %d", code)
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -21,8 +20,10 @@ import (
 )
 
 // modelHeader routes a legacy /predict or /learn request to a named
-// registry model without changing its path.
-const modelHeader = "X-PULPHD-Model"
+// registry model without changing its path (X-PULPHD-Model on the
+// wire). It is spelled in canonical MIME form, so Header.Get finds it
+// without allocating the canonical key.
+const modelHeader = "X-Pulphd-Model"
 
 // This file is the HTTP front end of the online-learning serving
 // layer over the model registry: POST /predict classifies windows
@@ -45,30 +46,6 @@ const modelHeader = "X-PULPHD-Model"
 // a few KB per window, so 1 MiB leaves room for much larger models.
 const maxRequestBody = 1 << 20
 
-type predictRequest struct {
-	Window [][]float64 `json:"window"`
-}
-
-type predictResponse struct {
-	Label      string `json:"label"`
-	Distance   int    `json:"distance"`
-	Generation uint64 `json:"generation"`
-	// Model names the registry model that answered; empty when the
-	// request did not name one (the default model answered).
-	Model string `json:"model,omitempty"`
-}
-
-type learnRequest struct {
-	Label  string      `json:"label"`
-	Window [][]float64 `json:"window"`
-}
-
-type learnResponse struct {
-	Generation uint64 `json:"generation"`
-	Classes    int    `json:"classes"`
-	Model      string `json:"model,omitempty"`
-}
-
 // errNoModel is returned for predicts against a model with no classes
 // (nothing learned yet).
 var errNoModel = errors.New("model has no classes yet; POST /learn first")
@@ -83,32 +60,6 @@ var errPredictPanic = errors.New("internal error during predict")
 // errDeadline marks a predict whose context was done (deadline
 // expired, client gone) before its answer was ready — answered 504.
 var errDeadline = errors.New("predict deadline exceeded")
-
-// decodePredictWindow parses and validates one window payload. It is
-// shared by /predict and /learn and is the fuzz surface for remote
-// input: any malformed body must come back as an error, never a panic.
-func decodePredictWindow(sv *hdc.Serving, body io.Reader) ([][]float64, error) {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var req predictRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("decoding request: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("trailing data after request object")
-	}
-	if err := sv.ValidateWindow(req.Window); err != nil {
-		return nil, err
-	}
-	for _, row := range req.Window {
-		for _, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("window values must be finite")
-			}
-		}
-	}
-	return req.Window, nil
-}
 
 // predictResult is one predict's outcome: the answer, the generation
 // it scanned, and whether it needed a retry after a recovered panic.
@@ -597,7 +548,9 @@ func (s *apiServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if rec != nil {
 		rec.Model = model
 	}
-	window, err := decodePredictWindow(sv, http.MaxBytesReader(w, r.Body, maxRequestBody))
+	wb := getWire()
+	defer putWire(wb)
+	window, err := wb.decodePredict(sv, http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
 		s.m.RecordRequest(false)
 		rec.End(root)
@@ -618,7 +571,9 @@ func (s *apiServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.capture(rec, model, 0, flight.TrigShed, start)
 		s.timelines.Release(rec)
 		s.recordSLO(name, start, true)
-		s.log.Debug("predict shed", "request", id, "reason", "too many predicts in flight")
+		if s.log.Enabled(ctx, slog.LevelDebug) {
+			s.log.Debug("predict shed", "request", id, "reason", "too many predicts in flight")
+		}
 		httpError(w, http.StatusTooManyRequests, errors.New("too many predicts in flight; retry"))
 		return
 	}
@@ -665,16 +620,13 @@ func (s *apiServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, res.err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(predictResponse{
-		Label:      res.label,
-		Distance:   res.distance,
-		Generation: res.generation,
-		Model:      name,
-	})
-	s.log.Debug("predict", "request", id, "label", res.label,
-		"distance", res.distance, "generation", res.generation,
-		"duration", time.Since(start))
+	wb.body = appendPredictAnswer(wb.body[:0], res.label, res.distance, res.generation, name)
+	writeAnswer(w, wb.body)
+	if s.log.Enabled(ctx, slog.LevelDebug) {
+		s.log.Debug("predict", "request", id, "label", res.label,
+			"distance", res.distance, "generation", res.generation,
+			"duration", time.Since(start))
+	}
 }
 
 func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
@@ -719,21 +671,14 @@ func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
 	if rec != nil {
 		rec.Model = orDefault(name, s.defaultModel)
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	var req learnRequest
-	if err := dec.Decode(&req); err != nil {
+	wb := getWire()
+	defer putWire(wb)
+	label, window, err := wb.decodeLearn(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err != nil {
 		s.m.RecordRequest(false)
 		rec.End(root)
 		s.timelines.Release(rec)
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if req.Label == "" {
-		s.m.RecordRequest(false)
-		rec.End(root)
-		s.timelines.Release(rec)
-		httpError(w, http.StatusBadRequest, errors.New("label must be non-empty"))
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Learn serializes on the model's writer lock; the copy-on-write
@@ -743,7 +688,7 @@ func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
 	// class count come from the registry's capture under that lock:
 	// exactly what this request published, never a concurrent learn's.
 	effective := orDefault(name, s.defaultModel)
-	info, err := s.reg.CorrectInfo(ctx, effective, req.Label, req.Window)
+	info, err := s.reg.CorrectInfo(ctx, effective, label, window)
 	gen, classes := info.Generation, info.Classes
 	rec.End(root)
 	// Tail-event bookkeeping before the recorder recycles: a 5xx learn
@@ -772,10 +717,12 @@ func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
 	}
 	s.recordSLO(name, start, false)
 	s.m.RecordRequest(true)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(learnResponse{Generation: gen, Classes: classes, Model: name})
-	s.log.Debug("learn", "request", id, "label", req.Label,
-		"generation", gen, "classes", classes, "duration", time.Since(start))
+	wb.body = appendLearnAnswer(wb.body[:0], gen, classes, name)
+	writeAnswer(w, wb.body)
+	if s.log.Enabled(ctx, slog.LevelDebug) {
+		s.log.Debug("learn", "request", id, "label", label,
+			"generation", gen, "classes", classes, "duration", time.Since(start))
+	}
 }
 
 // orDefault returns name, or def when name is empty.

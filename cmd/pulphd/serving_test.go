@@ -130,6 +130,12 @@ func windowJSON(t *testing.T, cfg hdc.Config, level float64) string {
 	return string(data)
 }
 
+// oversizedWindowJSON is a well-formed body whose window alone passes
+// the 1 MiB request bound; fields is spliced in before the window.
+func oversizedWindowJSON(fields string) string {
+	return `{` + fields + `"window":[` + strings.Repeat(`[2,2,2,2],`, maxRequestBody/10) + `[2,2,2,2]]}`
+}
+
 func TestPredictHandler(t *testing.T) {
 	_, srv := newTestAPI(t)
 	cfg := testServingConfig()
@@ -148,6 +154,13 @@ func TestPredictHandler(t *testing.T) {
 		{"unknown field", `{"win": [[1, 2, 3, 4]]}`, 400, ""},
 		{"trailing data", windowJSON(t, cfg, 2) + "{}", 400, ""},
 		{"huge number", `{"window": [[1e999, 2, 3, 4]]}`, 400, ""},
+		{"trailing brace", `{"window":[[2,2,2,2]]}}`, 400, ""},
+		{"trailing bracket and garbage", `{"window":[[2,2,2,2]]}]garbage`, 400, ""},
+		{"null sample", `{"window":[[null,2,2,2]]}`, 400, ""},
+		{"upper-case key", `{"Window":[[2,2,2,2]]}`, 200, "rest"},
+		{"escaped key", "{\"w\\u0069ndow\":[[2,2,2,2]]}", 200, "rest"},
+		{"duplicate key", `{"window":[[16,16,16,16]],"window":[[2,2,2,2]]}`, 200, "rest"},
+		{"body over 1 MiB", oversizedWindowJSON(""), 400, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -225,6 +238,10 @@ func TestLearnHandler(t *testing.T) {
 		{"empty label", `{"label": "", "window": [[1, 2, 3, 4]]}`},
 		{"bad window", `{"label": "x", "window": [[1]]}`},
 		{"not json", "{"},
+		{"trailing object", `{"label":"z","window":[[5,5,5,5]]}{"label":"y"}`},
+		{"trailing garbage", `{"label":"z","window":[[5,5,5,5]]}x`},
+		{"null sample", `{"label":"z","window":[[5,null,5,5]]}`},
+		{"body over 1 MiB", oversizedWindowJSON(`"label":"z",`)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if code, body := postJSON(t, srv, "/learn", tc.body); code != 400 {

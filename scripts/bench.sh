@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Runs the kernel and inference micro-benchmarks and stores the result
-# in benchmarks/latest.txt for review / comparison against the
-# committed baseline. The stored-vs-rematerialized encode stanza is
-# additionally summarized (median ns/op, B/op, allocs/op and resident
-# model bytes per backend) into benchmarks/BENCH_remat.json.
+# Runs the kernel, inference, registry and handler micro-benchmarks and
+# stores the result in benchmarks/latest.txt for review / comparison
+# against the committed baseline. The stored-vs-rematerialized encode
+# stanza is additionally summarized (median ns/op, B/op, allocs/op and
+# resident model bytes per backend) into benchmarks/BENCH_remat.json.
 #
 # Usage: scripts/bench.sh [extra `go test` args]
 set -euo pipefail
@@ -31,6 +31,12 @@ go test -run '^$' \
 go test -run '^$' \
   -bench 'BenchmarkRegistryEvictFaultIn$' \
   -benchmem -count "$COUNT" ./internal/registry/ "$@" | tee -a "$OUT"
+# HTTP/JSON handler rung: one /predict or /learn per op through the
+# handler, from the in-memory request body to the answer bytes (EMG
+# geometry, five classes, no state directory, so no fsync).
+go test -run '^$' \
+  -bench 'BenchmarkHandlePredict$|BenchmarkHandleLearn$' \
+  -benchmem -count "$COUNT" ./cmd/pulphd/ "$@" | tee -a "$OUT"
 
 # Stored-vs-remat encode comparison: appended to latest.txt so the
 # regression gate covers it, and condensed into BENCH_remat.json.

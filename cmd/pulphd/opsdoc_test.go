@@ -4,6 +4,7 @@ import (
 	"flag"
 	"io"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -13,10 +14,13 @@ import (
 	"pulphd/internal/replica"
 )
 
-// TestOperationsDocCoverage enforces the operator's handbook: every
-// serve flag and every exported pulphd_* metric family must appear in
-// docs/OPERATIONS.md. A flag or metric added without documentation
-// fails here, so the handbook cannot silently rot.
+// TestOperationsDocCoverage enforces the operator's handbook in both
+// directions: every serve flag and every exported pulphd_* metric
+// family must appear in docs/OPERATIONS.md, and every flag in its
+// `pulphd serve` flag tables and every `pulphd_*` family it names must
+// exist. A flag or metric added without documentation fails here, and
+// so does a row left behind for one that was deleted, so the handbook
+// cannot silently rot.
 func TestOperationsDocCoverage(t *testing.T) {
 	raw, err := os.ReadFile("../../docs/OPERATIONS.md")
 	if err != nil {
@@ -36,6 +40,23 @@ func TestOperationsDocCoverage(t *testing.T) {
 	})
 	if len(missing) > 0 {
 		t.Errorf("serve flags undocumented in docs/OPERATIONS.md: %v", missing)
+	}
+
+	// Every flag row of the serve flag tables (§2.1) names a real flag.
+	_, section, _ := strings.Cut(doc, "### 2.1 `pulphd serve`")
+	section, _, _ = strings.Cut(section, "\n### ")
+	rows := regexp.MustCompile("(?m)^\\| `-([a-z0-9-]+)`").FindAllStringSubmatch(section, -1)
+	if len(rows) == 0 {
+		t.Fatal("docs/OPERATIONS.md §2.1 has no `pulphd serve` flag table rows")
+	}
+	var stale []string
+	for _, row := range rows {
+		if fs.Lookup(row[1]) == nil {
+			stale = append(stale, "-"+row[1])
+		}
+	}
+	if len(stale) > 0 {
+		t.Errorf("docs/OPERATIONS.md documents serve flags that do not exist: %v", stale)
 	}
 
 	// Every metric family any role can export: host + runtime + SLO
@@ -66,13 +87,26 @@ func TestOperationsDocCoverage(t *testing.T) {
 	front.RegisterMetrics(h.Registry)
 
 	missing = missing[:0]
+	exported := map[string]bool{}
 	for _, name := range h.Registry.Names() {
+		exported[name] = true
 		if !strings.Contains(doc, "`"+name+"`") {
 			missing = append(missing, name)
 		}
 	}
 	if len(missing) > 0 {
 		t.Errorf("metric families undocumented in docs/OPERATIONS.md (%d): %v", len(missing), missing)
+	}
+
+	// Every `pulphd_*` family the handbook names is exported.
+	stale = stale[:0]
+	for _, m := range regexp.MustCompile("`(pulphd_[a-z0-9_]+)`").FindAllStringSubmatch(doc, -1) {
+		if !exported[m[1]] {
+			stale = append(stale, m[1])
+		}
+	}
+	if len(stale) > 0 {
+		t.Errorf("docs/OPERATIONS.md names metric families that do not exist (%d): %v", len(stale), stale)
 	}
 }
 

@@ -11,33 +11,26 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	rtpprof "runtime/pprof"
 	"syscall"
 	"time"
 
 	"pulphd/internal/emg"
 	"pulphd/internal/experiments"
-	"pulphd/internal/fault"
 	"pulphd/internal/hdc"
 	"pulphd/internal/obs"
 	"pulphd/internal/obs/flight"
 	sloeng "pulphd/internal/obs/slo"
-	"pulphd/internal/parallel"
 	modreg "pulphd/internal/registry"
 	"pulphd/internal/replica"
-	"pulphd/internal/stream"
 )
 
 // enableHostMetrics builds the canonical pulphd_* metric set and
-// installs it as the sink of every instrumented package. Until this
-// runs the instrumentation is disabled (nil sink) and free.
+// installs it as the sink of the hdc inference and serving paths.
+// Until this runs the instrumentation is disabled (nil sink) and free.
 func enableHostMetrics() *obs.HostMetrics {
 	h := obs.NewHostMetrics()
 	hdc.SetMetrics(h.Inference)
 	hdc.SetServingMetrics(h.Serving)
-	stream.SetMetrics(h.Stream)
-	parallel.SetMetrics(h.Pool)
-	fault.SetMetrics(h.Fault)
 	h.Registry.PublishExpvar("pulphd_metrics")
 	return h
 }
@@ -86,45 +79,6 @@ func newMetricsMux(h *obs.HostMetrics) *http.ServeMux {
 	return mux
 }
 
-// demoWorkload trains the EMG classifier on one prepared subject and
-// loops the test session through the streaming front end — Push
-// sample by sample, then a batched Replay over the pool — so every
-// instrumented path exercises continuously while the server is up.
-func demoWorkload(p *experiments.Prepared, backend hdc.Backend, workers int, rounds int) error {
-	cfg := hdc.EMGConfig()
-	cfg.Backend = backend
-	cls, err := hdc.New(cfg)
-	if err != nil {
-		return err
-	}
-	subj := p.Subjects[0]
-	for _, w := range subj.Train {
-		cls.Train(w.Label, w.Window)
-	}
-	st, err := stream.New(cls, stream.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	pool := parallel.NewPool(workers)
-	defer pool.Close()
-	session := make([][]float64, 0, len(subj.Test))
-	for _, w := range subj.Test {
-		session = append(session, w.Window[0])
-	}
-	for r := 0; rounds <= 0 || r < rounds; r++ {
-		st.Reset()
-		for _, sample := range session {
-			st.Push(sample)
-		}
-		st.Reset()
-		st.Replay(session, pool)
-	}
-	return nil
-}
-
-// runServe implements the "pulphd serve" subcommand: enable the host
-// metrics, expose them over HTTP, and (unless -demo=false) drive the
-// demo workload so the counters move.
 // newServingModel builds the model behind /predict and /learn. With
 // demo data it is the paper's EMG classifier trained on one prepared
 // subject and snapshotted into a serving instance; without, it starts
@@ -152,7 +106,7 @@ type serveFlags struct {
 	addr, logLevel, logFormat, imBackend, stateDir, defaultModel *string
 	role, peers, primary                                         *string
 	demo, walSync                                                *bool
-	workers, queueDepth                                          *int
+	queueDepth                                                   *int
 	traceRequests, flightKeep, predictRetries, snapshotEvery     *int
 	seed, residentBudget                                         *int64
 	grace, predictTimeout, retryBackoff, sloLatency              *time.Duration
@@ -164,9 +118,8 @@ type serveFlags struct {
 func newServeFlags(fs *flag.FlagSet) *serveFlags {
 	sf := &serveFlags{}
 	sf.addr = fs.String("metrics-addr", "localhost:8099", "listen `address` for /predict, /learn, /metrics, /debug/vars and /debug/pprof")
-	sf.demo = fs.Bool("demo", true, "train the served model on a synthetic EMG subject and continuously replay its session so the metrics move")
-	sf.workers = fs.Int("workers", 4, "worker-pool size of the demo workload's batched replay")
-	sf.seed = fs.Int64("seed", 2018, "dataset generation seed")
+	sf.demo = fs.Bool("demo", true, "seed a new default model by training it on one synthetic EMG subject (-seed); false starts it empty")
+	sf.seed = fs.Int64("seed", 2018, "generation seed of the -demo subject")
 	// -queue-depth bounds the predicts in flight across all handler
 	// goroutines. Its default of 128 comes from hdload knee sweeps
 	// (scripts/loadsweep.sh, benchmarks/README.md) run when it bounded
@@ -198,10 +151,14 @@ func newServeFlags(fs *flag.FlagSet) *serveFlags {
 	return sf
 }
 
+// runServe implements the "pulphd serve" subcommand: enable the host
+// metrics, open the model registry (seeding the default model from
+// the -demo subject when it is new), and serve the API and the
+// observability endpoints until a termination signal.
 func runServe(args []string) int {
 	fs := flag.NewFlagSet("pulphd serve", flag.ExitOnError)
 	sf := newServeFlags(fs)
-	addr, demo, workers, seed := sf.addr, sf.demo, sf.workers, sf.seed
+	addr, demo, seed := sf.addr, sf.demo, sf.seed
 	queueDepth, logLevel, logFormat := sf.queueDepth, sf.logLevel, sf.logFormat
 	traceRequests, flightKeep := sf.traceRequests, sf.flightKeep
 	sloLatency, sloTarget, sloBudget, sloBurn := sf.sloLatency, sf.sloTarget, sf.sloBudget, sf.sloBurn
@@ -264,7 +221,7 @@ func runServe(args []string) int {
 			// A replica's models come from the primary; locally trained
 			// demo state would be overwritten by the first sync cycle.
 			*demo = false
-			logger.Info("replica role: demo workload disabled; models sync from the primary", "primary", syncPrimary)
+			logger.Info("replica role: demo seeding disabled; models sync from the primary", "primary", syncPrimary)
 		}
 	}
 
@@ -393,19 +350,6 @@ func runServe(args []string) int {
 			return 2
 		}
 		syncer.RegisterMetrics(h.Registry)
-	}
-
-	if *demo {
-		go rtpprof.Do(context.Background(), rtpprof.Labels("task", "demo-workload"),
-			func(context.Context) {
-				for {
-					if err := demoWorkload(prepared, backend, *workers, 1); err != nil {
-						logger.Error("demo workload", "error", err)
-						return
-					}
-					time.Sleep(100 * time.Millisecond)
-				}
-			})
 	}
 
 	// Serve until a termination signal, then drain gracefully: stop

@@ -17,9 +17,7 @@ import (
 
 	"pulphd/internal/hdc"
 	"pulphd/internal/obs"
-	"pulphd/internal/parallel"
 	modreg "pulphd/internal/registry"
-	"pulphd/internal/stream"
 )
 
 // testServingConfig keeps the handler tests fast.
@@ -441,8 +439,6 @@ func TestServingMetricsEndpoint(t *testing.T) {
 	t.Cleanup(func() {
 		hdc.SetMetrics(nil)
 		hdc.SetServingMetrics(nil)
-		stream.SetMetrics(nil)
-		parallel.SetMetrics(nil)
 	})
 	sv, err := hdc.NewServing(testServingConfig(), 1)
 	if err != nil {

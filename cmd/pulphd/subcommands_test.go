@@ -9,11 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"pulphd/internal/emg"
 	"pulphd/internal/experiments"
 	"pulphd/internal/hdc"
-	"pulphd/internal/parallel"
-	"pulphd/internal/stream"
 )
 
 // silenceStdout redirects os.Stdout to /dev/null for the test's
@@ -88,26 +85,24 @@ func TestTraceSubcommand(t *testing.T) {
 }
 
 // TestServeEndpoints wires the host metrics exactly as "pulphd serve"
-// does, runs one round of the demo workload, and checks all three
-// endpoint families respond with moving numbers.
+// does, drives one predict through a metrics-wired handler, and checks
+// all three observability endpoints respond with moving numbers. No
+// family of the stream, pool, fault or batch instrumentation that only
+// a replay loop ever moved is exported.
 func TestServeEndpoints(t *testing.T) {
 	h := enableHostMetrics()
 	t.Cleanup(func() {
 		hdc.SetMetrics(nil)
 		hdc.SetServingMetrics(nil)
-		stream.SetMetrics(nil)
-		parallel.SetMetrics(nil)
 	})
-	proto := emg.DefaultProtocol()
-	proto.Subjects = 1
-	proto.Repetitions = 4
-	prepared := experiments.Prepare(proto, 1)
-	if err := demoWorkload(prepared, hdc.BackendRemat, 2, 1); err != nil {
-		t.Fatal(err)
-	}
-
-	srv := httptest.NewServer(newMetricsMux(h))
+	api := newTestServer(t, trainedServing(t), 8, h.Serving)
+	mux := newMetricsMux(h)
+	api.register(mux)
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
+	if code, body := postJSON(t, srv, "/predict", windowJSON(t, testServingConfig(), 2)); code != 200 {
+		t.Fatalf("predict: status %d (%s)", code, body)
+	}
 	get := func(path string) string {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
@@ -125,16 +120,13 @@ func TestServeEndpoints(t *testing.T) {
 	}
 
 	metrics := get("/metrics")
-	for _, want := range []string{
-		"pulphd_predict_total", "pulphd_stream_samples_total",
-		"pulphd_stream_replays_total 1", "pulphd_pool_collectives_total",
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics lacks %q:\n%s", want, metrics)
-		}
+	if !strings.Contains(metrics, "\npulphd_predict_total 1\n") {
+		t.Errorf("/metrics lacks pulphd_predict_total 1 after one predict:\n%s", metrics)
 	}
-	if strings.Contains(metrics, "pulphd_predict_total 0\n") {
-		t.Error("demo workload left pulphd_predict_total at zero")
+	for _, gone := range []string{"pulphd_stream_", "pulphd_pool_", "pulphd_fault_", "pulphd_predict_batch_"} {
+		if strings.Contains(metrics, gone) {
+			t.Errorf("/metrics exports a %s* family", gone)
+		}
 	}
 
 	var vars map[string]json.RawMessage

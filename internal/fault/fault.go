@@ -30,7 +30,6 @@ package fault
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"pulphd/internal/hv"
 )
@@ -162,10 +161,9 @@ func (m Model) Mask64(site Site, j, validBits int) uint64 {
 }
 
 // CountFlips returns the number of bits the channel flips across the
-// first validBits components of site, and records the injection in the
-// installed metrics sink. It is the bookkeeping half of corrupting a
-// rematerialized vector family: the flips themselves happen lazily at
-// generation time (Mask32/Mask64), but the count and the metrics must
+// first validBits components of site. It is the bookkeeping half of
+// corrupting a rematerialized vector family: the flips themselves
+// happen lazily at generation time (Mask32/Mask64), but the count must
 // match what corrupting a stored copy would have reported.
 func (m Model) CountFlips(site Site, validBits int) (flips int) {
 	if !m.Enabled() || validBits <= 0 {
@@ -175,7 +173,6 @@ func (m Model) CountFlips(site Site, validBits int) (flips int) {
 	for w := 0; w < nw; w++ {
 		flips += popcount32(m.Mask32(site, w, validBits))
 	}
-	recordInjection(flips)
 	return flips
 }
 
@@ -198,7 +195,6 @@ func (m Model) CorruptWords(site Site, words []uint32, validBits int) (flips int
 			flips += popcount32(mask)
 		}
 	}
-	recordInjection(flips)
 	return flips
 }
 
@@ -215,7 +211,6 @@ func (m Model) CorruptVector(site Site, v hv.Vector) (flips int) {
 			flips += v.FlipWordMask(w, mask)
 		}
 	}
-	recordInjection(flips)
 	return flips
 }
 
@@ -242,7 +237,6 @@ func (m Model) CorruptFloats(site Site, xs []float64) (flips int) {
 			flips += popcount64(mask)
 		}
 	}
-	recordInjection(flips)
 	return flips
 }
 
@@ -259,32 +253,4 @@ func popcount64(x uint64) int {
 		n++
 	}
 	return n
-}
-
-// MetricsSink receives one call per corruption pass that had
-// injection enabled, with the number of bits it flipped.
-// obs.FaultMetrics satisfies it; the interface (rather than a direct
-// obs dependency) keeps this package a leaf — obs itself depends on
-// fault transitively through pulp.
-type MetricsSink interface {
-	RecordInjection(flips int)
-}
-
-// metricsVal holds the package's metrics sink. The default nil
-// disables recording; every corruption call pays one atomic load.
-var metricsVal atomic.Value // of sinkBox
-
-// sinkBox keeps the stored atomic.Value type consistent across
-// Set calls with different concrete sink types.
-type sinkBox struct{ s MetricsSink }
-
-// SetMetrics installs (or, with nil, removes) the metrics sink
-// counting injections and flipped bits across the package.
-func SetMetrics(s MetricsSink) { metricsVal.Store(sinkBox{s}) }
-
-// recordInjection folds one corruption call into the installed sink.
-func recordInjection(flips int) {
-	if b, ok := metricsVal.Load().(sinkBox); ok && b.s != nil {
-		b.s.RecordInjection(flips)
-	}
 }

@@ -186,30 +186,24 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// countingSink is a test MetricsSink.
-type countingSink struct {
-	calls, bits int
-}
-
-func (s *countingSink) RecordInjection(flips int) {
-	s.calls++
-	s.bits += flips
-}
-
-// TestMetrics checks the sink wiring counts injections and bits.
-func TestMetrics(t *testing.T) {
-	sink := &countingSink{}
-	SetMetrics(sink)
-	defer SetMetrics(nil)
+// TestFlipCounts checks every corruption entry point returns the bits
+// it flipped: at BER 1 that is every valid bit, and CountFlips agrees
+// with corrupting a stored copy.
+func TestFlipCounts(t *testing.T) {
 	m := Model{BER: 1, Seed: 1}
+	site := SiteOf(PointAM, 0)
 	v := hv.New(64)
-	m.CorruptVector(SiteOf(PointAM, 0), v)
-	if sink.calls != 1 || sink.bits != 64 {
-		t.Fatalf("metrics: %d injections, %d bits", sink.calls, sink.bits)
+	if flips := m.CorruptVector(site, v); flips != 64 || v.CountOnes() != 64 {
+		t.Fatalf("CorruptVector flipped %d bits (%d set), want 64", flips, v.CountOnes())
 	}
-	// BER=0 must not count.
-	Model{}.CorruptVector(SiteOf(PointAM, 0), v)
-	if sink.calls != 1 {
-		t.Fatal("BER=0 counted an injection")
+	words := make([]uint32, 3)
+	if flips := m.CorruptWords(site, words, 70); flips != 70 {
+		t.Fatalf("CorruptWords flipped %d bits, want 70", flips)
+	}
+	if flips := m.CountFlips(site, 70); flips != 70 {
+		t.Fatalf("CountFlips = %d, want 70", flips)
+	}
+	if flips := (Model{}).CorruptVector(site, v); flips != 0 {
+		t.Fatalf("BER=0 flipped %d bits", flips)
 	}
 }

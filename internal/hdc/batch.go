@@ -2,7 +2,6 @@ package hdc
 
 import (
 	"fmt"
-	"time"
 
 	"pulphd/internal/hv"
 	"pulphd/internal/parallel"
@@ -156,16 +155,6 @@ func (b *BatchClassifier) ClassifyBatch(windows [][][]float64) []Prediction {
 // each worker encodes and searches with private scratch, writing its
 // disjoint slice of out.
 func (b *BatchClassifier) PredictBatch(windows [][][]float64, out []Prediction) []Prediction {
-	if m := metrics(); m != nil {
-		start := time.Now()
-		out = b.predictBatch(windows, out)
-		m.RecordBatch(len(windows), b.pool == nil, time.Since(start))
-		return out
-	}
-	return b.predictBatch(windows, out)
-}
-
-func (b *BatchClassifier) predictBatch(windows [][][]float64, out []Prediction) []Prediction {
 	if cap(out) < len(windows) {
 		out = make([]Prediction, len(windows))
 	}

@@ -231,9 +231,9 @@ func TestPredictAllocationFree(t *testing.T) {
 	}
 }
 
-// TestPredictAllocationFreeWithMetrics pins that the observability
-// instrumentation costs Predict nothing on the heap: zero allocations
-// per call whether the metrics sink is installed or not.
+// TestPredictAllocationFreeWithMetrics pins that Classifier.Predict
+// stays allocation-free whether the package's inference sink is
+// installed or not.
 func TestPredictAllocationFreeWithMetrics(t *testing.T) {
 	c, tests := trainedClassifier(t, EMGConfig(), 4)
 	c.Predict(tests[0])

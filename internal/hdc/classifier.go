@@ -3,7 +3,6 @@ package hdc
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"pulphd/internal/hv"
 )
@@ -225,15 +224,8 @@ func (c *Classifier) Train(label string, window [][]float64) {
 // its Hamming distance. In steady state (no training since the last
 // call) the whole path — spatial bind/majority, N-gram, bundling, AM
 // search — reuses classifier-owned scratch and performs no heap
-// allocation, with metrics enabled (SetMetrics) or disabled.
+// allocation.
 func (c *Classifier) Predict(window [][]float64) (label string, distance int) {
-	if m := metrics(); m != nil {
-		start := time.Now()
-		c.EncodeWindowTo(c.query, window)
-		label, distance = c.am.Classify(c.query)
-		m.RecordPredict(time.Since(start))
-		return label, distance
-	}
 	c.EncodeWindowTo(c.query, window)
 	return c.am.Classify(c.query)
 }

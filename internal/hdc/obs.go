@@ -12,8 +12,9 @@ import (
 var metricsPtr atomic.Pointer[obs.InferenceMetrics]
 
 // SetMetrics installs (or, with nil, removes) the metrics sink for
-// Predict and PredictBatch across the package. Safe to call at any
-// time, including while inference is running.
+// the serving predict (Serving.Predict, Serving.PredictCtx and
+// Session.PredictCtx). Safe to call at any time, including while
+// inference is running.
 func SetMetrics(m *obs.InferenceMetrics) { metricsPtr.Store(m) }
 
 // metrics returns the installed sink, nil when disabled.

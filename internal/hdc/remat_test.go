@@ -1,6 +1,7 @@
 package hdc
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -347,8 +348,8 @@ func TestRematPredictAllocationFree(t *testing.T) {
 
 // TestRematBatchAllocationFree pins the batched encode path on the
 // remat backend, matching the stored-path serving pins: the fused
-// batch encode (batchCtx.encodeTo) and steady-state Session
-// PredictBatch allocate nothing.
+// batch encode (batchCtx.encodeTo) and steady-state Session.PredictCtx
+// over a batch of windows allocate nothing.
 func TestRematBatchAllocationFree(t *testing.T) {
 	c, tests := trainedClassifier(t, rematConfig(), 8)
 	bc := newBatchCtx(c)
@@ -363,12 +364,15 @@ func TestRematBatchAllocationFree(t *testing.T) {
 	}
 
 	ses := c.Serving().NewSession()
-	out := ses.PredictBatch(tests, nil)
-	allocs = testing.AllocsPerRun(20, func() {
-		out = ses.PredictBatch(tests, out)
-	})
-	if allocs != 0 {
-		t.Fatalf("remat Session.PredictBatch: %v allocs per run, want 0", allocs)
+	ctx := context.Background()
+	predictAll := func() {
+		for _, w := range tests {
+			ses.PredictCtx(ctx, nil, w)
+		}
+	}
+	predictAll()
+	if allocs = testing.AllocsPerRun(20, predictAll); allocs != 0 {
+		t.Fatalf("remat Session.PredictCtx: %v allocs per 8-window run, want 0", allocs)
 	}
 }
 

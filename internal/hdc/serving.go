@@ -380,29 +380,3 @@ func (sv *Serving) predict(bc *batchCtx, rec *obs.Spans, m *obs.InferenceMetrics
 	}
 	return gen.labels[idx], dist, gen.id
 }
-
-// PredictBatch classifies every window in order against the current
-// generation. Results land in out, grown only when its capacity is
-// short, so steady-state callers allocate nothing. Each window is
-// classified against the generation current at its turn; a Learn
-// landing midway applies to the remaining windows. With a metrics sink
-// installed the call records as one batch.
-func (s *Session) PredictBatch(windows [][][]float64, out []Prediction) []Prediction {
-	m := metrics()
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
-	if cap(out) < len(windows) {
-		out = make([]Prediction, len(windows))
-	}
-	out = out[:len(windows)]
-	for i, w := range windows {
-		label, dist, _ := s.sv.predict(s.ctx, nil, nil, w)
-		out[i] = Prediction{Label: label, Distance: dist}
-	}
-	if m != nil {
-		m.RecordBatch(len(windows), true, time.Since(start))
-	}
-	return out
-}

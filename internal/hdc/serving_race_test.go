@@ -60,7 +60,7 @@ func TestServingConcurrentPredictLearn(t *testing.T) {
 					}
 				}(int64(g))
 			}
-			// A batch reader on its own Session.
+			// A reader cycling a batch of windows on its own Session.
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -70,12 +70,11 @@ func TestServingConcurrentPredictLearn(t *testing.T) {
 				for _, s := range syntheticSamples(cfg, 6, 4, r) {
 					windows = append(windows, s.Window)
 				}
-				var out []Prediction
 				for !stop.Load() {
-					out = ses.PredictBatch(windows, out)
-					for _, p := range out {
-						if !valid[p.Label] || p.Distance < 0 || p.Distance > cfg.D {
-							t.Errorf("batch reader observed (%q,%d)", p.Label, p.Distance)
+					for _, w := range windows {
+						label, dist := ses.PredictCtx(context.Background(), nil, w)
+						if !valid[label] || dist < 0 || dist > cfg.D {
+							t.Errorf("batch reader observed (%q,%d)", label, dist)
 							return
 						}
 					}
@@ -166,7 +165,7 @@ func TestServingNewClassesUnderReaders(t *testing.T) {
 					t.Errorf("read (%q, generation %d)", label, gen)
 					return
 				}
-				ses.PredictBatch([][][]float64{samples[0].Window}, nil)
+				ses.PredictCtx(context.Background(), nil, samples[0].Window)
 				if labels := sv.Labels(); len(labels) < 1 || labels[0] != samples[0].Label {
 					t.Errorf("published labels %v", labels)
 					return

@@ -1,6 +1,7 @@
 package hdc
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -163,6 +164,8 @@ func TestServingFixedPrototypeRejectsLearn(t *testing.T) {
 	}
 }
 
+// TestServingPredictBatch pins a Session over a batch of windows to
+// the pooled predict, window by window.
 func TestServingPredictBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	sv, err := NewServing(servingConfig(), 1)
@@ -176,26 +179,18 @@ func TestServingPredictBatch(t *testing.T) {
 		windows[i] = test[i].Window
 	}
 	ses := sv.NewSession()
-	got := ses.PredictBatch(windows, nil)
-	if len(got) != len(windows) {
-		t.Fatalf("%d predictions for %d windows", len(got), len(windows))
-	}
 	for i, w := range windows {
+		got, gotDist := ses.PredictCtx(context.Background(), nil, w)
 		label, dist := sv.Predict(w)
-		if got[i].Label != label || got[i].Distance != dist {
-			t.Fatalf("window %d: batch (%q,%d) != predict (%q,%d)", i, got[i].Label, got[i].Distance, label, dist)
+		if got != label || gotDist != dist {
+			t.Fatalf("window %d: session (%q,%d) != predict (%q,%d)", i, got, gotDist, label, dist)
 		}
-	}
-	// Output reuse: same backing array, no reallocation.
-	again := ses.PredictBatch(windows, got)
-	if &again[0] != &got[0] {
-		t.Fatal("PredictBatch reallocated a sufficient output buffer")
 	}
 }
 
-// TestServingPredictAllocationFree pins the batch form's steady
-// state: Session.PredictBatch into a reused output allocates nothing,
-// with the metrics sinks installed and without.
+// TestServingPredictAllocationFree pins a Session's steady state:
+// Session.PredictCtx over a batch of windows allocates nothing, with
+// the metrics sinks installed and without.
 func TestServingPredictAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	sv, err := NewServing(servingConfig(), 1)
@@ -206,20 +201,26 @@ func TestServingPredictAllocationFree(t *testing.T) {
 	w := syntheticSamples(sv.Config(), 5, 1, rng)[0].Window
 	windows := [][][]float64{w, w, w}
 	ses := sv.NewSession()
-	out := ses.PredictBatch(windows, nil)
+	ctx := context.Background()
+	predictAll := func() {
+		for _, w := range windows {
+			ses.PredictCtx(ctx, nil, w)
+		}
+	}
+	predictAll()
 
 	check := func(name string) {
 		t.Helper()
-		if allocs := testing.AllocsPerRun(100, func() { out = ses.PredictBatch(windows, out) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, predictAll); allocs != 0 {
 			t.Errorf("%s allocates %v times per run, want 0", name, allocs)
 		}
 	}
-	check("Session.PredictBatch")
+	check("Session.PredictCtx")
 	SetMetrics(&obs.InferenceMetrics{})
 	SetServingMetrics(&obs.ServingMetrics{})
 	t.Cleanup(func() {
 		SetMetrics(nil)
 		SetServingMetrics(nil)
 	})
-	check("Session.PredictBatch (metrics)")
+	check("Session.PredictCtx (metrics)")
 }

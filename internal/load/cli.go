@@ -13,10 +13,9 @@ import (
 	"time"
 )
 
-// Main is the hdload command: both the standalone cmd/hdload binary
-// and the `pulphd hdload` subcommand delegate here, so the flag
-// surface and exit codes stay identical. Exit codes: 0 success, 1 SLO
-// violation or run failure, 2 flag errors.
+// Main is the hdload command behind the `pulphd hdload` subcommand.
+// Exit codes: 0 success, 1 SLO violation or run failure, 2 flag
+// errors.
 func Main(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hdload", flag.ContinueOnError)
 	fs.SetOutput(stderr)

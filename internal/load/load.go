@@ -1,4 +1,4 @@
-// Package load is the serving-tier load harness behind cmd/hdload and
+// Package load is the serving-tier load harness behind
 // `pulphd hdload`: it drives a live `pulphd serve` instance over HTTP
 // with realistic EMG session traffic and measures the capacity
 // envelope the paper's real-time claim implies — tail latency and

@@ -9,9 +9,10 @@
 // exports Chrome trace-event JSON (chrome://tracing, Perfetto) plus a
 // plain-text summary, making the paper's Table 2/3 cycle accounting
 // inspectable event by event. The metric types (Counter, Histogram
-// and the domain bundles in domains.go) instrument the host hot paths
-// (hdc.Predict/PredictBatch, stream.Push/Replay, parallel.Pool) and
-// export through expvar and a Prometheus-style text endpoint.
+// and the domain bundles in domains.go) instrument the serving path
+// (the hdc.Serving predict and learn, the HTTP front end and the model
+// registry) and export through expvar and a Prometheus-style text
+// endpoint.
 //
 // Everything is off by default and nil-safe: a nil *Counter,
 // *Histogram or domain-metrics pointer is a no-op, so instrumented

@@ -25,13 +25,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	var im *InferenceMetrics
 	im.RecordPredict(time.Millisecond)
-	im.RecordBatch(10, true, time.Millisecond)
-	var sm *StreamMetrics
-	sm.RecordSample()
-	sm.RecordDecision()
-	sm.RecordReplay(100, 20, time.Millisecond)
-	var pm *PoolMetrics
-	pm.RecordCollective(4, 4)
+	im.RecordStages(time.Millisecond, time.Millisecond)
 	var g *Gauge
 	g.Set(7)
 	g.Add(1)
@@ -172,33 +166,17 @@ func TestObserveAllocationFree(t *testing.T) {
 	h := NewHostMetrics()
 	allocs := testing.AllocsPerRun(100, func() {
 		h.Inference.RecordPredict(1500 * time.Nanosecond)
-		h.Inference.RecordBatch(64, false, time.Millisecond)
-		h.Stream.RecordSample()
-		h.Stream.RecordDecision()
-		h.Pool.RecordCollective(4, 4)
+		h.Inference.RecordStages(time.Microsecond, 2*time.Microsecond)
+		h.Serving.RecordRequest(true)
 	})
 	if allocs != 0 {
 		t.Fatalf("recording allocates %v times per run, want 0", allocs)
 	}
 }
 
-func TestPoolUtilization(t *testing.T) {
-	var pm PoolMetrics
-	pm.RecordCollective(4, 4)
-	pm.RecordCollective(2, 4)
-	pm.RecordCollective(1, 4) // serial fallback
-	if pm.Collectives.Value() != 3 || pm.Tasks.Value() != 7 || pm.Slots.Value() != 12 {
-		t.Fatalf("collectives/tasks/slots = %d/%d/%d", pm.Collectives.Value(), pm.Tasks.Value(), pm.Slots.Value())
-	}
-	if pm.SerialFallbacks.Value() != 1 {
-		t.Fatalf("serial fallbacks %d, want 1", pm.SerialFallbacks.Value())
-	}
-}
-
 func TestPrometheusExposition(t *testing.T) {
 	h := NewHostMetrics()
 	h.Inference.RecordPredict(1500 * time.Nanosecond)
-	h.Inference.RecordBatch(64, true, time.Millisecond)
 	h.Serving.RecordPublish(7, 64, time.Microsecond)
 	var buf bytes.Buffer
 	if err := h.Registry.WritePrometheus(&buf); err != nil {
@@ -212,8 +190,6 @@ func TestPrometheusExposition(t *testing.T) {
 		"pulphd_serving_generation 7",
 		"pulphd_serving_classes 64",
 		"pulphd_serving_learns_total 1",
-		"pulphd_predict_batch_windows_total 64",
-		"pulphd_predict_batch_serial_fallbacks_total 1",
 		"# TYPE pulphd_predict_latency_ns histogram",
 		`pulphd_predict_latency_ns_bucket{le="+Inf"} 1`,
 		"pulphd_predict_latency_ns_count 1",
@@ -223,9 +199,9 @@ func TestPrometheusExposition(t *testing.T) {
 		}
 	}
 	// Histogram bucket counts must be cumulative: the +Inf bucket of
-	// the batch histogram equals its count.
-	if !strings.Contains(out, `pulphd_predict_batch_latency_ns_bucket{le="+Inf"} 1`) {
-		t.Error("batch histogram +Inf bucket is not cumulative")
+	// the learn histogram equals its count.
+	if !strings.Contains(out, `pulphd_serving_learn_latency_ns_bucket{le="+Inf"} 1`) {
+		t.Error("learn histogram +Inf bucket is not cumulative")
 	}
 }
 
@@ -243,14 +219,14 @@ func TestRegistryRejectsDuplicates(t *testing.T) {
 
 func TestSnapshotAndExpvar(t *testing.T) {
 	h := NewHostMetrics()
-	h.Stream.RecordReplay(500, 100, 2*time.Millisecond)
+	h.Serving.RecordPublish(500, 5, 2*time.Millisecond)
 	snap := h.Registry.Snapshot()
-	if got := snap["pulphd_stream_samples_total"]; got != int64(500) {
-		t.Fatalf("snapshot samples %v", got)
+	if got := snap["pulphd_serving_generation"]; got != int64(500) {
+		t.Fatalf("snapshot generation %v", got)
 	}
-	hist, ok := snap["pulphd_stream_replay_latency_ns"].(map[string]any)
+	hist, ok := snap["pulphd_serving_learn_latency_ns"].(map[string]any)
 	if !ok || hist["count"] != int64(1) {
-		t.Fatalf("snapshot histogram %v", snap["pulphd_stream_replay_latency_ns"])
+		t.Fatalf("snapshot histogram %v", snap["pulphd_serving_learn_latency_ns"])
 	}
 	// Publishing twice under one name must not panic.
 	h.Registry.PublishExpvar("pulphd_test_metrics")

@@ -131,19 +131,12 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	// Populate everything, including hostile label values.
 	h.Inference.RecordPredict(300 * time.Nanosecond)
 	h.Inference.RecordStages(time.Microsecond, 2*time.Microsecond)
-	h.Inference.RecordBatch(3, true, time.Millisecond)
-	h.Stream.RecordSample()
-	h.Stream.RecordDecision()
-	h.Stream.RecordReplay(10, 2, time.Millisecond)
-	h.Stream.RecordCorrection()
 	hostile := "cl\\ass\n\"A\""
-	h.Stream.RecordFeedback(hostile, hostile)
-	h.Stream.RecordFeedback("rest", "fist")
 	h.Serving.RecordPublish(3, 5, time.Microsecond)
 	h.Serving.RecordRequest(true)
-	h.Pool.RecordCollective(4, 4)
 	h.Models.RecordFleet(2, 1, 4096)
 	h.Models.RecordOp("emg", "learn")
+	h.Models.RecordOp(hostile, hostile)
 	h.Models.RecordModelState("emg", 7, 5, 4096, 3)
 	h.Models.RecordRollingAccuracy("emg", 875)
 	h.Models.RecordWALAppend()
@@ -186,10 +179,10 @@ func TestPrometheusRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The hostile confusion label survived the round trip.
+	// The hostile two-label counter cell survived the round trip.
 	found := false
-	for _, s := range byName["pulphd_stream_confusion_total"] {
-		if s.labels["predicted"] == hostile && s.labels["actual"] == hostile {
+	for _, s := range byName["pulphd_model_requests_total"] {
+		if s.labels["model"] == hostile && s.labels["op"] == hostile {
 			found = true
 			if s.value != 1 {
 				t.Errorf("hostile cell value %v, want 1", s.value)
@@ -309,18 +302,21 @@ func TestPrometheusRoundTrip(t *testing.T) {
 		t.Errorf("content type %q", PrometheusContentType)
 	}
 
-	// The drift gauges exposed what RecordFeedback saw: 2 feedbacks,
-	// 1 mismatch, rolling accuracy 500‰.
+	// The gauges exposed what was recorded: the fleet gauges, one
+	// model's rolling accuracy, and a scrape-time runtime gauge func.
 	want := map[string]float64{
-		"pulphd_stream_feedback_total":            2,
-		"pulphd_stream_feedback_mismatches":       1,
-		"pulphd_stream_rolling_accuracy_permille": 500,
+		"pulphd_registry_models":                 2,
+		"pulphd_registry_resident_bytes":         4096,
+		"pulphd_model_rolling_accuracy_permille": 875,
 	}
 	for name, v := range want {
 		ss := byName[name]
 		if len(ss) != 1 || ss[0].value != v {
 			t.Errorf("%s = %+v, want %v", name, ss, v)
 		}
+	}
+	if ss := byName["pulphd_go_goroutines"]; len(ss) != 1 || ss[0].value < 1 {
+		t.Errorf("pulphd_go_goroutines = %+v, want one sample ≥ 1", ss)
 	}
 }
 

@@ -382,17 +382,13 @@ func (r *Registry) sortedNames() []string {
 	return names
 }
 
-// HostMetrics bundles one metrics instance per instrumented host
-// package, registered under the canonical pulphd_* names (documented
-// in DESIGN.md §8). Wire it with hdc.SetMetrics(h.Inference),
-// hdc.SetServingMetrics(h.Serving), stream.SetMetrics(h.Stream) and
-// parallel.SetMetrics(h.Pool).
+// HostMetrics is the metric set `pulphd serve` exports, registered
+// under the canonical pulphd_* names (documented in
+// docs/OPERATIONS.md §4). Wire it with hdc.SetMetrics(h.Inference) and
+// hdc.SetServingMetrics(h.Serving); hand Models to the model registry.
 type HostMetrics struct {
 	Inference *InferenceMetrics
 	Serving   *ServingMetrics
-	Stream    *StreamMetrics
-	Pool      *PoolMetrics
-	Fault     *FaultMetrics
 	// Models is the multi-tenant model-registry bundle (fleet gauges
 	// plus the per-model pulphd_model_* families); hand it to
 	// registry.Config.Metrics.
@@ -405,28 +401,12 @@ func NewHostMetrics() *HostMetrics {
 	h := &HostMetrics{
 		Inference: &InferenceMetrics{},
 		Serving:   &ServingMetrics{},
-		Stream:    &StreamMetrics{Drift: NewDriftMonitor()},
-		Pool:      &PoolMetrics{},
-		Fault:     &FaultMetrics{},
 		Models:    NewRegistryMetrics(),
 		Registry:  NewRegistry(),
 	}
 	r := h.Registry
 	r.RegisterCounter("pulphd_predict_total", "Predict calls", &h.Inference.Predicts)
 	r.RegisterHistogram("pulphd_predict_latency_ns", "Predict latency in nanoseconds", &h.Inference.PredictNanos)
-	r.RegisterCounter("pulphd_predict_batch_total", "PredictBatch calls", &h.Inference.BatchCalls)
-	r.RegisterCounter("pulphd_predict_batch_windows_total", "windows classified by PredictBatch", &h.Inference.BatchWindows)
-	r.RegisterHistogram("pulphd_predict_batch_latency_ns", "PredictBatch call latency in nanoseconds", &h.Inference.BatchNanos)
-	r.RegisterCounter("pulphd_predict_batch_serial_fallbacks_total", "PredictBatch calls that ran serially (nil pool)", &h.Inference.BatchSerialFallbacks)
-	r.RegisterCounter("pulphd_stream_samples_total", "samples pushed into stream classifiers", &h.Stream.Samples)
-	r.RegisterCounter("pulphd_stream_decisions_total", "decisions emitted by stream classifiers", &h.Stream.Decisions)
-	r.RegisterCounter("pulphd_stream_replays_total", "Replay calls", &h.Stream.Replays)
-	r.RegisterHistogram("pulphd_stream_replay_latency_ns", "Replay call latency in nanoseconds", &h.Stream.ReplayNanos)
-	r.RegisterCounter("pulphd_stream_corrections_total", "label-corrected windows learned online", &h.Stream.Corrections)
-	r.RegisterCounterVec("pulphd_stream_confusion_total", "corrected decisions by (predicted, actual) label", h.Stream.Drift.Confusion())
-	r.RegisterGaugeFunc("pulphd_stream_feedback_total", "corrected decisions observed by the drift monitor", h.Stream.Drift.Feedbacks)
-	r.RegisterGaugeFunc("pulphd_stream_feedback_mismatches", "corrected decisions whose prediction was wrong", h.Stream.Drift.Mismatches)
-	r.RegisterGaugeFunc("pulphd_stream_rolling_accuracy_permille", "agreement rate over the last 256 corrections, in 1/1000 (-1: no signal yet)", h.Stream.Drift.RollingAccuracyPermille)
 	r.RegisterHistogram("pulphd_predict_encode_latency_ns", "per-request window-encode stage latency in nanoseconds", &h.Inference.EncodeNanos)
 	r.RegisterHistogram("pulphd_predict_search_latency_ns", "per-request AM-search stage latency in nanoseconds", &h.Inference.SearchNanos)
 	r.RegisterCounter("pulphd_serving_learns_total", "generation publications by Learn", &h.Serving.Learns)
@@ -439,13 +419,6 @@ func NewHostMetrics() *HostMetrics {
 	r.RegisterCounter("pulphd_serving_retries_total", "predict attempts retried after a recovered panic", &h.Serving.Retries)
 	r.RegisterCounter("pulphd_serving_panics_recovered_total", "predict panics recovered instead of crashing the process", &h.Serving.PanicsRecovered)
 	r.RegisterGauge("pulphd_serving_model_resident_bytes", "resident footprint of the published model (IM + CIM + AM prototypes) in bytes", &h.Serving.ModelBytes)
-	r.RegisterCounter("pulphd_stream_predict_failures_total", "stream decisions dropped because prediction panicked", &h.Stream.PredictFailures)
-	r.RegisterCounter("pulphd_fault_injections_total", "fault-injection corruption calls with BER > 0", &h.Fault.Injections)
-	r.RegisterCounter("pulphd_fault_flipped_bits_total", "bits flipped by fault injection", &h.Fault.FlippedBits)
-	r.RegisterCounter("pulphd_pool_collectives_total", "worker-pool collective calls", &h.Pool.Collectives)
-	r.RegisterCounter("pulphd_pool_tasks_total", "chunks run by pool collectives (incl. the caller's)", &h.Pool.Tasks)
-	r.RegisterCounter("pulphd_pool_task_slots_total", "chunks pool collectives could have run (pool width); tasks/slots = utilization", &h.Pool.Slots)
-	r.RegisterCounter("pulphd_pool_serial_fallbacks_total", "collectives that ran entirely on the caller", &h.Pool.SerialFallbacks)
 	r.RegisterGauge("pulphd_registry_models", "models registered in the model registry", &h.Models.Models)
 	r.RegisterGauge("pulphd_registry_resident_models", "registry models currently resident in memory", &h.Models.ResidentModels)
 	r.RegisterGauge("pulphd_registry_resident_bytes", "summed resident footprint of in-memory registry models in bytes", &h.Models.ResidentBytes)

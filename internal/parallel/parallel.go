@@ -29,21 +29,9 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
-	"sync/atomic"
 
 	"pulphd/internal/hv"
-	"pulphd/internal/obs"
 )
-
-// metricsPtr holds the package's pool metrics. The default nil
-// disables recording; forRange pays one atomic load per collective
-// either way and allocates nothing.
-var metricsPtr atomic.Pointer[obs.PoolMetrics]
-
-// SetMetrics installs (or, with nil, removes) the metrics sink for
-// every Pool's collectives: calls, chunks dispatched vs pool width
-// (worker utilization) and serial fallbacks.
-func SetMetrics(m *obs.PoolMetrics) { metricsPtr.Store(m) }
 
 // task is one chunk of a collective handed to a persistent worker.
 type task struct {
@@ -171,9 +159,6 @@ func (p *Pool) forRange(n int, fn func(lo, hi, worker int)) (active int) {
 	active = (n + chunk - 1) / chunk
 	if active == 1 || p.closed {
 		fn(0, n, 0)
-		if m := metricsPtr.Load(); m != nil {
-			m.RecordCollective(1, p.workers)
-		}
 		return 1
 	}
 	for w := 1; w < active; w++ {
@@ -186,9 +171,6 @@ func (p *Pool) forRange(n int, fn func(lo, hi, worker int)) (active int) {
 	fn(0, chunk, 0)
 	for w := 1; w < active; w++ {
 		<-p.done
-	}
-	if m := metricsPtr.Load(); m != nil {
-		m.RecordCollective(active, p.workers)
 	}
 	return active
 }

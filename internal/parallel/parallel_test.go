@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pulphd/internal/hv"
-	"pulphd/internal/obs"
 )
 
 var testDims = []int{33, 313, 1000, 10000}
@@ -296,28 +295,19 @@ func TestCollectivesAllocationFree(t *testing.T) {
 	}
 }
 
-// TestForRangeAllocationFreeWithMetrics pins that the collective
-// instrumentation costs ForRange nothing on the heap, with the
-// metrics sink installed and without.
-func TestForRangeAllocationFreeWithMetrics(t *testing.T) {
+// TestForRangeAllocationFree pins ForRange at zero allocations per
+// call once the pool's workers are running.
+func TestForRangeAllocationFree(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	sink := make([]int64, 256)
+	counts := make([]int64, 256)
 	fn := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			sink[i]++ // chunks are disjoint: no two workers share an index
+			counts[i]++ // chunks are disjoint: no two workers share an index
 		}
 	}
 	p.ForRange(256, fn)
-	for _, enabled := range []bool{false, true} {
-		if enabled {
-			SetMetrics(&obs.PoolMetrics{})
-		} else {
-			SetMetrics(nil)
-		}
-		if allocs := testing.AllocsPerRun(50, func() { p.ForRange(256, fn) }); allocs != 0 {
-			t.Errorf("metrics enabled=%v: ForRange %v allocs/op, want 0", enabled, allocs)
-		}
+	if allocs := testing.AllocsPerRun(50, func() { p.ForRange(256, fn) }); allocs != 0 {
+		t.Errorf("ForRange %v allocs/op, want 0", allocs)
 	}
-	SetMetrics(nil)
 }

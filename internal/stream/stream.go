@@ -9,7 +9,6 @@ package stream
 
 import (
 	"fmt"
-	"time"
 
 	"pulphd/internal/hdc"
 	"pulphd/internal/parallel"
@@ -163,11 +162,9 @@ func (s *Classifier) record(raw string, dist, sampleIdx int) Decision {
 // window, it returns the decision and true. In steady state Push
 // performs no heap allocation. A predictor that panics on the window
 // (a corrupted model, a crashed serving backend) does not kill the
-// acquisition loop: the decision is dropped, the failure is counted,
-// and the stream keeps running.
+// acquisition loop: the decision is dropped and the stream keeps
+// running.
 func (s *Classifier) Push(sample []float64) (Decision, bool) {
-	m := metrics()
-	m.RecordSample()
 	if !s.pushSample(sample) {
 		return Decision{}, false
 	}
@@ -175,17 +172,15 @@ func (s *Classifier) Push(sample []float64) (Decision, bool) {
 	if !ok {
 		return Decision{}, false
 	}
-	m.RecordDecision()
 	return s.record(raw, dist, s.nSamples-1), true
 }
 
 // safePredict classifies one window, converting a predictor panic into
 // a dropped decision: the stride bookkeeping has already advanced, so
-// the stream simply skips this emission and counts the failure.
+// the stream simply skips this emission.
 func (s *Classifier) safePredict(window [][]float64) (label string, dist int, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			metrics().RecordPredictFailure()
 			ok = false
 		}
 	}()
@@ -232,25 +227,16 @@ func (s *Classifier) vote() string {
 }
 
 // Replay feeds a whole recorded session through the stream and
-// returns every decision, classifying the triggered windows in
-// parallel over pool with the batched inference engine. A nil pool is
-// allowed and classifies the windows serially. The stride/window
-// bookkeeping and the smoothing filter run exactly as in a
-// sample-by-sample Push loop, and for configurations whose batch
-// encoding is bit-identical to the serial one (N-gram of 1, or an odd
-// N-gram count per window — including the paper's EMG operating
-// point) the decisions match that loop exactly.
+// returns every decision. Over an *hdc.Classifier it classifies the
+// triggered windows in parallel over pool with the batched inference
+// engine (a nil pool classifies them serially); any other Predictor
+// classifies them one by one. The stride/window bookkeeping and the
+// smoothing filter run exactly as in a sample-by-sample Push loop, and
+// for configurations whose batch encoding is bit-identical to the
+// serial one (N-gram of 1, or an odd N-gram count per window —
+// including the paper's EMG operating point) the decisions match that
+// loop exactly.
 func (s *Classifier) Replay(samples [][]float64, pool *parallel.Pool) []Decision {
-	if m := metrics(); m != nil {
-		start := time.Now()
-		out := s.replay(samples, pool)
-		m.RecordReplay(len(samples), len(out), time.Since(start))
-		return out
-	}
-	return s.replay(samples, pool)
-}
-
-func (s *Classifier) replay(samples [][]float64, pool *parallel.Pool) []Decision {
 	var windows [][][]float64
 	var at []int
 	for _, sample := range samples {
@@ -293,22 +279,18 @@ func (s *Classifier) replay(samples [][]float64, pool *parallel.Pool) []Decision
 }
 
 // batchPredict runs the batched inference engine over the replay
-// windows. ok is false when the predictor has no batch engine or the
-// batch collective panicked — the panic is recovered and counted, and
-// the caller retries serially without the pool (a panic that escaped
+// windows. ok is false when the predictor is not an *hdc.Classifier
+// or the batch collective panicked — the panic is recovered, and the
+// caller retries serially without the pool (a panic that escaped
 // mid-collective may have poisoned its barriers).
 func (s *Classifier) batchPredict(windows [][][]float64, pool *parallel.Pool) (preds []hdc.Prediction, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			metrics().RecordPredictFailure()
 			preds, ok = nil, false
 		}
 	}()
-	switch cls := s.cls.(type) {
-	case *hdc.Classifier:
+	if cls, isBatch := s.cls.(*hdc.Classifier); isBatch {
 		return cls.Batch(pool).PredictBatch(windows, nil), true
-	case *hdc.Serving:
-		return cls.NewSession().PredictBatch(windows, nil), true
 	}
 	return nil, false
 }
@@ -330,14 +312,6 @@ func (s *Classifier) Correct(label string) error {
 	}
 	if err := l.Learn(label, s.window); err != nil {
 		return fmt.Errorf("stream: Correct: %w", err)
-	}
-	m := metrics()
-	m.RecordCorrection()
-	// A correction is also a labelled accuracy sample: the model's
-	// latest raw decision versus what the wearer says the window was.
-	// That pair feeds the serving drift monitor.
-	if s.recentN > 0 {
-		m.RecordFeedback(s.recent[(s.recentN-1)%len(s.recent)], label)
 	}
 	return nil
 }

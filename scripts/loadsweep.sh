@@ -52,9 +52,8 @@ if (exec 3<>"/dev/tcp/${ADDR%:*}/${ADDR##*:}") 2>/dev/null; then
   exit 1
 fi
 
-echo "loadsweep: building pulphd + hdload"
+echo "loadsweep: building pulphd"
 go build -o "$TMP/pulphd" ./cmd/pulphd
-go build -o "$TMP/hdload" ./cmd/hdload
 
 fail() {
   echo "loadsweep: $*" >&2
@@ -117,7 +116,7 @@ for backend in $BACKENDS; do
   fi
 
   backend_rc=0
-  "$TMP/hdload" -target "$BASE" "${mode_flags[@]}" "${model_flags[@]}" \
+  "$TMP/pulphd" hdload -target "$BASE" "${mode_flags[@]}" "${model_flags[@]}" \
     -duration "$DURATION" -warmup "$WARMUP" -learn-frac "$LEARN_FRAC" \
     -seed-model -1 -label "$backend" -out "$OUT" "${slo_flags[@]}" || backend_rc=$?
   kill -0 "$SERVE_PID" 2>/dev/null || fail "serve ($backend) died during the sweep"

@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"pulphd/internal/obs"
 	"pulphd/internal/obs/flight"
 	sloeng "pulphd/internal/obs/slo"
+	modreg "pulphd/internal/registry"
 )
 
 // flightSummaryDoc mirrors the GET /debug/flight?summary=1 payload.
@@ -273,5 +276,65 @@ func TestTailObservabilityAllocs(t *testing.T) {
 	}
 	if api.flight.Captures() != 0 {
 		t.Fatal("healthy path captured")
+	}
+}
+
+// TestUnresolvedModelFaultObserved corrupts an evicted model's
+// snapshot so its fault-in fails: each route answers 500, pins one
+// error capture in the flight recorder and burns one error in the
+// model's SLO, like any other server fault. An unknown model's 404
+// records neither.
+func TestUnresolvedModelFaultObserved(t *testing.T) {
+	cfg := testServingConfig()
+	for _, route := range []struct{ path, body string }{
+		{"/predict", windowJSON(t, cfg, 2)},
+		{"/learn", modelBody(cfg, 2, "rest")},
+	} {
+		t.Run(strings.TrimPrefix(route.path, "/"), func(t *testing.T) {
+			dir := t.TempDir()
+			reg, err := modreg.Open(modreg.Config{Dir: dir, ResidentBudget: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { reg.Close() })
+			if err := reg.Adopt("default", trainedServing(t)); err != nil {
+				t.Fatal(err)
+			}
+			api := newRegistryAPIServer(reg, "default", cfg, 8, nil)
+			api.timelines = obs.NewTimelines(8, 64)
+			api.flight = flight.NewRing(16, 64)
+			api.slo = sloeng.New(sloeng.Config{
+				Default: sloeng.Objective{Latency: time.Hour, LatencyTarget: 0.99, ErrorBudget: 0.01},
+			})
+			srv := serveTestAPI(t, api)
+
+			if code, body := doJSON(t, srv, "POST", "/models/ghost"+route.path, route.body, nil); code != http.StatusNotFound {
+				t.Fatalf("unknown model: %d %s", code, body)
+			}
+			if n := api.flight.Captures(); n != 0 || len(api.slo.StatusAll()) != 0 {
+				t.Fatalf("a 404 recorded %d captures and %d SLO trackers", n, len(api.slo.StatusAll()))
+			}
+
+			reg.EnforceBudget()
+			if info, err := reg.ModelInfo("default"); err != nil || info.Resident {
+				t.Fatalf("default model still resident (%+v, %v)", info, err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "default.snap"), []byte("PULPHD0"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if code, body := postJSON(t, srv, route.path, route.body); code != http.StatusInternalServerError {
+				t.Fatalf("fault-in of a corrupt snapshot: %d %s, want 500", code, body)
+			}
+			if n := api.flight.Captures(); n != 1 {
+				t.Fatalf("%d flight captures, want 1", n)
+			}
+			doc := flightCapture(t, srv, srv.URL+"/debug/flight?summary=1&model=default", "error")
+			if e := doc.Entries[0]; e.Spans == 0 {
+				t.Errorf("error capture lost its timeline: %+v", e)
+			}
+			if st := api.slo.Status("default"); st.TotalErrors != 1 || st.TotalRequests != 1 {
+				t.Fatalf("SLO errors_total %d of %d requests, want 1 of 1", st.TotalErrors, st.TotalRequests)
+			}
+		})
 	}
 }

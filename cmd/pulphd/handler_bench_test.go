@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"pulphd/internal/hdc"
+	"pulphd/internal/obs"
 	modreg "pulphd/internal/registry"
 )
 
@@ -15,8 +17,12 @@ import (
 // registry whose default model has the EMG geometry (10,000-D, four
 // channels, one-sample windows) and five classes, one request whose
 // body is rewound per call, and a ResponseWriter that discards the
-// answer. Metrics, tracing, the SLO engine and the flight recorder are
-// off.
+// answer. Without serveDefaults nothing observes: metrics, tracing,
+// the SLO engine and the flight recorder are off. With it the fixture
+// observes as a flagless `pulphd serve` does: host metrics installed,
+// the registry reporting per-model metrics into them, and request
+// timelines, the flight recorder and the SLO engine set from the
+// defaults of the serve flags.
 type handlerFixture struct {
 	sv             *hdc.Serving
 	predict, learn http.HandlerFunc
@@ -27,14 +33,25 @@ type handlerFixture struct {
 	learnBodies    [][]byte
 }
 
-func newHandlerFixture(tb testing.TB) *handlerFixture {
+func newHandlerFixture(tb testing.TB, serveDefaults bool) *handlerFixture {
 	tb.Helper()
 	cfg := hdc.EMGConfig()
 	sv, err := hdc.NewServing(cfg, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	reg, err := modreg.Open(modreg.Config{})
+	sf := newServeFlags(flag.NewFlagSet("serve", flag.ContinueOnError))
+	var h *obs.HostMetrics
+	var regCfg modreg.Config
+	if serveDefaults {
+		h = enableHostMetrics()
+		tb.Cleanup(func() {
+			hdc.SetMetrics(nil)
+			hdc.SetServingMetrics(nil)
+		})
+		regCfg.Metrics = h.Models
+	}
+	reg, err := modreg.Open(regCfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -42,7 +59,11 @@ func newHandlerFixture(tb testing.TB) *handlerFixture {
 	if err := reg.Adopt("default", sv); err != nil {
 		tb.Fatal(err)
 	}
-	api := newRegistryAPIServer(reg, "default", cfg, 128, nil)
+	api := newRegistryAPIServer(reg, "default", cfg, *sf.queueDepth, nil)
+	if serveDefaults {
+		api.m = h.Serving
+		sf.observe(api, nil)
+	}
 	fx := &handlerFixture{
 		sv:      sv,
 		predict: api.handlePredict,
@@ -103,14 +124,23 @@ func (w *discardWriter) WriteHeader(code int)        { w.code = code }
 // ladder: one /predict per op through handlePredict, from reading the
 // body to the appended answer, with the predict itself inside. The
 // client, loopback and net/http's connection handling are not in it.
+// off observes nothing; defaults observes as `pulphd serve` does
+// without flags, so the gap between the two is what observing costs.
 func BenchmarkHandlePredict(b *testing.B) {
-	fx := newHandlerFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		if code := fx.serve(fx.predict, fx.predictBody); code != http.StatusOK {
-			b.Fatalf("status %d", code)
-		}
+	for _, c := range []struct {
+		name          string
+		serveDefaults bool
+	}{{"off", false}, {"defaults", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			fx := newHandlerFixture(b, c.serveDefaults)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if code := fx.serve(fx.predict, fx.predictBody); code != http.StatusOK {
+					b.Fatalf("status %d", code)
+				}
+			}
+		})
 	}
 }
 
@@ -119,7 +149,7 @@ func BenchmarkHandlePredict(b *testing.B) {
 // codec, the correction's drift predict, the encode and the publish,
 // not a WAL fsync.
 func BenchmarkHandleLearn(b *testing.B) {
-	fx := newHandlerFixture(b)
+	fx := newHandlerFixture(b, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := range b.N {

@@ -151,6 +151,27 @@ func newServeFlags(fs *flag.FlagSet) *serveFlags {
 	return sf
 }
 
+// observe installs the request observability the flags ask for on
+// api: request span timelines, the flight recorder and the SLO engine,
+// whose breaches call onBreach (nil: none).
+func (sf *serveFlags) observe(api *apiServer, onBreach func(model string, st sloeng.Status)) {
+	if *sf.traceRequests > 0 {
+		api.timelines = obs.NewTimelines(*sf.traceRequests, 64)
+	}
+	api.flight = flight.NewRing(*sf.flightKeep, 64)
+	if *sf.sloLatency > 0 {
+		api.slo = sloeng.New(sloeng.Config{
+			Default: sloeng.Objective{
+				Latency:       *sf.sloLatency,
+				LatencyTarget: *sf.sloTarget,
+				ErrorBudget:   *sf.sloBudget,
+			},
+			BurnThreshold: *sf.sloBurn,
+			OnBreach:      onBreach,
+		})
+	}
+}
+
 // runServe implements the "pulphd serve" subcommand: enable the host
 // metrics, open the model registry (seeding the default model from
 // the -demo subject when it is new), and serve the API and the
@@ -160,8 +181,6 @@ func runServe(args []string) int {
 	sf := newServeFlags(fs)
 	addr, demo, seed := sf.addr, sf.demo, sf.seed
 	queueDepth, logLevel, logFormat := sf.queueDepth, sf.logLevel, sf.logFormat
-	traceRequests, flightKeep := sf.traceRequests, sf.flightKeep
-	sloLatency, sloTarget, sloBudget, sloBurn := sf.sloLatency, sf.sloTarget, sf.sloBudget, sf.sloBurn
 	grace, predictTimeout, predictRetries, retryBackoff := sf.grace, sf.predictTimeout, sf.predictRetries, sf.retryBackoff
 	imBackend, stateDir, residentBudget := sf.imBackend, sf.stateDir, sf.residentBudget
 	walSync, snapshotEvery, defaultModel := sf.walSync, sf.snapshotEvery, sf.defaultModel
@@ -266,8 +285,6 @@ func runServe(args []string) int {
 		fmt.Fprintf(os.Stderr, "pulphd serve: default model: %v\n", err)
 		return 1
 	}
-	h.Serving.RecordModel(sv.Generation(), sv.Classes())
-	h.Serving.RecordFootprint(sv.ResidentBytes())
 	baseCfg := hdc.EMGConfig()
 	baseCfg.Backend = backend
 	api := newRegistryAPIServer(reg, *defaultModel, baseCfg, *queueDepth, h.Serving)
@@ -275,58 +292,45 @@ func runServe(args []string) int {
 	api.timeout = *predictTimeout
 	api.retries = *predictRetries
 	api.retryBackoff = *retryBackoff
-	if *traceRequests > 0 {
-		api.timelines = obs.NewTimelines(*traceRequests, 64)
+	// On a burn-rate breach the flight recorder's current contents —
+	// the last N tail events with full timelines — are dumped to
+	// -state-dir/flight/ as Chrome trace JSON: the black box lands on
+	// disk the moment the SLO says the incident is real.
+	dumpDir := ""
+	if *stateDir != "" {
+		dumpDir = filepath.Join(*stateDir, "flight")
 	}
-	api.flight = flight.NewRing(*flightKeep, 64)
-	if *sloLatency > 0 {
-		sloCfg := sloeng.Config{
-			Default: sloeng.Objective{
-				Latency:       *sloLatency,
-				LatencyTarget: *sloTarget,
-				ErrorBudget:   *sloBudget,
-			},
-			BurnThreshold: *sloBurn,
-		}
-		// On a burn-rate breach the flight recorder's current contents —
-		// the last N tail events with full timelines — are dumped to
-		// -state-dir/flight/ as Chrome trace JSON: the black box lands on
-		// disk the moment the SLO says the incident is real.
+	sf.observe(api, func(model string, st sloeng.Status) {
+		logger.Warn("SLO burn-rate breach", "model", model,
+			"fast_burn", st.Fast.Burn, "slow_burn", st.Slow.Burn,
+			"fast_requests", st.Fast.Requests, "breaches", st.Breaches)
 		ring := api.flight
-		dumpDir := ""
-		if *stateDir != "" {
-			dumpDir = filepath.Join(*stateDir, "flight")
+		if dumpDir == "" || ring == nil {
+			return
 		}
-		sloCfg.OnBreach = func(model string, st sloeng.Status) {
-			logger.Warn("SLO burn-rate breach", "model", model,
-				"fast_burn", st.Fast.Burn, "slow_burn", st.Slow.Burn,
-				"fast_requests", st.Fast.Requests, "breaches", st.Breaches)
-			if dumpDir == "" || ring == nil {
-				return
-			}
-			if err := os.MkdirAll(dumpDir, 0o755); err != nil {
-				logger.Warn("flight dump", "error", err)
-				return
-			}
-			path := filepath.Join(dumpDir, fmt.Sprintf("breach-%s-%d.json", model, time.Now().UnixNano()))
-			f, err := os.Create(path)
-			if err != nil {
-				logger.Warn("flight dump", "error", err)
-				return
-			}
-			// The whole ring, not just the breaching model: cross-tenant
-			// interference is usually the story of a shared-queue breach.
-			err = ring.WriteChromeTrace(f, "")
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				logger.Warn("flight dump", "error", err, "path", path)
-				return
-			}
-			logger.Info("flight dump written", "path", path, "captures", ring.Captures())
+		if err := os.MkdirAll(dumpDir, 0o755); err != nil {
+			logger.Warn("flight dump", "error", err)
+			return
 		}
-		api.slo = sloeng.New(sloCfg)
+		path := filepath.Join(dumpDir, fmt.Sprintf("breach-%s-%d.json", model, time.Now().UnixNano()))
+		f, err := os.Create(path)
+		if err != nil {
+			logger.Warn("flight dump", "error", err)
+			return
+		}
+		// The whole ring, not just the breaching model: cross-tenant
+		// interference is usually the story of a shared-queue breach.
+		err = ring.WriteChromeTrace(f, "")
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			logger.Warn("flight dump", "error", err, "path", path)
+			return
+		}
+		logger.Info("flight dump written", "path", path, "captures", ring.Captures())
+	})
+	if api.slo != nil {
 		api.slo.RegisterMetrics(h.Registry)
 	}
 	api.readOnly = role == "replica"

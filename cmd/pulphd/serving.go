@@ -288,6 +288,26 @@ func (s *apiServer) resolveModel(ctx context.Context, r *http.Request) (name str
 	return name, sv, err
 }
 
+// unresolved answers a /predict or /learn whose model did not resolve
+// and closes its timeline. A 5xx — a fault-in that could not read the
+// model's snapshot, a closed registry — is a server fault like any
+// other: it pins the timeline as an error and burns the model's error
+// budget. A 4xx (an unknown name) records neither, so it cannot create
+// an SLO tracker for a model that does not exist.
+func (s *apiServer) unresolved(w http.ResponseWriter, msg string, id uint64, name string,
+	rec *obs.Spans, root obs.SpanID, start time.Time, err error) {
+	code := registryErrCode(err, http.StatusInternalServerError)
+	s.m.RecordRequest(false)
+	rec.End(root)
+	if code >= 500 {
+		s.capture(rec, orDefault(name, s.defaultModel), 0, flight.TrigError, start)
+		s.recordSLO(name, start, true)
+	}
+	s.timelines.Release(rec)
+	s.log.Debug(msg, "request", id, "error", err)
+	httpError(w, code, err)
+}
+
 // registryErrCode maps registry errors onto HTTP statuses.
 func registryErrCode(err error, fallback int) int {
 	switch {
@@ -537,11 +557,7 @@ func (s *apiServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	name, sv, err := s.resolveModel(ctx, r)
 	if err != nil {
-		s.m.RecordRequest(false)
-		rec.End(root)
-		s.timelines.Release(rec)
-		s.log.Debug("predict rejected", "request", id, "error", err)
-		httpError(w, registryErrCode(err, http.StatusInternalServerError), err)
+		s.unresolved(w, "predict rejected", id, name, rec, root, start, err)
 		return
 	}
 	model := orDefault(name, s.defaultModel)
@@ -661,11 +677,7 @@ func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
 	}
 	name, _, err := s.resolveModel(ctx, r)
 	if err != nil {
-		s.m.RecordRequest(false)
-		rec.End(root)
-		s.timelines.Release(rec)
-		s.log.Debug("learn rejected", "request", id, "error", err)
-		httpError(w, registryErrCode(err, http.StatusInternalServerError), err)
+		s.unresolved(w, "learn rejected", id, name, rec, root, start, err)
 		return
 	}
 	if rec != nil {

@@ -432,20 +432,32 @@ func TestPredictNoModel(t *testing.T) {
 	}
 }
 
-// TestServingMetricsEndpoint checks the serving gauges and counters
-// appear in /metrics and move with learn/predict traffic.
+// TestServingMetricsEndpoint checks the serving counters and the
+// default model's per-model gauges appear in /metrics and move with
+// learn/predict traffic, and that a learn on another tenant leaves the
+// default model's gauges alone.
 func TestServingMetricsEndpoint(t *testing.T) {
 	h := enableHostMetrics()
 	t.Cleanup(func() {
 		hdc.SetMetrics(nil)
 		hdc.SetServingMetrics(nil)
 	})
+	reg, err := modreg.Open(modreg.Config{Metrics: h.Models})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reg.Close() })
 	sv, err := hdc.NewServing(testServingConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Serving.RecordModel(sv.Generation(), sv.Classes())
-	api := newTestServer(t, sv, 8, h.Serving)
+	if err := reg.Adopt("default", sv); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Create("other", testServingConfig()); err != nil {
+		t.Fatal(err)
+	}
+	api := newRegistryAPIServer(reg, "default", testServingConfig(), 8, h.Serving)
 	mux := newMetricsMux(h)
 	api.register(mux)
 	srv := httptest.NewServer(mux)
@@ -460,6 +472,10 @@ func TestServingMetricsEndpoint(t *testing.T) {
 	if code, _ := postJSON(t, srv, "/predict", windowJSON(t, sv.Config(), 2)); code != 200 {
 		t.Fatal("predict failed")
 	}
+	body, _ := json.Marshal(learnRequest{Label: "rest", Window: testWindow(sv.Config(), 2)})
+	if code, res := postJSON(t, srv, "/models/other/learn", string(body)); code != 200 {
+		t.Fatalf("learn on other: %d (%s)", code, res)
+	}
 
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {
@@ -472,10 +488,12 @@ func TestServingMetricsEndpoint(t *testing.T) {
 	}
 	metrics := string(data)
 	for _, want := range []string{
-		"pulphd_serving_generation 3",
-		"pulphd_serving_classes 3",
-		"pulphd_serving_learns_total 3",
-		"pulphd_serving_requests_total 4",
+		`pulphd_model_generation{model="default"} 3`,
+		`pulphd_model_classes{model="default"} 3`,
+		fmt.Sprintf(`pulphd_model_resident_bytes{model="default"} %d`, sv.ResidentBytes()),
+		`pulphd_model_generation{model="other"} 1`,
+		"pulphd_serving_learns_total 4",
+		"pulphd_serving_requests_total 5",
 		"pulphd_serving_rejected_total 0",
 	} {
 		if !strings.Contains(metrics, want) {
@@ -484,7 +502,7 @@ func TestServingMetricsEndpoint(t *testing.T) {
 	}
 	if t.Failed() {
 		for _, line := range strings.Split(metrics, "\n") {
-			if strings.Contains(line, "serving") {
+			if strings.Contains(line, "serving") || strings.Contains(line, "pulphd_model_") {
 				fmt.Println(line)
 			}
 		}

@@ -394,7 +394,7 @@ func TestHandlerAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not hold under the race detector")
 	}
-	fx := newHandlerFixture(t)
+	fx := newHandlerFixture(t, false)
 	body := fx.predictBody
 	if allocs := testing.AllocsPerRun(200, func() { fx.serve(fx.predict, body) }); allocs > 1 {
 		t.Errorf("handlePredict allocates %v times per request, want ≤ 1", allocs)

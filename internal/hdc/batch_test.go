@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"pulphd/internal/obs"
 	"pulphd/internal/parallel"
 )
 
@@ -229,30 +228,6 @@ func TestPredictAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Predict: %v allocs per 4-window run, want 0", allocs)
 	}
-}
-
-// TestPredictAllocationFreeWithMetrics pins that Classifier.Predict
-// stays allocation-free whether the package's inference sink is
-// installed or not.
-func TestPredictAllocationFreeWithMetrics(t *testing.T) {
-	c, tests := trainedClassifier(t, EMGConfig(), 4)
-	c.Predict(tests[0])
-	for _, enabled := range []bool{false, true} {
-		if enabled {
-			SetMetrics(&obs.InferenceMetrics{})
-		} else {
-			SetMetrics(nil)
-		}
-		allocs := testing.AllocsPerRun(50, func() {
-			for _, w := range tests {
-				c.Predict(w)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("metrics enabled=%v: Predict %v allocs per 4-window run, want 0", enabled, allocs)
-		}
-	}
-	SetMetrics(nil)
 }
 
 // TestDistancesToSteadyState pins the reusable AM distance buffer.

@@ -170,7 +170,7 @@ func (sv *Serving) Labels() []string {
 // generation in bytes: item memory + continuous item memory + AM
 // prototypes. With the rematerializing backend the IM+CIM term is
 // expansion keys rather than matrices — the footprint win the
-// pulphd_serving_model_resident_bytes gauge makes visible. Stored
+// pulphd_model_resident_bytes gauge makes visible. Stored
 // tables count once per model even when NewServing shares them, so a
 // resident-bytes budget does not depend on which models happen to
 // share.
@@ -261,8 +261,7 @@ func (sv *Serving) LearnCtx(ctx context.Context, label string, window [][]float6
 	rec.Annotate(pub, "generation", int64(next.id))
 	rec.Annotate(pub, "classes", int64(next.am.Len()))
 	if m != nil {
-		m.RecordPublish(next.id, next.am.Len(), time.Since(start))
-		m.RecordFootprint(sv.im.SizeBytes() + sv.cim.SizeBytes() + amBytes(next.am))
+		m.RecordPublish(time.Since(start))
 	}
 	return nil
 }

@@ -16,9 +16,10 @@
 //     devices streaming gestures. Measures per-stream latency and the
 //     throughput ceiling at a given parallelism.
 //
-// Latencies are recorded into an HDR-style histogram (obs.HDR), so the
-// reported p50/p99/p999 are true quantiles, never averages. Results
-// are written both as a human table and as machine-readable JSON
+// Latencies are recorded into obs.Histogram, the log-linear histogram
+// /metrics and the SLO engine use too, so the reported p50/p99/p999
+// are quantiles within ~1.6%, never averages. Results are written
+// both as a human table and as machine-readable JSON
 // (benchmarks/BENCH_serving.json, see report.go) so the serving
 // capacity trajectory is tracked across PRs, and an SLO expression
 // ("p99<20ms,errors<1%,knee>500") turns a sweep into a pass/fail
@@ -132,7 +133,7 @@ type runner struct {
 
 	sent, ok, shed, timeout, e500, other atomic.Int64
 	learns, learnsOK                     atomic.Int64
-	hist                                 obs.HDR
+	hist                                 obs.Histogram
 	wg                                   sync.WaitGroup
 
 	// perTarget holds one counter pair per Options.Targets entry,
@@ -320,7 +321,7 @@ func (r *runner) fire(ctx context.Context, isLearn, record bool, seq int64) {
 		if isLearn {
 			r.learnsOK.Add(1)
 		} else {
-			r.hist.Record(elapsed)
+			r.hist.Observe(elapsed)
 		}
 	case http.StatusTooManyRequests:
 		r.shed.Add(1)

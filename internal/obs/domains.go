@@ -48,10 +48,6 @@ type ServingMetrics struct {
 	// encode to generation publish.
 	Learns     Counter
 	LearnNanos Histogram
-	// Generation is the id of the currently published model snapshot
-	// (monotonically increasing); Classes is its class count.
-	Generation Gauge
-	Classes    Gauge
 	// Requests counts /predict and /learn requests; Rejected counts
 	// the ones refused (429 backpressure, malformed bodies, draining).
 	Requests Counter
@@ -65,18 +61,6 @@ type ServingMetrics struct {
 	// PanicsRecovered counts predict panics converted into retries or
 	// 500 responses instead of process death.
 	PanicsRecovered Counter
-	// ModelBytes is the resident footprint of the published model
-	// generation (IM + CIM + AM prototypes) in bytes — the gauge that
-	// makes the rematerializing backend's footprint win visible.
-	ModelBytes Gauge
-}
-
-// RecordFootprint updates the resident model footprint gauge.
-func (m *ServingMetrics) RecordFootprint(bytes int) {
-	if m == nil {
-		return
-	}
-	m.ModelBytes.Set(int64(bytes))
 }
 
 // RecordTimeout counts one predict request that hit its deadline.
@@ -104,25 +88,15 @@ func (m *ServingMetrics) RecordPanicRecovered() {
 	m.PanicsRecovered.Inc()
 }
 
-// RecordPublish folds one generation publication into the metrics.
-func (m *ServingMetrics) RecordPublish(generation uint64, classes int, d time.Duration) {
+// RecordPublish folds one generation publication, d from encode to
+// publish, into the metrics. The published generation and class count
+// are per model: the registry reports them as pulphd_model_*.
+func (m *ServingMetrics) RecordPublish(d time.Duration) {
 	if m == nil {
 		return
 	}
 	m.Learns.Inc()
 	m.LearnNanos.Observe(d)
-	m.Generation.Set(int64(generation))
-	m.Classes.Set(int64(classes))
-}
-
-// RecordModel updates the generation gauges without counting a learn
-// (initial publication, server startup).
-func (m *ServingMetrics) RecordModel(generation uint64, classes int) {
-	if m == nil {
-		return
-	}
-	m.Generation.Set(int64(generation))
-	m.Classes.Set(int64(classes))
 }
 
 // RecordRequest counts one serving request. Requests counts every

@@ -1,85 +1,14 @@
 package obs
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // This file is the online accuracy/drift monitor of the serving
-// stack. The feedback signal is stream.Correct: when the wearer (or a
+// stack. The feedback signal is a correction: when the wearer (or a
 // downstream consumer) corrects a decision, we learn what the model
 // predicted and what the window actually was — a labelled sample of
-// serving accuracy. The monitor keeps exact per-class confusion
-// counters for the lifetime of the process and a rolling agreement
-// window that surfaces drift: a falling rolling accuracy while the
-// cumulative one holds means the data moved from under the model.
-
-// CounterVec is a family of counters distinguished by a fixed pair of
-// label names — the minimal labelled-metric support the confusion
-// matrix needs. Cell lookup takes a read lock (feedback is orders of
-// magnitude rarer than predictions, so this is nowhere near a hot
-// path); the returned *Counter is the usual lock-free atomic.
-type CounterVec struct {
-	mu    sync.RWMutex
-	names [2]string
-	cells map[[2]string]*Counter
-}
-
-// NewCounterVec returns an empty family with the given label names.
-func NewCounterVec(name1, name2 string) *CounterVec {
-	return &CounterVec{names: [2]string{name1, name2}, cells: map[[2]string]*Counter{}}
-}
-
-// LabelNames returns the two label names.
-func (v *CounterVec) LabelNames() (string, string) { return v.names[0], v.names[1] }
-
-// With returns the counter for the given label values, creating it on
-// first use. Nil-safe: a nil family hands back a nil (no-op) counter.
-func (v *CounterVec) With(v1, v2 string) *Counter {
-	if v == nil {
-		return nil
-	}
-	key := [2]string{v1, v2}
-	v.mu.RLock()
-	c := v.cells[key]
-	v.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c = v.cells[key]; c == nil {
-		c = &Counter{}
-		v.cells[key] = c
-	}
-	return c
-}
-
-// VecCell is one exported cell of a CounterVec.
-type VecCell struct {
-	Values [2]string
-	Count  int64
-}
-
-// Snapshot returns every cell sorted by label values, for export.
-func (v *CounterVec) Snapshot() []VecCell {
-	if v == nil {
-		return nil
-	}
-	v.mu.RLock()
-	out := make([]VecCell, 0, len(v.cells))
-	for key, c := range v.cells {
-		out = append(out, VecCell{Values: key, Count: c.Value()})
-	}
-	v.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Values[0] != out[j].Values[0] {
-			return out[i].Values[0] < out[j].Values[0]
-		}
-		return out[i].Values[1] < out[j].Values[1]
-	})
-	return out
-}
+// serving accuracy. The monitor keeps a rolling agreement window that
+// surfaces drift: a falling rolling accuracy means the data moved from
+// under the model.
 
 // driftWindow is the rolling agreement window size: small enough to
 // react within a session, large enough that one bad correction does
@@ -87,30 +16,13 @@ func (v *CounterVec) Snapshot() []VecCell {
 const driftWindow = 256
 
 // DriftMonitor accumulates prediction-vs-correction feedback. The
-// zero value is not ready — construct with NewDriftMonitor (the
-// confusion family needs its label names) — but every method is
-// nil-safe, so an uninstalled monitor is free.
+// zero value is ready to use, and every method is nil-safe, so an
+// uninstalled monitor is free.
 type DriftMonitor struct {
-	confusion *CounterVec
-
 	mu      sync.Mutex
 	ring    [driftWindow]bool
 	n       int // total feedbacks ever
 	correct int // agreements currently in the ring
-}
-
-// NewDriftMonitor returns an empty monitor whose confusion matrix is
-// labelled (predicted, actual).
-func NewDriftMonitor() *DriftMonitor {
-	return &DriftMonitor{confusion: NewCounterVec("predicted", "actual")}
-}
-
-// Confusion exposes the per-class confusion family for registration.
-func (d *DriftMonitor) Confusion() *CounterVec {
-	if d == nil {
-		return nil
-	}
-	return d.confusion
 }
 
 // RecordFeedback folds one corrected decision in: the model said
@@ -119,7 +31,6 @@ func (d *DriftMonitor) RecordFeedback(predicted, actual string) {
 	if d == nil {
 		return
 	}
-	d.confusion.With(predicted, actual).Inc()
 	ok := predicted == actual
 	d.mu.Lock()
 	slot := d.n % driftWindow
@@ -132,28 +43,6 @@ func (d *DriftMonitor) RecordFeedback(predicted, actual string) {
 	}
 	d.n++
 	d.mu.Unlock()
-}
-
-// Feedbacks returns how many corrections have been recorded.
-func (d *DriftMonitor) Feedbacks() int64 {
-	if d == nil {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return int64(d.n)
-}
-
-// Mismatches returns how many recorded feedbacks disagreed with the
-// prediction, over the whole process lifetime.
-func (d *DriftMonitor) Mismatches() int64 {
-	var miss int64
-	for _, c := range d.Confusion().Snapshot() {
-		if c.Values[0] != c.Values[1] {
-			miss += c.Count
-		}
-	}
-	return miss
 }
 
 // RollingAccuracyPermille returns the agreement rate over the last

@@ -8,11 +8,14 @@
 // compute / serial / runtime / visible-DMA / hidden-DMA lanes — and
 // exports Chrome trace-event JSON (chrome://tracing, Perfetto) plus a
 // plain-text summary, making the paper's Table 2/3 cycle accounting
-// inspectable event by event. The metric types (Counter, Histogram
-// and the domain bundles in domains.go) instrument the serving path
-// (the hdc.Serving predict and learn, the HTTP front end and the model
-// registry) and export through expvar and a Prometheus-style text
-// endpoint.
+// inspectable event by event. The metric types (Counter, Gauge,
+// Histogram and the domain bundles in domains.go) instrument the
+// serving path (the hdc.Serving predict and learn, the HTTP front end
+// and the model registry) and export through expvar and a
+// Prometheus-style text endpoint. Histogram is the one latency
+// histogram: the same log-linear type backs every /metrics histogram,
+// the SLO engine's per-model quantiles (package slo) and the load
+// harness's client-side tail (package load).
 //
 // Everything is off by default and nil-safe: a nil *Counter,
 // *Histogram or domain-metrics pointer is a no-op, so instrumented
@@ -82,43 +85,49 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// HistogramBuckets is the fixed bucket count of every Histogram. The
-// first bucket spans [0, 256 ns) and each subsequent one doubles the
-// upper bound, so the last finite bound is 256ns·2²² ≈ 1.07 s; the
-// final bucket is the +Inf overflow. Fixed geometry keeps Observe
-// allocation-free and the exposition format stable.
-const HistogramBuckets = 24
-
-// histBase is the upper bound of bucket 0 in nanoseconds.
-const histBase = 256
-
-// Histogram is a fixed-bucket latency histogram with exponential
-// (powers-of-two) bounds from a 256 ns first bucket. The zero value is
-// ready to use; a nil *Histogram is a no-op.
+// Histogram is the one latency histogram of the package: /metrics
+// exports it, the SLO engine reads its quantiles per model, and the
+// load harness its client-observed tail. It uses the HdrHistogram
+// log-linear layout: values below 2^subBits get a bucket each, and
+// every power-of-two magnitude above is split into 2^subBits linear
+// sub-buckets, bounding the relative quantile error at 1/2^subBits
+// (~1.6%) from 1 ns to the largest int64. Recording is two atomic
+// adds and a max compare, allocation-free, so any number of goroutines
+// share one histogram; quantiles and snapshots read it without
+// stopping the writers (mid-update reads are approximate, never
+// corrupt). The zero value is ready to use; a nil *Histogram is a
+// no-op.
 type Histogram struct {
-	counts [HistogramBuckets]atomic.Int64
+	counts [histBuckets]atomic.Int64
 	sum    atomic.Int64
+	max    atomic.Int64
 }
 
-// bucketFor maps a nanosecond value to its bucket index.
-func bucketFor(ns int64) int {
-	if ns < 0 {
-		ns = 0
+// subBits is the number of linear sub-bucket bits per power-of-two
+// magnitude: 64 sub-buckets, ~1.6% worst-case relative error.
+const subBits = 6
+
+// histBuckets is the bucket count that covers every int64:
+// index(math.MaxInt64) is its last bucket.
+const histBuckets = (64 - subBits) << subBits
+
+// index maps a value to its bucket; negative values clamp to 0.
+func index(v int64) int {
+	if v < 1<<subBits {
+		return int(max(v, 0)) // exact buckets for tiny values
 	}
-	idx := bits.Len64(uint64(ns) / histBase)
-	if idx >= HistogramBuckets {
-		idx = HistogramBuckets - 1
-	}
-	return idx
+	shift := bits.Len64(uint64(v)) - 1 - subBits
+	return (shift+1)<<subBits + int(v>>shift) - 1<<subBits
 }
 
-// BucketBound returns the inclusive upper bound of bucket i in
-// nanoseconds, or -1 for the +Inf overflow bucket.
-func BucketBound(i int) int64 {
-	if i >= HistogramBuckets-1 {
-		return -1
+// upperBound returns the largest value mapping to bucket i.
+func upperBound(i int) int64 {
+	if i < 1<<subBits {
+		return int64(i)
 	}
-	return histBase<<i - 1
+	shift := uint(i>>subBits) - 1
+	base := uint64(1<<subBits+i&(1<<subBits-1)) << shift
+	return int64(base + 1<<shift - 1)
 }
 
 // Observe records one duration.
@@ -129,8 +138,78 @@ func (h *Histogram) ObserveNanos(ns int64) {
 	if h == nil {
 		return
 	}
-	h.counts[bucketFor(ns)].Add(1)
+	h.counts[index(ns)].Add(1)
 	h.sum.Add(ns)
+	for {
+		m := h.max.Load()
+		if ns <= m || h.max.CompareAndSwap(m, ns) {
+			return
+		}
+	}
+}
+
+// Max returns the largest observation, 0 when empty.
+func (h *Histogram) Max() time.Duration {
+	if h == nil {
+		return 0
+	}
+	return time.Duration(h.max.Load())
+}
+
+// Quantile returns the value at quantile q in [0, 1]: the upper bound
+// of the bucket holding the round(q·count)-th observation, so the
+// reported p99 is never below the true one and at most the bucket's
+// ~1.6% width above it. Returns 0 when the histogram is empty.
+func (h *Histogram) Quantile(q float64) time.Duration {
+	if h == nil {
+		return 0
+	}
+	var total int64
+	for i := range h.counts {
+		total += h.counts[i].Load()
+	}
+	if total == 0 {
+		return 0
+	}
+	q = min(max(q, 0), 1)
+	rank := min(max(int64(q*float64(total)+0.5), 1), total)
+	var cum int64
+	for i := range h.counts {
+		cum += h.counts[i].Load()
+		if cum >= rank {
+			return time.Duration(upperBound(i))
+		}
+	}
+	return h.Max()
+}
+
+// HistogramBuckets is the bucket count of the export view every
+// Histogram is folded into for /metrics. The first export bucket spans
+// [0, 256 ns) and each subsequent one doubles the upper bound, so the
+// last finite bound is 256ns·2²² ≈ 1.07 s; the final bucket is the
+// +Inf overflow. Every finite bound is a power of two, so it starts a
+// log-linear bucket and no log-linear bucket straddles two export
+// buckets: the fold is exact.
+const HistogramBuckets = 24
+
+// histBaseBits is log2 of the upper bound of export bucket 0 (256 ns).
+const histBaseBits = 8
+
+// exportBucket maps log-linear bucket i to its export bucket. Bucket i
+// lies in magnitude m = i>>subBits, which spans [2^(m+subBits-1),
+// 2^(m+subBits)) for m ≥ 1 and exports to bucket m+subBits-histBaseBits,
+// clamped to [0, +Inf].
+func exportBucket(i int) int {
+	return min(max(i>>subBits+subBits-histBaseBits, 0), HistogramBuckets-1)
+}
+
+// BucketBound returns the inclusive upper bound of export bucket i in
+// nanoseconds, or -1 for the +Inf overflow bucket.
+func BucketBound(i int) int64 {
+	if i >= HistogramBuckets-1 {
+		return -1
+	}
+	return 1<<histBaseBits<<i - 1
 }
 
 // HistogramSnapshot is an internally consistent copy of a histogram
@@ -154,8 +233,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		return s
 	}
 	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-		s.Count += s.Counts[i]
+		n := h.counts[i].Load()
+		s.Counts[exportBucket(i)] += n
+		s.Count += n
 	}
 	s.SumNs = h.sum.Load()
 	return s

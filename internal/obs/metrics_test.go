@@ -33,8 +33,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil gauge holds a value")
 	}
 	var svm *ServingMetrics
-	svm.RecordPublish(3, 5, time.Millisecond)
-	svm.RecordModel(3, 5)
+	svm.RecordPublish(time.Millisecond)
 	svm.RecordRequest(true)
 	svm.RecordRequest(false)
 }
@@ -55,16 +54,12 @@ func TestGauge(t *testing.T) {
 
 func TestServingMetrics(t *testing.T) {
 	var m ServingMetrics
-	m.RecordModel(1, 5)
-	m.RecordPublish(2, 6, time.Millisecond)
+	m.RecordPublish(time.Millisecond)
 	m.RecordRequest(true)
 	m.RecordRequest(true)
 	m.RecordRequest(false)
-	if m.Generation.Value() != 2 || m.Classes.Value() != 6 {
-		t.Fatalf("gauges %d/%d", m.Generation.Value(), m.Classes.Value())
-	}
-	if m.Learns.Value() != 1 {
-		t.Fatalf("learns %d, want 1 (RecordModel must not count)", m.Learns.Value())
+	if m.Learns.Value() != 1 || m.LearnNanos.Snapshot().Count != 1 {
+		t.Fatalf("learns %d, latency count %d, want 1 and 1", m.Learns.Value(), m.LearnNanos.Snapshot().Count)
 	}
 	if m.Requests.Value() != 3 || m.Rejected.Value() != 1 {
 		t.Fatalf("requests/rejected %d/%d, want 3/1 (Requests counts rejected too)", m.Requests.Value(), m.Rejected.Value())
@@ -134,8 +129,10 @@ func TestHistogramBuckets(t *testing.T) {
 		{1 << 20, 13}, {1 << 62, HistogramBuckets - 1}, {-5, 0},
 	}
 	for _, tc := range cases {
-		if got := bucketFor(tc.ns); got != tc.bucket {
-			t.Errorf("bucketFor(%d) = %d, want %d", tc.ns, got, tc.bucket)
+		var one Histogram
+		one.ObserveNanos(tc.ns)
+		if got := one.Snapshot().Counts; got[tc.bucket] != 1 {
+			t.Errorf("%d ns exports to %v, want bucket %d", tc.ns, got, tc.bucket)
 		}
 		h.ObserveNanos(tc.ns)
 	}
@@ -177,7 +174,7 @@ func TestObserveAllocationFree(t *testing.T) {
 func TestPrometheusExposition(t *testing.T) {
 	h := NewHostMetrics()
 	h.Inference.RecordPredict(1500 * time.Nanosecond)
-	h.Serving.RecordPublish(7, 64, time.Microsecond)
+	h.Serving.RecordPublish(time.Microsecond)
 	var buf bytes.Buffer
 	if err := h.Registry.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -186,9 +183,6 @@ func TestPrometheusExposition(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE pulphd_predict_total counter",
 		"pulphd_predict_total 1",
-		"# TYPE pulphd_serving_generation gauge",
-		"pulphd_serving_generation 7",
-		"pulphd_serving_classes 64",
 		"pulphd_serving_learns_total 1",
 		"# TYPE pulphd_predict_latency_ns histogram",
 		`pulphd_predict_latency_ns_bucket{le="+Inf"} 1`,
@@ -219,10 +213,10 @@ func TestRegistryRejectsDuplicates(t *testing.T) {
 
 func TestSnapshotAndExpvar(t *testing.T) {
 	h := NewHostMetrics()
-	h.Serving.RecordPublish(500, 5, 2*time.Millisecond)
+	h.Serving.RecordPublish(2 * time.Millisecond)
 	snap := h.Registry.Snapshot()
-	if got := snap["pulphd_serving_generation"]; got != int64(500) {
-		t.Fatalf("snapshot generation %v", got)
+	if got := snap["pulphd_serving_learns_total"]; got != int64(1) {
+		t.Fatalf("snapshot learns %v", got)
 	}
 	hist, ok := snap["pulphd_serving_learn_latency_ns"].(map[string]any)
 	if !ok || hist["count"] != int64(1) {

@@ -9,9 +9,9 @@ import (
 // This file is the per-tenant half of the serving observability: the
 // model registry serves many named models from one process, so its
 // gauges and counters need a `model` label dimension. GaugeVec is the
-// one-label gauge family (CounterVec in drift.go is the two-label
-// counter family); RegistryMetrics bundles everything the registry
-// records, nil-safe like every other domain bundle in domains.go.
+// one-label gauge family and CounterVec the two-label counter family;
+// RegistryMetrics bundles everything the registry records, nil-safe
+// like every other domain bundle in domains.go.
 
 // GaugeVec is a family of gauges distinguished by one label value —
 // per-model generation, class count, resident bytes. Cell lookup takes
@@ -81,6 +81,72 @@ func (v *GaugeVec) Snapshot() []GaugeCell {
 	}
 	v.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
+	return out
+}
+
+// CounterVec is a family of counters distinguished by a fixed pair of
+// label names — per-model operation counts, labelled (model, op). Cell
+// lookup takes a read lock; the returned *Counter is the usual
+// lock-free atomic.
+type CounterVec struct {
+	mu    sync.RWMutex
+	names [2]string
+	cells map[[2]string]*Counter
+}
+
+// NewCounterVec returns an empty family with the given label names.
+func NewCounterVec(name1, name2 string) *CounterVec {
+	return &CounterVec{names: [2]string{name1, name2}, cells: map[[2]string]*Counter{}}
+}
+
+// LabelNames returns the two label names.
+func (v *CounterVec) LabelNames() (string, string) { return v.names[0], v.names[1] }
+
+// With returns the counter for the given label values, creating it on
+// first use. Nil-safe: a nil family hands back a nil (no-op) counter.
+func (v *CounterVec) With(v1, v2 string) *Counter {
+	if v == nil {
+		return nil
+	}
+	key := [2]string{v1, v2}
+	v.mu.RLock()
+	c := v.cells[key]
+	v.mu.RUnlock()
+	if c != nil {
+		return c
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if c = v.cells[key]; c == nil {
+		c = &Counter{}
+		v.cells[key] = c
+	}
+	return c
+}
+
+// VecCell is one exported cell of a CounterVec.
+type VecCell struct {
+	Values [2]string
+	Count  int64
+}
+
+// Snapshot returns every cell sorted by label values, for export.
+func (v *CounterVec) Snapshot() []VecCell {
+	if v == nil {
+		return nil
+	}
+	v.mu.RLock()
+	out := make([]VecCell, 0, len(v.cells))
+	for key, c := range v.cells {
+		out = append(out, VecCell{Values: key, Count: c.Value()})
+	}
+	v.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Values[0] != out[j].Values[0] {
+			return out[i].Values[0] < out[j].Values[0]
+		}
+		return out[i].Values[1] < out[j].Values[1]
+	})
 	return out
 }
 

@@ -132,7 +132,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	h.Inference.RecordPredict(300 * time.Nanosecond)
 	h.Inference.RecordStages(time.Microsecond, 2*time.Microsecond)
 	hostile := "cl\\ass\n\"A\""
-	h.Serving.RecordPublish(3, 5, time.Microsecond)
+	h.Serving.RecordPublish(time.Microsecond)
 	h.Serving.RecordRequest(true)
 	h.Models.RecordFleet(2, 1, 4096)
 	h.Models.RecordOp("emg", "learn")
@@ -322,7 +322,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 
 // TestDriftMonitor pins the rolling-window arithmetic, including wrap.
 func TestDriftMonitor(t *testing.T) {
-	d := NewDriftMonitor()
+	d := new(DriftMonitor)
 	if d.RollingAccuracyPermille() != -1 {
 		t.Fatal("empty monitor should report -1 (no signal)")
 	}
@@ -331,9 +331,6 @@ func TestDriftMonitor(t *testing.T) {
 	if got := d.RollingAccuracyPermille(); got != 500 {
 		t.Fatalf("rolling accuracy %d, want 500", got)
 	}
-	if d.Feedbacks() != 2 || d.Mismatches() != 1 {
-		t.Fatalf("feedbacks=%d mismatches=%d", d.Feedbacks(), d.Mismatches())
-	}
 	// Fill a whole window with agreements: the early miss ages out.
 	for i := 0; i < driftWindow; i++ {
 		d.RecordFeedback("x", "x")
@@ -341,27 +338,12 @@ func TestDriftMonitor(t *testing.T) {
 	if got := d.RollingAccuracyPermille(); got != 1000 {
 		t.Fatalf("rolling accuracy after wrap %d, want 1000", got)
 	}
-	// Lifetime confusion keeps the miss forever.
-	if d.Mismatches() != 1 {
-		t.Fatalf("mismatches after wrap %d, want 1", d.Mismatches())
-	}
-	cells := d.Confusion().Snapshot()
-	var total int64
-	for _, c := range cells {
-		total += c.Count
-	}
-	if total != int64(driftWindow+2) {
-		t.Fatalf("confusion total %d, want %d", total, driftWindow+2)
-	}
 
 	// Nil monitor: every method is a no-op.
 	var nd *DriftMonitor
 	nd.RecordFeedback("a", "b")
-	if nd.Feedbacks() != 0 || nd.Mismatches() != 0 || nd.RollingAccuracyPermille() != -1 {
+	if nd.RollingAccuracyPermille() != -1 {
 		t.Fatal("nil monitor reports state")
-	}
-	if nd.Confusion() != nil {
-		t.Fatal("nil monitor has a confusion family")
 	}
 }
 

@@ -23,7 +23,6 @@ type Registry struct {
 	gaugeVecs     []namedGaugeVec
 	gaugeVecFuncs []namedGaugeVecFunc
 	hists         []namedHistogram
-	secondsHists  []namedHistogram
 	names         map[string]bool
 }
 
@@ -52,9 +51,20 @@ type namedGaugeVec struct {
 	v          *GaugeVec
 }
 
+// namedHistogram is one histogram family. Every Histogram observes
+// nanoseconds; seconds families scale their bounds and sum on export.
 type namedHistogram struct {
 	name, help string
 	h          *Histogram
+	seconds    bool
+}
+
+// format renders a nanosecond bound or sum in the family's unit.
+func (h namedHistogram) format(ns int64) string {
+	if h.seconds {
+		return strconv.FormatFloat(float64(ns)/1e9, 'g', -1, 64)
+	}
+	return strconv.FormatInt(ns, 10)
 }
 
 type namedGaugeVecFunc struct {
@@ -145,10 +155,7 @@ func (r *Registry) RegisterGaugeVecFunc(name, help, label string, fn func() []Ga
 // RegisterHistogram exposes h under name; bucket bounds are exported
 // in nanoseconds (suffix the name _ns to keep the unit visible).
 func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name)
-	r.hists = append(r.hists, namedHistogram{name, help, h})
+	r.registerHistogram(namedHistogram{name, help, h, false})
 }
 
 // RegisterSecondsHistogram exposes h — which observes durations in
@@ -156,10 +163,14 @@ func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
 // scaled to seconds on export, so Prometheus-convention `_seconds`
 // names carry their conventional unit.
 func (r *Registry) RegisterSecondsHistogram(name, help string, h *Histogram) {
+	r.registerHistogram(namedHistogram{name, help, h, true})
+}
+
+func (r *Registry) registerHistogram(h namedHistogram) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.claim(name)
-	r.secondsHists = append(r.secondsHists, namedHistogram{name, help, h})
+	r.claim(h.name)
+	r.hists = append(r.hists, h)
 }
 
 // WritePrometheus renders every registered metric in the Prometheus
@@ -257,37 +268,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			cum += n
 			le := "+Inf"
 			if b := BucketBound(i); b >= 0 {
-				le = fmt.Sprintf("%d", b+1)
+				le = h.format(b + 1)
 			}
 			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", h.name, le, cum); err != nil {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", h.name, s.SumNs, h.name, s.Count); err != nil {
-			return err
-		}
-	}
-	for _, h := range r.secondsHists {
-		if err := writeHelp(h.name, h.help); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", h.name); err != nil {
-			return err
-		}
-		s := h.h.Snapshot()
-		cum := int64(0)
-		for i, n := range s.Counts {
-			cum += n
-			le := "+Inf"
-			if b := BucketBound(i); b >= 0 {
-				le = strconv.FormatFloat(float64(b+1)/1e9, 'g', -1, 64)
-			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", h.name, le, cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n",
-			h.name, strconv.FormatFloat(float64(s.SumNs)/1e9, 'g', -1, 64), h.name, s.Count); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", h.name, h.format(s.SumNs), h.name, s.Count); err != nil {
 			return err
 		}
 	}
@@ -330,14 +317,12 @@ func (r *Registry) Snapshot() map[string]any {
 		}
 		out[v.name] = cells
 	}
-	for _, hs := range [][]namedHistogram{r.hists, r.secondsHists} {
-		for _, h := range hs {
-			s := h.h.Snapshot()
-			out[h.name] = map[string]any{
-				"count":   s.Count,
-				"sum_ns":  s.SumNs,
-				"mean_ns": s.Mean(),
-			}
+	for _, h := range r.hists {
+		s := h.h.Snapshot()
+		out[h.name] = map[string]any{
+			"count":   s.Count,
+			"sum_ns":  s.SumNs,
+			"mean_ns": s.Mean(),
 		}
 	}
 	return out
@@ -411,14 +396,11 @@ func NewHostMetrics() *HostMetrics {
 	r.RegisterHistogram("pulphd_predict_search_latency_ns", "per-request AM-search stage latency in nanoseconds", &h.Inference.SearchNanos)
 	r.RegisterCounter("pulphd_serving_learns_total", "generation publications by Learn", &h.Serving.Learns)
 	r.RegisterHistogram("pulphd_serving_learn_latency_ns", "Learn publish latency in nanoseconds", &h.Serving.LearnNanos)
-	r.RegisterGauge("pulphd_serving_generation", "id of the published model generation", &h.Serving.Generation)
-	r.RegisterGauge("pulphd_serving_classes", "classes in the published generation", &h.Serving.Classes)
 	r.RegisterCounter("pulphd_serving_requests_total", "/predict and /learn requests, rejected ones included", &h.Serving.Requests)
 	r.RegisterCounter("pulphd_serving_rejected_total", "/predict requests rejected by backpressure (429)", &h.Serving.Rejected)
 	r.RegisterCounter("pulphd_serving_timeouts_total", "/predict requests answered 504 because their deadline passed or the client left first", &h.Serving.Timeouts)
 	r.RegisterCounter("pulphd_serving_retries_total", "predict attempts retried after a recovered panic", &h.Serving.Retries)
 	r.RegisterCounter("pulphd_serving_panics_recovered_total", "predict panics recovered instead of crashing the process", &h.Serving.PanicsRecovered)
-	r.RegisterGauge("pulphd_serving_model_resident_bytes", "resident footprint of the published model (IM + CIM + AM prototypes) in bytes", &h.Serving.ModelBytes)
 	r.RegisterGauge("pulphd_registry_models", "models registered in the model registry", &h.Models.Models)
 	r.RegisterGauge("pulphd_registry_resident_models", "registry models currently resident in memory", &h.Models.ResidentModels)
 	r.RegisterGauge("pulphd_registry_resident_bytes", "summed resident footprint of in-memory registry models in bytes", &h.Models.ResidentBytes)

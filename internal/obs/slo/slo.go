@@ -1,12 +1,13 @@
 // Package slo is the per-tenant service-level-objective engine of the
 // serving tier. Each registry model gets a Tracker holding its latency
-// and error objectives, an obs.HDR latency histogram, and a ring of
-// coarse 10-second buckets that two sliding windows — fast (5 m) and
-// slow (1 h) — are summed from at read time. Burn rate is the classic
-// multi-window formulation: the fraction of the error budget consumed
-// per unit budget (bad-event fraction ÷ budget), and a breach fires
-// only when BOTH windows burn above the threshold, so short blips and
-// long slow leaks are separated from pageable incidents.
+// and error objectives, an obs.Histogram of its request latencies (the
+// p50/p99/p999 of its Status), and a ring of coarse 10-second buckets
+// that two sliding windows — fast (5 m) and slow (1 h) — are summed
+// from at read time. Burn rate is the classic multi-window
+// formulation: the fraction of the error budget consumed per unit
+// budget (bad-event fraction ÷ budget), and a breach fires only when
+// BOTH windows burn above the threshold, so short blips and long slow
+// leaks are separated from pageable incidents.
 //
 // The record path is built for the serving hot loop: one RLock'd map
 // lookup, a handful of atomic adds, no allocation. Breach evaluation
@@ -78,7 +79,7 @@ type bucket struct {
 type Tracker struct {
 	obj        atomic.Pointer[Objective]
 	buckets    [slowBuckets]bucket
-	lat        obs.HDR
+	lat        obs.Histogram
 	totalReqs  atomic.Int64
 	totalErrs  atomic.Int64
 	lastCheck  atomic.Int64 // unix nanos of the last breach evaluation
@@ -228,7 +229,7 @@ func (e *Engine) Record(model string, dur time.Duration, failed bool) {
 	if obj.Latency > 0 && dur > obj.Latency {
 		b.slow.Add(1)
 	}
-	t.lat.Record(dur)
+	t.lat.Observe(dur)
 	e.maybeCheck(model, t, now, epoch)
 }
 

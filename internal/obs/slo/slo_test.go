@@ -102,7 +102,7 @@ func TestBurnRates(t *testing.T) {
 	if st.TotalRequests != 100 || st.TotalErrors != 10 {
 		t.Fatalf("totals %d/%d", st.TotalRequests, st.TotalErrors)
 	}
-	// The HDR fed every duration: p50 near 1ms, p99 near 20ms.
+	// The latency histogram saw every duration: p50 near 1ms, p99 near 20ms.
 	if st.P50Ms < 0.9 || st.P50Ms > 1.2 || st.P99Ms < 18 || st.P99Ms > 22 {
 		t.Fatalf("quantiles p50=%v p99=%v", st.P50Ms, st.P99Ms)
 	}

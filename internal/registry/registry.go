@@ -155,7 +155,7 @@ func Open(cfg Config) (*Registry, error) {
 		return nil, err
 	}
 	for _, name := range names {
-		e := &entry{name: name, drift: obs.NewDriftMonitor()}
+		e := &entry{name: name, drift: new(obs.DriftMonitor)}
 		f, err := os.Open(r.snapPath(name))
 		if err != nil {
 			return nil, fmt.Errorf("registry: model %q in manifest but snapshot unreadable: %w", name, err)
@@ -241,7 +241,7 @@ func (r *Registry) adoptLocked(name string, sv *hdc.Serving, op string) (*entry,
 	if _, ok := r.entries[name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	e := &entry{name: name, drift: obs.NewDriftMonitor()}
+	e := &entry{name: name, drift: new(obs.DriftMonitor)}
 	e.sv.Store(sv)
 	if r.Persistent() {
 		// Files first, manifest last: a crash in between leaves orphan

@@ -56,7 +56,7 @@ func (r *Registry) Install(name string, sv *hdc.Serving) error {
 	}
 	e, ok := r.entries[name]
 	if !ok {
-		e = &entry{name: name, drift: obs.NewDriftMonitor()}
+		e = &entry{name: name, drift: new(obs.DriftMonitor)}
 		r.entries[name] = e
 	}
 	r.mu.Unlock()

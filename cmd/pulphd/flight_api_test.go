@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -267,10 +269,9 @@ func TestTailObservabilityAllocs(t *testing.T) {
 		}),
 	}
 	api.slo.Record("default", time.Millisecond, false) // build the tracker
-	start := time.Now()
+	c := call{start: time.Now(), root: obs.NoSpan, model: "default"}
 	if allocs := testing.AllocsPerRun(1000, func() {
-		api.capture(nil, "default", 1, 0, start)
-		api.recordSLO("", start, false)
+		api.finish(nil, &c, http.StatusOK, 1, 0, nil)
 	}); allocs != 0 {
 		t.Fatalf("healthy-path observability allocates %v/op", allocs)
 	}
@@ -336,5 +337,140 @@ func TestUnresolvedModelFaultObserved(t *testing.T) {
 				t.Fatalf("SLO errors_total %d of %d requests, want 1 of 1", st.TotalErrors, st.TotalRequests)
 			}
 		})
+	}
+}
+
+// TestRequestOutcomes drives every outcome of /predict and /learn
+// through the handlers and checks the one rule finish applies on both
+// routes: the flight recorder pins a 429 as shed, a 504 as timeout and
+// any other 5xx as error, adds retry for a retried predict and slow
+// for a request over its model's latency objective; the SLO engine
+// counts a 2xx as good and a 429 or 5xx as bad and sees no other 4xx,
+// so an unknown model gets no tracker; every request counts at
+// admission, and the 4xx count as rejected.
+func TestRequestOutcomes(t *testing.T) {
+	cfg := testServingConfig()
+	predict, learn := windowJSON(t, cfg, 2), modelBody(cfg, 2, "rest")
+	cases := []struct {
+		name, path, body string
+		setup            func(t *testing.T, s outcomeServer)
+		code             int
+		trigger          string // the flight capture's triggers; "" for none
+		sloModel         string // the model whose SLO tracker records it; "" for none
+		sloErrors        int64
+		rejected         int64
+		timeouts         int64
+	}{
+		{name: "predict/200", path: "/predict", body: predict, code: http.StatusOK, sloModel: "default"},
+		{name: "predict/200-retried", path: "/predict", body: predict,
+			setup: func(t *testing.T, s outcomeServer) {
+				var fired atomic.Bool
+				s.api.beforePredict = func() {
+					if !fired.Swap(true) {
+						panic("injected predict fault")
+					}
+				}
+			},
+			code: http.StatusOK, trigger: "retry", sloModel: "default"},
+		{name: "predict/400", path: "/predict", body: `{"window":"x"}`, code: http.StatusBadRequest, rejected: 1},
+		{name: "predict/400-slow", path: "/predict", body: `{"window":"x"}`,
+			setup: func(t *testing.T, s outcomeServer) {
+				s.api.slo = sloeng.New(sloeng.Config{Default: sloeng.Objective{Latency: 1, LatencyTarget: 0.99, ErrorBudget: 0.01}})
+			},
+			code: http.StatusBadRequest, trigger: "slow", rejected: 1},
+		{name: "predict/404", path: "/models/ghost/predict", body: predict, code: http.StatusNotFound, rejected: 1},
+		{name: "predict/409", path: "/models/empty/predict", body: predict,
+			setup: func(t *testing.T, s outcomeServer) {
+				if _, err := s.reg.Create("empty", cfg); err != nil {
+					t.Fatal(err)
+				}
+			},
+			code: http.StatusConflict, rejected: 1},
+		{name: "predict/429", path: "/predict", body: predict,
+			setup: func(t *testing.T, s outcomeServer) { s.api.inflight.Store(s.api.maxInflight) },
+			code:  http.StatusTooManyRequests, trigger: "shed", sloModel: "default", sloErrors: 1, rejected: 1},
+		{name: "predict/500-faultin", path: "/predict", body: predict, setup: corruptDefault,
+			code: http.StatusInternalServerError, trigger: "error", sloModel: "default", sloErrors: 1},
+		{name: "predict/504", path: "/predict", body: predict,
+			setup: func(t *testing.T, s outcomeServer) { s.api.timeout = time.Nanosecond },
+			code:  http.StatusGatewayTimeout, trigger: "timeout", sloModel: "default", sloErrors: 1, timeouts: 1},
+		{name: "learn/200", path: "/learn", body: learn, code: http.StatusOK, sloModel: "default"},
+		{name: "learn/400", path: "/learn", body: `{"label":"rest"}`, code: http.StatusBadRequest, rejected: 1},
+		{name: "learn/404", path: "/models/ghost/learn", body: learn, code: http.StatusNotFound, rejected: 1},
+		{name: "learn/500-faultin", path: "/learn", body: learn, setup: corruptDefault,
+			code: http.StatusInternalServerError, trigger: "error", sloModel: "default", sloErrors: 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			reg, err := modreg.Open(modreg.Config{Dir: dir, ResidentBudget: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { reg.Close() })
+			if err := reg.Adopt("default", trainedServing(t)); err != nil {
+				t.Fatal(err)
+			}
+			m := &obs.ServingMetrics{}
+			api := newRegistryAPIServer(reg, "default", cfg, 8, m)
+			api.retryBackoff = 0
+			api.timelines = obs.NewTimelines(8, 64)
+			api.flight = flight.NewRing(16, 64)
+			api.slo = sloeng.New(sloeng.Config{
+				Default: sloeng.Objective{Latency: time.Hour, LatencyTarget: 0.99, ErrorBudget: 0.01},
+			})
+			if c.setup != nil {
+				c.setup(t, outcomeServer{api, reg, dir})
+			}
+			srv := serveTestAPI(t, api)
+
+			if code, body := postJSON(t, srv, c.path, c.body); code != c.code {
+				t.Fatalf("status %d, want %d (%s)", code, c.code, body)
+			}
+			var sum bytes.Buffer
+			if err := api.flight.WriteSummary(&sum, ""); err != nil {
+				t.Fatal(err)
+			}
+			var doc flightSummaryDoc
+			if err := json.Unmarshal(sum.Bytes(), &doc); err != nil {
+				t.Fatal(err)
+			}
+			var triggers []string
+			for _, e := range doc.Entries {
+				triggers = append(triggers, e.Trigger)
+			}
+			if want := strings.Fields(c.trigger); !slices.Equal(triggers, want) {
+				t.Errorf("flight captures %q, want %q", triggers, want)
+			}
+			all := api.slo.StatusAll()
+			switch {
+			case c.sloModel == "" && len(all) != 0:
+				t.Errorf("SLO engine tracks %d models, want none", len(all))
+			case c.sloModel != "" && (len(all) != 1 || all[0].Model != c.sloModel ||
+				all[0].TotalRequests != 1 || all[0].TotalErrors != c.sloErrors):
+				t.Errorf("SLO trackers %+v, want %s with 1 request and %d errors", all, c.sloModel, c.sloErrors)
+			}
+			if m.Requests.Value() != 1 || m.Rejected.Value() != c.rejected || m.Timeouts.Value() != c.timeouts {
+				t.Errorf("requests/rejected/timeouts %d/%d/%d, want 1/%d/%d",
+					m.Requests.Value(), m.Rejected.Value(), m.Timeouts.Value(), c.rejected, c.timeouts)
+			}
+		})
+	}
+}
+
+// outcomeServer is what a TestRequestOutcomes case sets up before its
+// request: the API server, its registry and the registry's directory.
+type outcomeServer struct {
+	api *apiServer
+	reg *modreg.Registry
+	dir string
+}
+
+// corruptDefault evicts the default model and truncates its snapshot,
+// so the next request's fault-in fails.
+func corruptDefault(t *testing.T, s outcomeServer) {
+	s.reg.EnforceBudget()
+	if err := os.WriteFile(filepath.Join(s.dir, "default.snap"), []byte("PULPHD0"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

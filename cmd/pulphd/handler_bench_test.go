@@ -17,12 +17,12 @@ import (
 // registry whose default model has the EMG geometry (10,000-D, four
 // channels, one-sample windows) and five classes, one request whose
 // body is rewound per call, and a ResponseWriter that discards the
-// answer. Without serveDefaults nothing observes: metrics, tracing,
-// the SLO engine and the flight recorder are off. With it the fixture
-// observes as a flagless `pulphd serve` does: host metrics installed,
-// the registry reporting per-model metrics into them, and request
-// timelines, the flight recorder and the SLO engine set from the
-// defaults of the serve flags.
+// answer. With nil serveArgs nothing observes: metrics, tracing, the
+// SLO engine and the flight recorder are off. Otherwise the fixture
+// observes as `pulphd serve` does with serveArgs parsed (none: serve's
+// defaults): host metrics installed, the registry reporting per-model
+// metrics into them, and request timelines, the flight recorder and
+// the SLO engine set from the serve flags.
 type handlerFixture struct {
 	sv             *hdc.Serving
 	predict, learn http.HandlerFunc
@@ -33,17 +33,22 @@ type handlerFixture struct {
 	learnBodies    [][]byte
 }
 
-func newHandlerFixture(tb testing.TB, serveDefaults bool) *handlerFixture {
+func newHandlerFixture(tb testing.TB, serveArgs []string) *handlerFixture {
 	tb.Helper()
 	cfg := hdc.EMGConfig()
 	sv, err := hdc.NewServing(cfg, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sf := newServeFlags(flag.NewFlagSet("serve", flag.ContinueOnError))
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	sf := newServeFlags(fs)
+	if err := fs.Parse(serveArgs); err != nil {
+		tb.Fatal(err)
+	}
+	observe := serveArgs != nil
 	var h *obs.HostMetrics
 	var regCfg modreg.Config
-	if serveDefaults {
+	if observe {
 		h = enableHostMetrics()
 		tb.Cleanup(func() {
 			hdc.SetMetrics(nil)
@@ -60,7 +65,7 @@ func newHandlerFixture(tb testing.TB, serveDefaults bool) *handlerFixture {
 		tb.Fatal(err)
 	}
 	api := newRegistryAPIServer(reg, "default", cfg, *sf.queueDepth, nil)
-	if serveDefaults {
+	if observe {
 		api.m = h.Serving
 		sf.observe(api, nil)
 	}
@@ -128,11 +133,11 @@ func (w *discardWriter) WriteHeader(code int)        { w.code = code }
 // without flags, so the gap between the two is what observing costs.
 func BenchmarkHandlePredict(b *testing.B) {
 	for _, c := range []struct {
-		name          string
-		serveDefaults bool
-	}{{"off", false}, {"defaults", true}} {
+		name      string
+		serveArgs []string
+	}{{"off", nil}, {"defaults", []string{}}} {
 		b.Run(c.name, func(b *testing.B) {
-			fx := newHandlerFixture(b, c.serveDefaults)
+			fx := newHandlerFixture(b, c.serveArgs)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {
@@ -149,7 +154,7 @@ func BenchmarkHandlePredict(b *testing.B) {
 // codec, the correction's drift predict, the encode and the publish,
 // not a WAL fsync.
 func BenchmarkHandleLearn(b *testing.B) {
-	fx := newHandlerFixture(b, false)
+	fx := newHandlerFixture(b, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := range b.N {

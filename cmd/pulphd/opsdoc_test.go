@@ -60,9 +60,9 @@ func TestOperationsDocCoverage(t *testing.T) {
 	}
 
 	// Every metric family any role can export: host + runtime + SLO
-	// engine + replica syncer + front, all in one registry (the
-	// registry panics on duplicate names, which also proves the
-	// families are disjoint).
+	// engine + model registry + replica syncer + front, all in one
+	// registry (the registry panics on duplicate names, which also
+	// proves the families are disjoint).
 	h := obs.NewHostMetrics()
 	obs.RegisterRuntimeMetrics(h.Registry)
 	sloeng.New(sloeng.Config{}).RegisterMetrics(h.Registry)
@@ -71,6 +71,7 @@ func TestOperationsDocCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
+	reg.RegisterMetrics(h.Registry)
 	syncer, err := replica.NewSyncer(replica.SyncConfig{
 		Primary: "http://primary.invalid", Registry: reg,
 	})

@@ -79,21 +79,25 @@ func newMetricsMux(h *obs.HostMetrics) *http.ServeMux {
 	return mux
 }
 
-// newServingModel builds the model behind /predict and /learn. With
-// demo data it is the paper's EMG classifier trained on one prepared
-// subject and snapshotted into a serving instance; without, it starts
-// empty and is taught entirely through /learn.
-func newServingModel(prepared *experiments.Prepared, backend hdc.Backend) (*hdc.Serving, error) {
+// newServingModel builds the default model a new registry adopts.
+// With demo it is the paper's EMG classifier trained on the training
+// split of one synthetic subject generated from seed, snapshotted into
+// a serving instance; without, it starts empty and is taught entirely
+// through /learn.
+func newServingModel(demo bool, seed int64, backend hdc.Backend) (*hdc.Serving, error) {
 	cfg := hdc.EMGConfig()
 	cfg.Backend = backend
-	if prepared == nil {
+	if !demo {
 		return hdc.NewServing(cfg, 1)
 	}
 	cls, err := hdc.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, w := range prepared.Subjects[0].Train {
+	proto := emg.DefaultProtocol()
+	proto.Seed = seed
+	proto.Subjects = 1
+	for _, w := range experiments.PrepareTrain(proto, cfg.Window, 0) {
 		cls.Train(w.Label, w.Window)
 	}
 	return cls.Serving(), nil
@@ -244,13 +248,6 @@ func runServe(args []string) int {
 		}
 	}
 
-	var prepared *experiments.Prepared
-	if *demo {
-		proto := emg.DefaultProtocol()
-		proto.Seed = *seed
-		proto.Subjects = 1
-		prepared = experiments.Prepare(proto, 1)
-	}
 	reg, err := modreg.Open(modreg.Config{
 		Dir:            *stateDir,
 		ResidentBudget: *residentBudget,
@@ -263,12 +260,13 @@ func runServe(args []string) int {
 		return 1
 	}
 	defer reg.Close()
+	reg.RegisterMetrics(h.Registry)
 	// The default model: a recovered copy in the state directory wins
 	// over a freshly built one — that is the restart-recovery contract.
 	// Only when the registry has never seen the name does the demo-
 	// trained (or empty) model register under it.
 	if !reg.Has(*defaultModel) {
-		sv, err := newServingModel(prepared, backend)
+		sv, err := newServingModel(*demo, *seed, backend)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pulphd serve: %v\n", err)
 			return 1

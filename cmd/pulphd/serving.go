@@ -61,6 +61,9 @@ var errPredictPanic = errors.New("internal error during predict")
 // expired, client gone) before its answer was ready — answered 504.
 var errDeadline = errors.New("predict deadline exceeded")
 
+// errShed answers a predict shed by the in-flight bound (429).
+var errShed = errors.New("too many predicts in flight; retry")
+
 // predictResult is one predict's outcome: the answer, the generation
 // it scanned, and whether it needed a retry after a recovered panic.
 type predictResult struct {
@@ -149,29 +152,6 @@ func newRegistryAPIServer(reg *modreg.Registry, defaultModel string, baseConfig 
 // http.Server.Shutdown waits the handlers out.
 func (s *apiServer) beginDrain() {
 	s.draining.Store(true)
-}
-
-// capture decides whether a finished request is a tail event and, if
-// so, copies its timeline into the flight recorder before the recorder
-// is recycled. trig carries the request's tail-event bits; the slow
-// bit is added here against the model's SLO latency objective. On the
-// healthy path this is a handful of loads and compares — no
-// allocation, no capture.
-func (s *apiServer) capture(rec *obs.Spans, model string, gen uint64, trig flight.Trigger, start time.Time) {
-	if s.flight == nil {
-		return
-	}
-	dur := time.Since(start)
-	if th := s.slo.SlowThreshold(model); th > 0 && dur > th {
-		trig |= flight.TrigSlow
-	}
-	s.flight.Capture(rec, model, gen, trig, dur)
-}
-
-// recordSLO folds one finished request into the per-tenant SLO engine
-// (nil-safe: a server without an engine records nothing).
-func (s *apiServer) recordSLO(model string, start time.Time, failed bool) {
-	s.slo.Record(orDefault(model, s.defaultModel), time.Since(start), failed)
 }
 
 // maxRetryBackoff caps the doubling predict-retry backoff: past it
@@ -270,42 +250,6 @@ func (s *apiServer) register(mux *http.ServeMux) {
 	mux.HandleFunc("DELETE /models/{model}", s.handleModelDelete)
 	mux.HandleFunc("GET /models/{model}/slo", s.handleModelSLO)
 	mux.HandleFunc("POST /models/{model}/slo", s.handleModelSLOSet)
-}
-
-// resolveModel picks the model a request addresses: the {model} path
-// segment, the X-PULPHD-Model header, or the default. The returned
-// name is empty exactly when the request did not route explicitly (the
-// legacy shape), even though the default model still serves it. ctx
-// carries the request's span recorder, so a cold model's fault-in
-// (snapshot read, WAL replay) shows up as registry.faultin /
-// registry.recover spans inside the request timeline that paid for it.
-func (s *apiServer) resolveModel(ctx context.Context, r *http.Request) (name string, sv *hdc.Serving, err error) {
-	name = r.PathValue("model")
-	if name == "" {
-		name = r.Header.Get(modelHeader)
-	}
-	sv, err = s.reg.ServingCtx(ctx, orDefault(name, s.defaultModel))
-	return name, sv, err
-}
-
-// unresolved answers a /predict or /learn whose model did not resolve
-// and closes its timeline. A 5xx — a fault-in that could not read the
-// model's snapshot, a closed registry — is a server fault like any
-// other: it pins the timeline as an error and burns the model's error
-// budget. A 4xx (an unknown name) records neither, so it cannot create
-// an SLO tracker for a model that does not exist.
-func (s *apiServer) unresolved(w http.ResponseWriter, msg string, id uint64, name string,
-	rec *obs.Spans, root obs.SpanID, start time.Time, err error) {
-	code := registryErrCode(err, http.StatusInternalServerError)
-	s.m.RecordRequest(false)
-	rec.End(root)
-	if code >= 500 {
-		s.capture(rec, orDefault(name, s.defaultModel), 0, flight.TrigError, start)
-		s.recordSLO(name, start, true)
-	}
-	s.timelines.Release(rec)
-	s.log.Debug(msg, "request", id, "error", err)
-	httpError(w, code, err)
 }
 
 // registryErrCode maps registry errors onto HTTP statuses.
@@ -424,7 +368,7 @@ func (s *apiServer) handleSpans(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	s.timelines.WriteChromeTraceModel(w, r.URL.Query().Get("model"))
+	s.timelines.WriteChromeTrace(w, r.URL.Query().Get("model"))
 }
 
 // handleFlight exports the flight recorder's captured tail events:
@@ -529,6 +473,97 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
+// call is one /predict or /learn between begin and finish.
+type call struct {
+	id    uint64
+	start time.Time
+	// ctx carries rec, the request's span recorder when request tracing
+	// is on, down through model resolution, predict and learn; root is
+	// the request span their spans hang under.
+	ctx  context.Context
+	rec  *obs.Spans
+	root obs.SpanID
+	// name is the model the request routed to explicitly ("" on a
+	// legacy route without the header), model the one that serves it,
+	// and sv its serving state (nil when it did not resolve).
+	name, model string
+	sv          *hdc.Serving
+}
+
+// begin opens a /predict or /learn: it counts the request as
+// admitted, tags it with an id, starts its span recorder and request
+// root span, and resolves the model it addresses — the {model} path
+// segment, the X-PULPHD-Model header, or the default. The recorder
+// enters the context here, before the model resolves, so a cold
+// model's fault-in (snapshot read, WAL replay) shows up as
+// registry.faultin / registry.recover spans in the timeline of the
+// request that paid for it. Every request begun ends in finish, also
+// when begin returns an error.
+func (s *apiServer) begin(r *http.Request) (call, error) {
+	s.m.RecordRequest(true)
+	c := call{id: s.nextID.Add(1), start: time.Now(), ctx: r.Context(), root: obs.NoSpan}
+	c.name = r.PathValue("model")
+	if c.name == "" {
+		c.name = r.Header.Get(modelHeader)
+	}
+	if c.model = c.name; c.model == "" {
+		c.model = s.defaultModel
+	}
+	if c.rec = s.timelines.Acquire(c.id); c.rec != nil {
+		c.rec.Model = c.model
+		c.ctx = obs.WithSpans(c.ctx, c.rec)
+		c.root = c.rec.Start("request", obs.NoSpan)
+		c.rec.Annotate(c.root, "id", int64(c.id))
+		c.rec.SetParent(c.root)
+	}
+	var err error
+	c.sv, err = s.reg.ServingCtx(c.ctx, c.model)
+	return c, err
+}
+
+// finish ends a request begun by begin, by one rule on both routes.
+// It closes the request span and pins the timeline into the flight
+// recorder as shed (429), timeout (504) or error (any other 5xx), plus
+// the caller's trig bits and slow when the request outran its model's
+// latency objective. It recycles the recorder and records the outcome
+// with the SLO engine: a 2xx as good, a 429 or 5xx as bad, and no
+// other 4xx, so an unknown model gets no tracker. A 4xx counts as
+// rejected and a 504 as a timeout. gen is the generation that served
+// the request. A non-nil err is answered with code; otherwise the
+// caller writes the answer after finish returns, so a client holding
+// its answer finds its timeline in /debug/spans.
+func (s *apiServer) finish(w http.ResponseWriter, c *call, code int, gen uint64, trig flight.Trigger, err error) {
+	c.rec.End(c.root)
+	dur := time.Since(c.start)
+	switch {
+	case code == http.StatusTooManyRequests:
+		trig |= flight.TrigShed
+	case code == http.StatusGatewayTimeout:
+		trig |= flight.TrigTimeout
+		s.m.RecordTimeout()
+	case code >= 500:
+		trig |= flight.TrigError
+	}
+	if th := s.slo.SlowThreshold(c.model); th > 0 && dur > th {
+		trig |= flight.TrigSlow
+	}
+	s.flight.Capture(c.rec, c.model, gen, trig, dur)
+	s.timelines.Release(c.rec)
+	if code < 400 || code >= 500 || code == http.StatusTooManyRequests {
+		s.slo.Record(c.model, dur, code >= 400)
+	}
+	if code >= 400 && code < 500 {
+		s.m.RecordRejected()
+	}
+	if err == nil {
+		return
+	}
+	if s.log.Enabled(c.ctx, slog.LevelDebug) {
+		s.log.Debug("request failed", "request", c.id, "model", c.model, "status", code, "error", err)
+	}
+	httpError(w, code, err)
+}
+
 func (s *apiServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, errors.New("POST a JSON body to /predict"))
@@ -539,76 +574,37 @@ func (s *apiServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, errors.New("server draining"))
 		return
 	}
-	id := s.nextID.Add(1)
-	start := time.Now()
-	// When request tracing is on, the recorder rides the context down
-	// through model resolution (fault-in spans) and predict → encode →
-	// search; this handler alone writes it, and files it into the
-	// timeline ring on every path. It is acquired before the model
-	// resolves so a cold fault-in lands in this request's timeline.
-	rec := s.timelines.Acquire(id)
-	ctx := r.Context()
-	root := obs.NoSpan
-	if rec != nil {
-		ctx = obs.WithSpans(ctx, rec)
-		root = rec.Start("request", obs.NoSpan)
-		rec.Annotate(root, "id", int64(id))
-		rec.SetParent(root)
-	}
-	name, sv, err := s.resolveModel(ctx, r)
+	c, err := s.begin(r)
 	if err != nil {
-		s.unresolved(w, "predict rejected", id, name, rec, root, start, err)
+		s.finish(w, &c, registryErrCode(err, http.StatusInternalServerError), 0, 0, err)
 		return
-	}
-	model := orDefault(name, s.defaultModel)
-	if rec != nil {
-		rec.Model = model
 	}
 	wb := getWire()
 	defer putWire(wb)
-	window, err := wb.decodePredict(sv, http.MaxBytesReader(w, r.Body, maxRequestBody))
+	window, err := wb.decodePredict(c.sv, http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
-		s.m.RecordRequest(false)
-		rec.End(root)
-		s.timelines.Release(rec)
-		s.log.Debug("predict rejected", "request", id, "error", err)
-		httpError(w, http.StatusBadRequest, err)
+		s.finish(w, &c, http.StatusBadRequest, 0, 0, err)
 		return
 	}
-	s.reg.Metrics().RecordOp(model, "predict")
+	s.reg.Metrics().RecordOp(c.model, "predict")
 	if s.inflight.Add(1) > s.maxInflight {
 		// Shed: the CPUs already hold as many predicts as the bound
-		// allows. The timeline still closes, pins the shed into the
-		// flight recorder and recycles — leaking it here would defeat
-		// the free list exactly when load is highest.
+		// allows.
 		s.inflight.Add(-1)
-		s.m.RecordRequest(false)
-		rec.End(root)
-		s.capture(rec, model, 0, flight.TrigShed, start)
-		s.timelines.Release(rec)
-		s.recordSLO(name, start, true)
-		if s.log.Enabled(ctx, slog.LevelDebug) {
-			s.log.Debug("predict shed", "request", id, "reason", "too many predicts in flight")
-		}
-		httpError(w, http.StatusTooManyRequests, errors.New("too many predicts in flight; retry"))
+		s.finish(w, &c, http.StatusTooManyRequests, 0, 0, errShed)
 		return
 	}
 	defer s.inflight.Add(-1)
-	s.m.RecordRequest(true)
+	ctx := c.ctx
 	if s.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
 		defer cancel()
 	}
-	res := s.predictOne(ctx, sv, window)
-
-	// The timeline closes, pins into the flight recorder when the
-	// request tripped a trigger, and recycles before the answer goes
-	// out, so a client holding its answer finds its timeline in
-	// /debug/spans.
+	res := s.predictOne(ctx, c.sv, window)
 	var trig flight.Trigger
 	if res.retried {
-		trig |= flight.TrigRetry
+		trig = flight.TrigRetry
 	}
 	code := http.StatusOK
 	switch {
@@ -617,31 +613,19 @@ func (s *apiServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusConflict
 	case errors.Is(res.err, errDeadline):
 		code = http.StatusGatewayTimeout
-		trig |= flight.TrigTimeout
-		s.m.RecordTimeout()
 	default:
 		code = http.StatusInternalServerError
-		trig |= flight.TrigError
 	}
-	rec.End(root)
-	s.capture(rec, model, res.generation, trig, start)
-	s.timelines.Release(rec)
-	// errNoModel is the client's 409, not a burn against the model's
-	// error budget; every 5xx is.
-	if code != http.StatusConflict {
-		s.recordSLO(name, start, code != http.StatusOK)
-	}
+	s.finish(w, &c, code, res.generation, trig, res.err)
 	if res.err != nil {
-		s.log.Debug("predict failed", "request", id, "error", res.err)
-		httpError(w, code, res.err)
 		return
 	}
-	wb.body = appendPredictAnswer(wb.body[:0], res.label, res.distance, res.generation, name)
+	wb.body = appendPredictAnswer(wb.body[:0], res.label, res.distance, res.generation, c.name)
 	writeAnswer(w, wb.body)
 	if s.log.Enabled(ctx, slog.LevelDebug) {
-		s.log.Debug("predict", "request", id, "label", res.label,
+		s.log.Debug("predict", "request", c.id, "label", res.label,
 			"distance", res.distance, "generation", res.generation,
-			"duration", time.Since(start))
+			"duration", time.Since(c.start))
 	}
 }
 
@@ -660,37 +644,16 @@ func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusForbidden, errReadOnly)
 		return
 	}
-	id := s.nextID.Add(1)
-	start := time.Now()
-	// As for predicts, the recorder is acquired before model resolution
-	// so a cold fault-in and the WAL append / fsync spans land in this
-	// request's timeline, closed and recycled by this handler on every
-	// path.
-	rec := s.timelines.Acquire(id)
-	ctx := r.Context()
-	root := obs.NoSpan
-	if rec != nil {
-		ctx = obs.WithSpans(ctx, rec)
-		root = rec.Start("request", obs.NoSpan)
-		rec.Annotate(root, "id", int64(id))
-		rec.SetParent(root)
-	}
-	name, _, err := s.resolveModel(ctx, r)
+	c, err := s.begin(r)
 	if err != nil {
-		s.unresolved(w, "learn rejected", id, name, rec, root, start, err)
+		s.finish(w, &c, registryErrCode(err, http.StatusInternalServerError), 0, 0, err)
 		return
-	}
-	if rec != nil {
-		rec.Model = orDefault(name, s.defaultModel)
 	}
 	wb := getWire()
 	defer putWire(wb)
 	label, window, err := wb.decodeLearn(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
-		s.m.RecordRequest(false)
-		rec.End(root)
-		s.timelines.Release(rec)
-		httpError(w, http.StatusBadRequest, err)
+		s.finish(w, &c, http.StatusBadRequest, 0, 0, err)
 		return
 	}
 	// Learn serializes on the model's writer lock; the copy-on-write
@@ -699,50 +662,21 @@ func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
 	// so an acknowledged learn survives a crash. The generation and
 	// class count come from the registry's capture under that lock:
 	// exactly what this request published, never a concurrent learn's.
-	effective := orDefault(name, s.defaultModel)
-	info, err := s.reg.CorrectInfo(ctx, effective, label, window)
-	gen, classes := info.Generation, info.Classes
-	rec.End(root)
-	// Tail-event bookkeeping before the recorder recycles: a 5xx learn
-	// or one slower than its model's latency objective pins the
-	// timeline (WAL fsync stalls are exactly what this catches), and
-	// the SLO engine sees every server-side outcome. Client-shaped
-	// rejections (4xx) burn no error budget.
-	code := 0
-	var trig flight.Trigger
+	info, err := s.reg.CorrectInfo(c.ctx, c.model, label, window)
+	code := http.StatusOK
 	if err != nil {
 		code = registryErrCode(err, http.StatusBadRequest)
 	}
-	if code >= 500 {
-		trig = flight.TrigError
-	}
-	s.capture(rec, effective, gen, trig, start)
-	s.timelines.Release(rec)
+	s.finish(w, &c, code, info.Generation, 0, err)
 	if err != nil {
-		s.m.RecordRequest(false)
-		if code >= 500 {
-			s.recordSLO(name, start, true)
-		}
-		s.log.Debug("learn rejected", "request", id, "error", err)
-		httpError(w, code, err)
 		return
 	}
-	s.recordSLO(name, start, false)
-	s.m.RecordRequest(true)
-	wb.body = appendLearnAnswer(wb.body[:0], gen, classes, name)
+	wb.body = appendLearnAnswer(wb.body[:0], info.Generation, info.Classes, c.name)
 	writeAnswer(w, wb.body)
-	if s.log.Enabled(ctx, slog.LevelDebug) {
-		s.log.Debug("learn", "request", id, "label", label,
-			"generation", gen, "classes", classes, "duration", time.Since(start))
+	if s.log.Enabled(c.ctx, slog.LevelDebug) {
+		s.log.Debug("learn", "request", c.id, "label", label,
+			"generation", info.Generation, "classes", info.Classes, "duration", time.Since(c.start))
 	}
-}
-
-// orDefault returns name, or def when name is empty.
-func orDefault(name, def string) string {
-	if name == "" {
-		return def
-	}
-	return name
 }
 
 // createModelRequest is the POST /models body. The new model gets the

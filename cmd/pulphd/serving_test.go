@@ -15,7 +15,10 @@ import (
 	"testing"
 	"time"
 
+	"pulphd/internal/emg"
+	"pulphd/internal/experiments"
 	"pulphd/internal/hdc"
+	"pulphd/internal/model"
 	"pulphd/internal/obs"
 	modreg "pulphd/internal/registry"
 )
@@ -447,6 +450,7 @@ func TestServingMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { reg.Close() })
+	reg.RegisterMetrics(h.Registry)
 	sv, err := hdc.NewServing(testServingConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -506,5 +510,46 @@ func TestServingMetricsEndpoint(t *testing.T) {
 				fmt.Println(line)
 			}
 		}
+	}
+}
+
+// TestDemoModelMatchesPrepare pins the model -demo seeds a new default
+// model with: trained on the demo subject's training windows alone, it
+// encodes byte for byte like a classifier trained on
+// experiments.Prepare's Subjects[0].Train. Without -demo the model
+// starts empty.
+func TestDemoModelMatchesPrepare(t *testing.T) {
+	sv, err := newServingModel(true, 2018, hdc.BackendStored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto := emg.DefaultProtocol()
+	proto.Seed = 2018
+	proto.Subjects = 1
+	cls, err := hdc.New(hdc.EMGConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range experiments.Prepare(proto, 1).Subjects[0].Train {
+		cls.Train(w.Label, w.Window)
+	}
+	got, _, err := model.EncodeServing(sv, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := model.EncodeServing(cls.Serving(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sv.Classes() != 5 || !bytes.Equal(got, want) {
+		t.Fatalf("demo model (%d classes, %d bytes) differs from the one Prepare's training split trains (%d bytes)",
+			sv.Classes(), len(got), len(want))
+	}
+	empty, err := newServingModel(false, 2018, hdc.BackendStored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty.Classes() != 0 {
+		t.Fatalf("-demo=false model has %d classes, want 0", empty.Classes())
 	}
 }

@@ -388,20 +388,40 @@ var raceEnabled bool
 
 // TestHandlerAllocations pins the steady-state hot routes: handlePredict
 // allocates once per request, the http.MaxBytesReader wrapper (22 times
-// in this fixture when it decoded with encoding/json); the decode
-// allocates nothing, and a learn's decode only its label string.
+// in this fixture when it decoded with encoding/json), and handleLearn
+// six times, its label string among them; the decode allocates
+// nothing, and a learn's decode only its label string. Observing as
+// the benchmark's `pulphd serve -trace-requests=0` does — host and
+// per-model metrics, the flight recorder and the SLO engine on —
+// allocates nothing more than observing nothing.
 func TestHandlerAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not hold under the race detector")
 	}
-	fx := newHandlerFixture(t, false)
+	var fx *handlerFixture
+	for _, c := range []struct {
+		name      string
+		serveArgs []string
+	}{{"off", nil}, {"serve-no-tracing", []string{"-trace-requests=0"}}} {
+		fx = newHandlerFixture(t, c.serveArgs)
+		if allocs := testing.AllocsPerRun(200, func() { fx.serve(fx.predict, fx.predictBody) }); allocs > 1 {
+			t.Errorf("%s: handlePredict allocates %v times per request, want ≤ 1", c.name, allocs)
+		}
+		if fx.w.code != http.StatusOK {
+			t.Fatalf("%s: predict status %d", c.name, fx.w.code)
+		}
+		var i int
+		if allocs := testing.AllocsPerRun(200, func() {
+			fx.serve(fx.learn, fx.learnBodies[i%len(fx.learnBodies)])
+			i++
+		}); allocs > 6 {
+			t.Errorf("%s: handleLearn allocates %v times per request, want ≤ 6", c.name, allocs)
+		}
+		if fx.w.code != http.StatusOK {
+			t.Fatalf("%s: learn status %d", c.name, fx.w.code)
+		}
+	}
 	body := fx.predictBody
-	if allocs := testing.AllocsPerRun(200, func() { fx.serve(fx.predict, body) }); allocs > 1 {
-		t.Errorf("handlePredict allocates %v times per request, want ≤ 1", allocs)
-	}
-	if fx.w.code != http.StatusOK {
-		t.Fatalf("predict status %d", fx.w.code)
-	}
 	wb := new(wireBuf)
 	var rd bytes.Reader
 	if allocs := testing.AllocsPerRun(200, func() {

@@ -59,7 +59,7 @@ const (
 // trial into classification windows of `window` samples.
 func Prepare(p emg.Protocol, window int) *Prepared {
 	ds := emg.Generate(p)
-	pre := emg.NewPreprocessor(p.Channels, p.SampleRate, 4, math.Sqrt(math.Pi/2))
+	pre := newPreprocessor(p)
 	out := &Prepared{Protocol: p}
 	for s := 0; s < p.Subjects; s++ {
 		ps := PreparedSubject{Subject: s}
@@ -69,6 +69,20 @@ func Prepare(p emg.Protocol, window int) *Prepared {
 		out.Subjects = append(out.Subjects, ps)
 	}
 	return out
+}
+
+// PrepareTrain returns Prepare(p, window).Subjects[subject].Train
+// without preprocessing or slicing any other trial: the campaign is
+// generated whole, but only the subject's training split is windowed.
+func PrepareTrain(p emg.Protocol, window, subject int) []LabeledWindow {
+	train, _ := emg.Generate(p).Split(subject)
+	return sliceTrials(newPreprocessor(p), train, window, trainStride)
+}
+
+// newPreprocessor builds the preprocessing front end for p's
+// recordings.
+func newPreprocessor(p emg.Protocol) *emg.Preprocessor {
+	return emg.NewPreprocessor(p.Channels, p.SampleRate, 4, math.Sqrt(math.Pi/2))
 }
 
 func sliceTrials(pre *emg.Preprocessor, trials []emg.Trial, window, stride int) []LabeledWindow {

@@ -305,7 +305,7 @@ func TestServingConcurrentPredictLearnWithSpans(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < iters/4; i++ {
 			var sink countingWriter
-			if err := tl.WriteChromeTrace(&sink); err != nil {
+			if err := tl.WriteChromeTrace(&sink, ""); err != nil {
 				t.Errorf("export: %v", err)
 				return
 			}

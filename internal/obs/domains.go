@@ -49,7 +49,8 @@ type ServingMetrics struct {
 	Learns     Counter
 	LearnNanos Histogram
 	// Requests counts /predict and /learn requests; Rejected counts
-	// the ones refused (429 backpressure, malformed bodies, draining).
+	// the ones refused: answered with a 4xx, or turned away with 503
+	// while draining.
 	Requests Counter
 	Rejected Counter
 	// Timeouts counts predict requests answered 504 because their
@@ -100,8 +101,8 @@ func (m *ServingMetrics) RecordPublish(d time.Duration) {
 }
 
 // RecordRequest counts one serving request. Requests counts every
-// request; rejected ones (backpressure, malformed bodies) count in
-// Rejected too.
+// request; one turned away before it is admitted (a draining server)
+// counts in Rejected too.
 func (m *ServingMetrics) RecordRequest(accepted bool) {
 	if m == nil {
 		return
@@ -110,4 +111,12 @@ func (m *ServingMetrics) RecordRequest(accepted bool) {
 	if !accepted {
 		m.Rejected.Inc()
 	}
+}
+
+// RecordRejected counts one admitted request answered with a 4xx.
+func (m *ServingMetrics) RecordRejected() {
+	if m == nil {
+		return
+	}
+	m.Rejected.Inc()
 }

@@ -36,7 +36,8 @@ type Trigger uint32
 const (
 	// TrigTimeout marks a request answered 504 at its deadline.
 	TrigTimeout Trigger = 1 << iota
-	// TrigError marks a 500 (retries exhausted, or the model failed).
+	// TrigError marks any other 5xx (retries exhausted, a model that
+	// failed to fault in, a closed registry).
 	TrigError
 	// TrigShed marks a 429 shed by the in-flight predict bound.
 	TrigShed

@@ -8,15 +8,15 @@ import (
 
 // This file is the per-tenant half of the serving observability: the
 // model registry serves many named models from one process, so its
-// gauges and counters need a `model` label dimension. GaugeVec is the
+// gauges and counters need a label dimension. GaugeVec is the
 // one-label gauge family and CounterVec the two-label counter family;
 // RegistryMetrics bundles everything the registry records, nil-safe
 // like every other domain bundle in domains.go.
 
 // GaugeVec is a family of gauges distinguished by one label value —
-// per-model generation, class count, resident bytes. Cell lookup takes
-// a lock (registry operations, not hot-path predicts, touch it); the
-// returned *Gauge is the usual lock-free atomic.
+// a replica's per-model lag. Cell lookup takes a lock (sync cycles,
+// not hot-path predicts, touch it); the returned *Gauge is the usual
+// lock-free atomic.
 type GaugeVec struct {
 	mu    sync.RWMutex
 	name  string
@@ -167,16 +167,12 @@ func (v *CounterVec) DeleteCells(value string) {
 }
 
 // RegistryMetrics instruments the multi-tenant model registry: the
-// fleet gauges (how many models, how many resident, total resident
-// bytes), the durability counters (WAL appends/replays, snapshots,
-// evictions, fault-ins), and the per-model families exported with a
-// `model` label.
+// durability counters (WAL appends/replays, snapshots, evictions,
+// fault-ins), their latency histograms, and the per-model operation
+// counts exported with a `model` label. The registry's fleet and
+// per-model state gauges are not recorded here: Registry.RegisterMetrics
+// reads them from the registry itself at scrape time.
 type RegistryMetrics struct {
-	// Models counts registered models; ResidentModels the subset
-	// currently in memory; ResidentBytes their summed footprint.
-	Models         Gauge
-	ResidentModels Gauge
-	ResidentBytes  Gauge
 	// Evictions counts models written out and dropped under the
 	// resident-bytes budget; FaultIns counts cold models loaded back on
 	// first request (including recovery loads at first use).
@@ -195,29 +191,16 @@ type RegistryMetrics struct {
 	// replay (exported as pulphd_registry_faultin_seconds).
 	WALFsyncNanos Histogram
 	FaultInNanos  Histogram
-	// Per-model families, labelled by model name.
-	Generation         *GaugeVec
-	Classes            *GaugeVec
-	ModelResidentBytes *GaugeVec
-	ModelWALRecords    *GaugeVec
-	RollingAccuracy    *GaugeVec
 	// ModelRequests counts registry operations by (model, op) where op
 	// is predict, learn, correct, create, delete, evict or fault_in.
 	ModelRequests *CounterVec
 }
 
-// NewRegistryMetrics builds the bundle with its labelled families
-// allocated (the zero value's nil families are valid but record
-// nothing per-model).
+// NewRegistryMetrics builds the bundle with its labelled family
+// allocated (the zero value's nil family is valid but records nothing
+// per-model).
 func NewRegistryMetrics() *RegistryMetrics {
-	return &RegistryMetrics{
-		Generation:         NewGaugeVec("model"),
-		Classes:            NewGaugeVec("model"),
-		ModelResidentBytes: NewGaugeVec("model"),
-		ModelWALRecords:    NewGaugeVec("model"),
-		RollingAccuracy:    NewGaugeVec("model"),
-		ModelRequests:      NewCounterVec("model", "op"),
-	}
+	return &RegistryMetrics{ModelRequests: NewCounterVec("model", "op")}
 }
 
 // RecordOp counts one registry operation against a named model.
@@ -226,27 +209,6 @@ func (m *RegistryMetrics) RecordOp(model, op string) {
 		return
 	}
 	m.ModelRequests.With(model, op).Inc()
-}
-
-// RecordModelState updates one model's published-state gauges.
-func (m *RegistryMetrics) RecordModelState(model string, generation uint64, classes, residentBytes, walRecords int) {
-	if m == nil {
-		return
-	}
-	m.Generation.With(model).Set(int64(generation))
-	m.Classes.With(model).Set(int64(classes))
-	m.ModelResidentBytes.With(model).Set(int64(residentBytes))
-	m.ModelWALRecords.With(model).Set(int64(walRecords))
-}
-
-// RecordFleet updates the registry-wide gauges.
-func (m *RegistryMetrics) RecordFleet(models, resident int, residentBytes int64) {
-	if m == nil {
-		return
-	}
-	m.Models.Set(int64(models))
-	m.ResidentModels.Set(int64(resident))
-	m.ResidentBytes.Set(residentBytes)
 }
 
 // RecordWALAppend counts one logged record.
@@ -293,24 +255,10 @@ func (m *RegistryMetrics) RecordWALFsync(d time.Duration) {
 	m.WALFsyncNanos.Observe(d)
 }
 
-// RecordRollingAccuracy updates one model's drift gauge (permille; -1
-// means no feedback signal yet).
-func (m *RegistryMetrics) RecordRollingAccuracy(model string, permille int64) {
-	if m == nil {
-		return
-	}
-	m.RollingAccuracy.With(model).Set(permille)
-}
-
-// ForgetModel drops every per-model cell for a deleted model.
+// ForgetModel drops a deleted model's operation counts.
 func (m *RegistryMetrics) ForgetModel(model string) {
 	if m == nil {
 		return
 	}
-	m.Generation.Delete(model)
-	m.Classes.Delete(model)
-	m.ModelResidentBytes.Delete(model)
-	m.ModelWALRecords.Delete(model)
-	m.RollingAccuracy.Delete(model)
 	m.ModelRequests.DeleteCells(model)
 }

@@ -134,11 +134,14 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	hostile := "cl\\ass\n\"A\""
 	h.Serving.RecordPublish(time.Microsecond)
 	h.Serving.RecordRequest(true)
-	h.Models.RecordFleet(2, 1, 4096)
+	var plain Gauge
+	plain.Set(4096)
+	h.Registry.RegisterGauge("pulphd_test_bytes", "a plain gauge family", &plain)
+	labelled := NewGaugeVec("model")
+	labelled.With("emg").Set(875)
+	h.Registry.RegisterGaugeVec("pulphd_test_permille", "a labelled gauge family", labelled)
 	h.Models.RecordOp("emg", "learn")
 	h.Models.RecordOp(hostile, hostile)
-	h.Models.RecordModelState("emg", 7, 5, 4096, 3)
-	h.Models.RecordRollingAccuracy("emg", 875)
 	h.Models.RecordWALAppend()
 	h.Models.RecordSnapshot(time.Millisecond)
 	h.Models.RecordEviction()
@@ -302,12 +305,11 @@ func TestPrometheusRoundTrip(t *testing.T) {
 		t.Errorf("content type %q", PrometheusContentType)
 	}
 
-	// The gauges exposed what was recorded: the fleet gauges, one
-	// model's rolling accuracy, and a scrape-time runtime gauge func.
+	// The gauges exposed what was recorded: a plain gauge, one cell of
+	// a labelled gauge, and a scrape-time runtime gauge func.
 	want := map[string]float64{
-		"pulphd_registry_models":                 2,
-		"pulphd_registry_resident_bytes":         4096,
-		"pulphd_model_rolling_accuracy_permille": 875,
+		"pulphd_test_bytes":    4096,
+		"pulphd_test_permille": 875,
 	}
 	for name, v := range want {
 		ss := byName[name]

@@ -374,9 +374,9 @@ func (r *Registry) sortedNames() []string {
 type HostMetrics struct {
 	Inference *InferenceMetrics
 	Serving   *ServingMetrics
-	// Models is the multi-tenant model-registry bundle (fleet gauges
-	// plus the per-model pulphd_model_* families); hand it to
-	// registry.Config.Metrics.
+	// Models is the multi-tenant model-registry bundle (durability
+	// counters, their latencies and the per-model operation counts);
+	// hand it to registry.Config.Metrics.
 	Models   *RegistryMetrics
 	Registry *Registry
 }
@@ -397,13 +397,10 @@ func NewHostMetrics() *HostMetrics {
 	r.RegisterCounter("pulphd_serving_learns_total", "generation publications by Learn", &h.Serving.Learns)
 	r.RegisterHistogram("pulphd_serving_learn_latency_ns", "Learn publish latency in nanoseconds", &h.Serving.LearnNanos)
 	r.RegisterCounter("pulphd_serving_requests_total", "/predict and /learn requests, rejected ones included", &h.Serving.Requests)
-	r.RegisterCounter("pulphd_serving_rejected_total", "/predict requests rejected by backpressure (429)", &h.Serving.Rejected)
+	r.RegisterCounter("pulphd_serving_rejected_total", "/predict and /learn requests refused with a 4xx status, or 503 while draining", &h.Serving.Rejected)
 	r.RegisterCounter("pulphd_serving_timeouts_total", "/predict requests answered 504 because their deadline passed or the client left first", &h.Serving.Timeouts)
 	r.RegisterCounter("pulphd_serving_retries_total", "predict attempts retried after a recovered panic", &h.Serving.Retries)
 	r.RegisterCounter("pulphd_serving_panics_recovered_total", "predict panics recovered instead of crashing the process", &h.Serving.PanicsRecovered)
-	r.RegisterGauge("pulphd_registry_models", "models registered in the model registry", &h.Models.Models)
-	r.RegisterGauge("pulphd_registry_resident_models", "registry models currently resident in memory", &h.Models.ResidentModels)
-	r.RegisterGauge("pulphd_registry_resident_bytes", "summed resident footprint of in-memory registry models in bytes", &h.Models.ResidentBytes)
 	r.RegisterCounter("pulphd_registry_evictions_total", "models evicted to disk under the resident-bytes budget", &h.Models.Evictions)
 	r.RegisterCounter("pulphd_registry_fault_ins_total", "cold models loaded back from snapshot + WAL on first request", &h.Models.FaultIns)
 	r.RegisterCounter("pulphd_registry_wal_appends_total", "online learning records appended to per-model write-ahead logs", &h.Models.WALAppends)
@@ -412,11 +409,6 @@ func NewHostMetrics() *HostMetrics {
 	r.RegisterHistogram("pulphd_registry_snapshot_latency_ns", "per-model snapshot write latency in nanoseconds", &h.Models.SnapshotNanos)
 	r.RegisterSecondsHistogram("pulphd_registry_wal_fsync_seconds", "fsync latency on durable WAL appends in seconds", &h.Models.WALFsyncNanos)
 	r.RegisterSecondsHistogram("pulphd_registry_faultin_seconds", "cold-model fault-in latency (snapshot read + WAL replay) in seconds", &h.Models.FaultInNanos)
-	r.RegisterGaugeVec("pulphd_model_generation", "published model generation by model", h.Models.Generation)
-	r.RegisterGaugeVec("pulphd_model_classes", "classes in the published generation by model", h.Models.Classes)
-	r.RegisterGaugeVec("pulphd_model_resident_bytes", "resident footprint in bytes by model (0: evicted to disk)", h.Models.ModelResidentBytes)
-	r.RegisterGaugeVec("pulphd_model_wal_records", "un-snapshotted WAL records by model (the replay a restart pays)", h.Models.ModelWALRecords)
-	r.RegisterGaugeVec("pulphd_model_rolling_accuracy_permille", "rolling correction agreement by model, in 1/1000 (-1: no signal yet)", h.Models.RollingAccuracy)
 	r.RegisterCounterVec("pulphd_model_requests_total", "registry operations by (model, op)", h.Models.ModelRequests)
 	return h
 }

@@ -12,7 +12,10 @@
 // The record path is built for the serving hot loop: one RLock'd map
 // lookup, a handful of atomic adds, no allocation. Breach evaluation
 // is throttled (CheckEvery, default 1 s) so its window sums and the
-// OnBreach callback stay off the per-request path.
+// OnBreach callback stay off the per-request path. Burn rates and
+// breaches need only the window sums; the latency quantiles, which
+// scan the whole histogram, are computed only for Status and for a
+// breach that fires.
 package slo
 
 import (
@@ -233,7 +236,8 @@ func (e *Engine) Record(model string, dur time.Duration, failed bool) {
 	e.maybeCheck(model, t, now, epoch)
 }
 
-// maybeCheck runs the throttled breach evaluation.
+// maybeCheck runs the throttled breach evaluation from the window
+// sums; a breach that fires hands OnBreach the full Status.
 func (e *Engine) maybeCheck(model string, t *Tracker, now, epoch int64) {
 	last := t.lastCheck.Load()
 	if now-last < e.checkGap {
@@ -258,7 +262,7 @@ func (e *Engine) maybeCheck(model string, t *Tracker, now, epoch int64) {
 	st.Breaches = t.breaches.Load()
 	st.LastBreachUnixNs = now
 	st.Breached = true
-	e.cfg.OnBreach(model, st)
+	e.cfg.OnBreach(model, t.withQuantiles(st))
 }
 
 // window sums the ring buckets whose epoch falls inside the last n
@@ -294,7 +298,8 @@ func (t *Tracker) window(epoch int64, n int, obj Objective) Window {
 	return w
 }
 
-// status computes a model's Status at the given epoch.
+// status computes a model's Status at the given epoch from its window
+// sums, without the latency quantiles.
 func (e *Engine) status(model string, t *Tracker, epoch int64) Status {
 	obj := *t.obj.Load()
 	return Status{
@@ -312,10 +317,18 @@ func (e *Engine) status(model string, t *Tracker, epoch int64) Status {
 		LastBreachUnixNs: t.lastBreach.Load(),
 		TotalRequests:    t.totalReqs.Load(),
 		TotalErrors:      t.totalErrs.Load(),
-		P50Ms:            float64(t.lat.Quantile(0.50)) / 1e6,
-		P99Ms:            float64(t.lat.Quantile(0.99)) / 1e6,
-		P999Ms:           float64(t.lat.Quantile(0.999)) / 1e6,
 	}
+}
+
+// withQuantiles adds the latency quantiles of t's histogram to st; a
+// nil t (no recorded traffic) leaves them zero.
+func (t *Tracker) withQuantiles(st Status) Status {
+	if t != nil {
+		st.P50Ms = float64(t.lat.Quantile(0.50)) / 1e6
+		st.P99Ms = float64(t.lat.Quantile(0.99)) / 1e6
+		st.P999Ms = float64(t.lat.Quantile(0.999)) / 1e6
+	}
+	return st
 }
 
 // Status returns the model's current SLO state. A model with no
@@ -324,6 +337,13 @@ func (e *Engine) Status(model string) Status {
 	if e == nil {
 		return Status{Model: model}
 	}
+	st, t := e.lookup(model)
+	return t.withQuantiles(st)
+}
+
+// lookup returns the model's Status without the latency quantiles,
+// and its tracker (nil for a model with no recorded traffic).
+func (e *Engine) lookup(model string) (Status, *Tracker) {
 	e.mu.RLock()
 	t := e.trackers[model]
 	e.mu.RUnlock()
@@ -341,12 +361,14 @@ func (e *Engine) Status(model string) Status {
 			BurnThreshold: e.cfg.BurnThreshold,
 			Fast:          Window{Seconds: fastBuckets * BucketSeconds},
 			Slow:          Window{Seconds: slowBuckets * BucketSeconds},
-		}
+		}, nil
 	}
-	return e.status(model, t, epoch)
+	return e.status(model, t, epoch), t
 }
 
-// StatusAll returns every tracked model's status, sorted by name.
+// StatusAll returns every tracked model's status, sorted by name,
+// without the latency quantiles (Status computes those): the burn and
+// breach state the pulphd_model_slo_* families export.
 func (e *Engine) StatusAll() []Status {
 	if e == nil {
 		return nil
@@ -360,7 +382,8 @@ func (e *Engine) StatusAll() []Status {
 	sort.Strings(names)
 	out := make([]Status, 0, len(names))
 	for _, name := range names {
-		out = append(out, e.Status(name))
+		st, _ := e.lookup(name)
+		out = append(out, st)
 	}
 	return out
 }

@@ -2,6 +2,8 @@ package slo
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -177,6 +179,10 @@ func TestBreachFireAndCooldown(t *testing.T) {
 	if !fired[0].Breached || fired[0].Breaches != 1 || fired[0].LastBreachUnixNs != int64(t0) {
 		t.Fatalf("breach status %+v", fired[0])
 	}
+	// The breach hands over the full Status, latency quantiles included.
+	if fired[0].P50Ms < 0.9 || fired[0].P999Ms < fired[0].P50Ms {
+		t.Fatalf("breach status quantiles p50=%v p999=%v", fired[0].P50Ms, fired[0].P999Ms)
+	}
 	if !e.Status("emg").Breached {
 		t.Fatal("breached latch not set")
 	}
@@ -321,5 +327,31 @@ func TestConcurrentRecord(t *testing.T) {
 	wg.Wait()
 	if st := e.Status("emg"); st.TotalRequests != goroutines*per {
 		t.Fatalf("lost records: %d, want %d", st.TotalRequests, goroutines*per)
+	}
+}
+
+// BenchmarkScrapeSLOFamilies times one render of the four
+// pulphd_model_slo_* families, as a /metrics scrape does, with nine
+// tracked models holding a spread of latencies.
+func BenchmarkScrapeSLOFamilies(b *testing.B) {
+	clk := &fakeClock{}
+	clk.set(t0)
+	e := newTestEngine(Config{
+		Default:    Objective{Latency: 50 * time.Millisecond, LatencyTarget: 0.99, ErrorBudget: 0.01},
+		CheckEvery: time.Hour,
+	}, clk)
+	for m := range 9 {
+		for i := range 1000 {
+			e.Record(fmt.Sprintf("model-%d", m), time.Duration(100+37*i)*time.Microsecond, i%50 == 0)
+		}
+	}
+	r := obs.NewRegistry()
+	e.RegisterMetrics(r)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if err := r.WritePrometheus(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -14,8 +14,7 @@ import (
 // (HTTP handler → model resolve → encode → AM search, or learn encode
 // → generation publish), a bounded ring of completed request
 // timelines, and the one Chrome trace-event encoder for span timelines
-// (AppendSpanEvents), which renders them — alone or side by side with
-// the simulator cycle Trace — in one Perfetto view.
+// (AppendSpanEvents), which renders them for Perfetto.
 //
 // The recorder is built for the serving hot path: Start reserves a
 // slot with one atomic add and writes it without locks (each span is
@@ -293,29 +292,17 @@ func (t *Timelines) snapshot() []*Spans {
 	return out
 }
 
-// tracePart is an event source composable into one Chrome trace file.
-// Both the simulator cycle Trace and the request Timelines implement
-// it; pid is the first free process id and the next free one is
-// returned.
-type tracePart interface {
-	appendTraceEvents(evs []TraceEvent, pid int) ([]TraceEvent, int)
-}
-
-// appendTraceEvents renders every held request as one trace process
-// ("request <id> · <model>") through AppendSpanEvents.
-func (t *Timelines) appendTraceEvents(evs []TraceEvent, pid int) ([]TraceEvent, int) {
-	return t.appendHeld(evs, pid, "")
-}
-
-// appendHeld renders the held recorders oldest-first, only those
-// tagged with model when it is non-empty. It holds t.mu for the whole
-// render: Release recycles an evicted recorder through the free list,
-// where Acquire resets it, so a recorder must not leave the ring while
-// it is being read. Handlers wait on the lock only while an export
-// copies spans into events, never while it writes them out.
-func (t *Timelines) appendHeld(evs []TraceEvent, pid int, model string) ([]TraceEvent, int) {
+// appendHeld renders the held recorders oldest-first, one trace
+// process each ("request <id> · <model>"), only those tagged with
+// model when it is non-empty. It holds t.mu for the whole render:
+// Release recycles an evicted recorder through the free list, where
+// Acquire resets it, so a recorder must not leave the ring while it is
+// being read. Handlers wait on the lock only while an export copies
+// spans into events, never while it writes them out.
+func (t *Timelines) appendHeld(evs []TraceEvent, model string) []TraceEvent {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	pid := 1
 	for i := range t.done {
 		rec := t.done[(t.next+i)%len(t.done)]
 		if model != "" && rec.Model != model {
@@ -328,7 +315,7 @@ func (t *Timelines) appendHeld(evs []TraceEvent, pid int, model string) ([]Trace
 		evs = AppendSpanEvents(evs, pid, label, "request", rec.spans[:rec.Len()], nil)
 		pid++
 	}
-	return evs, pid
+	return evs
 }
 
 // AppendSpanEvents renders one span timeline as trace process pid: a
@@ -372,49 +359,8 @@ func AppendSpanEvents(evs []TraceEvent, pid int, label, cat string, spans []Span
 }
 
 // WriteChromeTrace renders the held request timelines as Chrome
-// trace-event JSON.
-func (t *Timelines) WriteChromeTrace(w io.Writer) error {
-	return WriteChromeTrace(w, t)
-}
-
-// WriteChromeTraceModel is WriteChromeTrace restricted to requests
-// whose recorder is tagged with the given model — the ?model= filter
-// of /debug/spans. An empty model renders every held timeline.
-func (t *Timelines) WriteChromeTraceModel(w io.Writer, model string) error {
-	return WriteChromeTrace(w, modelFiltered{t: t, model: model})
-}
-
-// modelFiltered is a tracePart view of a Timelines scoped to one model.
-type modelFiltered struct {
-	t     *Timelines
-	model string
-}
-
-func (f modelFiltered) appendTraceEvents(evs []TraceEvent, pid int) ([]TraceEvent, int) {
-	return f.t.appendHeld(evs, pid, f.model)
-}
-
-// appendTraceEvents makes the cycle Trace composable with request
-// timelines (implements tracePart).
-func (t *Trace) appendTraceEvents(evs []TraceEvent, pid int) ([]TraceEvent, int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.appendEventsLocked(evs, pid)
-}
-
-// WriteChromeTrace renders any mix of cycle traces and request
-// timelines into a single Chrome trace-event JSON document — load it
-// in ui.perfetto.dev to see simulated kernel chains and serving
-// request trees side by side. Process ids are assigned in argument
-// order.
-func WriteChromeTrace(w io.Writer, parts ...tracePart) error {
-	var evs []TraceEvent
-	pid := 1
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		evs, pid = p.appendTraceEvents(evs, pid)
-	}
-	return EncodeChromeTrace(w, evs)
+// trace-event JSON; a non-empty model keeps only the requests whose
+// recorder is tagged with it — the ?model= filter of /debug/spans.
+func (t *Timelines) WriteChromeTrace(w io.Writer, model string) error {
+	return EncodeChromeTrace(w, t.appendHeld(nil, model))
 }

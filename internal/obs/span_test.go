@@ -2,12 +2,8 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
-
-	"pulphd/internal/pulp"
 )
 
 // fixedClock returns a now() hook ticking step nanoseconds per call.
@@ -112,7 +108,7 @@ func TestSpansChromeTraceGolden(t *testing.T) {
 	tl := NewTimelines(4, 8)
 	tl.Release(s)
 	var buf bytes.Buffer
-	if err := tl.WriteChromeTrace(&buf); err != nil {
+	if err := tl.WriteChromeTrace(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	want := `{"traceEvents":[` +
@@ -123,54 +119,6 @@ func TestSpansChromeTraceGolden(t *testing.T) {
 		`],"displayTimeUnit":"ns"}` + "\n"
 	if got := buf.String(); got != want {
 		t.Errorf("golden mismatch:\n got: %s\nwant: %s", got, want)
-	}
-}
-
-// TestCombinedChromeTrace renders a cycle trace and request timelines
-// into one document: distinct pids, both event families present, and
-// the result stays valid JSON.
-func TestCombinedChromeTrace(t *testing.T) {
-	tr := NewTrace()
-	tr.RecordKernel("SimPlat", 4, pulp.KernelResult{Name: "AM", ComputeCycles: 1000, SerialCycles: 100})
-	s := NewSpans(4)
-	s.now = fixedClock(1000)
-	s.Reset(1)
-	id := s.Start("request", NoSpan)
-	s.End(id)
-	tl := NewTimelines(2, 4)
-	tl.Release(s)
-
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, tr, tl, nil); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Pid  int    `json:"pid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("combined trace is not valid JSON: %v", err)
-	}
-	pids := map[int]bool{}
-	var sawKernel, sawRequest bool
-	for _, ev := range doc.TraceEvents {
-		pids[ev.Pid] = true
-		if strings.Contains(ev.Name, "request") {
-			sawRequest = true
-		}
-	}
-	if !strings.Contains(buf.String(), "SimPlat") {
-		t.Error("combined trace lacks the simulator platform")
-	} else {
-		sawKernel = true
-	}
-	if !sawKernel || !sawRequest {
-		t.Fatalf("combined trace missing a part (kernel=%v request=%v)", sawKernel, sawRequest)
-	}
-	if len(pids) < 2 {
-		t.Fatalf("parts share a pid: %v", pids)
 	}
 }
 

@@ -144,15 +144,15 @@ func EncodeChromeTrace(w io.Writer, evs []TraceEvent) error {
 func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	evs, _ := t.appendEventsLocked(nil, 1)
-	return EncodeChromeTrace(w, evs)
+	return EncodeChromeTrace(w, t.appendEventsLocked())
 }
 
 // appendEventsLocked renders the platform timelines as trace events,
-// one process per platform starting at pidBase. Callers hold t.mu.
-func (t *Trace) appendEventsLocked(evs []TraceEvent, pidBase int) ([]TraceEvent, int) {
+// one process per platform from pid 1. Callers hold t.mu.
+func (t *Trace) appendEventsLocked() []TraceEvent {
+	var evs []TraceEvent
 	for pi, pt := range t.platforms {
-		pid := pidBase + pi
+		pid := 1 + pi
 		evs = append(evs, TraceEvent{
 			Name: "process_name", Phase: "M", Pid: pid,
 			Args: map[string]any{"name": fmt.Sprintf("%s (%d cores)", pt.name, pt.cores)},
@@ -194,7 +194,7 @@ func (t *Trace) appendEventsLocked(evs []TraceEvent, pidBase int) ([]TraceEvent,
 			slice(laneDMA, ts, r.DMACycles)
 		}
 	}
-	return evs, pidBase + len(t.platforms)
+	return evs
 }
 
 // WriteSummary renders the trace as an aligned per-kernel cycle

@@ -74,8 +74,10 @@ type Config struct {
 	// still loses nothing (the page cache survives the process); only
 	// an OS crash can lose the unsynced tail.
 	SyncWAL bool
-	// Metrics, when set, receives the pulphd_model_* and registry fleet
-	// series. SetMetrics can install or replace it later.
+	// Metrics, when set, receives the durability counters and the
+	// per-model operation counts. SetMetrics can install or replace it
+	// later. The fleet and per-model state gauges are read from the
+	// registry at scrape time instead (RegisterMetrics).
 	Metrics *obs.RegistryMetrics
 }
 
@@ -173,11 +175,7 @@ func Open(cfg Config) (*Registry, error) {
 		e.classes = meta.Classes
 		e.walRecords = len(recs)
 		r.entries[name] = e
-		m := r.m()
-		m.RecordModelState(name, e.generation, e.classes, 0, e.walRecords)
-		m.RecordRollingAccuracy(name, e.drift.RollingAccuracyPermille())
 	}
-	r.recordFleet()
 	return r, nil
 }
 
@@ -270,11 +268,7 @@ func (r *Registry) adoptLocked(name string, sv *hdc.Serving, op string) (*entry,
 	e.classes = sv.Classes()
 	r.entries[name] = e
 	r.touch(e)
-	m := r.m()
-	m.RecordOp(name, op)
-	m.RecordModelState(name, e.generation, e.classes, sv.ResidentBytes(), 0)
-	m.RecordRollingAccuracy(name, e.drift.RollingAccuracyPermille())
-	r.recordFleetLocked()
+	r.m().RecordOp(name, op)
 	return e, nil
 }
 
@@ -300,7 +294,6 @@ func (r *Registry) Delete(name string) error {
 		}
 		manifestErr = writeManifest(r.cfg.Dir, names)
 	}
-	r.recordFleetLocked()
 	r.mu.Unlock()
 
 	e.mu.Lock()
@@ -446,8 +439,6 @@ func (r *Registry) residentLocked(ctx context.Context, e *entry) (*hdc.Serving, 
 	m := r.m()
 	m.RecordOp(e.name, "fault_in")
 	m.RecordFaultIn(replayed, time.Since(start))
-	m.RecordModelState(e.name, e.generation, e.classes, sv.ResidentBytes(), e.walRecords)
-	r.recordFleet()
 	return sv, nil
 }
 
@@ -511,7 +502,6 @@ func (r *Registry) applyLocked(ctx context.Context, e *entry, op Op, label strin
 	if op == OpCorrect && sv.Classes() > 0 {
 		predicted, _ := sv.Predict(window)
 		e.drift.RecordFeedback(predicted, label)
-		m.RecordRollingAccuracy(e.name, e.drift.RollingAccuracyPermille())
 	}
 	if e.wal != nil {
 		fsync, err := e.wal.AppendCtx(ctx, op, label, window)
@@ -528,7 +518,6 @@ func (r *Registry) applyLocked(ctx context.Context, e *entry, op Op, label strin
 	e.generation = sv.Generation()
 	e.classes = sv.Classes()
 	m.RecordOp(e.name, op.String())
-	m.RecordModelState(e.name, e.generation, e.classes, sv.ResidentBytes(), e.walRecords)
 	if e.wal != nil && e.wal.Records() >= r.cfg.SnapshotEvery {
 		if err := r.snapshotLocked(ctx, e); err != nil {
 			return err
@@ -573,9 +562,7 @@ func (r *Registry) snapshotLocked(ctx context.Context, e *entry) error {
 		return err
 	}
 	e.walRecords = 0
-	m := r.m()
-	m.RecordSnapshot(time.Since(start))
-	m.RecordModelState(e.name, sv.Generation(), sv.Classes(), sv.ResidentBytes(), 0)
+	r.m().RecordSnapshot(time.Since(start))
 	return nil
 }
 
@@ -692,8 +679,6 @@ func (r *Registry) evictLocked(ctx context.Context, e *entry) error {
 	m := r.m()
 	m.RecordOp(e.name, "evict")
 	m.RecordEviction()
-	m.RecordModelState(e.name, e.generation, e.classes, 0, 0)
-	r.recordFleet()
 	return nil
 }
 
@@ -753,27 +738,50 @@ func (r *Registry) Len() int {
 	return len(r.entries)
 }
 
-// recordFleet publishes the fleet gauges.
-func (r *Registry) recordFleet() {
-	if r.m() == nil {
-		return
+// RegisterMetrics exposes the registry's fleet gauges and its
+// per-model state gauges on reg, every one read from List at scrape
+// time, so a scrape reports exactly what GET /models would.
+func (r *Registry) RegisterMetrics(reg *obs.Registry) {
+	fleet := func(name, help string, v func(Info) int64) {
+		reg.RegisterGaugeFunc(name, help, func() int64 {
+			var sum int64
+			for _, info := range r.List() {
+				sum += v(info)
+			}
+			return sum
+		})
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	r.recordFleetLocked()
-}
-
-// recordFleetLocked is recordFleet for callers already holding r.mu.
-func (r *Registry) recordFleetLocked() {
-	resident := 0
-	var bytes int64
-	for _, e := range r.entries {
-		if sv := e.sv.Load(); sv != nil {
-			resident++
-			bytes += int64(sv.ResidentBytes())
-		}
+	fleet("pulphd_registry_models", "models registered in the model registry",
+		func(Info) int64 { return 1 })
+	fleet("pulphd_registry_resident_models", "registry models currently resident in memory",
+		func(i Info) int64 {
+			if i.Resident {
+				return 1
+			}
+			return 0
+		})
+	fleet("pulphd_registry_resident_bytes", "summed resident footprint of in-memory registry models in bytes",
+		func(i Info) int64 { return int64(i.ResidentBytes) })
+	perModel := func(name, help string, v func(Info) int64) {
+		reg.RegisterGaugeVecFunc(name, help, "model", func() []obs.GaugeCell {
+			infos := r.List()
+			cells := make([]obs.GaugeCell, len(infos))
+			for i, info := range infos {
+				cells[i] = obs.GaugeCell{Value: info.Name, Gauge: v(info)}
+			}
+			return cells
+		})
 	}
-	r.m().RecordFleet(len(r.entries), resident, bytes)
+	perModel("pulphd_model_generation", "published model generation by model",
+		func(i Info) int64 { return int64(i.Generation) })
+	perModel("pulphd_model_classes", "classes in the published generation by model",
+		func(i Info) int64 { return int64(i.Classes) })
+	perModel("pulphd_model_resident_bytes", "resident footprint in bytes by model (0: evicted to disk)",
+		func(i Info) int64 { return int64(i.ResidentBytes) })
+	perModel("pulphd_model_wal_records", "un-snapshotted WAL records by model (the replay a restart pays)",
+		func(i Info) int64 { return int64(i.WALRecords) })
+	perModel("pulphd_model_rolling_accuracy_permille", "rolling correction agreement by model, in 1/1000 (-1: no signal yet)",
+		func(i Info) int64 { return i.RollingAccuracyPermille })
 }
 
 // Close snapshots every resident model with a non-empty WAL (folding

@@ -416,3 +416,96 @@ func TestEvictedModelFreedAtNextGC(t *testing.T) {
 		t.Fatal("evicted model survived the first GC after eviction")
 	}
 }
+
+// TestRegisterMetricsReadsList scrapes the eight registry gauge
+// families after class-adding learns and a correction. Each reads the
+// registry's live state at scrape time, so every per-model cell agrees
+// with List and the fleet's resident bytes are the sum of the models'
+// — a copy pushed on some transitions and not others would go stale
+// when a learn grows a model.
+func TestRegisterMetricsReadsList(t *testing.T) {
+	r, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	metrics := obs.NewRegistry()
+	r.RegisterMetrics(metrics)
+	cfg := testConfig(hdc.BackendStored)
+	rng := rand.New(rand.NewSource(8))
+	for _, name := range []string{"emg", "idle"} {
+		if _, err := r.Create(name, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, label := range []string{"rest", "fist", "point"} {
+		if err := r.Learn("emg", label, randomWindow(cfg, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := r.CorrectInfo(context.Background(), "emg", "rest", randomWindow(cfg, rng)); err != nil {
+		t.Fatal(err)
+	}
+
+	snap := metrics.Snapshot()
+	perModel := func(family string) map[string]int64 {
+		cells, ok := snap[family].(map[string]int64)
+		if !ok {
+			t.Fatalf("%s: %T, want per-model cells", family, snap[family])
+		}
+		return cells
+	}
+	var sumBytes int64
+	for _, info := range r.List() {
+		for family, want := range map[string]int64{
+			"pulphd_model_generation":                int64(info.Generation),
+			"pulphd_model_classes":                   int64(info.Classes),
+			"pulphd_model_resident_bytes":            int64(info.ResidentBytes),
+			"pulphd_model_wal_records":               int64(info.WALRecords),
+			"pulphd_model_rolling_accuracy_permille": info.RollingAccuracyPermille,
+		} {
+			if got := perModel(family)[info.Name]; got != want {
+				t.Errorf("%s{model=%q} = %d, want %d", family, info.Name, got, want)
+			}
+		}
+		sumBytes += perModel("pulphd_model_resident_bytes")[info.Name]
+	}
+	if got := snap["pulphd_registry_resident_bytes"]; got != sumBytes {
+		t.Errorf("pulphd_registry_resident_bytes = %v, want the per-model sum %d", got, sumBytes)
+	}
+	if snap["pulphd_registry_models"] != int64(2) || snap["pulphd_registry_resident_models"] != int64(2) {
+		t.Errorf("fleet gauges models=%v resident=%v, want 2 and 2",
+			snap["pulphd_registry_models"], snap["pulphd_registry_resident_models"])
+	}
+	if acc := perModel("pulphd_model_rolling_accuracy_permille"); acc["idle"] != -1 || acc["emg"] < 0 {
+		t.Errorf("rolling accuracy %v, want -1 for idle and a signal for emg", acc)
+	}
+
+	// A replica's installed model reports like any other: its
+	// generation, and no drift signal yet.
+	replica, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	replicaMetrics := obs.NewRegistry()
+	replica.RegisterMetrics(replicaMetrics)
+	data, gen, err := r.ExportServing(context.Background(), "emg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv, _, err := model.LoadServing(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replica.Install("emg", sv); err != nil {
+		t.Fatal(err)
+	}
+	snap = replicaMetrics.Snapshot()
+	if g := snap["pulphd_model_generation"].(map[string]int64)["emg"]; g != int64(gen) {
+		t.Errorf("installed model generation %d, want %d", g, gen)
+	}
+	if acc, ok := snap["pulphd_model_rolling_accuracy_permille"].(map[string]int64)["emg"]; !ok || acc != -1 {
+		t.Errorf("installed model rolling accuracy %d (present %v), want -1", acc, ok)
+	}
+}

@@ -70,9 +70,6 @@ func (r *Registry) Install(name string, sv *hdc.Serving) error {
 	e.classes = sv.Classes()
 	e.mu.Unlock()
 	r.touch(e)
-	m := r.m()
-	m.RecordOp(name, "install")
-	m.RecordModelState(name, sv.Generation(), sv.Classes(), sv.ResidentBytes(), 0)
-	r.recordFleet()
+	r.m().RecordOp(name, "install")
 	return nil
 }

@@ -354,6 +354,7 @@ func TestRequestOutcomes(t *testing.T) {
 	cases := []struct {
 		name, path, body string
 		setup            func(t *testing.T, s outcomeServer)
+		snapshotEvery    int // the registry's SnapshotEvery; 0 for the default
 		code             int
 		trigger          string // the flight capture's triggers; "" for none
 		sloModel         string // the model whose SLO tracker records it; "" for none
@@ -399,11 +400,20 @@ func TestRequestOutcomes(t *testing.T) {
 		{name: "learn/404", path: "/models/ghost/learn", body: learn, code: http.StatusNotFound, rejected: 1},
 		{name: "learn/500-faultin", path: "/learn", body: learn, setup: corruptDefault,
 			code: http.StatusInternalServerError, trigger: "error", sloModel: "default", sloErrors: 1},
+		// The learn is valid; the snapshot its cadence trips cannot be
+		// written (os.Create fails on a directory, even as root).
+		{name: "learn/500-snapshot", path: "/learn", body: learn, snapshotEvery: 1,
+			setup: func(t *testing.T, s outcomeServer) {
+				if err := os.Mkdir(filepath.Join(s.dir, "default.snap.tmp"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+			},
+			code: http.StatusInternalServerError, trigger: "error", sloModel: "default", sloErrors: 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			reg, err := modreg.Open(modreg.Config{Dir: dir, ResidentBudget: 1})
+			reg, err := modreg.Open(modreg.Config{Dir: dir, ResidentBudget: 1, SnapshotEvery: c.snapshotEvery})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -664,8 +664,13 @@ func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
 	// exactly what this request published, never a concurrent learn's.
 	info, err := s.reg.CorrectInfo(c.ctx, c.model, label, window)
 	code := http.StatusOK
-	if err != nil {
-		code = registryErrCode(err, http.StatusBadRequest)
+	switch {
+	case errors.Is(err, modreg.ErrInvalid):
+		code = http.StatusBadRequest
+	case err != nil:
+		// Not the record's fault: the registry could not log or fold it
+		// (a WAL or snapshot write failed).
+		code = registryErrCode(err, http.StatusInternalServerError)
 	}
 	s.finish(w, &c, code, info.Generation, 0, err)
 	if err != nil {

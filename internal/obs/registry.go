@@ -74,15 +74,11 @@ type namedGaugeVecFunc struct {
 
 // escapeHelp escapes a HELP string for the Prometheus text exposition
 // format (version 0.0.4): backslashes and line feeds.
-func escapeHelp(s string) string {
-	return strings.NewReplacer(`\`, `\\`, "\n", `\n`).Replace(s)
-}
+var escapeHelp = strings.NewReplacer(`\`, `\\`, "\n", `\n`).Replace
 
 // escapeLabel escapes a label value: backslashes, double quotes and
 // line feeds.
-func escapeLabel(s string) string {
-	return strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace(s)
-}
+var escapeLabel = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {

@@ -73,3 +73,68 @@ func benchEvictFaultIn(b *testing.B, backend hdc.Backend, dirty bool, learns int
 	b.ReportMetric(float64(evict.Nanoseconds())/float64(b.N), "evict-ns/op")
 	b.ReportMetric(float64(faultIn.Nanoseconds())/float64(b.N), "faultin-ns/op")
 }
+
+// BenchmarkRegistryOverflow times only the request that pushes the
+// resident set over the budget: a fault-in of a cold five-class model
+// (5 learns per class) at the EMG geometry while the LRU victim, the
+// one other model and alone a full budget, holds one WAL record.
+// Evicting the victim writes and fsyncs its snapshot; the request pays
+// for that only when the eviction runs on the request path. Making the
+// victim dirty and draining the eviction (EnforceBudget) run off the
+// timer.
+func BenchmarkRegistryOverflow(b *testing.B) {
+	for _, backend := range []hdc.Backend{hdc.BackendStored, hdc.BackendRemat} {
+		b.Run(backend.String(), func(b *testing.B) { benchOverflow(b, backend) })
+	}
+}
+
+func benchOverflow(b *testing.B, backend hdc.Backend) {
+	cfg := hdc.EMGConfig()
+	cfg.Backend = backend
+	rng := rand.New(rand.NewSource(1))
+	dir := b.TempDir()
+	r, err := Open(Config{Dir: dir})
+	if err != nil {
+		b.Fatal(err)
+	}
+	labels := []string{"rest", "fist", "point", "grip", "open"}
+	for _, name := range []string{"victim", "requester"} {
+		if _, err := r.Create(name, cfg); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 5*len(labels); i++ {
+			if err := r.Learn(name, labels[i%len(labels)], randomWindow(cfg, rng)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	info, err := r.ModelInfo("victim")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if r, err = Open(Config{Dir: dir, ResidentBudget: int64(info.ResidentBytes)}); err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	w := randomWindow(cfg, rng)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		// The learn faults the victim in over the cold requester (or
+		// evicts the requester, clean, from the previous round).
+		if err := r.Learn("victim", "rest", w); err != nil {
+			b.Fatal(err)
+		}
+		r.EnforceBudget()
+		b.StartTimer()
+		if _, err := r.Serving("requester"); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		r.EnforceBudget()
+		b.StartTimer()
+	}
+}

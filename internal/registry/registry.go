@@ -11,12 +11,21 @@
 // already is its snapshot plus an empty WAL, so it is dropped without
 // writing anything.
 //
+// Evictions run off the request path. A persistent registry with a
+// budget owns one evictor goroutine: the create, fault-in or learn
+// that pushes the resident set over the budget wakes it and answers,
+// and the evictor writes the victim's snapshot meanwhile. A request
+// waits for room only when it is about to bring a model in while the
+// set, less the model being evicted, is already over budget. Close
+// stops the evictor.
+//
 // Locking is two-level and ordered registry → entry: the registry
 // mutex guards the name table and the manifest, each entry's mutex
 // serializes that model's state transitions (learn, snapshot, evict,
 // fault-in, delete), and the entry holds its Serving behind an atomic
 // pointer so the predict path reads it lock-free once it has the
-// entry.
+// entry. The eviction mutex, which serializes evictions, is taken
+// before any entry lock and never while one is held.
 package registry
 
 import (
@@ -46,6 +55,10 @@ var (
 	ErrNotFound = errors.New("registry: model not found")
 	ErrExists   = errors.New("registry: model already exists")
 	ErrClosed   = errors.New("registry: closed")
+	// ErrInvalid wraps a learn record the model rejects: a label or
+	// window out of range, or a class that cannot learn. Any other learn
+	// error is the registry's own (a WAL or snapshot write failed).
+	ErrInvalid = errors.New("registry: invalid learn record")
 )
 
 // Config configures a Registry.
@@ -64,6 +77,15 @@ type Config struct {
 	// past it, least-recently-used models are dropped, each snapshotted
 	// first if its WAL holds records. Zero or negative means unlimited.
 	// Ignored when Dir is empty.
+	//
+	// The registry's evictor drops them after the request that went
+	// over has answered, one model at a time, never the most recently
+	// used one. A request about to fault a model in or create one waits
+	// for room when the resident bytes, less the model being evicted,
+	// already exceed the budget. So the resident bytes exceed the budget
+	// by at most the model being evicted plus one model per request
+	// concurrently faulting in or creating a model, and the classes
+	// learns add before the evictor's next pass.
 	ResidentBudget int64
 	// SnapshotEvery is how many WAL records a model accumulates before
 	// an automatic snapshot folds them in and truncates the log; values
@@ -130,6 +152,20 @@ type Registry struct {
 	clock   atomic.Int64
 	metrics atomic.Pointer[obs.RegistryMetrics]
 	closed  bool
+
+	// evictMu serializes evictions: the evictor's passes, a request
+	// making room and EnforceBudget. evicting is the resident bytes of
+	// the model being evicted under it, 0 between evictions.
+	evictMu  sync.Mutex
+	evicting atomic.Int64
+	// wake asks the evictor for a pass; Close closes stop and waits for
+	// evictorDone. All three are nil when the registry has no budget to
+	// enforce (ephemeral, or ResidentBudget ≤ 0).
+	wake, stop, evictorDone chan struct{}
+	// beforeEvict, when non-nil, runs under evictMu and the victim's
+	// entry lock just before each eviction. Tests set it to hold an
+	// eviction in flight; production leaves it nil.
+	beforeEvict func(name string)
 }
 
 // Open opens (creating if needed) the registry rooted at cfg.Dir, or
@@ -175,6 +211,12 @@ func Open(cfg Config) (*Registry, error) {
 		e.classes = meta.Classes
 		e.walRecords = len(recs)
 		r.entries[name] = e
+	}
+	if cfg.ResidentBudget > 0 {
+		r.wake = make(chan struct{}, 1)
+		r.stop = make(chan struct{})
+		r.evictorDone = make(chan struct{})
+		go r.evictor()
 	}
 	return r, nil
 }
@@ -222,22 +264,22 @@ func (r *Registry) adopt(name string, sv *hdc.Serving, op string) error {
 	if err := ValidateModelName(name); err != nil {
 		return err
 	}
-	e, err := r.adoptLocked(name, sv, op)
-	if err != nil {
+	r.makeRoom(context.Background())
+	if err := r.adoptLocked(name, sv, op); err != nil {
 		return err
 	}
-	r.enforceBudget(context.Background(), e)
+	r.wakeEvictor()
 	return nil
 }
 
-func (r *Registry) adoptLocked(name string, sv *hdc.Serving, op string) (*entry, error) {
+func (r *Registry) adoptLocked(name string, sv *hdc.Serving, op string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	if _, ok := r.entries[name]; ok {
-		return nil, fmt.Errorf("%w: %q", ErrExists, name)
+		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	e := &entry{name: name, drift: new(obs.DriftMonitor)}
 	e.sv.Store(sv)
@@ -245,12 +287,12 @@ func (r *Registry) adoptLocked(name string, sv *hdc.Serving, op string) (*entry,
 		// Files first, manifest last: a crash in between leaves orphan
 		// files the manifest never promised, which the next Open ignores.
 		if err := r.writeSnapshot(name, sv, 1); err != nil {
-			return nil, err
+			return err
 		}
 		wal, err := OpenWAL(r.walPath(name), 1, 0, r.cfg.SyncWAL)
 		if err != nil {
 			os.Remove(r.snapPath(name))
-			return nil, err
+			return err
 		}
 		names := make([]string, 0, len(r.entries)+1)
 		for n := range r.entries {
@@ -260,7 +302,7 @@ func (r *Registry) adoptLocked(name string, sv *hdc.Serving, op string) (*entry,
 			wal.Close()
 			os.Remove(r.snapPath(name))
 			os.Remove(r.walPath(name))
-			return nil, err
+			return err
 		}
 		e.wal = wal
 	}
@@ -269,7 +311,7 @@ func (r *Registry) adoptLocked(name string, sv *hdc.Serving, op string) (*entry,
 	r.entries[name] = e
 	r.touch(e)
 	r.m().RecordOp(name, op)
-	return e, nil
+	return nil
 }
 
 // Delete unregisters name and removes its on-disk state. In-flight
@@ -337,26 +379,29 @@ func (r *Registry) Serving(name string) (*hdc.Serving, error) {
 }
 
 // ServingCtx is Serving with a request context: when the lookup has to
-// fault the model in, the registry.faultin/registry.recover spans land
-// on the recorder the context carries, so the stall shows up inside
-// the request's own timeline.
+// fault the model in, the registry.faultin/registry.recover spans (and
+// registry.evict, when it must wait for room) land on the recorder the
+// context carries, so the stall shows up inside the request's own
+// timeline.
 func (r *Registry) ServingCtx(ctx context.Context, name string) (*hdc.Serving, error) {
 	e, err := r.lookup(name)
 	if err != nil {
 		return nil, err
 	}
+	// Touched before any fault-in, so the model is the most recently
+	// used while it loads, and the evictor spares it.
+	r.touch(e)
 	if sv := e.sv.Load(); sv != nil {
-		r.touch(e)
 		return sv, nil
 	}
+	r.makeRoom(ctx)
 	e.mu.Lock()
 	sv, err := r.residentLocked(ctx, e)
 	e.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	r.touch(e)
-	r.enforceBudget(ctx, e)
+	r.wakeEvictor()
 	return sv, nil
 }
 
@@ -473,12 +518,15 @@ func (r *Registry) apply(ctx context.Context, name string, op Op, label string, 
 	if err != nil {
 		return Info{}, err
 	}
+	r.touch(e)
+	if e.sv.Load() == nil {
+		r.makeRoom(ctx)
+	}
 	e.mu.Lock()
 	err = r.applyLocked(ctx, e, op, label, window)
 	info := r.infoLocked(e)
 	e.mu.Unlock()
-	r.touch(e)
-	r.enforceBudget(ctx, e)
+	r.wakeEvictor()
 	return info, err
 }
 
@@ -488,13 +536,13 @@ func (r *Registry) applyLocked(ctx context.Context, e *entry, op Op, label strin
 		return err
 	}
 	if label == "" || len(label) > maxWALLabelLen {
-		return fmt.Errorf("registry: label length %d out of range [1,%d]", len(label), maxWALLabelLen)
+		return fmt.Errorf("%w: label length %d out of range [1,%d]", ErrInvalid, len(label), maxWALLabelLen)
 	}
 	if err := sv.ValidateWindow(window); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrInvalid, err)
 	}
 	if len(window) > maxWALRows || len(window[0]) > maxWALCols {
-		return fmt.Errorf("registry: window %d×%d exceeds wal limits", len(window), len(window[0]))
+		return fmt.Errorf("%w: window %d×%d exceeds wal limits", ErrInvalid, len(window), len(window[0]))
 	}
 	m := r.m()
 	// Correction feedback scores what the model would have said against
@@ -523,7 +571,10 @@ func (r *Registry) applyLocked(ctx context.Context, e *entry, op Op, label strin
 			return err
 		}
 	}
-	return learnErr
+	if learnErr != nil {
+		return fmt.Errorf("%w: %w", ErrInvalid, learnErr)
+	}
+	return nil
 }
 
 // Snapshot forces the named model's snapshot to disk and truncates its
@@ -598,44 +649,124 @@ func (r *Registry) writeSnapshot(name string, sv *hdc.Serving, walSeq uint64) er
 }
 
 // EnforceBudget evicts least-recently-used resident models until the
-// summed resident bytes fit the budget. Eviction also runs
-// automatically after create, fault-in and learn; this is the
-// explicit trigger for tests and admin use.
-func (r *Registry) EnforceBudget() { r.enforceBudget(context.Background(), nil) }
-
-// enforceBudget evicts LRU resident models until resident bytes fit
-// the budget, never evicting keep (the entry that just served —
-// evicting it would thrash). Evictions triggered by a request land as
-// registry.evict spans on the recorder ctx carries.
-func (r *Registry) enforceBudget(ctx context.Context, keep *entry) {
-	if !r.Persistent() || r.cfg.ResidentBudget <= 0 {
+// summed resident bytes fit the budget, after any eviction in flight,
+// and returns once they do. The evictor runs the same loop after a
+// create, fault-in or learn leaves the set over the budget; this is
+// the explicit, synchronous trigger for tests and admin use.
+func (r *Registry) EnforceBudget() {
+	if r.wake == nil {
 		return
 	}
+	r.evictMu.Lock()
+	defer r.evictMu.Unlock()
+	r.enforceBudget(context.Background(), false)
+}
+
+// evictor is the registry's eviction goroutine. Each wake runs one
+// pass of the eviction loop, sparing the most recently used model —
+// usually the one the waking request is using — until Close stops it.
+func (r *Registry) evictor() {
+	defer close(r.evictorDone)
 	for {
-		victim, total := r.pickVictim(keep)
-		if total <= r.cfg.ResidentBudget || victim == nil {
+		select {
+		case <-r.stop:
 			return
+		case <-r.wake:
+			r.evictMu.Lock()
+			r.enforceBudget(context.Background(), true)
+			r.evictMu.Unlock()
+		}
+	}
+}
+
+// wakeEvictor asks the evictor for a pass, without waiting for it,
+// when the resident set is over the budget. Wakes that arrive while one
+// is pending coalesce into it.
+func (r *Registry) wakeEvictor() {
+	if r.wake == nil {
+		return
+	}
+	if _, total := r.pickVictim(false); total <= r.cfg.ResidentBudget {
+		return
+	}
+	select {
+	case r.wake <- struct{}{}:
+	default:
+	}
+}
+
+// makeRoom runs before a request brings a model into memory. When the
+// resident bytes, less the model the evictor is writing, already
+// exceed the budget, it evicts inline: it waits for the eviction in
+// flight, then evicts until the set fits. The wait and its own
+// evictions are one registry.evict span on the recorder ctx carries,
+// annotated with the bytes it evicted and the WAL records those
+// evictions folded into snapshots (both 0 when the evictor's pass made
+// the room).
+func (r *Registry) makeRoom(ctx context.Context) {
+	if r.wake == nil {
+		return
+	}
+	if _, total := r.pickVictim(false); total-r.evicting.Load() <= r.cfg.ResidentBudget {
+		return
+	}
+	sp := obs.SpansFrom(ctx)
+	id := sp.Start("registry.evict", sp.Parent())
+	defer sp.End(id)
+	r.evictMu.Lock()
+	bytes, walRecords := r.enforceBudget(ctx, false)
+	r.evictMu.Unlock()
+	sp.Annotate(id, "bytes", bytes)
+	sp.Annotate(id, "wal_records", walRecords)
+}
+
+// enforceBudget evicts LRU resident models until resident bytes fit
+// the budget. With spareMRU it never evicts the most recently used
+// model: the evictor's pass runs after the request that woke it, and
+// evicting the model that request used would thrash. Caller holds
+// r.evictMu. It returns the bytes it evicted and the WAL records those
+// evictions folded into snapshots.
+func (r *Registry) enforceBudget(ctx context.Context, spareMRU bool) (bytes, walRecords int64) {
+	for {
+		victim, total := r.pickVictim(spareMRU)
+		if total <= r.cfg.ResidentBudget || victim == nil {
+			return bytes, walRecords
 		}
 		victim.mu.Lock()
 		// Re-check under the entry lock: the model may have been deleted
-		// or already evicted while we were choosing it.
-		if !victim.deleted && victim.sv.Load() != nil {
-			if err := r.evictLocked(ctx, victim); err != nil {
-				victim.mu.Unlock()
-				return
+		// or evicted, or the registry closed, while we were choosing it.
+		// e.wal is non-nil exactly while none of that has happened.
+		if victim.wal != nil {
+			size, records := int64(victim.sv.Load().ResidentBytes()), int64(victim.wal.Records())
+			r.evicting.Store(size)
+			if r.beforeEvict != nil {
+				r.beforeEvict(victim.name)
 			}
+			err := r.evictLocked(ctx, victim)
+			r.evicting.Store(0)
+			if err != nil {
+				victim.mu.Unlock()
+				return bytes, walRecords
+			}
+			bytes += size
+			walRecords += records
 		}
 		victim.mu.Unlock()
 	}
 }
 
-// pickVictim returns the least-recently-used resident entry other
-// than keep, plus the current total resident bytes.
-func (r *Registry) pickVictim(keep *entry) (*entry, int64) {
+// pickVictim returns the least-recently-used resident entry, plus the
+// current total resident bytes; with spareMRU, no victim when that
+// entry is also the most recently used one. A closed registry has no
+// victim and counts no bytes.
+func (r *Registry) pickVictim(spareMRU bool) (*entry, int64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var victim *entry
-	var victimUse int64
+	if r.closed {
+		return nil, 0
+	}
+	var victim, mru *entry
+	var victimUse, mruUse int64
 	var total int64
 	for _, e := range r.entries {
 		sv := e.sv.Load()
@@ -643,12 +774,16 @@ func (r *Registry) pickVictim(keep *entry) (*entry, int64) {
 			continue
 		}
 		total += int64(sv.ResidentBytes())
-		if e == keep {
-			continue
-		}
-		if use := e.lastUse.Load(); victim == nil || use < victimUse {
+		use := e.lastUse.Load()
+		if victim == nil || use < victimUse {
 			victim, victimUse = e, use
 		}
+		if mru == nil || use > mruUse {
+			mru, mruUse = e, use
+		}
+	}
+	if spareMRU && victim == mru {
+		return nil, total
 	}
 	return victim, total
 }
@@ -656,16 +791,12 @@ func (r *Registry) pickVictim(keep *entry) (*entry, int64) {
 // evictLocked drops e's resident state. A dirty model — any WAL
 // record, stale crash-gap records included — is snapshotted first,
 // folding its log in; a clean one already is its snapshot plus an
-// empty log, so it writes nothing. The registry.evict span's
-// wal_records annotation says which case ran. Caller holds e.mu; the
+// empty log, so it writes nothing. It runs under r.evictMu, on the
+// evictor, on a request making room or under EnforceBudget; only a
+// request's snapshot lands on a recorder. Caller holds e.mu; the
 // model is resident.
 func (r *Registry) evictLocked(ctx context.Context, e *entry) error {
-	sp := obs.SpansFrom(ctx)
-	id := sp.Start("registry.evict", sp.Parent())
 	sv := e.sv.Load()
-	sp.Annotate(id, "bytes", int64(sv.ResidentBytes()))
-	sp.Annotate(id, "wal_records", int64(e.wal.Records()))
-	defer sp.End(id)
 	if e.wal.Records() > 0 {
 		if err := r.snapshotLocked(ctx, e); err != nil {
 			return err
@@ -784,10 +915,11 @@ func (r *Registry) RegisterMetrics(reg *obs.Registry) {
 		func(i Info) int64 { return i.RollingAccuracyPermille })
 }
 
-// Close snapshots every resident model with a non-empty WAL (folding
-// the tail into a clean snapshot; a clean model's snapshot already is
-// its state), closes the logs, and marks the registry closed. The
-// first error is returned but every model is still attempted.
+// Close marks the registry closed, stops the evictor once its eviction
+// in flight is done, snapshots every resident model with a non-empty
+// WAL (folding the tail into a clean snapshot; a clean model's
+// snapshot already is its state) and closes the logs. The first error
+// is returned but every model is still attempted.
 func (r *Registry) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -800,6 +932,10 @@ func (r *Registry) Close() error {
 		entries = append(entries, e)
 	}
 	r.mu.Unlock()
+	if r.stop != nil {
+		close(r.stop)
+		<-r.evictorDone
+	}
 	var first error
 	for _, e := range entries {
 		e.mu.Lock()

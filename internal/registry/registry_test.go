@@ -509,3 +509,28 @@ func TestRegisterMetricsReadsList(t *testing.T) {
 		t.Errorf("installed model rolling accuracy %d (present %v), want -1", acc, ok)
 	}
 }
+
+// TestLearnErrInvalidOnlyForTheRecord pins which learn errors are the
+// caller's: a window of the wrong shape is ErrInvalid, and a WAL that
+// cannot be written is not.
+func TestLearnErrInvalidOnlyForTheRecord(t *testing.T) {
+	r, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	cfg := testConfig(hdc.BackendStored)
+	rng := rand.New(rand.NewSource(4))
+	if _, err := r.Create("m", cfg); err != nil {
+		t.Fatal(err)
+	}
+	w := randomWindow(cfg, rng)
+	w[0] = w[0][:cfg.Channels-1]
+	if err := r.Learn("m", "g", w); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("learn with %d channels: %v, want ErrInvalid", cfg.Channels-1, err)
+	}
+	r.entries["m"].wal.Close()
+	if err := r.Learn("m", "g", randomWindow(cfg, rng)); err == nil || errors.Is(err, ErrInvalid) {
+		t.Fatalf("learn onto a closed WAL file: %v, want a non-ErrInvalid error", err)
+	}
+}

@@ -21,12 +21,13 @@ func spanNames(rec *obs.Spans) map[string]int {
 // TestLifecycleSpans threads a span recorder through the registry's
 // write and recovery paths and asserts every lifecycle stage shows up
 // in the request timeline: wal.append and wal.fsync under a durable
-// learn, registry.snapshot when the cadence fires, registry.evict
-// under budget pressure (annotated with wal_records, and followed by a
-// registry.snapshot only when that count is non-zero), and
-// registry.faultin / registry.recover when
-// a cold model loads — plus the fsync and fault-in latency histograms
-// moving alongside.
+// learn, registry.snapshot when the cadence fires, registry.faultin /
+// registry.recover when a cold model loads, no eviction span in the
+// request that pushes the resident set over the budget (the evictor
+// runs that eviction), and registry.evict (annotated with wal_records,
+// and followed by a registry.snapshot only when that count is
+// non-zero) in a fault-in that had to make room — plus the fsync and
+// fault-in latency histograms moving alongside.
 func TestLifecycleSpans(t *testing.T) {
 	dir := t.TempDir()
 	m := obs.NewRegistryMetrics()
@@ -54,14 +55,19 @@ func TestLifecycleSpans(t *testing.T) {
 	if m.WALFsyncNanos.Snapshot().Count == 0 {
 		t.Error("wal fsync histogram did not move under SyncWAL")
 	}
+	info, err := r.ModelInfo("emg")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Reopen with a 1-byte budget: the first ServingCtx faults the model
-	// in (recover span included), and learning a second model evicts the
-	// first — all inside the recorders that asked for the work.
-	r2, err := Open(Config{Dir: dir, ResidentBudget: 1, Metrics: m})
+	// Reopen with a budget of one one-class model: the first ServingCtx
+	// faults the model in (recover span included) inside the recorder
+	// that asked for it.
+	budget := int64(info.ResidentBytes)
+	r2, err := Open(Config{Dir: dir, ResidentBudget: budget, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,47 +87,68 @@ func TestLifecycleSpans(t *testing.T) {
 		t.Error("fault-in histogram did not move")
 	}
 
+	// other, one class and one WAL record, fills the budget alone.
 	if _, err := r2.Create("other", cfg); err != nil {
 		t.Fatal(err)
 	}
-	// Make emg resident again so the learn against other must evict it
-	// under the 1-byte budget — inside the learn's own timeline.
-	if _, err := r2.ServingCtx(context.Background(), "emg"); err != nil {
+	r2.EnforceBudget()
+	if err := r2.Learn("other", "fist", randomWindow(cfg, rng)); err != nil {
 		t.Fatal(err)
 	}
+	// A learn faulting emg back in pushes the set over the budget. The
+	// evictor snapshots and evicts other; the learn's timeline holds
+	// none of that.
 	rec3 := obs.NewSpans(64)
 	ctx3 := obs.WithSpans(context.Background(), rec3)
-	if err := r2.CorrectCtx(ctx3, "other", "fist", randomWindow(cfg, rng)); err != nil {
+	if err := r2.CorrectCtx(ctx3, "emg", "rest", randomWindow(cfg, rng)); err != nil {
 		t.Fatal(err)
 	}
 	names3 := spanNames(rec3)
-	if names3["registry.evict"] == 0 {
-		t.Errorf("budget-pressure learn timeline lacks registry.evict span: %v", names3)
+	if names3["registry.evict"] != 0 || names3["registry.snapshot"] != 0 {
+		t.Errorf("overflowing learn's timeline holds eviction spans: %v", names3)
 	}
-	// emg's WAL was empty, so that eviction wrote no snapshot, and the
-	// evict span says why.
-	if got := evictWALRecords(t, rec3); got != 0 {
-		t.Errorf("clean eviction annotated wal_records=%d, want 0", got)
-	}
-	if names3["registry.snapshot"] != 0 {
-		t.Errorf("clean eviction wrote a snapshot: %v", names3)
+	r2.EnforceBudget()
+	if info, _ := r2.ModelInfo("other"); info.Resident || info.WALRecords != 0 {
+		t.Errorf("other after the evictor's pass: %+v, want cold with its WAL folded", info)
 	}
 
-	// A learn leaves emg one WAL record; evicting it again folds that
-	// record into a snapshot inside the evicting request's timeline.
-	if err := r2.Learn("emg", "rest", randomWindow(cfg, rng)); err != nil {
+	// A second class grows emg, dirty with two WAL records, past the
+	// budget on its own. Faulting other in must first make room inline:
+	// a registry.evict span, then the snapshot folding emg's records.
+	if err := r2.Learn("emg", "fist", randomWindow(cfg, rng)); err != nil {
 		t.Fatal(err)
 	}
 	rec4 := obs.NewSpans(64)
 	ctx4 := obs.WithSpans(context.Background(), rec4)
-	if err := r2.CorrectCtx(ctx4, "other", "fist", randomWindow(cfg, rng)); err != nil {
+	if _, err := r2.ServingCtx(ctx4, "other"); err != nil {
 		t.Fatal(err)
 	}
-	if got := evictWALRecords(t, rec4); got != 1 {
-		t.Errorf("dirty eviction annotated wal_records=%d, want 1", got)
+	if got := evictWALRecords(t, rec4); got != 2 {
+		t.Errorf("inline eviction annotated wal_records=%d, want 2", got)
 	}
-	if names4 := spanNames(rec4); names4["registry.snapshot"] == 0 {
-		t.Errorf("dirty eviction timeline lacks registry.snapshot span: %v", names4)
+	if names4 := spanNames(rec4); names4["registry.snapshot"] == 0 || names4["registry.faultin"] == 0 {
+		t.Errorf("fault-in that made room lacks registry.snapshot or registry.faultin: %v", names4)
+	}
+
+	// other, grown past the budget too and then snapshotted, is clean:
+	// making room for emg evicts it without writing, and the span says
+	// why.
+	if err := r2.Learn("other", "rest", randomWindow(cfg, rng)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r2.Snapshot("other"); err != nil {
+		t.Fatal(err)
+	}
+	rec5 := obs.NewSpans(64)
+	ctx5 := obs.WithSpans(context.Background(), rec5)
+	if _, err := r2.ServingCtx(ctx5, "emg"); err != nil {
+		t.Fatal(err)
+	}
+	if got := evictWALRecords(t, rec5); got != 0 {
+		t.Errorf("clean inline eviction annotated wal_records=%d, want 0", got)
+	}
+	if names5 := spanNames(rec5); names5["registry.snapshot"] != 0 {
+		t.Errorf("clean inline eviction wrote a snapshot: %v", names5)
 	}
 }
 

@@ -27,9 +27,11 @@ go test -run '^$' \
   -benchmem -count "$COUNT" . "$@" | tee -a "$OUT"
 # Registry rung: one evict -> fault-in round trip per op, clean and
 # dirty, on both item-memory backends, at 5 and 1,000 learns per class
-# (writes snapshots to a temp dir).
+# (writes snapshots to a temp dir); then the one request per op that
+# pushes the resident set over the budget while the LRU victim is
+# dirty, timed alone.
 go test -run '^$' \
-  -bench 'BenchmarkRegistryEvictFaultIn$' \
+  -bench 'BenchmarkRegistryEvictFaultIn$|BenchmarkRegistryOverflow$' \
   -benchmem -count "$COUNT" ./internal/registry/ "$@" | tee -a "$OUT"
 # HTTP/JSON handler rung: one /predict or /learn per op through the
 # handler, from the in-memory request body to the answer bytes (EMG

@@ -238,6 +238,81 @@ wait "$SERVE_PID" || status=$?
 [ "$status" = 0 ] || regfail "restarted server exited $status on SIGTERM, want 0"
 echo "smoke: restart recovery ok (models back at exact generations)"
 
+# Eviction pressure: a resident budget of about one EMG model (one is
+# ~33 KB) over three tenants learned on in turn, so nearly every learn
+# faults its tenant in and the evictor evicts another, snapshotting it
+# first when dirty. Evictions must happen, the resident set must be
+# back within the budget once traffic stops, SIGTERM must still exit 0
+# (Close stops the evictor), and a restart on the same directory must
+# serve every tenant at its exact generation.
+EVSTATE="$TMP/state-evict"
+EVBUDGET=40000
+evserve() {
+  "$TMP/pulphd" serve -metrics-addr "$ADDR" -demo=false -state-dir "$EVSTATE" \
+    -resident-budget "$EVBUDGET" -log-level debug -log-format json >"$TMP/serve-evict.log" 2>&1 &
+  SERVE_PID=$!
+  for i in $(seq 1 50); do
+    if "${CURL[@]}" -sf "$BASE/healthz" >/dev/null 2>&1; then
+      return
+    fi
+    kill -0 "$SERVE_PID" 2>/dev/null || { cat "$TMP/serve-evict.log" >&2; fail "eviction server died during startup"; }
+    [ "$i" = 50 ] && fail "eviction server /healthz never came up"
+    sleep 0.2
+  done
+}
+
+evfail() {
+  echo "smoke: $*" >&2
+  echo "--- eviction server log ---" >&2
+  cat "$TMP/serve-evict.log" >&2 || true
+  kill "$SERVE_PID" 2>/dev/null || true
+  exit 1
+}
+
+# metric prints one unlabeled sample's value from the last /metrics.
+metric() {
+  awk -v name="$1" '$1 == name { print $2 }' "$TMP/body"
+}
+
+evserve
+for t in 1 2 3; do
+  "${CURL[@]}" -sf -o "$TMP/body" -X POST -d "{\"name\":\"ev$t\"}" "$BASE/models" \
+    || evfail "POST /models ev$t failed"
+done
+for round in 1 2 3; do
+  for t in 1 2 3; do
+    "${CURL[@]}" -sf -o "$TMP/body" -X POST -d "{\"label\":\"g$t\",\"window\":[[$t,$((t+1)),$((t+2)),$((t+3))]]}" \
+      "$BASE/models/ev$t/learn" || evfail "learn $round on ev$t failed"
+  done
+done
+fetch /metrics
+evictions=$(metric pulphd_registry_evictions_total)
+[ "${evictions:-0}" -gt 0 ] || evfail "no evictions under a one-model budget (pulphd_registry_evictions_total=${evictions:-missing})"
+for i in $(seq 1 20); do
+  fetch /metrics
+  resident=$(metric pulphd_registry_resident_bytes)
+  [ "${resident:-0}" -le "$EVBUDGET" ] && break
+  [ "$i" = 20 ] && evfail "resident bytes $resident still over the $EVBUDGET budget 2 s after traffic stopped"
+  sleep 0.1
+done
+kill -TERM "$SERVE_PID"
+status=0
+wait "$SERVE_PID" || status=$?
+[ "$status" = 0 ] || evfail "eviction server exited $status on SIGTERM, want 0"
+
+evserve
+for t in 1 2 3; do
+  "${CURL[@]}" -sf -o "$TMP/body" -X POST -d "{\"window\":[[$t,$((t+1)),$((t+2)),$((t+3))]]}" \
+    "$BASE/models/ev$t/predict" || evfail "post-restart predict on ev$t failed"
+  grep -q "\"label\":\"g$t\"" "$TMP/body" || evfail "restart lost ev$t's class"
+  grep -q '"generation":3' "$TMP/body" || evfail "restart did not recover ev$t at generation 3"
+done
+kill -TERM "$SERVE_PID"
+status=0
+wait "$SERVE_PID" || status=$?
+[ "$status" = 0 ] || evfail "restarted eviction server exited $status on SIGTERM, want 0"
+echo "smoke: eviction pressure ok ($evictions evictions, resident $resident B within $EVBUDGET B, tenants back at exact generations)"
+
 # Tail observability: boot with the flight recorder and SLO engine on a
 # fresh state directory and a 1 ns predict deadline. Every predict
 # 504s, so the flight ring must hold the timeout timelines, the SLO

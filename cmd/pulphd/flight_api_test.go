@@ -62,7 +62,7 @@ func flightCapture(t *testing.T, srv interface {
 // in /debug/flight tagged with the model name.
 func TestFlightCapturesTimeout(t *testing.T) {
 	api, srv, _ := newRegistryTestAPI(t, t.TempDir())
-	api.timelines = obs.NewTimelines(8, 64)
+	api.spans = flight.NewRing(8, 64)
 	api.flight = flight.NewRing(16, 64)
 	api.timeout = time.Nanosecond
 
@@ -129,7 +129,7 @@ func TestFlightCapturesTimeout(t *testing.T) {
 // pins the timeline with model and scanned-generation tags.
 func TestFlightCapturesRetry(t *testing.T) {
 	api, srv, _ := newRegistryTestAPI(t, t.TempDir())
-	api.timelines = obs.NewTimelines(8, 64)
+	api.spans = flight.NewRing(8, 64)
 	api.flight = flight.NewRing(16, 64)
 	api.retryBackoff = 0
 	var fired atomic.Bool
@@ -181,7 +181,7 @@ func TestFlightDisabled404(t *testing.T) {
 // checks /debug/spans?model= scoping in both directions.
 func TestSpansModelFilter(t *testing.T) {
 	api, srv, _ := newRegistryTestAPI(t, t.TempDir())
-	api.timelines = obs.NewTimelines(8, 64)
+	api.spans = flight.NewRing(8, 64)
 	cfg := testServingConfig()
 	if code, body := postJSON(t, srv, "/predict", windowJSON(t, cfg, 2)); code != http.StatusOK {
 		t.Fatalf("predict: %d %s", code, body)
@@ -302,7 +302,7 @@ func TestUnresolvedModelFaultObserved(t *testing.T) {
 				t.Fatal(err)
 			}
 			api := newRegistryAPIServer(reg, "default", cfg, 8, nil)
-			api.timelines = obs.NewTimelines(8, 64)
+			api.spans = flight.NewRing(8, 64)
 			api.flight = flight.NewRing(16, 64)
 			api.slo = sloeng.New(sloeng.Config{
 				Default: sloeng.Objective{Latency: time.Hour, LatencyTarget: 0.99, ErrorBudget: 0.01},
@@ -424,7 +424,7 @@ func TestRequestOutcomes(t *testing.T) {
 			m := &obs.ServingMetrics{}
 			api := newRegistryAPIServer(reg, "default", cfg, 8, m)
 			api.retryBackoff = 0
-			api.timelines = obs.NewTimelines(8, 64)
+			api.spans = flight.NewRing(8, 64)
 			api.flight = flight.NewRing(16, 64)
 			api.slo = sloeng.New(sloeng.Config{
 				Default: sloeng.Objective{Latency: time.Hour, LatencyTarget: 0.99, ErrorBudget: 0.01},

@@ -21,8 +21,8 @@ import (
 // SLO engine and the flight recorder are off. Otherwise the fixture
 // observes as `pulphd serve` does with serveArgs parsed (none: serve's
 // defaults): host metrics installed, the registry reporting per-model
-// metrics into them, and request timelines, the flight recorder and
-// the SLO engine set from the serve flags.
+// metrics into them, and request tracing, the flight recorder and the
+// SLO engine set from the serve flags.
 type handlerFixture struct {
 	sv             *hdc.Serving
 	predict, learn http.HandlerFunc
@@ -125,17 +125,20 @@ func (w *discardWriter) Header() http.Header         { return w.h }
 func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w *discardWriter) WriteHeader(code int)        { w.code = code }
 
+// observeCases are the two ways the handler rung observes: off
+// observes nothing; defaults observes as `pulphd serve` does without
+// flags, so the gap between the two is what observing costs.
+var observeCases = []struct {
+	name      string
+	serveArgs []string
+}{{"off", nil}, {"defaults", []string{}}}
+
 // BenchmarkHandlePredict is the HTTP/JSON handler rung of the layer
 // ladder: one /predict per op through handlePredict, from reading the
 // body to the appended answer, with the predict itself inside. The
 // client, loopback and net/http's connection handling are not in it.
-// off observes nothing; defaults observes as `pulphd serve` does
-// without flags, so the gap between the two is what observing costs.
 func BenchmarkHandlePredict(b *testing.B) {
-	for _, c := range []struct {
-		name      string
-		serveArgs []string
-	}{{"off", nil}, {"defaults", []string{}}} {
+	for _, c := range observeCases {
 		b.Run(c.name, func(b *testing.B) {
 			fx := newHandlerFixture(b, c.serveArgs)
 			b.ReportAllocs()
@@ -154,12 +157,16 @@ func BenchmarkHandlePredict(b *testing.B) {
 // codec, the correction's drift predict, the encode and the publish,
 // not a WAL fsync.
 func BenchmarkHandleLearn(b *testing.B) {
-	fx := newHandlerFixture(b, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := range b.N {
-		if code := fx.serve(fx.learn, fx.learnBodies[i%len(fx.learnBodies)]); code != http.StatusOK {
-			b.Fatalf("status %d", code)
-		}
+	for _, c := range observeCases {
+		b.Run(c.name, func(b *testing.B) {
+			fx := newHandlerFixture(b, c.serveArgs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range b.N {
+				if code := fx.serve(fx.learn, fx.learnBodies[i%len(fx.learnBodies)]); code != http.StatusOK {
+					b.Fatalf("status %d", code)
+				}
+			}
+		})
 	}
 }

@@ -59,7 +59,7 @@ func TestPredictPanicRecovery(t *testing.T) {
 	m := &obs.ServingMetrics{}
 	api := newTestServer(t, sv, 4, m)
 	ctx, w := context.Background(), testWindow(sv.Config(), 2)
-	if res := api.predictOne(ctx, sv, w); res.err != nil || res.label != "rest" {
+	if res := api.predictOne(ctx, nil, sv, w); res.err != nil || res.label != "rest" {
 		t.Fatalf("healthy predict: %+v", res)
 	}
 
@@ -70,7 +70,7 @@ func TestPredictPanicRecovery(t *testing.T) {
 			panic("injected predict fault")
 		}
 	}
-	res := api.predictOne(ctx, sv, w)
+	res := api.predictOne(ctx, nil, sv, w)
 	if res.err != nil {
 		t.Fatalf("predict after recovery failed: %v", res.err)
 	}
@@ -94,7 +94,7 @@ func TestPredictRetriesExhausted(t *testing.T) {
 	api.retryBackoff = 0
 	api.beforePredict = func() { panic("injected predict fault") }
 
-	res := api.predictOne(context.Background(), sv, testWindow(sv.Config(), 2))
+	res := api.predictOne(context.Background(), nil, sv, testWindow(sv.Config(), 2))
 	if res.err == nil {
 		t.Fatal("poisoned predict returned no error")
 	}

@@ -9,19 +9,17 @@ import (
 	"time"
 
 	"pulphd/internal/load"
-	"pulphd/internal/obs"
+	"pulphd/internal/obs/flight"
 )
 
 // TestHDLoadAgainstRealServer drives the real apiServer through the
 // load harness end to end: a closed-loop phase with a learn mix must
-// complete with healthy counts, and — the point of this PR — a phase's
-// worth of concurrent traffic must leave the span-recorder ring intact
-// (every recorder either recycled or parked in the done ring, none
-// leaked).
+// complete with healthy counts, and a phase's worth of concurrent
+// traffic must leave the /debug/spans ring full at its keep bound.
 func TestHDLoadAgainstRealServer(t *testing.T) {
 	sv := trainedServing(t)
 	api := newTestServer(t, sv, 64, nil)
-	api.timelines = obs.NewTimelines(4, 64)
+	api.spans = flight.NewRing(4, 64)
 	srv := serveTestAPI(t, api)
 
 	cfg := sv.Config()
@@ -75,15 +73,14 @@ func TestHDLoadAgainstRealServer(t *testing.T) {
 	}
 
 	// Recorder hygiene after sustained concurrent load: once in-flight
-	// work drains, the done ring holds exactly its keep limit and the
-	// span export is a valid trace. A leak anywhere on the
-	// predict/learn paths would starve the ring (see
-	// TestShedReleasesRecorder for the targeted 429 regression).
+	// work drains, the ring holds exactly its keep limit and the span
+	// export is a valid trace (see TestShedReleasesRecorder for the
+	// targeted 429 regression).
 	deadline := time.Now().Add(5 * time.Second)
-	for api.timelines.Requests() != 4 {
+	for api.spans.Len() != 4 {
 		if time.Now().After(deadline) {
-			t.Fatalf("timeline ring holds %d requests after the load phase, want keep=4 (recorders leaked)",
-				api.timelines.Requests())
+			t.Fatalf("timeline ring holds %d requests after the load phase, want keep=4",
+				api.spans.Len())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -13,7 +13,7 @@ import (
 	"testing"
 
 	"pulphd/internal/hdc"
-	"pulphd/internal/obs"
+	"pulphd/internal/obs/flight"
 )
 
 // newHealthAPI builds an untrained serving model behind a full mux
@@ -27,7 +27,7 @@ func newHealthAPI(t *testing.T, configure func(*apiServer)) (*apiServer, *httpte
 		t.Fatal(err)
 	}
 	api := newTestServer(t, sv, 8, nil)
-	api.timelines = obs.NewTimelines(8, 64)
+	api.spans = flight.NewRing(8, 64)
 	if configure != nil {
 		configure(api)
 	}
@@ -155,7 +155,7 @@ func TestDebugSpansEndpoint(t *testing.T) {
 	}
 
 	// Tracing disabled: 404 with a hint.
-	_, plain := newHealthAPI(t, func(a *apiServer) { a.timelines = nil })
+	_, plain := newHealthAPI(t, func(a *apiServer) { a.spans = nil })
 	if code, res := get(t, plain, "/debug/spans"); code != http.StatusNotFound || !strings.Contains(res, "trace-requests") {
 		t.Fatalf("/debug/spans disabled: %d (%s)", code, res)
 	}

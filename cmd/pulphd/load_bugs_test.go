@@ -9,23 +9,42 @@ import (
 	"testing"
 	"time"
 
-	"pulphd/internal/obs"
+	"pulphd/internal/obs/flight"
 )
 
 // This file pins the serving-path bugs the load harness exposed:
-// the 429 shed path leaking span recorders, a predict misreporting
+// the 429 shed path dropping request timelines, a predict misreporting
 // which generation it scanned, the retry backoff overflowing into a
-// negative sleep, and timeout storms churning recorders instead of
-// recycling them.
+// negative sleep, and timeout storms leaving the timeline ring short.
+
+// requireCompleteRequests fails unless ring holds want request
+// timelines, each a complete span tree: the request root first and
+// every span ended.
+func requireCompleteRequests(t *testing.T, ring *flight.Ring, want int) {
+	t.Helper()
+	held := ring.Snapshot("")
+	if len(held) != want {
+		t.Fatalf("/debug/spans ring holds %d request timelines, want %d", len(held), want)
+	}
+	for _, e := range held {
+		if len(e.Spans) == 0 || e.Spans[0].Name != "request" {
+			t.Fatalf("timeline of request %d lacks its request root: %+v", e.ID, e.Spans)
+		}
+		for _, sp := range e.Spans {
+			if sp.End == 0 {
+				t.Fatalf("timeline of request %d holds the unended span %q", e.ID, sp.Name)
+			}
+		}
+	}
+}
 
 // TestShedReleasesRecorder pins the 429 path's recorder hygiene: a
-// shed request must end the request span it opened and file its
-// recorder back into the timeline ring. Returning without either
-// leaks a recorder per shed and leaves the ring empty exactly when
-// load (and shedding) is highest.
+// shed request must end the request span it opened and copy its
+// timeline into the /debug/spans ring. Returning without either leaves
+// the ring empty exactly when load (and shedding) is highest.
 func TestShedReleasesRecorder(t *testing.T) {
 	api := newTestServer(t, trainedServing(t), 1, nil)
-	api.timelines = obs.NewTimelines(2, 16)
+	api.spans = flight.NewRing(2, 16)
 	api.inflight.Store(1) // one predict already in flight: everything sheds
 	srv := serveTestAPI(t, api)
 
@@ -35,14 +54,10 @@ func TestShedReleasesRecorder(t *testing.T) {
 			t.Fatalf("shed %d: status %d, want 429 (%s)", i, code, body)
 		}
 	}
-	// Every shed request completed, so the ring must hold keep=2
-	// timelines (the other two recorders were recycled through the
-	// free list).
-	if got := api.timelines.Requests(); got != 2 {
-		t.Fatalf("timeline ring holds %d requests after 4 sheds, want 2 (recorders leaked)", got)
-	}
-	// The filed timelines must be complete span trees with the request
-	// root present.
+	// Every shed request completed, so the ring must hold min(4, keep=2)
+	// complete timelines.
+	requireCompleteRequests(t, api.spans, 2)
+	// The export carries the request root too.
 	w := httptest.NewRecorder()
 	api.handleSpans(w, httptest.NewRequest(http.MethodGet, "/debug/spans", nil))
 	if !json.Valid(w.Body.Bytes()) || !strings.Contains(w.Body.String(), `"request"`) {
@@ -138,14 +153,14 @@ func TestRetryBackoffSaturates(t *testing.T) {
 }
 
 // TestTimeoutStormRecorderHygiene pins that a sustained deadline storm
-// — every request at a 1 ns timeout — leaves the timeline ring
-// healthy: each handler recycles its recorder before answering (no
-// allocate-per-request churn, ring at its keep bound) and the span
-// export stays a valid trace. Runs under -race in CI.
+// — every request at a 1 ns timeout — leaves the /debug/spans ring
+// healthy: each handler copies its complete timeline before answering
+// (ring at its keep bound) and the span export stays a valid trace.
+// Runs under -race in CI.
 func TestTimeoutStormRecorderHygiene(t *testing.T) {
 	api := newTestServer(t, trainedServing(t), 64, nil)
 	api.timeout = time.Nanosecond
-	api.timelines = obs.NewTimelines(4, 64)
+	api.spans = flight.NewRing(4, 64)
 	srv := serveTestAPI(t, api)
 
 	const storm = 30
@@ -165,9 +180,7 @@ func TestTimeoutStormRecorderHygiene(t *testing.T) {
 	if got504 == 0 {
 		t.Fatal("storm produced no 504s; timeout path not exercised")
 	}
-	if got := api.timelines.Requests(); got != 4 {
-		t.Fatalf("timeline ring holds %d requests, want 4 (timed-out recorders not recycled)", got)
-	}
+	requireCompleteRequests(t, api.spans, 4)
 	w := httptest.NewRecorder()
 	api.handleSpans(w, httptest.NewRequest(http.MethodGet, "/debug/spans", nil))
 	if !json.Valid(w.Body.Bytes()) {

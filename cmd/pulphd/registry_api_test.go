@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -209,6 +211,24 @@ func TestRegistryAdminSurface(t *testing.T) {
 	}
 }
 
+// TestModelCreateWriteFailure pins whose fault a failed POST /models
+// is: a snapshot the registry cannot write (a directory planted at
+// <name>.snap.tmp) is the server's 500, and a name the registry
+// rejects is the client's 400.
+func TestModelCreateWriteFailure(t *testing.T) {
+	dir := t.TempDir()
+	_, srv, _ := newRegistryTestAPI(t, dir)
+	if err := os.Mkdir(filepath.Join(dir, "x.snap.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := doJSON(t, srv, "POST", "/models", `{"name":"x"}`, nil); code != http.StatusInternalServerError {
+		t.Fatalf("create over an unwritable snapshot: %d %s, want 500", code, body)
+	}
+	if code, body := doJSON(t, srv, "POST", "/models", `{"name":"-x"}`, nil); code != http.StatusBadRequest {
+		t.Fatalf("invalid name: %d %s, want 400", code, body)
+	}
+}
+
 func TestRegistryReadyzPerModel(t *testing.T) {
 	api, srv, _ := newRegistryTestAPI(t, t.TempDir())
 	if code, body := doJSON(t, srv, "POST", "/models", `{"name":"empty"}`, nil); code != http.StatusCreated {
@@ -279,7 +299,7 @@ func TestRegistryRestartRecoversOverHTTP(t *testing.T) {
 	_, srv2, reg2 := newRegistryTestAPI(t, dir)
 	// Before fault-in the listing shows the snapshot state plus the WAL
 	// tail it will replay; after fault-in the generation is exact.
-	sv, err := reg2.Serving("tenant")
+	sv, err := reg2.Serving(nil, "tenant")
 	if err != nil {
 		t.Fatal(err)
 	}

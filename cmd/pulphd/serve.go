@@ -156,13 +156,11 @@ func newServeFlags(fs *flag.FlagSet) *serveFlags {
 }
 
 // observe installs the request observability the flags ask for on
-// api: request span timelines, the flight recorder and the SLO engine,
-// whose breaches call onBreach (nil: none).
+// api: request tracing with its /debug/spans ring, the flight recorder
+// and the SLO engine, whose breaches call onBreach (nil: none).
 func (sf *serveFlags) observe(api *apiServer, onBreach func(model string, st sloeng.Status)) {
-	if *sf.traceRequests > 0 {
-		api.timelines = obs.NewTimelines(*sf.traceRequests, 64)
-	}
-	api.flight = flight.NewRing(*sf.flightKeep, 64)
+	api.spans = flight.NewRing(*sf.traceRequests, requestSpans)
+	api.flight = flight.NewRing(*sf.flightKeep, requestSpans)
 	if *sf.sloLatency > 0 {
 		api.slo = sloeng.New(sloeng.Config{
 			Default: sloeng.Objective{
@@ -278,7 +276,7 @@ func runServe(args []string) int {
 	} else {
 		logger.Info("default model recovered from state directory", "model", *defaultModel, "dir", *stateDir)
 	}
-	sv, err := reg.Serving(*defaultModel)
+	sv, err := reg.Serving(nil, *defaultModel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pulphd serve: default model: %v\n", err)
 		return 1
@@ -340,12 +338,12 @@ func runServe(args []string) int {
 	var syncer *replica.Syncer
 	if role == "replica" {
 		syncer, err = replica.NewSyncer(replica.SyncConfig{
-			Primary:   syncPrimary,
-			Registry:  reg,
-			Interval:  *sf.syncInterval,
-			Timelines: api.timelines,
-			Flight:    api.flight,
-			Log:       logger,
+			Primary:  syncPrimary,
+			Registry: reg,
+			Interval: *sf.syncInterval,
+			Spans:    api.spans,
+			Flight:   api.flight,
+			Log:      logger,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pulphd serve: %v\n", err)

@@ -103,11 +103,12 @@ type apiServer struct {
 	retries      int
 	retryBackoff time.Duration
 
-	// log receives the structured request log; timelines, when
-	// non-nil, keeps the most recent request span trees for
-	// /debug/spans. Both are optional and set before serving.
-	log       *slog.Logger
-	timelines *obs.Timelines
+	// log receives the structured request log; spans, when non-nil,
+	// turns request tracing on and keeps a copy of the most recent
+	// request span trees for /debug/spans. Both are optional and set
+	// before serving.
+	log   *slog.Logger
+	spans *flight.Ring
 
 	// slo is the per-tenant SLO engine (burn rates, breach callback)
 	// and flight the tail-event recorder that /debug/flight dumps.
@@ -181,15 +182,15 @@ func (s *apiServer) backoff(attempt int) time.Duration {
 // fails with errPredictPanic (a 500) — the process never dies with it.
 // A context done before the answer is ready fails it with errDeadline;
 // the predict runs either way (it costs microseconds), so a timed-out
-// request's timeline still shows its encode and search. The reported
-// generation is the one the predict's own atomic load scanned, because
-// a /learn can publish at any moment.
-func (s *apiServer) predictOne(ctx context.Context, sv *hdc.Serving, window [][]float64) predictResult {
+// request's timeline on rec still shows its encode and search. The
+// reported generation is the one the predict's own atomic load
+// scanned, because a /learn can publish at any moment.
+func (s *apiServer) predictOne(ctx context.Context, rec *obs.Spans, sv *hdc.Serving, window [][]float64) predictResult {
 	if sv.Classes() == 0 {
 		return predictResult{err: errNoModel}
 	}
 	for attempt := 0; ; attempt++ {
-		label, dist, gen, err := s.tryPredict(ctx, sv, window)
+		label, dist, gen, err := s.tryPredict(rec, sv, window)
 		if err == nil {
 			res := predictResult{label: label, distance: dist, generation: gen, retried: attempt > 0}
 			if ctx.Err() != nil {
@@ -219,7 +220,7 @@ func (s *apiServer) predictOne(ctx context.Context, sv *hdc.Serving, window [][]
 // tryPredict runs one predict attempt, converting a panic into an
 // error. The pooled session the panicking predict held never goes
 // back to the pool, so its half-written scratch is never reused.
-func (s *apiServer) tryPredict(ctx context.Context, sv *hdc.Serving, window [][]float64) (label string, dist int, gen uint64, err error) {
+func (s *apiServer) tryPredict(rec *obs.Spans, sv *hdc.Serving, window [][]float64) (label string, dist int, gen uint64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.m.RecordPanicRecovered()
@@ -230,7 +231,7 @@ func (s *apiServer) tryPredict(ctx context.Context, sv *hdc.Serving, window [][]
 	if s.beforePredict != nil {
 		s.beforePredict()
 	}
-	label, dist, gen = sv.PredictCtx(ctx, window)
+	label, dist, gen = sv.PredictTraced(rec, window)
 	return label, dist, gen, nil
 }
 
@@ -252,9 +253,13 @@ func (s *apiServer) register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /models/{model}/slo", s.handleModelSLOSet)
 }
 
-// registryErrCode maps registry errors onto HTTP statuses.
+// registryErrCode maps registry errors onto HTTP statuses: the input
+// the registry rejected is the client's (400), any error it does not
+// name is fallback.
 func registryErrCode(err error, fallback int) int {
 	switch {
+	case errors.Is(err, modreg.ErrInvalid):
+		return http.StatusBadRequest
 	case errors.Is(err, modreg.ErrNotFound):
 		return http.StatusNotFound
 	case errors.Is(err, modreg.ErrExists):
@@ -363,12 +368,12 @@ func (s *apiServer) handleRegistryReadyz(w http.ResponseWriter) {
 // trace-event JSON (load in ui.perfetto.dev); ?model= scopes the dump
 // to one tenant's requests.
 func (s *apiServer) handleSpans(w http.ResponseWriter, r *http.Request) {
-	if s.timelines == nil {
+	if s.spans == nil {
 		httpError(w, http.StatusNotFound, errors.New("request tracing disabled; serve with -trace-requests > 0"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	s.timelines.WriteChromeTrace(w, r.URL.Query().Get("model"))
+	s.spans.WriteChromeTrace(w, r.URL.Query().Get("model"))
 }
 
 // handleFlight exports the flight recorder's captured tail events:
@@ -473,13 +478,18 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
+// requestSpans is the span capacity of a request's recorder and of
+// each entry of the /debug/spans and flight rings.
+const requestSpans = 64
+
 // call is one /predict or /learn between begin and finish.
 type call struct {
 	id    uint64
 	start time.Time
-	// ctx carries rec, the request's span recorder when request tracing
-	// is on, down through model resolution, predict and learn; root is
-	// the request span their spans hang under.
+	// ctx is the request's context, which the predict deadline derives
+	// from. rec is its span recorder when request tracing is on (nil
+	// otherwise), passed down through model resolution, predict and
+	// learn; root is the request span their spans hang under.
 	ctx  context.Context
 	rec  *obs.Spans
 	root obs.SpanID
@@ -493,13 +503,14 @@ type call struct {
 // begin opens a /predict or /learn: it counts the request as
 // admitted, tags it with an id, starts its span recorder and request
 // root span, and resolves the model it addresses — the {model} path
-// segment, the X-PULPHD-Model header, or the default. The recorder
-// enters the context here, before the model resolves, so a cold
-// model's fault-in (snapshot read, WAL replay) shows up as
-// registry.faultin / registry.recover spans in the timeline of the
-// request that paid for it. Every request begun ends in finish, also
-// when begin returns an error.
-func (s *apiServer) begin(r *http.Request) (call, error) {
+// segment, the X-PULPHD-Model header, or the default. The recorder is
+// the one pooled with the request's wire buffers wb, built on first
+// use; it starts here, before the model resolves, so a cold model's
+// fault-in (snapshot read, WAL replay) shows up as registry.faultin /
+// registry.recover spans in the timeline of the request that paid for
+// it. Every request begun ends in finish, also when begin returns an
+// error, and wb goes back to its pool only after finish.
+func (s *apiServer) begin(r *http.Request, wb *wireBuf) (call, error) {
 	s.m.RecordRequest(true)
 	c := call{id: s.nextID.Add(1), start: time.Now(), ctx: r.Context(), root: obs.NoSpan}
 	c.name = r.PathValue("model")
@@ -509,29 +520,33 @@ func (s *apiServer) begin(r *http.Request) (call, error) {
 	if c.model = c.name; c.model == "" {
 		c.model = s.defaultModel
 	}
-	if c.rec = s.timelines.Acquire(c.id); c.rec != nil {
-		c.rec.Model = c.model
-		c.ctx = obs.WithSpans(c.ctx, c.rec)
+	if s.spans != nil {
+		if wb.rec == nil {
+			wb.rec = obs.NewSpans(requestSpans)
+		}
+		c.rec = wb.rec
+		c.rec.Reset(c.id)
 		c.root = c.rec.Start("request", obs.NoSpan)
 		c.rec.Annotate(c.root, "id", int64(c.id))
 		c.rec.SetParent(c.root)
 	}
 	var err error
-	c.sv, err = s.reg.ServingCtx(c.ctx, c.model)
+	c.sv, err = s.reg.Serving(c.rec, c.model)
 	return c, err
 }
 
 // finish ends a request begun by begin, by one rule on both routes.
-// It closes the request span and pins the timeline into the flight
-// recorder as shed (429), timeout (504) or error (any other 5xx), plus
-// the caller's trig bits and slow when the request outran its model's
-// latency objective. It recycles the recorder and records the outcome
-// with the SLO engine: a 2xx as good, a 429 or 5xx as bad, and no
-// other 4xx, so an unknown model gets no tracker. A 4xx counts as
-// rejected and a 504 as a timeout. gen is the generation that served
-// the request. A non-nil err is answered with code; otherwise the
-// caller writes the answer after finish returns, so a client holding
-// its answer finds its timeline in /debug/spans.
+// It closes the request span, copies the timeline into the
+// /debug/spans ring, and pins it into the flight recorder as shed
+// (429), timeout (504) or error (any other 5xx), plus the caller's
+// trig bits and slow when the request outran its model's latency
+// objective. It records the outcome with the SLO engine: a 2xx as
+// good, a 429 or 5xx as bad, and no other 4xx, so an unknown model
+// gets no tracker. A 4xx counts as rejected and a 504 as a timeout.
+// gen is the generation that served the request. A non-nil err is
+// answered with code; otherwise the caller writes the answer after
+// finish returns, so a client holding its answer finds its timeline in
+// /debug/spans.
 func (s *apiServer) finish(w http.ResponseWriter, c *call, code int, gen uint64, trig flight.Trigger, err error) {
 	c.rec.End(c.root)
 	dur := time.Since(c.start)
@@ -547,8 +562,10 @@ func (s *apiServer) finish(w http.ResponseWriter, c *call, code int, gen uint64,
 	if th := s.slo.SlowThreshold(c.model); th > 0 && dur > th {
 		trig |= flight.TrigSlow
 	}
-	s.flight.Capture(c.rec, c.model, gen, trig, dur)
-	s.timelines.Release(c.rec)
+	s.spans.Capture(c.rec, c.model, gen, 0, dur)
+	if trig != 0 {
+		s.flight.Capture(c.rec, c.model, gen, trig, dur)
+	}
 	if code < 400 || code >= 500 || code == http.StatusTooManyRequests {
 		s.slo.Record(c.model, dur, code >= 400)
 	}
@@ -574,13 +591,13 @@ func (s *apiServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, errors.New("server draining"))
 		return
 	}
-	c, err := s.begin(r)
+	wb := getWire()
+	defer putWire(wb)
+	c, err := s.begin(r, wb)
 	if err != nil {
 		s.finish(w, &c, registryErrCode(err, http.StatusInternalServerError), 0, 0, err)
 		return
 	}
-	wb := getWire()
-	defer putWire(wb)
 	window, err := wb.decodePredict(c.sv, http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
 		s.finish(w, &c, http.StatusBadRequest, 0, 0, err)
@@ -601,7 +618,7 @@ func (s *apiServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
 		defer cancel()
 	}
-	res := s.predictOne(ctx, c.sv, window)
+	res := s.predictOne(ctx, c.rec, c.sv, window)
 	var trig flight.Trigger
 	if res.retried {
 		trig = flight.TrigRetry
@@ -644,13 +661,13 @@ func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusForbidden, errReadOnly)
 		return
 	}
-	c, err := s.begin(r)
+	wb := getWire()
+	defer putWire(wb)
+	c, err := s.begin(r, wb)
 	if err != nil {
 		s.finish(w, &c, registryErrCode(err, http.StatusInternalServerError), 0, 0, err)
 		return
 	}
-	wb := getWire()
-	defer putWire(wb)
 	label, window, err := wb.decodeLearn(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
 		s.finish(w, &c, http.StatusBadRequest, 0, 0, err)
@@ -662,14 +679,12 @@ func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
 	// so an acknowledged learn survives a crash. The generation and
 	// class count come from the registry's capture under that lock:
 	// exactly what this request published, never a concurrent learn's.
-	info, err := s.reg.CorrectInfo(c.ctx, c.model, label, window)
+	info, err := s.reg.CorrectInfo(c.rec, c.model, label, window)
 	code := http.StatusOK
-	switch {
-	case errors.Is(err, modreg.ErrInvalid):
-		code = http.StatusBadRequest
-	case err != nil:
-		// Not the record's fault: the registry could not log or fold it
-		// (a WAL or snapshot write failed).
+	if err != nil {
+		// A record the model rejects is the client's 400; any other
+		// failure is not the record's fault (a WAL or snapshot write
+		// failed).
 		code = registryErrCode(err, http.StatusInternalServerError)
 	}
 	s.finish(w, &c, code, info.Generation, 0, err)
@@ -730,7 +745,9 @@ func (s *apiServer) handleModelCreate(w http.ResponseWriter, r *http.Request) {
 		cfg.Seed = *req.Seed
 	}
 	if _, err := s.reg.Create(req.Name, cfg); err != nil {
-		httpError(w, registryErrCode(err, http.StatusBadRequest), err)
+		// A bad name or configuration is the client's 400; a snapshot,
+		// WAL or manifest write failure is the server's 500.
+		httpError(w, registryErrCode(err, http.StatusInternalServerError), err)
 		return
 	}
 	info, err := s.reg.ModelInfo(req.Name)

@@ -101,7 +101,7 @@ func newTestAPI(t *testing.T) (*apiServer, *httptest.Server) {
 // served returns the Serving behind api's default model.
 func served(t *testing.T, api *apiServer) *hdc.Serving {
 	t.Helper()
-	sv, err := api.reg.Serving(api.defaultModel)
+	sv, err := api.reg.Serving(nil, api.defaultModel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"unsafe"
 
 	"pulphd/internal/hdc"
+	"pulphd/internal/obs"
 )
 
 // This file is the wire codec of the two hot routes, /predict and
@@ -36,6 +37,8 @@ const wirePoolCap = 64 << 10
 // wireBuf is one hot-route request's storage. body holds the request
 // body and then the answer. The decoded window is rows: row i is
 // vals[ends[i-1]:ends[i]]. key and label hold unescaped string bytes.
+// rec is the request's span recorder while request tracing is on,
+// built by the first traced request to draw this buffer (see begin).
 type wireBuf struct {
 	body  []byte
 	vals  []float64
@@ -43,6 +46,7 @@ type wireBuf struct {
 	rows  [][]float64
 	key   []byte
 	label []byte
+	rec   *obs.Spans
 }
 
 var wirePool = sync.Pool{New: func() any { return new(wireBuf) }}

@@ -392,8 +392,10 @@ var raceEnabled bool
 // six times, its label string among them; the decode allocates
 // nothing, and a learn's decode only its label string. Observing as
 // the benchmark's `pulphd serve -trace-requests=0` does — host and
-// per-model metrics, the flight recorder and the SLO engine on —
-// allocates nothing more than observing nothing.
+// per-model metrics, the flight recorder and the SLO engine on — and
+// as a flagless `pulphd serve` does, request tracing on too, allocates
+// nothing more than observing nothing: the span recorder is pooled
+// with the request's wire buffers and passed down as an argument.
 func TestHandlerAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not hold under the race detector")
@@ -402,7 +404,7 @@ func TestHandlerAllocations(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		serveArgs []string
-	}{{"off", nil}, {"serve-no-tracing", []string{"-trace-requests=0"}}} {
+	}{{"off", nil}, {"serve-no-tracing", []string{"-trace-requests=0"}}, {"defaults", []string{}}} {
 		fx = newHandlerFixture(t, c.serveArgs)
 		if allocs := testing.AllocsPerRun(200, func() { fx.serve(fx.predict, fx.predictBody) }); allocs > 1 {
 			t.Errorf("%s: handlePredict allocates %v times per request, want ≤ 1", c.name, allocs)

@@ -53,7 +53,7 @@ func newGeneration(id uint64, labels []string, am *hv.Slab) *generation {
 
 // Serving is a hot-swappable HD classifier: any number of goroutines
 // may predict (each through its own Session, or the pooled Predict
-// and PredictCtx) while Learn publishes new model generations.
+// and PredictTraced) while Learn publishes new model generations.
 // Predictions are served from the generation current at their start;
 // a Learn becomes visible atomically to every subsequent load.
 type Serving struct {
@@ -204,29 +204,27 @@ func (sv *Serving) ValidateWindow(window [][]float64) error {
 }
 
 // Learn folds one label-corrected window into the model and publishes
-// a new generation. It is LearnCtx without request observability.
+// a new generation. It is LearnTraced without a span recorder.
 func (sv *Serving) Learn(label string, window [][]float64) error {
-	return sv.LearnCtx(context.Background(), label, window)
+	return sv.LearnTraced(nil, label, window)
 }
 
-// LearnCtx folds one label-corrected window into the model and
+// LearnTraced folds one label-corrected window into the model and
 // publishes a new generation: accumulate into the class bundler,
 // rebinarize that class (majority threshold, ties deterministically
 // 0) into a copy of its slab block, swap the pointer. A publish copies
 // one 8-class block and the block-pointer slice; labels are shared.
 // In-flight predicts keep reading the old generation; no reader is
 // ever blocked.
-// When ctx carries an obs.Spans recorder the encode and the
-// publication record as learn.encode and learn.publish spans under the
-// recorder's staged parent.
-func (sv *Serving) LearnCtx(ctx context.Context, label string, window [][]float64) error {
+// When rec is non-nil the encode and the publication record as
+// learn.encode and learn.publish spans under rec's staged parent.
+func (sv *Serving) LearnTraced(rec *obs.Spans, label string, window [][]float64) error {
 	if err := sv.ValidateWindow(window); err != nil {
 		return err
 	}
 	if label == "" {
 		return fmt.Errorf("hdc: Learn: empty label")
 	}
-	rec := obs.SpansFrom(ctx)
 	bc := sv.scratch()
 	enc := rec.Start("learn.encode", rec.Parent())
 	bc.encodeTo(bc.query, window, sv.cfg.NGram)
@@ -294,24 +292,27 @@ func (sv *Serving) release(bc *batchCtx) {
 }
 
 // Predict classifies one window against the current generation. It is
-// PredictCtx without request observability and without the generation.
+// PredictTraced without a span recorder and without the generation.
 func (sv *Serving) Predict(window [][]float64) (label string, distance int) {
-	label, distance, _ = sv.PredictCtx(context.Background(), window)
+	label, distance, _ = sv.PredictTraced(nil, window)
 	return label, distance
 }
 
-// PredictCtx classifies one window against the current generation and
-// returns the id of the generation it scanned — a Learn can publish
-// between a caller reading Generation and the predict's own atomic
-// load, so callers that report where an answer came from use this one.
-// Safe for any number of concurrent callers; the encode scratch comes
-// from the process's scratch pools. A predict that panics never
-// returns its scratch to the pool: a panic mid-encode can leave it
-// half written. Spans and stage latencies record as in
-// Session.PredictCtx.
-func (sv *Serving) PredictCtx(ctx context.Context, window [][]float64) (label string, distance int, generation uint64) {
+// PredictTraced classifies one window against the current generation
+// and returns the id of the generation it scanned — a Learn can
+// publish between a caller reading Generation and the predict's own
+// atomic load, so callers that report where an answer came from use
+// this one. Safe for any number of concurrent callers; the encode
+// scratch comes from the process's scratch pools. A predict that
+// panics never returns its scratch to the pool: a panic mid-encode can
+// leave it half written. When rec is non-nil the predict, its encode
+// and its AM search record as spans under rec's staged parent; with a
+// metrics sink installed (SetMetrics) the predict and per-stage
+// latency histograms fill. With neither, the call reads no clock and
+// allocates nothing.
+func (sv *Serving) PredictTraced(rec *obs.Spans, window [][]float64) (label string, distance int, generation uint64) {
 	bc := sv.scratch()
-	label, distance, generation = sv.predict(bc, obs.SpansFrom(ctx), metrics(), window)
+	label, distance, generation = sv.predict(bc, rec, metrics(), window)
 	sv.release(bc)
 	return label, distance, generation
 }
@@ -332,16 +333,15 @@ func (sv *Serving) NewSession() *Session {
 }
 
 // PredictCtx classifies one window against the current generation.
-// When ctx carries an obs.Spans recorder (obs.WithSpans) the predict,
-// its encode and its AM search record as spans under the recorder's
-// staged parent; with a metrics sink installed (SetMetrics) the
-// predict and per-stage latency histograms fill. With neither, the
-// call reads no clock and allocates nothing.
+// With a metrics sink installed (SetMetrics) the predict and
+// per-stage latency histograms fill; without, the call reads no clock
+// and allocates nothing.
 //
-// Deprecated: the pool argument is ignored — the AM scan runs flat on
-// the caller — and will be removed from the signature; pass nil.
+// Deprecated: ctx and pool are ignored and will be removed from the
+// signature. Spans record through Serving.PredictTraced, and the AM
+// scan runs flat on the caller.
 func (s *Session) PredictCtx(ctx context.Context, pool *parallel.Pool, window [][]float64) (label string, distance int) {
-	label, distance, _ = s.sv.predict(s.ctx, obs.SpansFrom(ctx), metrics(), window)
+	label, distance, _ = s.sv.predict(s.ctx, nil, metrics(), window)
 	return label, distance
 }
 

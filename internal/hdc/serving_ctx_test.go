@@ -9,7 +9,13 @@ import (
 	"testing"
 
 	"pulphd/internal/obs"
+	"pulphd/internal/obs/flight"
 )
+
+// raceEnabled is set by race_test.go under the race detector, which
+// makes sync.Pool drop a random quarter of what is put back, so no
+// allocation count of a pooled call holds.
+var raceEnabled bool
 
 // ctxServing builds a trained serving model for the context-path tests.
 func ctxServing(t *testing.T) (*Serving, [][]float64) {
@@ -24,24 +30,27 @@ func ctxServing(t *testing.T) (*Serving, [][]float64) {
 }
 
 // TestPredictCtxMatchesPredict pins that the instrumented path is
-// bit-identical to the plain one, spans and metrics on and off.
+// bit-identical to the plain one, spans and metrics on and off, and
+// the session's predict to the pooled one.
 func TestPredictCtxMatchesPredict(t *testing.T) {
 	sv, w := ctxServing(t)
-	ses := sv.NewSession()
 	wantLabel, wantDist := sv.Predict(w)
+	if label, dist := sv.NewSession().PredictCtx(context.Background(), nil, w); label != wantLabel || dist != wantDist {
+		t.Errorf("Session.PredictCtx: (%q,%d), want (%q,%d)", label, dist, wantLabel, wantDist)
+	}
 
 	for _, tc := range []struct {
 		name    string
-		ctx     context.Context
+		rec     *obs.Spans
 		metrics *obs.InferenceMetrics
 	}{
-		{"plain", context.Background(), nil},
-		{"spans", obs.WithSpans(context.Background(), obs.NewSpans(32)), nil},
-		{"metrics", context.Background(), &obs.InferenceMetrics{}},
-		{"spans and metrics", obs.WithSpans(context.Background(), obs.NewSpans(32)), &obs.InferenceMetrics{}},
+		{"plain", nil, nil},
+		{"spans", obs.NewSpans(32), nil},
+		{"metrics", nil, &obs.InferenceMetrics{}},
+		{"spans and metrics", obs.NewSpans(32), &obs.InferenceMetrics{}},
 	} {
 		SetMetrics(tc.metrics)
-		label, dist := ses.PredictCtx(tc.ctx, nil, w)
+		label, dist, _ := sv.PredictTraced(tc.rec, w)
 		SetMetrics(nil)
 		if label != wantLabel || dist != wantDist {
 			t.Errorf("%s: (%q,%d), want (%q,%d)", tc.name, label, dist, wantLabel, wantDist)
@@ -59,9 +68,9 @@ func TestServingPredictCtxReportsScannedGeneration(t *testing.T) {
 	sv, w := ctxServing(t)
 	for i := 0; i < 2; i++ {
 		wantLabel, wantDist := sv.Predict(w)
-		label, dist, gen := sv.PredictCtx(context.Background(), w)
+		label, dist, gen := sv.PredictTraced(nil, w)
 		if label != wantLabel || dist != wantDist || gen != sv.Generation() {
-			t.Fatalf("PredictCtx = (%q,%d,%d), want (%q,%d,%d)",
+			t.Fatalf("PredictTraced = (%q,%d,%d), want (%q,%d,%d)",
 				label, dist, gen, wantLabel, wantDist, sv.Generation())
 		}
 		if err := sv.Learn("rest", w); err != nil {
@@ -86,7 +95,7 @@ func TestServingPredictPanicDropsSession(t *testing.T) {
 				t.Fatal("predict on a malformed window did not panic")
 			}
 		}()
-		sv.PredictCtx(context.Background(), [][]float64{{1}}) // one channel of four
+		sv.PredictTraced(nil, [][]float64{{1}}) // one channel of four
 	}()
 	if sv.scratch() == bc {
 		t.Fatal("the scratch of a panicked predict went back to the pool")
@@ -148,14 +157,12 @@ func TestPooledScratchServesItsGeometry(t *testing.T) {
 // root under the staged parent, with encode and am.search children.
 func TestPredictCtxSpanTree(t *testing.T) {
 	sv, w := ctxServing(t)
-	ses := sv.NewSession()
 
 	rec := obs.NewSpans(64)
 	rec.Reset(1)
 	root := rec.Start("request", obs.NoSpan)
 	rec.SetParent(root)
-	ctx := obs.WithSpans(context.Background(), rec)
-	if _, dist := ses.PredictCtx(ctx, nil, w); dist < 0 {
+	if _, dist, _ := sv.PredictTraced(rec, w); dist < 0 {
 		t.Fatal("bad distance")
 	}
 	rec.End(root)
@@ -201,9 +208,8 @@ func TestLearnCtxSpans(t *testing.T) {
 	sv, w := ctxServing(t)
 	rec := obs.NewSpans(16)
 	rec.Reset(2)
-	ctx := obs.WithSpans(context.Background(), rec)
 	gen := sv.Generation()
-	if err := sv.LearnCtx(ctx, "rest", w); err != nil {
+	if err := sv.LearnTraced(rec, "rest", w); err != nil {
 		t.Fatal(err)
 	}
 	var publish *obs.Span
@@ -221,16 +227,16 @@ func TestLearnCtxSpans(t *testing.T) {
 	if publish.Attrs[0] != (obs.Attr{Key: "generation", Value: int64(gen + 1)}) {
 		t.Errorf("publish attrs %+v, want generation %d", publish.Attrs, gen+1)
 	}
-	// A ctx without a recorder stays usable.
-	if err := sv.LearnCtx(context.Background(), "rest", w); err != nil {
+	// A nil recorder stays usable.
+	if err := sv.LearnTraced(nil, "rest", w); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestPredictCtxAllocationFree pins the acceptance criterion: with no
-// recorder in the context and no metrics installed, PredictCtx
-// allocates nothing; and even fully instrumented (metrics sink plus
-// span recorder) the steady state allocates nothing.
+// recorder and no metrics installed, PredictCtx allocates nothing; and
+// even fully instrumented (metrics sink plus span recorder) the
+// pooled PredictTraced allocates nothing in the steady state.
 func TestPredictCtxAllocationFree(t *testing.T) {
 	sv, w := ctxServing(t)
 	ses := sv.NewSession()
@@ -248,42 +254,45 @@ func TestPredictCtxAllocationFree(t *testing.T) {
 	SetMetrics(&obs.InferenceMetrics{})
 	defer SetMetrics(nil)
 	rec := obs.NewSpans(64)
-	sctx := obs.WithSpans(context.Background(), rec)
-	check("PredictCtx instrumented", func() {
+	if raceEnabled {
+		t.Log("pooled scratch allocation counts do not hold under the race detector")
+		return
+	}
+	check("PredictTraced instrumented", func() {
 		rec.Reset(1)
-		ses.PredictCtx(sctx, nil, w)
+		sv.PredictTraced(rec, w)
 	})
 }
 
 // TestServingConcurrentPredictLearnWithSpans race-hammers the span
 // recorder through the full serving path: several goroutines run
-// PredictCtx with their own recorders while a learner publishes
-// generations through LearnCtx with another recorder, and an exporter
-// renders completed timelines concurrently.
+// PredictTraced with their own recorders, copying each finished
+// timeline into a ring, while a learner publishes generations through
+// LearnTraced with another recorder, and an exporter renders the ring
+// concurrently.
 func TestServingConcurrentPredictLearnWithSpans(t *testing.T) {
 	sv, w := ctxServing(t)
 	iters := 200
 	if testing.Short() {
 		iters = 40
 	}
-	tl := obs.NewTimelines(8, 64)
+	ring := flight.NewRing(8, 64)
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ses := sv.NewSession()
+			rec := obs.NewSpans(64)
 			for i := 0; i < iters; i++ {
-				rec := tl.Acquire(uint64(g*iters + i))
-				ctx := obs.WithSpans(context.Background(), rec)
+				rec.Reset(uint64(g*iters + i))
 				root := rec.Start("request", obs.NoSpan)
 				rec.SetParent(root)
-				if label, _ := ses.PredictCtx(ctx, nil, w); label == "" {
+				if label, _, _ := sv.PredictTraced(rec, w); label == "" {
 					t.Error("empty label")
 					return
 				}
 				rec.End(root)
-				tl.Release(rec)
+				ring.Capture(rec, "", 0, 0, 0)
 			}
 		}(g)
 	}
@@ -293,9 +302,8 @@ func TestServingConcurrentPredictLearnWithSpans(t *testing.T) {
 		rec := obs.NewSpans(16)
 		for i := 0; i < iters/2; i++ {
 			rec.Reset(uint64(1000 + i))
-			ctx := obs.WithSpans(context.Background(), rec)
-			if err := sv.LearnCtx(ctx, "rest", w); err != nil {
-				t.Errorf("LearnCtx: %v", err)
+			if err := sv.LearnTraced(rec, "rest", w); err != nil {
+				t.Errorf("LearnTraced: %v", err)
 				return
 			}
 		}
@@ -305,14 +313,14 @@ func TestServingConcurrentPredictLearnWithSpans(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < iters/4; i++ {
 			var sink countingWriter
-			if err := tl.WriteChromeTrace(&sink, ""); err != nil {
+			if err := ring.WriteChromeTrace(&sink, ""); err != nil {
 				t.Errorf("export: %v", err)
 				return
 			}
 		}
 	}()
 	wg.Wait()
-	if tl.Requests() == 0 {
+	if ring.Len() == 0 {
 		t.Fatal("no timelines retained")
 	}
 }

@@ -160,7 +160,7 @@ func TestServingNewClassesUnderReaders(t *testing.T) {
 			sv.Predict(samples[0].Window)
 			started.Done()
 			for i := 0; !stop.Load(); i++ {
-				label, _, gen := sv.PredictCtx(context.Background(), samples[i%len(samples)].Window)
+				label, _, gen := sv.PredictTraced(nil, samples[i%len(samples)].Window)
 				if label == "" || gen == 0 {
 					t.Errorf("read (%q, generation %d)", label, gen)
 					return

@@ -1,19 +1,19 @@
-// Package flight is the serving tier's always-on flight recorder: a
-// fixed-size ring of recently captured tail-event request timelines.
-// The serving path runs with span recording on for every request (the
-// obs.Timelines slab); when a request ends badly — timeout, error,
-// shed, panic retry — or slower than its model's
-// latency objective, its full span timeline is copied into the ring
-// before the recorder is recycled. The ring is therefore a black box
-// that always holds the last N incidents with
-// handler→encode→search detail, model name and generation,
-// dumpable as Chrome trace JSON (GET /debug/flight) and written to
-// disk automatically on an SLO burn-rate breach.
+// Package flight keeps copies of finished request timelines in a
+// fixed-size ring. pulphd serve runs two. The flight recorder holds
+// the last N tail events — requests that timed out, errored, were
+// shed, needed a panic retry or ran slower than their model's latency
+// objective — dumpable as Chrome trace JSON (GET /debug/flight) and
+// written to disk automatically on an SLO burn-rate breach. The
+// /debug/spans ring holds the last N timelines of every request. A
+// request records its spans into a recorder that is pooled with its
+// wire buffers, and its timeline is copied into the rings before the
+// recorder is reused, so an entry keeps the handler→encode→search
+// detail, model name and generation after the request is gone.
 //
 // Capture copies into preallocated slots under one short mutex: no
-// allocation once the ring is warm, no ownership games with the
-// Timelines free list, and dump readers never block the serving path
-// for longer than one entry copy.
+// allocation once the ring is warm, no recorder to hand back, and
+// dump readers never block the serving path for longer than one entry
+// copy.
 package flight
 
 import (
@@ -123,12 +123,14 @@ func NewRing(keep, spanCap int) *Ring {
 
 // Capture pins one finished request into the ring: metadata always,
 // plus a copy of rec's spans when tracing ran (rec may be nil). The
-// caller must be done writing spans. A zero trigger is a no-op, so
-// callers can unconditionally hand over their accumulated bits.
-// Allocation-free: span copies land in the slot's preallocated
-// backing array (overflow beyond its capacity is counted in Dropped).
+// caller must be done writing spans, and may reuse rec once Capture
+// returns. A zero trigger captures too (rendered "none"): the
+// /debug/spans ring keeps every request, so the flight recorder's
+// callers skip untriggered requests themselves. Allocation-free: span
+// copies land in the slot's preallocated backing array (overflow
+// beyond its capacity is counted in Dropped).
 func (r *Ring) Capture(rec *obs.Spans, model string, generation uint64, trig Trigger, dur time.Duration) {
-	if r == nil || trig == 0 {
+	if r == nil {
 		return
 	}
 	r.mu.Lock()

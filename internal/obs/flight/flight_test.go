@@ -78,10 +78,11 @@ func TestCaptureFidelity(t *testing.T) {
 	if len(e.Spans) != 4 || e.Spans[0].Name != "request" || e.Spans[1].Name != "encode" {
 		t.Fatalf("spans %+v", e.Spans)
 	}
-	// A zero trigger must not capture: callers hand bits over blindly.
+	// A zero trigger captures too, as "none": the /debug/spans ring
+	// keeps every request.
 	r.Capture(rec, "emg", 7, 0, time.Millisecond)
-	if r.Captures() != 1 {
-		t.Fatal("zero trigger captured")
+	if got := r.Snapshot(""); r.Captures() != 2 || got[1].Trigger.String() != "none" || len(got[1].Spans) != 4 {
+		t.Fatalf("zero-trigger capture: %d captures, %+v", r.Captures(), got)
 	}
 	// A nil recorder still captures metadata (tracing disabled).
 	r.Capture(nil, "bare", 1, TrigShed, time.Millisecond)
@@ -224,29 +225,26 @@ func TestCaptureAllocs(t *testing.T) {
 	}
 }
 
-// TestConcurrentCaptureDumpRecycle is the race hammer: writers pin
-// timelines from recycled recorders while readers dump summaries and
-// traces. Run under -race in CI.
+// TestConcurrentCaptureDumpRecycle is the race hammer: each writer
+// reuses one recorder for request after request, pinning every
+// timeline, while readers dump summaries and traces. Run under -race
+// in CI.
 func TestConcurrentCaptureDumpRecycle(t *testing.T) {
 	r := NewRing(8, 16)
-	tl := obs.NewTimelines(4, 16)
 	const writers, iters = 4, 300
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			rec := obs.NewSpans(16)
 			for i := 0; i < iters; i++ {
-				rec := tl.Acquire(uint64(w*iters + i))
-				root := obs.NoSpan
-				if rec != nil {
-					root = rec.Start("request", obs.NoSpan)
-					sp := rec.Start("predict", root)
-					rec.End(sp)
-					rec.End(root)
-				}
+				rec.Reset(uint64(w*iters + i))
+				root := rec.Start("request", obs.NoSpan)
+				sp := rec.Start("predict", root)
+				rec.End(sp)
+				rec.End(root)
 				r.Capture(rec, "emg", uint64(i), TrigError, time.Millisecond)
-				tl.Release(rec)
 			}
 		}(w)
 	}
@@ -270,8 +268,6 @@ func TestConcurrentCaptureDumpRecycle(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// Acquire hands out nil recorders under contention (free list
-	// drained); metadata-only captures still count.
 	if got := r.Captures(); got != writers*iters {
 		t.Fatalf("captures %d, want %d", got, writers*iters)
 	}

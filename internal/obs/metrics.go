@@ -54,9 +54,9 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an instantaneous value that can move both ways (model
-// generation, class count, queue depth). The zero value is ready to
-// use; a nil *Gauge is a no-op.
+// Gauge is an instantaneous value that can move both ways (a
+// replica's lag in generations behind its primary). The zero value is
+// ready to use; a nil *Gauge is a no-op.
 type Gauge struct {
 	v atomic.Int64
 }

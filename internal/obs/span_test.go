@@ -27,14 +27,6 @@ func TestSpansNilSafety(t *testing.T) {
 	if s.Len() != 0 || s.Dropped() != 0 || s.Parent() != NoSpan {
 		t.Fatal("nil recorder reports state")
 	}
-	var tl *Timelines
-	if tl.Acquire(1) != nil {
-		t.Fatal("nil Timelines handed out a recorder")
-	}
-	tl.Release(nil)
-	if tl.Requests() != 0 {
-		t.Fatal("nil Timelines holds requests")
-	}
 }
 
 func TestSpansRecordTree(t *testing.T) {
@@ -105,10 +97,9 @@ func TestSpansChromeTraceGolden(t *testing.T) {
 	s.End(search) // end 10000
 	s.End(root)   // end 12000
 
-	tl := NewTimelines(4, 8)
-	tl.Release(s)
 	var buf bytes.Buffer
-	if err := tl.WriteChromeTrace(&buf, ""); err != nil {
+	evs := AppendSpanEvents(nil, 1, "request 42", "request", s.spans[:s.Len()], nil)
+	if err := EncodeChromeTrace(&buf, evs); err != nil {
 		t.Fatal(err)
 	}
 	want := `{"traceEvents":[` +
@@ -119,70 +110,6 @@ func TestSpansChromeTraceGolden(t *testing.T) {
 		`],"displayTimeUnit":"ns"}` + "\n"
 	if got := buf.String(); got != want {
 		t.Errorf("golden mismatch:\n got: %s\nwant: %s", got, want)
-	}
-}
-
-func TestTimelinesRingRecycles(t *testing.T) {
-	tl := NewTimelines(2, 4)
-	var first *Spans
-	for i := uint64(1); i <= 5; i++ {
-		s := tl.Acquire(i)
-		if i == 1 {
-			first = s
-		}
-		s.Start("r", NoSpan)
-		tl.Release(s)
-	}
-	if tl.Requests() != 2 {
-		t.Fatalf("ring holds %d, want 2", tl.Requests())
-	}
-	held := tl.snapshot()
-	if held[0].ID != 4 || held[1].ID != 5 {
-		t.Fatalf("ring holds ids %d,%d; want oldest-first 4,5", held[0].ID, held[1].ID)
-	}
-	// The recorder evicted first (request 1's) must have been recycled
-	// by a later Acquire instead of thrown away: it is the one that
-	// came back for request 4, sitting in the ring now.
-	if held[0] != first {
-		t.Error("evicted recorder was never recycled")
-	}
-	if held[0].Len() != 1 {
-		t.Fatalf("recycled recorder kept %d spans across Reset", held[0].Len())
-	}
-}
-
-// TestTimelinesRecycleDistinct pins the recycle discipline concurrent
-// handlers depend on: a recorder is never simultaneously live in two
-// places — every Acquire hands out
-// a recorder distinct from every other outstanding one and from every
-// recorder held in the done ring.
-func TestTimelinesRecycleDistinct(t *testing.T) {
-	tl := NewTimelines(3, 4)
-	live := map[*Spans]bool{}
-	var out []*Spans
-	for i := uint64(1); i <= 6; i++ {
-		s := tl.Acquire(i)
-		if live[s] {
-			t.Fatalf("Acquire(%d) returned a recorder already outstanding", i)
-		}
-		live[s] = true
-		out = append(out, s)
-	}
-	for _, s := range out {
-		tl.Release(s)
-	}
-	// 6 released into keep=3: 3 in the ring, 3 recycled to the free
-	// list. Re-acquiring must hand back only free-list recorders, never
-	// one the ring still exports.
-	held := map[*Spans]bool{}
-	for _, s := range tl.snapshot() {
-		held[s] = true
-	}
-	for i := uint64(10); i < 13; i++ {
-		s := tl.Acquire(i)
-		if held[s] {
-			t.Fatalf("Acquire(%d) returned a recorder still held in the done ring", i)
-		}
 	}
 }
 
@@ -225,5 +152,20 @@ func TestSpansConcurrentStart(t *testing.T) {
 	}
 	if s.Len()+s.Dropped() != goroutines*each {
 		t.Fatalf("Len+Dropped = %d, want %d", s.Len()+s.Dropped(), goroutines*each)
+	}
+}
+
+// BenchmarkSpansStartEnd times one span's Start and End, two reads
+// of the span clock; a traced predict pays four such pairs plus the
+// recorder's Reset. The recorder is re-armed every 64 spans, as each
+// request re-arms its own.
+func BenchmarkSpansStartEnd(b *testing.B) {
+	s := NewSpans(64)
+	b.ReportAllocs()
+	for i := range b.N {
+		if i%64 == 0 {
+			s.Reset(uint64(i))
+		}
+		s.End(s.Start("encode", NoSpan))
 	}
 }

@@ -64,7 +64,7 @@ func benchEvictFaultIn(b *testing.B, backend hdc.Backend, dirty bool, learns int
 		t0 := time.Now()
 		r.EnforceBudget()
 		t1 := time.Now()
-		if _, err := r.Serving("m"); err != nil {
+		if _, err := r.Serving(nil, "m"); err != nil {
 			b.Fatal(err)
 		}
 		evict += t1.Sub(t0)
@@ -130,7 +130,7 @@ func benchOverflow(b *testing.B, backend hdc.Backend) {
 		}
 		r.EnforceBudget()
 		b.StartTimer()
-		if _, err := r.Serving("requester"); err != nil {
+		if _, err := r.Serving(nil, "requester"); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()

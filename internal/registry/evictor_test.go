@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -106,9 +105,11 @@ func TestOverflowingRequestAnswersBeforeEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.NewSpans(64)
-	ctx := obs.WithSpans(context.Background(), rec)
 	done := make(chan error, 1)
-	go func() { done <- r.CorrectCtx(ctx, "t1", "g1", randomWindow(cfg, rng)) }()
+	go func() {
+		_, err := r.CorrectInfo(rec, "t1", "g1", randomWindow(cfg, rng))
+		done <- err
+	}()
 	if err := await(t, done, "the overflowing learn"); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestOverflowingRequestAnswersBeforeEviction(t *testing.T) {
 	// read its Serving without it.
 	answered := make(chan string, 1)
 	go func() {
-		sv, err := r.Serving("t0")
+		sv, err := r.Serving(nil, "t0")
 		if err != nil {
 			answered <- err.Error()
 			return
@@ -210,7 +211,7 @@ func TestFaultInsWaitForRoom(t *testing.T) {
 		wg.Add(1)
 		go func(name string) {
 			defer wg.Done()
-			if _, err := r.Serving(name); err != nil {
+			if _, err := r.Serving(nil, name); err != nil {
 				t.Error(err)
 			}
 			finished.Add(1)
@@ -287,7 +288,7 @@ func TestCloseStopsEvictor(t *testing.T) {
 	before := dirState(t, dir)
 	r.wakeEvictor()
 	r.EnforceBudget()
-	if _, err := r.Serving("t0"); err == nil {
+	if _, err := r.Serving(nil, "t0"); err == nil {
 		t.Fatal("closed registry served a model")
 	}
 	time.Sleep(50 * time.Millisecond)

@@ -79,7 +79,7 @@ func TestRegistryIsolationHammer(t *testing.T) {
 							return
 						}
 					case 1:
-						sv, err := r.Serving(name)
+						sv, err := r.Serving(nil, name)
 						if err != nil {
 							fail("tenant %d serving: %v", tenant, err)
 							return
@@ -144,7 +144,7 @@ func TestRegistryIsolationHammer(t *testing.T) {
 	// After the storm every tenant still recovers from disk to a model
 	// holding only its own labels.
 	for i, name := range names {
-		sv, err := r.Serving(name)
+		sv, err := r.Serving(nil, name)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,7 +47,7 @@ var modelNameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
 // components and HTTP path segments.
 func ValidateModelName(name string) error {
 	if !modelNameRE.MatchString(name) {
-		return fmt.Errorf("registry: invalid model name %q (want ^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$)", name)
+		return fmt.Errorf("%w: model name %q (want ^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$)", ErrInvalid, name)
 	}
 	return nil
 }

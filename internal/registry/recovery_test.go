@@ -116,7 +116,7 @@ func runCrashTrial(t *testing.T, trial crashTrial, round int64) {
 		t.Fatalf("reopening after crash: %v", err)
 	}
 	defer r2.Close()
-	sv, err := r2.Serving("m")
+	sv, err := r2.Serving(nil, "m")
 	if err != nil {
 		t.Fatalf("recovering model: %v", err)
 	}
@@ -241,7 +241,7 @@ func TestKillNineRecoversEveryModel(t *testing.T) {
 		t.Fatalf("restart found %d models, want %d", r2.Len(), len(tenants))
 	}
 	for _, tn := range tenants {
-		sv, err := r2.Serving(tn.name)
+		sv, err := r2.Serving(nil, tn.name)
 		if err != nil {
 			t.Fatalf("recovering %s: %v", tn.name, err)
 		}
@@ -308,7 +308,7 @@ func TestRecoveryAcrossSnapshotCrashGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	sv, err := r2.Serving("m")
+	sv, err := r2.Serving(nil, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestRecoveryAcrossSnapshotCrashGap(t *testing.T) {
 	} else if st.Size() != 0 {
 		t.Fatalf("eviction left %d bytes of stale records in the wal", st.Size())
 	}
-	if sv, err = r2.Serving("m"); err != nil {
+	if sv, err = r2.Serving(nil, "m"); err != nil {
 		t.Fatal(err)
 	}
 	if sv.Generation() != 5 {
@@ -347,7 +347,7 @@ func TestRecoveryAcrossSnapshotCrashGap(t *testing.T) {
 	if err := mirror.Learn("rest", w); err != nil {
 		t.Fatal(err)
 	}
-	sv2, _ := r2.Serving("m")
+	sv2, _ := r2.Serving(nil, "m")
 	if !bytes.Equal(servingBytes(t, sv2), servingBytes(t, mirror)) {
 		t.Fatal("post-recovery learn diverged from the mirror")
 	}

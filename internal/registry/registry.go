@@ -55,10 +55,12 @@ var (
 	ErrNotFound = errors.New("registry: model not found")
 	ErrExists   = errors.New("registry: model already exists")
 	ErrClosed   = errors.New("registry: closed")
-	// ErrInvalid wraps a learn record the model rejects: a label or
-	// window out of range, or a class that cannot learn. Any other learn
-	// error is the registry's own (a WAL or snapshot write failed).
-	ErrInvalid = errors.New("registry: invalid learn record")
+	// ErrInvalid wraps any input the registry rejects: a model name or
+	// model configuration it cannot create, or a learn record the model
+	// rejects (a label or window out of range, or a class that cannot
+	// learn). Any other error is the registry's own (a snapshot, WAL or
+	// manifest write failed).
+	ErrInvalid = errors.New("registry: invalid input")
 )
 
 // Config configures a Registry.
@@ -247,7 +249,7 @@ func (r *Registry) touch(e *entry) { e.lastUse.Store(r.clock.Add(1)) }
 func (r *Registry) Create(name string, mc hdc.Config) (*hdc.Serving, error) {
 	sv, err := hdc.NewServing(mc, 1)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrInvalid, err)
 	}
 	return sv, r.adopt(name, sv, "create")
 }
@@ -264,7 +266,7 @@ func (r *Registry) adopt(name string, sv *hdc.Serving, op string) error {
 	if err := ValidateModelName(name); err != nil {
 		return err
 	}
-	r.makeRoom(context.Background())
+	r.makeRoom(nil)
 	if err := r.adoptLocked(name, sv, op); err != nil {
 		return err
 	}
@@ -373,17 +375,11 @@ func (r *Registry) lookup(name string) (*entry, error) {
 
 // Serving returns the named model's Serving, faulting it in from disk
 // if it was evicted. The hot path — model resident — is one map read
-// under RLock and one atomic load.
-func (r *Registry) Serving(name string) (*hdc.Serving, error) {
-	return r.ServingCtx(context.Background(), name)
-}
-
-// ServingCtx is Serving with a request context: when the lookup has to
-// fault the model in, the registry.faultin/registry.recover spans (and
-// registry.evict, when it must wait for room) land on the recorder the
-// context carries, so the stall shows up inside the request's own
-// timeline.
-func (r *Registry) ServingCtx(ctx context.Context, name string) (*hdc.Serving, error) {
+// under RLock and one atomic load. When the lookup has to fault the
+// model in, the registry.faultin/registry.recover spans (and
+// registry.evict, when it must wait for room) land on rec (nil: none),
+// so the stall shows up inside the request's own timeline.
+func (r *Registry) Serving(rec *obs.Spans, name string) (*hdc.Serving, error) {
 	e, err := r.lookup(name)
 	if err != nil {
 		return nil, err
@@ -394,9 +390,9 @@ func (r *Registry) ServingCtx(ctx context.Context, name string) (*hdc.Serving, e
 	if sv := e.sv.Load(); sv != nil {
 		return sv, nil
 	}
-	r.makeRoom(ctx)
+	r.makeRoom(rec)
 	e.mu.Lock()
-	sv, err := r.residentLocked(ctx, e)
+	sv, err := r.residentLocked(rec, e)
 	e.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -422,10 +418,11 @@ func (r *Registry) Drift(name string) (*obs.DriftMonitor, error) {
 
 // residentLocked ensures e's model is in memory, loading the snapshot
 // and replaying the WAL tail when it is not. Caller holds e.mu. The
-// whole load is wrapped in a registry.faultin span (the WAL replay in
-// a nested registry.recover span) and timed into the fault-in latency
-// histogram, because a cold model stalls the request paying for it.
-func (r *Registry) residentLocked(ctx context.Context, e *entry) (*hdc.Serving, error) {
+// whole load is wrapped in a registry.faultin span on sp (the WAL
+// replay in a nested registry.recover span) and timed into the
+// fault-in latency histogram, because a cold model stalls the request
+// paying for it.
+func (r *Registry) residentLocked(sp *obs.Spans, e *entry) (*hdc.Serving, error) {
 	if e.deleted {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, e.name)
 	}
@@ -433,7 +430,6 @@ func (r *Registry) residentLocked(ctx context.Context, e *entry) (*hdc.Serving, 
 		return sv, nil
 	}
 	start := time.Now()
-	sp := obs.SpansFrom(ctx)
 	fi := sp.Start("registry.faultin", sp.Parent())
 	defer sp.End(fi)
 	f, err := os.Open(r.snapPath(e.name))
@@ -491,47 +487,50 @@ func (r *Registry) residentLocked(ctx context.Context, e *entry) (*hdc.Serving, 
 // model: validate, append to the WAL, apply to the Serving, ack — in
 // that order, so every acknowledged learn survives a crash.
 func (r *Registry) Learn(name, label string, window [][]float64) error {
-	_, err := r.apply(context.Background(), name, OpLearn, label, window)
+	_, err := r.apply(nil, name, OpLearn, label, window)
 	return err
 }
 
-// CorrectCtx is Learn arriving as online correction feedback, with a
-// request context carried into the model's publish path (span
-// recorders ride it): it replays identically but also scores the
-// model's prediction for the window against the corrected label in
-// the drift monitor.
+// CorrectCtx is CorrectInfo without a span recorder or the Info.
+//
+// Deprecated: ctx is ignored, and CorrectInfo serves every caller; it
+// will be removed.
 func (r *Registry) CorrectCtx(ctx context.Context, name, label string, window [][]float64) error {
-	_, err := r.CorrectInfo(ctx, name, label, window)
+	_, err := r.CorrectInfo(nil, name, label, window)
 	return err
 }
 
-// CorrectInfo is CorrectCtx that also returns the model's Info as
-// captured under the model's lock right after the record applied, so
-// its Generation and Classes are exactly what this correction
-// published, whatever learns race it.
-func (r *Registry) CorrectInfo(ctx context.Context, name, label string, window [][]float64) (Info, error) {
-	return r.apply(ctx, name, OpCorrect, label, window)
+// CorrectInfo is Learn arriving as online correction feedback: it
+// replays identically but also scores the model's prediction for the
+// window against the corrected label in the drift monitor. Its WAL
+// append, publish and any fault-in or snapshot record as spans on rec
+// (nil: none). It returns the model's Info as captured under the
+// model's lock right after the record applied, so its Generation and
+// Classes are exactly what this correction published, whatever learns
+// race it.
+func (r *Registry) CorrectInfo(rec *obs.Spans, name, label string, window [][]float64) (Info, error) {
+	return r.apply(rec, name, OpCorrect, label, window)
 }
 
-func (r *Registry) apply(ctx context.Context, name string, op Op, label string, window [][]float64) (Info, error) {
+func (r *Registry) apply(rec *obs.Spans, name string, op Op, label string, window [][]float64) (Info, error) {
 	e, err := r.lookup(name)
 	if err != nil {
 		return Info{}, err
 	}
 	r.touch(e)
 	if e.sv.Load() == nil {
-		r.makeRoom(ctx)
+		r.makeRoom(rec)
 	}
 	e.mu.Lock()
-	err = r.applyLocked(ctx, e, op, label, window)
+	err = r.applyLocked(rec, e, op, label, window)
 	info := r.infoLocked(e)
 	e.mu.Unlock()
 	r.wakeEvictor()
 	return info, err
 }
 
-func (r *Registry) applyLocked(ctx context.Context, e *entry, op Op, label string, window [][]float64) error {
-	sv, err := r.residentLocked(ctx, e)
+func (r *Registry) applyLocked(rec *obs.Spans, e *entry, op Op, label string, window [][]float64) error {
+	sv, err := r.residentLocked(rec, e)
 	if err != nil {
 		return err
 	}
@@ -552,7 +551,7 @@ func (r *Registry) applyLocked(ctx context.Context, e *entry, op Op, label strin
 		e.drift.RecordFeedback(predicted, label)
 	}
 	if e.wal != nil {
-		fsync, err := e.wal.AppendCtx(ctx, op, label, window)
+		fsync, err := e.wal.Append(rec, op, label, window)
 		if err != nil {
 			return err
 		}
@@ -562,12 +561,12 @@ func (r *Registry) applyLocked(ctx context.Context, e *entry, op Op, label strin
 		}
 		e.walRecords = e.wal.Records()
 	}
-	learnErr := sv.LearnCtx(ctx, label, window)
+	learnErr := sv.LearnTraced(rec, label, window)
 	e.generation = sv.Generation()
 	e.classes = sv.Classes()
 	m.RecordOp(e.name, op.String())
 	if e.wal != nil && e.wal.Records() >= r.cfg.SnapshotEvery {
-		if err := r.snapshotLocked(ctx, e); err != nil {
+		if err := r.snapshotLocked(rec, e); err != nil {
 			return err
 		}
 	}
@@ -590,18 +589,17 @@ func (r *Registry) Snapshot(name string) error {
 	if e.deleted || !r.Persistent() || e.sv.Load() == nil {
 		return nil
 	}
-	return r.snapshotLocked(context.Background(), e)
+	return r.snapshotLocked(nil, e)
 }
 
 // snapshotLocked cuts e's snapshot and truncates its WAL. Caller holds
 // e.mu; the model is resident and the registry persistent. The write
-// lands as a registry.snapshot span on any recorder ctx carries — an
+// lands as a registry.snapshot span on sp (nil: none) — an
 // auto-snapshot happens inside the learn that tripped the cadence, so
 // the stall belongs to that request's timeline.
-func (r *Registry) snapshotLocked(ctx context.Context, e *entry) error {
+func (r *Registry) snapshotLocked(sp *obs.Spans, e *entry) error {
 	start := time.Now()
 	sv := e.sv.Load()
-	sp := obs.SpansFrom(ctx)
 	id := sp.Start("registry.snapshot", sp.Parent())
 	sp.Annotate(id, "generation", int64(sv.Generation()))
 	sp.Annotate(id, "wal_records", int64(e.walRecords))
@@ -659,7 +657,7 @@ func (r *Registry) EnforceBudget() {
 	}
 	r.evictMu.Lock()
 	defer r.evictMu.Unlock()
-	r.enforceBudget(context.Background(), false)
+	r.enforceBudget(nil, false)
 }
 
 // evictor is the registry's eviction goroutine. Each wake runs one
@@ -673,7 +671,7 @@ func (r *Registry) evictor() {
 			return
 		case <-r.wake:
 			r.evictMu.Lock()
-			r.enforceBudget(context.Background(), true)
+			r.enforceBudget(nil, true)
 			r.evictMu.Unlock()
 		}
 	}
@@ -699,22 +697,20 @@ func (r *Registry) wakeEvictor() {
 // resident bytes, less the model the evictor is writing, already
 // exceed the budget, it evicts inline: it waits for the eviction in
 // flight, then evicts until the set fits. The wait and its own
-// evictions are one registry.evict span on the recorder ctx carries,
-// annotated with the bytes it evicted and the WAL records those
-// evictions folded into snapshots (both 0 when the evictor's pass made
-// the room).
-func (r *Registry) makeRoom(ctx context.Context) {
+// evictions are one registry.evict span on sp (nil: none), annotated
+// with the bytes it evicted and the WAL records those evictions folded
+// into snapshots (both 0 when the evictor's pass made the room).
+func (r *Registry) makeRoom(sp *obs.Spans) {
 	if r.wake == nil {
 		return
 	}
 	if _, total := r.pickVictim(false); total-r.evicting.Load() <= r.cfg.ResidentBudget {
 		return
 	}
-	sp := obs.SpansFrom(ctx)
 	id := sp.Start("registry.evict", sp.Parent())
 	defer sp.End(id)
 	r.evictMu.Lock()
-	bytes, walRecords := r.enforceBudget(ctx, false)
+	bytes, walRecords := r.enforceBudget(sp, false)
 	r.evictMu.Unlock()
 	sp.Annotate(id, "bytes", bytes)
 	sp.Annotate(id, "wal_records", walRecords)
@@ -724,9 +720,10 @@ func (r *Registry) makeRoom(ctx context.Context) {
 // the budget. With spareMRU it never evicts the most recently used
 // model: the evictor's pass runs after the request that woke it, and
 // evicting the model that request used would thrash. Caller holds
-// r.evictMu. It returns the bytes it evicted and the WAL records those
-// evictions folded into snapshots.
-func (r *Registry) enforceBudget(ctx context.Context, spareMRU bool) (bytes, walRecords int64) {
+// r.evictMu. Snapshots of dirty victims record on sp (nil: none). It
+// returns the bytes it evicted and the WAL records those evictions
+// folded into snapshots.
+func (r *Registry) enforceBudget(sp *obs.Spans, spareMRU bool) (bytes, walRecords int64) {
 	for {
 		victim, total := r.pickVictim(spareMRU)
 		if total <= r.cfg.ResidentBudget || victim == nil {
@@ -742,7 +739,7 @@ func (r *Registry) enforceBudget(ctx context.Context, spareMRU bool) (bytes, wal
 			if r.beforeEvict != nil {
 				r.beforeEvict(victim.name)
 			}
-			err := r.evictLocked(ctx, victim)
+			err := r.evictLocked(sp, victim)
 			r.evicting.Store(0)
 			if err != nil {
 				victim.mu.Unlock()
@@ -793,12 +790,12 @@ func (r *Registry) pickVictim(spareMRU bool) (*entry, int64) {
 // folding its log in; a clean one already is its snapshot plus an
 // empty log, so it writes nothing. It runs under r.evictMu, on the
 // evictor, on a request making room or under EnforceBudget; only a
-// request's snapshot lands on a recorder. Caller holds e.mu; the
+// request's snapshot lands on a recorder, sp. Caller holds e.mu; the
 // model is resident.
-func (r *Registry) evictLocked(ctx context.Context, e *entry) error {
+func (r *Registry) evictLocked(sp *obs.Spans, e *entry) error {
 	sv := e.sv.Load()
 	if e.wal.Records() > 0 {
-		if err := r.snapshotLocked(ctx, e); err != nil {
+		if err := r.snapshotLocked(sp, e); err != nil {
 			return err
 		}
 	}
@@ -941,7 +938,7 @@ func (r *Registry) Close() error {
 		e.mu.Lock()
 		// e.wal is non-nil exactly while e is resident and persistent.
 		if e.wal != nil && e.wal.Records() > 0 {
-			if err := r.snapshotLocked(context.Background(), e); err != nil && first == nil {
+			if err := r.snapshotLocked(nil, e); err != nil && first == nil {
 				first = err
 			}
 		}

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"math/rand"
 	"os"
@@ -63,13 +62,16 @@ func TestRegistryCreateLookupDelete(t *testing.T) {
 	if _, err := r.Create("emg", cfg); !errors.Is(err, ErrExists) {
 		t.Fatalf("duplicate create: %v, want ErrExists", err)
 	}
-	if _, err := r.Create("../escape", cfg); err == nil {
-		t.Fatal("path-escaping name accepted")
+	if _, err := r.Create("../escape", cfg); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("path-escaping name: %v, want ErrInvalid", err)
 	}
-	if _, err := r.Serving("absent"); !errors.Is(err, ErrNotFound) {
+	if _, err := r.Create("nil-config", hdc.Config{}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("zero config: %v, want ErrInvalid", err)
+	}
+	if _, err := r.Serving(nil, "absent"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("absent lookup: %v, want ErrNotFound", err)
 	}
-	sv, err := r.Serving("emg")
+	sv, err := r.Serving(nil, "emg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func TestRegistryLearnAdvancesInfo(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := r.CorrectInfo(context.Background(), "m", "rest", randomWindow(cfg, rng))
+	got, err := r.CorrectInfo(nil, "m", "rest", randomWindow(cfg, rng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestRegistryEphemeralHasNoDisk(t *testing.T) {
 	}
 	// No eviction without a snapshot to fall back on: the model must
 	// stay resident despite the 1-byte budget.
-	if got, err := r.Serving("m"); err != nil || got != sv {
+	if got, err := r.Serving(nil, "m"); err != nil || got != sv {
 		t.Fatalf("ephemeral model evicted or replaced: %v %v", got, err)
 	}
 }
@@ -211,7 +213,7 @@ func TestRegistryEvictionAndFaultIn(t *testing.T) {
 	coldBefore := servingBytes(t, mustServing(t, r, "cold"))
 	// Touch hot last, then enforce: with a 1-byte budget every entry
 	// but the most recent loser is evicted; the LRU victim is cold.
-	if _, err := r.Serving("hot"); err != nil {
+	if _, err := r.Serving(nil, "hot"); err != nil {
 		t.Fatal(err)
 	}
 	r.EnforceBudget()
@@ -227,7 +229,7 @@ func TestRegistryEvictionAndFaultIn(t *testing.T) {
 
 func mustServing(t *testing.T, r *Registry, name string) *hdc.Serving {
 	t.Helper()
-	sv, err := r.Serving(name)
+	sv, err := r.Serving(nil, name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +250,7 @@ func TestRegistryClosedRejectsEverything(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if _, err := r.Serving("m"); !errors.Is(err, ErrClosed) {
+	if _, err := r.Serving(nil, "m"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Serving after Close: %v, want ErrClosed", err)
 	}
 	if _, err := r.Create("n", testConfig(hdc.BackendStored)); !errors.Is(err, ErrClosed) {
@@ -443,7 +445,7 @@ func TestRegisterMetricsReadsList(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := r.CorrectInfo(context.Background(), "emg", "rest", randomWindow(cfg, rng)); err != nil {
+	if _, err := r.CorrectInfo(nil, "emg", "rest", randomWindow(cfg, rng)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -490,7 +492,7 @@ func TestRegisterMetricsReadsList(t *testing.T) {
 	defer replica.Close()
 	replicaMetrics := obs.NewRegistry()
 	replica.RegisterMetrics(replicaMetrics)
-	data, gen, err := r.ExportServing(context.Background(), "emg")
+	data, gen, err := r.ExportServing(nil, "emg")
 	if err != nil {
 		t.Fatal(err)
 	}

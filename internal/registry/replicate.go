@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"context"
 	"fmt"
 
 	"pulphd/internal/hdc"
@@ -23,9 +22,10 @@ import (
 // generation, and the lock is released before the caller writes them
 // anywhere. Cold models fault in first (their WAL tail folds in during
 // fault-in, so the export is never stale). The snapshot is encoded
-// with walSeq 0: the receiver owns no WAL pairing for it.
-func (r *Registry) ExportServing(ctx context.Context, name string) (snap []byte, generation uint64, err error) {
-	sv, err := r.ServingCtx(ctx, name)
+// with walSeq 0: the receiver owns no WAL pairing for it. A fault-in
+// records on rec (nil: none).
+func (r *Registry) ExportServing(rec *obs.Spans, name string) (snap []byte, generation uint64, err error) {
+	sv, err := r.Serving(rec, name)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -42,8 +41,7 @@ func TestLifecycleSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.NewSpans(64)
-	ctx := obs.WithSpans(context.Background(), rec)
-	if err := r.CorrectCtx(ctx, "emg", "rest", randomWindow(cfg, rng)); err != nil {
+	if _, err := r.CorrectInfo(rec, "emg", "rest", randomWindow(cfg, rng)); err != nil {
 		t.Fatal(err)
 	}
 	names := spanNames(rec)
@@ -63,7 +61,7 @@ func TestLifecycleSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen with a budget of one one-class model: the first ServingCtx
+	// Reopen with a budget of one one-class model: the first Serving
 	// faults the model in (recover span included) inside the recorder
 	// that asked for it.
 	budget := int64(info.ResidentBytes)
@@ -73,8 +71,7 @@ func TestLifecycleSpans(t *testing.T) {
 	}
 	defer r2.Close()
 	rec2 := obs.NewSpans(64)
-	ctx2 := obs.WithSpans(context.Background(), rec2)
-	if _, err := r2.ServingCtx(ctx2, "emg"); err != nil {
+	if _, err := r2.Serving(rec2, "emg"); err != nil {
 		t.Fatal(err)
 	}
 	names2 := spanNames(rec2)
@@ -99,8 +96,7 @@ func TestLifecycleSpans(t *testing.T) {
 	// evictor snapshots and evicts other; the learn's timeline holds
 	// none of that.
 	rec3 := obs.NewSpans(64)
-	ctx3 := obs.WithSpans(context.Background(), rec3)
-	if err := r2.CorrectCtx(ctx3, "emg", "rest", randomWindow(cfg, rng)); err != nil {
+	if _, err := r2.CorrectInfo(rec3, "emg", "rest", randomWindow(cfg, rng)); err != nil {
 		t.Fatal(err)
 	}
 	names3 := spanNames(rec3)
@@ -119,8 +115,7 @@ func TestLifecycleSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec4 := obs.NewSpans(64)
-	ctx4 := obs.WithSpans(context.Background(), rec4)
-	if _, err := r2.ServingCtx(ctx4, "other"); err != nil {
+	if _, err := r2.Serving(rec4, "other"); err != nil {
 		t.Fatal(err)
 	}
 	if got := evictWALRecords(t, rec4); got != 2 {
@@ -140,8 +135,7 @@ func TestLifecycleSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec5 := obs.NewSpans(64)
-	ctx5 := obs.WithSpans(context.Background(), rec5)
-	if _, err := r2.ServingCtx(ctx5, "emg"); err != nil {
+	if _, err := r2.Serving(rec5, "emg"); err != nil {
 		t.Fatal(err)
 	}
 	if got := evictWALRecords(t, rec5); got != 0 {

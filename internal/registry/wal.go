@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -219,19 +218,12 @@ func OpenWAL(path string, nextSeq uint64, records int, sync bool) (*WAL, error) 
 // writes it to the log, fsyncing when the WAL is in sync mode. The
 // record is durable in the OS when Append returns — a kill -9 after
 // Append replays it, so the caller must Append before applying the
-// learn it acknowledges.
-func (w *WAL) Append(op Op, label string, window [][]float64) error {
-	_, err := w.AppendCtx(context.Background(), op, label, window)
-	return err
-}
-
-// AppendCtx is Append with a request context: a wal.append span wraps
-// the frame-and-write, a nested wal.fsync span times the fsync in sync
+// learn it acknowledges. A wal.append span on sp (nil: none) wraps the
+// frame-and-write, a nested wal.fsync span times the fsync in sync
 // mode, and the fsync duration comes back (0 when sync is off) so the
 // registry can feed its latency histogram.
-func (w *WAL) AppendCtx(ctx context.Context, op Op, label string, window [][]float64) (time.Duration, error) {
+func (w *WAL) Append(sp *obs.Spans, op Op, label string, window [][]float64) (time.Duration, error) {
 	rec := Record{Seq: w.seq, Op: op, Label: label, Window: window}
-	sp := obs.SpansFrom(ctx)
 	ap := sp.Start("wal.append", sp.Parent())
 	sp.Annotate(ap, "seq", int64(w.seq))
 	w.buf = AppendRecord(w.buf[:0], rec)

@@ -77,7 +77,7 @@ func TestWALAppendReplay(t *testing.T) {
 		testRecord(3, OpLearn, "point", 1, 4),
 	}
 	for _, rec := range want {
-		if err := w.Append(rec.Op, rec.Label, rec.Window); err != nil {
+		if _, err := w.Append(nil, rec.Op, rec.Label, rec.Window); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func TestWALReplayTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 3; i++ {
-		if err := w.Append(OpLearn, "g", testRecord(i, OpLearn, "g", 1, 4).Window); err != nil {
+		if _, err := w.Append(nil, OpLearn, "g", testRecord(i, OpLearn, "g", 1, 4).Window); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestWALResetKeepsSequence(t *testing.T) {
 	defer w.Close()
 	win := testRecord(0, OpLearn, "g", 1, 4).Window
 	for i := 0; i < 3; i++ {
-		if err := w.Append(OpLearn, "g", win); err != nil {
+		if _, err := w.Append(nil, OpLearn, "g", win); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,7 +160,7 @@ func TestWALResetKeepsSequence(t *testing.T) {
 	if w.NextSeq() != 4 {
 		t.Fatalf("nextSeq %d after reset, want 4", w.NextSeq())
 	}
-	if err := w.Append(OpCorrect, "h", win); err != nil {
+	if _, err := w.Append(nil, OpCorrect, "h", win); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

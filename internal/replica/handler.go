@@ -93,7 +93,7 @@ func (h *Handler) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// bytes, stored EMG models tens of KB), so the response carries an
 	// honest Content-Length and the generation header describes exactly
 	// the bytes that follow.
-	snap, gen, err := h.reg.ExportServing(r.Context(), name)
+	snap, gen, err := h.reg.ExportServing(nil, name)
 	if err != nil {
 		code := http.StatusInternalServerError
 		if errors.Is(err, registry.ErrNotFound) {

@@ -37,13 +37,14 @@ type SyncConfig struct {
 	// Client is the HTTP client used against the primary; nil means a
 	// client with a 30 s timeout.
 	Client *http.Client
-	// Timelines, when non-nil, records each cycle as a replica.sync
-	// span tree (with one replica.fetch child per snapshot pulled);
-	// Flight, when non-nil, pins cycles that error or overrun the
-	// interval. Log defaults to discard. All three optional.
-	Timelines *obs.Timelines
-	Flight    *flight.Ring
-	Log       *slog.Logger
+	// Spans, when non-nil, records each cycle as a replica.sync span
+	// tree (with one replica.fetch child per snapshot pulled) and keeps
+	// every cycle's timeline; Flight, when non-nil, pins cycles that
+	// error or overrun the interval. Log defaults to discard. All three
+	// optional.
+	Spans  *flight.Ring
+	Flight *flight.Ring
+	Log    *slog.Logger
 }
 
 // Syncer pulls model generations from a primary into a local
@@ -144,7 +145,11 @@ func (s *Syncer) Run(ctx context.Context) {
 // sync — and a failed model keeps serving its previous generation.
 func (s *Syncer) SyncOnce(ctx context.Context) error {
 	start := time.Now()
-	rec := s.cfg.Timelines.Acquire(s.cycle.Add(1))
+	var rec *obs.Spans
+	if s.cfg.Spans != nil {
+		rec = obs.NewSpans(64)
+		rec.Reset(s.cycle.Add(1))
+	}
 	root := rec.Start("replica.sync", obs.NoSpan)
 	var firstErr error
 	var totalLag int64
@@ -160,8 +165,10 @@ func (s *Syncer) SyncOnce(ctx context.Context) error {
 		if dur > s.cfg.Interval {
 			trig |= flight.TrigSlow
 		}
-		s.cfg.Flight.Capture(rec, "replica.sync", 0, trig, dur)
-		s.cfg.Timelines.Release(rec)
+		s.cfg.Spans.Capture(rec, "replica.sync", 0, 0, dur)
+		if trig != 0 {
+			s.cfg.Flight.Capture(rec, "replica.sync", 0, trig, dur)
+		}
 	}()
 
 	list, err := s.fetchList(ctx)

@@ -13,6 +13,7 @@ import (
 
 	"pulphd/internal/hdc"
 	"pulphd/internal/model"
+	"pulphd/internal/obs/flight"
 	"pulphd/internal/registry"
 )
 
@@ -69,12 +70,19 @@ func newPrimary(t *testing.T, budget int64) (*registry.Registry, *httptest.Serve
 
 func newTestSyncer(t *testing.T, primaryURL string) (*Syncer, *registry.Registry) {
 	t.Helper()
+	return newTracedSyncer(t, primaryURL, nil, nil)
+}
+
+// newTracedSyncer is newTestSyncer recording its cycles into the spans
+// and flight rings (either may be nil).
+func newTracedSyncer(t *testing.T, primaryURL string, spans, fl *flight.Ring) (*Syncer, *registry.Registry) {
+	t.Helper()
 	rep, err := registry.Open(registry.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rep.Close() })
-	s, err := NewSyncer(SyncConfig{Primary: primaryURL, Registry: rep})
+	s, err := NewSyncer(SyncConfig{Primary: primaryURL, Registry: rep, Spans: spans, Flight: fl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +118,7 @@ func TestReplicaSyncConverges(t *testing.T) {
 			// that generation — the set of states a replica may serve.
 			acked := map[string]map[uint64][]byte{}
 			for _, n := range names {
-				sv, err := reg.Serving(n)
+				sv, err := reg.Serving(nil, n)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -135,7 +143,7 @@ func TestReplicaSyncConverges(t *testing.T) {
 					if err := reg.Learn(name, labels[rng.Intn(len(labels))], randomWindow(cfg, rng)); err != nil {
 						t.Fatalf("step %d learn: %v", step, err)
 					}
-					sv, err := reg.Serving(name)
+					sv, err := reg.Serving(nil, name)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -147,11 +155,11 @@ func TestReplicaSyncConverges(t *testing.T) {
 				t.Fatalf("final sync: %v", err)
 			}
 			for _, n := range names {
-				psv, err := reg.Serving(n)
+				psv, err := reg.Serving(nil, n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rsv, err := rep.Serving(n)
+				rsv, err := rep.Serving(nil, n)
 				if err != nil {
 					t.Fatalf("model %q missing on replica: %v", n, err)
 				}
@@ -171,7 +179,7 @@ func TestReplicaSyncConverges(t *testing.T) {
 func checkReplicaState(t *testing.T, step int, rep *registry.Registry, acked map[string]map[uint64][]byte) {
 	t.Helper()
 	for _, info := range rep.List() {
-		sv, err := rep.Serving(info.Name)
+		sv, err := rep.Serving(nil, info.Name)
 		if err != nil {
 			t.Fatalf("step %d: replica model %q: %v", step, info.Name, err)
 		}
@@ -224,11 +232,63 @@ func TestSyncDropsDeletedModels(t *testing.T) {
 func TestSyncRejectsTornTransfer(t *testing.T) {
 	cfg := testConfig(hdc.BackendRemat)
 	rng := rand.New(rand.NewSource(7))
+	reg, url, tear := tearingPrimary(t, rng)
+	syncer, rep := newTestSyncer(t, url)
+	ctx := context.Background()
+	if err := syncer.SyncOnce(ctx); err != nil {
+		t.Fatalf("clean sync: %v", err)
+	}
+	base, err := rep.Serving(nil, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseGen := base.Generation()
+
+	if err := reg.Learn("m", "open", randomWindow(cfg, rng)); err != nil {
+		t.Fatal(err)
+	}
+	for name, setup := range map[string]func(){
+		"torn":    func() { tear(10, false) },
+		"corrupt": func() { tear(0, true) },
+	} {
+		setup()
+		if err := syncer.SyncOnce(ctx); err == nil {
+			t.Fatalf("%s transfer: sync reported success", name)
+		}
+		sv, err := rep.Serving(nil, "m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sv.Generation() != baseGen {
+			t.Fatalf("%s transfer advanced the replica to generation %d", name, sv.Generation())
+		}
+	}
+	tear(0, false)
+	if err := syncer.SyncOnce(ctx); err != nil {
+		t.Fatalf("healed sync: %v", err)
+	}
+	rsv, _ := rep.Serving(nil, "m")
+	psv, _ := reg.Serving(nil, "m")
+	if rsv == nil || psv == nil || rsv.Generation() != psv.Generation() {
+		t.Fatal("replica did not converge after the transfer healed")
+	}
+	if !bytes.Equal(servingBytes(t, rsv), servingBytes(t, psv)) {
+		t.Fatal("replica state diverged after healing")
+	}
+}
+
+// tearingPrimary serves a persistent primary holding model m, taught
+// one window. tear(n, false) truncates n bytes off every snapshot
+// response, tear(0, true) flips a byte in each instead, and tear(0,
+// false) heals the transfer.
+func tearingPrimary(t *testing.T, rng *rand.Rand) (*registry.Registry, string, func(torn int, corrupt bool)) {
+	t.Helper()
+	cfg := testConfig(hdc.BackendRemat)
 	reg, err := registry.Open(registry.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reg.Close()
+	t.Cleanup(func() { reg.Close() })
 	if _, err := reg.Create("m", cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +297,6 @@ func TestSyncRejectsTornTransfer(t *testing.T) {
 	}
 	inner := http.NewServeMux()
 	NewHandler(reg).Register(inner)
-	// torn > 0 truncates that many bytes off every snapshot response;
-	// corrupt flips a byte instead.
 	torn, corrupt := 0, false
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -259,49 +317,75 @@ func TestSyncRejectsTornTransfer(t *testing.T) {
 		w.Write(body)
 	})
 	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	t.Cleanup(srv.Close)
+	return reg, srv.URL, func(n int, c bool) { torn, corrupt = n, c }
+}
 
-	syncer, rep := newTestSyncer(t, srv.URL)
+// TestSyncRecordsCycles pins what a sync cycle records. With the
+// /debug/spans ring set, a cycle that pulls a snapshot keeps a
+// replica.sync timeline whose replica.fetch child carries the bytes
+// and the generation it installed; a torn transfer pins one error
+// capture for replica.sync in the flight ring; and with both rings nil
+// a cycle records nothing and still syncs.
+func TestSyncRecordsCycles(t *testing.T) {
+	cfg := testConfig(hdc.BackendRemat)
+	rng := rand.New(rand.NewSource(7))
+	reg, url, tear := tearingPrimary(t, rng)
+	spans, fl := flight.NewRing(8, 64), flight.NewRing(8, 64)
+	syncer, rep := newTracedSyncer(t, url, spans, fl)
 	ctx := context.Background()
 	if err := syncer.SyncOnce(ctx); err != nil {
-		t.Fatalf("clean sync: %v", err)
+		t.Fatal(err)
 	}
-	base, err := rep.Serving("m")
+	sv, err := rep.Serving(nil, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseGen := base.Generation()
+	held := spans.Snapshot("replica.sync")
+	if len(held) != 1 {
+		t.Fatalf("spans ring holds %d replica.sync timelines after one cycle, want 1", len(held))
+	}
+	tl := held[0].Spans
+	if len(tl) != 2 || tl[0].Name != "replica.sync" || tl[1].Name != "replica.fetch" || tl[1].Parent != 0 {
+		t.Fatalf("cycle timeline %+v, want replica.sync → replica.fetch", tl)
+	}
+	attrs := map[string]int64{}
+	for _, a := range tl[1].Attrs {
+		attrs[a.Key] = a.Value
+	}
+	if attrs["bytes"] <= 0 || attrs["generation"] != int64(sv.Generation()) {
+		t.Fatalf("replica.fetch attrs %v, want bytes > 0 and generation %d", attrs, sv.Generation())
+	}
+	if fl.Captures() != 0 {
+		t.Fatalf("a clean cycle pinned %d flight captures", fl.Captures())
+	}
 
 	if err := reg.Learn("m", "open", randomWindow(cfg, rng)); err != nil {
 		t.Fatal(err)
 	}
-	for name, setup := range map[string]func(){
-		"torn":    func() { torn, corrupt = 10, false },
-		"corrupt": func() { torn, corrupt = 0, true },
-	} {
-		setup()
-		if err := syncer.SyncOnce(ctx); err == nil {
-			t.Fatalf("%s transfer: sync reported success", name)
-		}
-		sv, err := rep.Serving("m")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sv.Generation() != baseGen {
-			t.Fatalf("%s transfer advanced the replica to generation %d", name, sv.Generation())
-		}
+	tear(10, false)
+	if err := syncer.SyncOnce(ctx); err == nil {
+		t.Fatal("torn transfer: sync reported success")
 	}
-	torn, corrupt = 0, false
-	if err := syncer.SyncOnce(ctx); err != nil {
-		t.Fatalf("healed sync: %v", err)
+	pinned := fl.Snapshot("")
+	if len(pinned) != 1 || pinned[0].Model != "replica.sync" || pinned[0].Trigger&flight.TrigError == 0 {
+		t.Fatalf("flight ring after a torn transfer: %+v, want one error capture for replica.sync", pinned)
 	}
-	rsv, _ := rep.Serving("m")
-	psv, _ := reg.Serving("m")
-	if rsv == nil || psv == nil || rsv.Generation() != psv.Generation() {
-		t.Fatal("replica did not converge after the transfer healed")
+	if spans.Len() != 2 {
+		t.Fatalf("spans ring holds %d cycles after two, want 2", spans.Len())
 	}
-	if !bytes.Equal(servingBytes(t, rsv), servingBytes(t, psv)) {
-		t.Fatal("replica state diverged after healing")
+
+	tear(0, false)
+	plain, plainRep := newTestSyncer(t, url)
+	if err := plain.SyncOnce(ctx); err != nil {
+		t.Fatalf("untraced sync: %v", err)
+	}
+	psv, err := reg.Serving(nil, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := plainRep.Serving(nil, "m"); err != nil || got.Generation() != psv.Generation() {
+		t.Fatalf("untraced cycle did not sync m to generation %d (err %v)", psv.Generation(), err)
 	}
 }
 

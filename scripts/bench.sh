@@ -35,9 +35,9 @@ go test -run '^$' \
   -benchmem -count "$COUNT" ./internal/registry/ "$@" | tee -a "$OUT"
 # HTTP/JSON handler rung: one /predict or /learn per op through the
 # handler, from the in-memory request body to the answer bytes (EMG
-# geometry, five classes, no state directory, so no fsync). The
-# predict runs twice: /off observes nothing, /defaults observes as a
-# flagless `pulphd serve` does.
+# geometry, five classes, no state directory, so no fsync). Each runs
+# twice: /off observes nothing, /defaults observes as a flagless
+# `pulphd serve` does.
 go test -run '^$' \
   -bench 'BenchmarkHandlePredict$|BenchmarkHandleLearn$' \
   -benchmem -count "$COUNT" ./cmd/pulphd/ "$@" | tee -a "$OUT"

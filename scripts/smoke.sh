@@ -475,6 +475,13 @@ for rep in "$REPA_ADDR" "$REPB_ADDR"; do
 done
 echo "smoke: replication catch-up ok (generation $GEN on every replica, lag 0)"
 
+# A replica records its sync cycles like requests: with the default
+# -trace-requests 32, each cycle's replica.sync timeline lands in its
+# /debug/spans ring.
+"${CURL[@]}" -sf -o "$TMP/body" "http://$REPA_ADDR/debug/spans" || replfail "replica /debug/spans failed"
+grep -q '"replica.sync"' "$TMP/body" || replfail "replica /debug/spans lacks a replica.sync cycle"
+echo "smoke: replica sync cycles in /debug/spans ok"
+
 # Predicts via the front serve from replicas after catch-up.
 "${CURL[@]}" -sf -o "$TMP/body" -X POST -H 'X-PULPHD-Session: smoke-1' \
   -d '{"window":[[1,2,3,4]]}' "http://$FRONT_ADDR/predict" \

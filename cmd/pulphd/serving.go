@@ -562,9 +562,9 @@ func (s *apiServer) finish(w http.ResponseWriter, c *call, code int, gen uint64,
 	if th := s.slo.SlowThreshold(c.model); th > 0 && dur > th {
 		trig |= flight.TrigSlow
 	}
-	s.spans.Capture(c.rec, c.model, gen, 0, dur)
+	s.spans.Capture(c.rec, c.model, gen, 0, c.start, dur)
 	if trig != 0 {
-		s.flight.Capture(c.rec, c.model, gen, trig, dur)
+		s.flight.Capture(c.rec, c.model, gen, trig, c.start, dur)
 	}
 	if code < 400 || code >= 500 || code == http.StatusTooManyRequests {
 		s.slo.Record(c.model, dur, code >= 400)

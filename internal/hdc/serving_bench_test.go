@@ -83,15 +83,22 @@ func BenchmarkServingLearn(b *testing.B) {
 
 // BenchmarkServingLearnWide is BenchmarkServingLearn at the wide-am
 // workload's 1,029 classes, where the cost of a publish that grows
-// with the class count shows: the learned class is the last one.
+// with the class count shows. In first the learned class is class 0,
+// in block 0, whose publish recomputes one drift; in last it is the
+// last class, whose publish rescans its block once per anchor.
 func BenchmarkServingLearnWide(b *testing.B) {
 	sv, samples := benchServing(b, 1029)
-	s := samples[len(samples)-1]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sv.Learn(s.Label, s.Window); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		s    sample
+	}{{"first", samples[0]}, {"last", samples[len(samples)-1]}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := sv.Learn(bc.s.Label, bc.s.Window); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"pulphd/internal/obs"
 	"pulphd/internal/obs/flight"
@@ -292,7 +293,7 @@ func TestServingConcurrentPredictLearnWithSpans(t *testing.T) {
 					return
 				}
 				rec.End(root)
-				ring.Capture(rec, "", 0, 0, 0)
+				ring.Capture(rec, "", 0, 0, time.Unix(0, 0), 0)
 			}
 		}(g)
 	}

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"pulphd/internal/hdref"
 )
 
 // TestServingConcurrentPredictLearn hammers the copy-on-write model
@@ -128,6 +130,81 @@ func TestServingConcurrentPredictLearn(t *testing.T) {
 				t.Errorf("published %d generations, want %d", published, iters)
 			}
 		})
+	}
+}
+
+// TestServingConcurrentPredictLearnWide is the hammer at 24 classes,
+// three slab blocks, where the scan skips blocks by the slab's bounds.
+// One learner writes the classes of block 0, moving their drift, and
+// another the classes of the later blocks, rewriting those blocks'
+// bounds, while readers predict. Afterwards every test window must get
+// the answer hdref.RefAM gives over the final prototypes.
+func TestServingConcurrentPredictLearnWide(t *testing.T) {
+	const classes = 24
+	rng := rand.New(rand.NewSource(24))
+	cfg := servingConfig()
+	sv, err := NewServing(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	learnAll(t, sv, syntheticSamples(cfg, classes, 2*classes, rng))
+	test := syntheticSamples(cfg, classes, 2*classes, rng)
+	var first, later []sample
+	for i, s := range syntheticSamples(cfg, classes, 20*classes, rng) {
+		if i%classes < 8 {
+			first = append(first, s)
+		} else {
+			later = append(later, s)
+		}
+	}
+	if testing.Short() {
+		first, later = first[:40], later[:40]
+	}
+
+	var stop atomic.Bool
+	var readers, learners sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			ses := sv.NewSession()
+			for i := g; !stop.Load(); i++ {
+				label, dist := ses.PredictCtx(context.Background(), nil, test[i%len(test)].Window)
+				if label == "" || dist < 0 || dist > cfg.D {
+					t.Errorf("reader observed (%q,%d)", label, dist)
+					return
+				}
+			}
+		}(g)
+	}
+	for _, samples := range [][]sample{first, later} {
+		learners.Add(1)
+		go func(samples []sample) {
+			defer learners.Done()
+			for _, s := range samples {
+				if err := sv.Learn(s.Label, s.Window); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(samples)
+	}
+	learners.Wait()
+	stop.Store(true)
+	readers.Wait()
+
+	am := sv.gen.Load().am
+	ref := hdref.RefAM{Labels: sv.Labels()}
+	for i := 0; i < am.Len(); i++ {
+		ref.Prototypes = append(ref.Prototypes, am.Row(i).Bits())
+	}
+	ses := sv.NewSession()
+	for i, s := range test {
+		ses.ctx.encodeTo(ses.ctx.query, s.Window, cfg.NGram)
+		wantLabel, wantDist := ref.Classify(ses.ctx.query.Bits())
+		if label, dist := sv.Predict(s.Window); label != wantLabel || dist != wantDist {
+			t.Fatalf("window %d: predicts (%q,%d), reference (%q,%d)", i, label, dist, wantLabel, wantDist)
+		}
 	}
 }
 

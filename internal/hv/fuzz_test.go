@@ -2,6 +2,7 @@ package hv
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -145,6 +146,115 @@ func FuzzNearestAgainstReference(f *testing.F) {
 		forEachHammingKernel(t, func(t *testing.T) {
 			if idx, dist := s.Nearest(query); strconv.Itoa(idx) != wantLabel || dist != wantDist {
 				t.Fatalf("d=%d rows=%d: Nearest=(%d,%d), reference (%s,%d)", d, n, idx, dist, wantLabel, wantDist)
+			}
+		})
+	})
+}
+
+// FuzzSlabPublishAgainstReference drives the bounds upkeep: the
+// fuzzer's op bytes write a multi-block slab through appends, With and
+// WithBundle into block 0 and into later blocks, at dimensions 1–6,000
+// and 10,000. A new row is the seed row with a few bits flipped, a row
+// already held with a few bits flipped, or a copy of one, so the
+// bounds rule blocks out, later rows sit near rewritten block-0 rows,
+// and ties occur across blocks. After each write the bounds must equal
+// their recomputation (checkBounds). At the end Nearest, on both
+// kernels, must answer as hdref.RefAM does for a query a few bits from
+// every row and a random one.
+func FuzzSlabPublishAgainstReference(f *testing.F) {
+	f.Add([]byte{0x00, 0x05, 0x12, 0x27, 0x33}, []byte{0xaa, 0x55}, uint16(999), uint8(9), int64(1))
+	f.Add([]byte{0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80}, []byte{0x12, 0x34}, uint16(0), uint8(20), int64(2))
+	f.Add([]byte{0x06, 0x0e, 0x16, 0x1e, 0x26, 0x2e}, []byte{0xf0}, uint16(4097), uint8(30), int64(3))
+	// A bundle written into block 0, and a query where only its drift
+	// keeps the scan from skipping the block that holds the answer.
+	f.Add([]byte{0x32}, []byte{0x30}, uint16(999), uint8(9), int64(1))
+	f.Fuzz(func(t *testing.T, ops, rawRow []byte, dRaw uint16, nRaw uint8, seed int64) {
+		d := int(dRaw)%6000 + 1
+		if dRaw%8 == 0 {
+			d = 10000
+		}
+		if len(ops) > 32 {
+			ops = ops[:32]
+		}
+		base := FromBits(unpackRaw(rawRow, d))
+		rng := rand.New(rand.NewSource(seed))
+		var rows []Vector
+		newRow := func() Vector {
+			switch r := rng.Intn(4); {
+			case r == 0 && len(rows) > 0:
+				return rows[rng.Intn(len(rows))].Clone()
+			case r == 1 && len(rows) > 0:
+				return rows[rng.Intn(len(rows))].Clone().FlipBits(rng.Intn(d/64+2), rng)
+			}
+			return base.Clone().FlipBits(rng.Intn(d/32+2), rng)
+		}
+		for n := blockLanes + 1 + int(nRaw)%24; len(rows) < n; {
+			rows = append(rows, newRow())
+		}
+		initial, anchor := slices.Clone(rows), slices.Clone(rows[:blockLanes])
+		type write struct {
+			i    int
+			v    Vector
+			bd   *Bundler
+			seed int64
+		}
+		var writes []write
+		for _, op := range ops {
+			// Bits 0–1 pick the write, bit 2 block 0 or a later block,
+			// and the rest the row within it.
+			w := write{i: len(rows)}
+			if op&3 != 0 {
+				w.i = int(op>>3) % blockLanes
+				if op&4 != 0 {
+					w.i = blockLanes + int(op>>3)%(len(rows)-blockLanes)
+				}
+			}
+			if op&3 == 2 {
+				w.bd = NewBundler(d)
+				for k := 1 + rng.Intn(3); k > 0; k-- {
+					w.bd.Add(newRow())
+				}
+				w.seed = int64(op)
+				w.v = w.bd.Vector(rand.New(rand.NewSource(w.seed)))
+			} else {
+				w.v = newRow()
+			}
+			if w.i == len(rows) {
+				rows = append(rows, w.v)
+			} else {
+				rows[w.i] = w.v
+			}
+			writes = append(writes, w)
+		}
+		ref := hdref.RefAM{}
+		for i, r := range rows {
+			ref.Labels = append(ref.Labels, strconv.Itoa(i))
+			ref.Prototypes = append(ref.Prototypes, r.Bits())
+		}
+		queries := []Vector{NewRandom(d, rng)}
+		for _, r := range rows {
+			queries = append(queries, r.Clone().FlipBits(rng.Intn(d/64+2), rng))
+		}
+		want := make([][2]string, len(queries))
+		for k, q := range queries {
+			label, dist := ref.Classify(q.Bits())
+			want[k] = [2]string{label, strconv.Itoa(dist)}
+		}
+		forEachHammingKernel(t, func(t *testing.T) {
+			s := NewSlab(d, initial)
+			checkBounds(t, s, anchor)
+			for _, w := range writes {
+				if w.bd != nil {
+					s = s.WithBundle(w.i, w.bd, rand.New(rand.NewSource(w.seed)))
+				} else {
+					s = s.With(w.i, w.v)
+				}
+				checkBounds(t, s, anchor)
+			}
+			for k, q := range queries {
+				if idx, dist := s.Nearest(q); [2]string{strconv.Itoa(idx), strconv.Itoa(dist)} != want[k] {
+					t.Fatalf("d=%d rows=%d: Nearest=(%d,%d), reference %v", d, len(rows), idx, dist, want[k])
+				}
 			}
 		})
 	})

@@ -78,8 +78,11 @@ func hammingVPOPCNTDQ(a, b *uint32, n int) int
 // VPOPCNTQ of the eight lanes into one vector of partial distances;
 // after every 8-word (512-bit) step, and after the tail words, one
 // unsigned compare against the broadcast best drops the block when no
-// lane is below it. The packed words are read only up to nw: an odd
-// last word is loaded as 32 bits.
+// lane is below it. Block 0's exact distances plus its drift bounds
+// stay in a register, and before each later block one signed compare
+// of the block's bounds minus them against the best skips it. The
+// packed words are read only up to nw: an odd last word is loaded as
+// 32 bits.
 //
 //go:noescape
 func nearestVPOPCNTDQ(q *uint32, nw int, blocks *[]uint64, nblocks, lanes int) (index, distance int)

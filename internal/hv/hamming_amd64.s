@@ -118,13 +118,15 @@ done:
 // SI is the query; R8 counts its full 8-word steps, R9 the uint64
 // words after them, and bit 0 of R10 marks an odd last packed word.
 // BX walks the block slice headers and R11 counts the blocks left; R12
-// is the row of the current block's lane 0. R13 is the best distance,
-// broadcast in Z6, and R14 its row. Per block, DI walks the lines, AX
-// the query, CX the steps, and Z0 holds the eight partial distances.
-// K2 marks the lanes of the last block past the slab's last row; they
-// start at unreached (Z7), the initial best, so they never keep a
-// block alive and never win. The 64-byte frame receives Z0 when a
-// block scores all its words.
+// is the row of the current block's lane 0. Every block ends in its
+// eight uint32 bounds, R15 bytes past its start. R13 is the best
+// distance, broadcast in Z6, and R14 its row. Per block, DI walks the
+// lines, AX the query, CX the steps, and Z0 holds the eight partial
+// distances. K2 marks the lanes of the last block past the slab's last
+// row; they start at unreached (Z7), the initial best, so they never
+// keep a block alive and never win. Once block 0 is scored, Z8 holds
+// its eight distances plus its drift bounds. The 64-byte frame
+// receives Z0 when a block scores all its words.
 TEXT ·nearestVPOPCNTDQ(SB), NOSPLIT, $64-56
 	MOVQ         q+0(FP), SI
 	MOVQ         nw+8(FP), R10
@@ -134,6 +136,9 @@ TEXT ·nearestVPOPCNTDQ(SB), NOSPLIT, $64-56
 	MOVL         $0xff, DX
 	SHLL         CX, DX
 	KMOVW        DX, K2
+	MOVQ         8(BX), R15
+	SHLQ         $3, R15
+	SUBQ         $32, R15
 	MOVQ         R10, R8
 	SHRQ         $1, R8
 	MOVQ         R8, R9
@@ -144,9 +149,20 @@ TEXT ·nearestVPOPCNTDQ(SB), NOSPLIT, $64-56
 	VMOVDQA64    Z6, Z7
 	MOVQ         $-1, R14
 	XORQ         R12, R12
+	MOVQ         (BX), DI
+	JMP          block
+
+later:
+	// Skip block g ≥ 1 unread when, in some lane, its bound minus Z8
+	// (block 0's distance plus drift) is at least the best.
+	MOVQ      (BX), DI
+	VPMOVZXDQ (DI)(R15*1), Z1
+	VPSUBQ    Z8, Z1, Z1
+	VPCMPQ    $5, Z6, Z1, K1
+	KORTESTW  K1, K1
+	JNZ       next
 
 block:
-	MOVQ   (BX), DI
 	MOVQ   SI, AX
 	VPXORQ Z0, Z0, Z0
 	CMPQ   R11, $1
@@ -225,12 +241,20 @@ cleared:
 	ANDL         DI, DX
 	JNZ          lane
 	VPBROADCASTQ R13, Z6
+	TESTQ        R12, R12
+	JNZ          next
+
+	// Block 0, always scored in full: keep its exact distances plus its
+	// drift bounds for the later blocks' skip test.
+	MOVQ      (BX), DI
+	VPMOVZXDQ (DI)(R15*1), Z8
+	VPADDQ    Z0, Z8, Z8
 
 next:
 	ADDQ $24, BX
 	ADDQ $8, R12
 	DECQ R11
-	JNZ  block
+	JNZ  later
 	VZEROUPPER
 	MOVQ R14, index+40(FP)
 	MOVQ R13, distance+48(FP)

@@ -30,28 +30,43 @@ const unreached = 1 << 62
 // popcounted scores eight rows at once, and the eight partial
 // distances sit in one vector with no horizontal sum. Every row is
 // padded with zero words to whole 512-bit steps, so a 10,000-D row
-// (313 packed words) takes 160 uint64 and a block 10,240 bytes. Lanes
-// past the last row of the last block are zero.
+// (313 packed words) takes 160 uint64. Lanes past the last row of the
+// last block are zero.
+//
+// A slab of two or more blocks also keeps LAESA bounds (Micó, Oncina
+// and Vidal, 1994), which let Nearest skip a block without reading it.
+// The pivots are the anchors: copies of block 0's eight rows, taken
+// when the slab first held two blocks or was built, and shared by
+// every slab derived from it. Each block ends in its eight uint32
+// bounds, 32 bytes, so a 10,000-D block takes 10,272 bytes. Block 0's
+// bound l is the drift, the distance from anchor l to block 0's
+// current row l; block g's bound l, for g ≥ 1, is the distance from
+// anchor l to block g's nearest row. A one-block slab has no anchors,
+// and its bounds stay zero.
 //
 // A Slab never changes after construction. With and WithBundle return
 // a new Slab that copies one block and the block-pointer slice and
 // shares every other block, so a copy-on-write publish costs one block
 // at any row count, and any number of goroutines may search any Slab.
+// Only the written block's bounds change: a write into block 0
+// recomputes one drift, one Hamming distance, and a write into block
+// g ≥ 1 its eight bounds, one scan of the block per anchor.
 type Slab struct {
 	d      int
 	n      int
 	blocks [][]uint64
+	anchor *[blockLanes]Vector
 }
 
 // NewSlab returns a slab holding copies of rows, in order. It panics
 // if d is not positive or a row's dimension differs from d.
 func NewSlab(d int, rows []Vector) *Slab {
-	s := NewSlabBuilder(d).s
+	b := NewSlabBuilder(d)
 	for _, v := range rows {
-		s.checkRow("NewSlab", v)
-		s.push(v.words)
+		b.s.checkRow("NewSlab", v)
+		b.s.push(v.words)
 	}
-	return s
+	return b.Build()
 }
 
 // SlabBuilder fills a new Slab one row at a time, allocating a block
@@ -84,8 +99,18 @@ func (b SlabBuilder) AddWords(words []uint32) error {
 	return nil
 }
 
-// Build returns the slab of the rows added so far.
-func (b SlabBuilder) Build() *Slab { return b.s }
+// Build returns the slab of the rows added so far, anchored at its
+// current block 0 when it holds two or more blocks.
+func (b SlabBuilder) Build() *Slab {
+	if len(b.s.blocks) > 1 {
+		b.s.anchorBounds()
+	}
+	return b.s
+}
+
+// boundWords is the number of uint64 words that end every block and
+// hold its eight uint32 bounds, bound 2k in the low half of word k.
+const boundWords = blockLanes / 2
 
 // push appends packed words ws as row n, starting a zero block when
 // the last one is full.
@@ -98,10 +123,22 @@ func (s *Slab) push(ws []uint32) {
 }
 
 // blockLen returns the uint64 words of one block: eight rows of
-// WordsFor(d) packed words, padded to whole steps.
+// WordsFor(d) packed words, padded to whole steps, and the bounds.
 func (s *Slab) blockLen() int {
 	steps := (WordsFor(s.d) + 2*stepWords - 1) / (2 * stepWords)
-	return steps * stepWords * blockLanes
+	return steps*stepWords*blockLanes + boundWords
+}
+
+// bound returns bound l of block blk.
+func bound(blk []uint64, l int) uint64 {
+	return blk[len(blk)-boundWords+l/2] >> (32 * (l % 2)) & (1<<32 - 1)
+}
+
+// setBound sets bound l of block blk to v, a distance, which is below
+// 2^32 for any row under 512 MB.
+func setBound(blk []uint64, l, v int) {
+	w, shift := &blk[len(blk)-boundWords+l/2], 32*(l%2)
+	*w = *w&^((1<<32-1)<<shift) | uint64(v)<<shift
 }
 
 func (s *Slab) checkRow(op string, v Vector) {
@@ -154,6 +191,7 @@ func (s *Slab) With(i int, v Vector) *Slab {
 	s.checkRow("Slab.With", v)
 	next, lane := s.cow(i)
 	putRow(lane, v.words)
+	next.rebound(i)
 	return next
 }
 
@@ -171,6 +209,7 @@ func (s *Slab) WithBundle(i int, b *Bundler, rng *rand.Rand) *Slab {
 	for j := 0; j < b.nw64; j++ {
 		lane[j*blockLanes] = b.word(j, col, t, rng)
 	}
+	next.rebound(i)
 	return next
 }
 
@@ -181,7 +220,7 @@ func (s *Slab) cow(i int) (*Slab, []uint64) {
 	if i < 0 || i > s.n {
 		panic(fmt.Sprintf("hv: Slab.With: row %d out of range [0,%d]", i, s.n))
 	}
-	next := &Slab{d: s.d, n: max(s.n, i+1)}
+	next := &Slab{d: s.d, n: max(s.n, i+1), anchor: s.anchor}
 	g := i / blockLanes
 	next.blocks = make([][]uint64, max(len(s.blocks), g+1))
 	copy(next.blocks, s.blocks)
@@ -195,6 +234,47 @@ func (s *Slab) cow(i int) (*Slab, []uint64) {
 	return next, blk[i%blockLanes:]
 }
 
+// rebound brings the bounds of s up to date after a write into row i
+// of a copy made by cow, which holds row i's block alone. A slab that
+// has just reached two blocks is anchored; a write into block 0
+// recomputes row i's drift, and a write into block g ≥ 1 the bounds of
+// block g.
+func (s *Slab) rebound(i int) {
+	switch g := i / blockLanes; {
+	case len(s.blocks) < 2:
+	case s.anchor == nil:
+		s.anchorBounds()
+	case g == 0:
+		setBound(s.blocks[0], i, laneDistance(s.anchor[i].words, s.blocks[0][i:]))
+	default:
+		s.boundBlock(g)
+	}
+}
+
+// anchorBounds makes copies of block 0's rows the anchors of s and
+// computes the bounds of every later block. Block 0's drift bounds are
+// zero already: its rows have never been written since they were
+// added, and it may be shared with a one-block slab.
+func (s *Slab) anchorBounds() {
+	s.anchor = new([blockLanes]Vector)
+	for l := range s.anchor {
+		s.anchor[l] = s.Row(l)
+	}
+	for g := 1; g < len(s.blocks); g++ {
+		s.boundBlock(g)
+	}
+}
+
+// boundBlock sets bound l of block g to the distance from anchor l to
+// the block's nearest row: a one-block scan per anchor.
+func (s *Slab) boundBlock(g int) {
+	lanes := min(s.n-g*blockLanes, blockLanes)
+	for l, a := range s.anchor {
+		_, dist := nearest(a.words, s.blocks[g:g+1], lanes)
+		setBound(s.blocks[g], l, dist)
+	}
+}
+
 // Nearest returns the index of the row closest to q in Hamming
 // distance, and that distance. Ties keep the lowest index. It panics
 // if the slab is empty or q's dimension differs. It allocates nothing.
@@ -205,6 +285,15 @@ func (s *Slab) cow(i int) (*Slab, []uint64) {
 // equal, and an equal one loses the tie to the earlier index. A block
 // that scores all its words holds exact distances, and its lanes are
 // taken in index order, replacing the best only when strictly smaller.
+//
+// Block 0 is always scored in full, so its eight distances d0 are
+// exact. In a slab of two or more blocks, the scan skips block g ≥ 1
+// without reading its rows when, for some lane l, its bound l minus
+// (d0[l] + drift l) is at least the best. By the triangle inequality
+// through anchor l, every row c of block g then has d(q,c) ≥
+// d(anchor l,c) − d(q,row l) − d(row l,anchor l) ≥ best, and a tie
+// loses to the earlier index the best already holds.
+//
 // The answer is the one an exhaustive scan gives. The host's kernel
 // runs the scan (see hamming_amd64.go): an AVX-512 VPOPCNTDQ loop that
 // scores a block's eight rows per instruction, or nearestPortable.
@@ -226,30 +315,36 @@ func (s *Slab) Distances(dst []int, q Vector) []int {
 	}
 	dst = dst[:s.n]
 	for i := range dst {
-		lane := s.blocks[i/blockLanes][i%blockLanes:]
-		d := 0
-		for w := 0; 2*w < len(q.words); w++ {
-			d += bits.OnesCount64(queryWord(q.words, w) ^ lane[w*blockLanes])
-		}
-		dst[i] = d
+		dst[i] = laneDistance(q.words, s.blocks[i/blockLanes][i%blockLanes:])
 	}
 	return dst
 }
 
-// queryWord returns uint64 word w of packed words q: q[2w] in the low
-// half, q[2w+1] (or zero past the end) in the high half.
-func queryWord(q []uint32, w int) uint64 {
-	if 2*w+1 < len(q) {
-		return pair64(q[2*w], q[2*w+1])
+// laneDistance returns the Hamming distance from packed words q to the
+// row that starts lane, one lane of a block.
+func laneDistance(q []uint32, lane []uint64) int {
+	full := len(q) / 2
+	d := 0
+	if q64, ok := words64(q); ok {
+		for w, x := range q64 {
+			d += bits.OnesCount64(x ^ lane[w*blockLanes])
+		}
+	} else {
+		for w := 0; w < full; w++ {
+			d += bits.OnesCount64(pair64(q[2*w], q[2*w+1]) ^ lane[w*blockLanes])
+		}
 	}
-	return uint64(q[2*w])
+	if len(q)%2 == 1 {
+		d += bits.OnesCount64(uint64(q[len(q)-1]) ^ lane[full*blockLanes])
+	}
+	return d
 }
 
 // nearestPortable is Slab.Nearest's scan in Go, the only kernel off
 // amd64 and the fallback on amd64 hosts without VPOPCNTDQ. q holds the
 // query's packed words, blocks the slab's blocks, and lanes the rows
 // of the last block (1–8). It scores the same words as the vector
-// kernel and returns the same answer.
+// kernel, skips the same blocks and returns the same answer.
 //
 // Whole steps go through blockStep, which reads the step's 512
 // contiguous block bytes in order; the words after them, and a query
@@ -267,7 +362,11 @@ func nearestPortable(q []uint32, blocks [][]uint64, lanes int) (index, distance 
 	}
 	best := uint64(unreached)
 	index = -1
+	var floor [blockLanes]uint64 // block 0's distances plus drift
 	for g, blk := range blocks {
+		if g > 0 && ruledOut(blk, &floor, best) {
+			continue
+		}
 		var acc [blockLanes]uint64
 		if g == len(blocks)-1 {
 			for l := lanes; l < blockLanes; l++ {
@@ -302,8 +401,24 @@ func nearestPortable(q []uint32, blocks [][]uint64, lanes int) (index, distance 
 				best, index = a, g*blockLanes+l
 			}
 		}
+		if g == 0 {
+			for l, a := range acc {
+				floor[l] = a + bound(blk, l)
+			}
+		}
 	}
 	return index, int(best)
+}
+
+// ruledOut reports whether some lane l has bound l of block blk minus
+// floor[l] at least best, which rules out every row of the block.
+func ruledOut(blk []uint64, floor *[blockLanes]uint64, best uint64) bool {
+	for k, w := range blk[len(blk)-boundWords:] {
+		if w&(1<<32-1) >= floor[2*k]+best || w>>32 >= floor[2*k+1]+best {
+			return true
+		}
+	}
+	return false
 }
 
 // blockStep adds to the eight partial distances in acc one 512-bit

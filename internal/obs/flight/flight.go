@@ -84,7 +84,7 @@ type Entry struct {
 	Model      string // resolved tenant model ("" on legacy routes)
 	Generation uint64 // model generation that served the request
 	Trigger    Trigger
-	UnixNanos  int64 // capture wall time
+	UnixNanos  int64 // wall time at the request's end: start + Duration
 	Duration   time.Duration
 	Dropped    int // spans the recorder had to drop
 	Spans      []obs.Span
@@ -98,7 +98,6 @@ type Ring struct {
 	entries []Entry
 	next    int
 	seq     uint64
-	now     func() int64 // unix-nano clock, swappable in tests
 }
 
 // NewRing returns a recorder keeping the last keep captures of up to
@@ -111,10 +110,7 @@ func NewRing(keep, spanCap int) *Ring {
 	if spanCap < 1 {
 		spanCap = 1
 	}
-	r := &Ring{
-		entries: make([]Entry, keep),
-		now:     func() int64 { return time.Now().UnixNano() },
-	}
+	r := &Ring{entries: make([]Entry, keep)}
 	for i := range r.entries {
 		r.entries[i].Spans = make([]obs.Span, 0, spanCap)
 	}
@@ -123,13 +119,14 @@ func NewRing(keep, spanCap int) *Ring {
 
 // Capture pins one finished request into the ring: metadata always,
 // plus a copy of rec's spans when tracing ran (rec may be nil). The
-// caller must be done writing spans, and may reuse rec once Capture
-// returns. A zero trigger captures too (rendered "none"): the
-// /debug/spans ring keeps every request, so the flight recorder's
-// callers skip untriggered requests themselves. Allocation-free: span
-// copies land in the slot's preallocated backing array (overflow
-// beyond its capacity is counted in Dropped).
-func (r *Ring) Capture(rec *obs.Spans, model string, generation uint64, trig Trigger, dur time.Duration) {
+// request started at start and ran for dur; the ring reads no clock
+// of its own. The caller must be done writing spans, and may reuse
+// rec once Capture returns. A zero trigger captures too (rendered
+// "none"): the /debug/spans ring keeps every request, so the flight
+// recorder's callers skip untriggered requests themselves.
+// Allocation-free: span copies land in the slot's preallocated backing
+// array (overflow beyond its capacity is counted in Dropped).
+func (r *Ring) Capture(rec *obs.Spans, model string, generation uint64, trig Trigger, start time.Time, dur time.Duration) {
 	if r == nil {
 		return
 	}
@@ -141,7 +138,7 @@ func (r *Ring) Capture(rec *obs.Spans, model string, generation uint64, trig Tri
 	e.Model = model
 	e.Generation = generation
 	e.Trigger = trig
-	e.UnixNanos = r.now()
+	e.UnixNanos = start.Add(dur).UnixNano()
 	e.Duration = dur
 	e.ID = 0
 	e.Dropped = 0

@@ -10,6 +10,10 @@ import (
 	"pulphd/internal/obs"
 )
 
+// testStart is the start time of every capture whose wall time no
+// test reads.
+var testStart = time.Unix(1700000000, 0)
+
 // testRec builds a recorder holding a small request-shaped span tree.
 func testRec(id uint64, spans int) *obs.Spans {
 	rec := obs.NewSpans(spans + 4)
@@ -41,7 +45,7 @@ func TestTriggerString(t *testing.T) {
 
 func TestNilAndDisabledRing(t *testing.T) {
 	var r *Ring
-	r.Capture(testRec(1, 2), "m", 1, TrigError, time.Millisecond)
+	r.Capture(testRec(1, 2), "m", 1, TrigError, testStart, time.Millisecond)
 	if r.Captures() != 0 || r.Len() != 0 || r.Snapshot("") != nil || len(r.Summaries("")) != 0 {
 		t.Fatal("nil ring holds state")
 	}
@@ -59,9 +63,8 @@ func TestNilAndDisabledRing(t *testing.T) {
 
 func TestCaptureFidelity(t *testing.T) {
 	r := NewRing(4, 16)
-	r.now = func() int64 { return 12345 }
 	rec := testRec(42, 3)
-	r.Capture(rec, "emg", 7, TrigTimeout|TrigRetry, 85*time.Millisecond)
+	r.Capture(rec, "emg", 7, TrigTimeout|TrigRetry, time.Unix(0, 12345), 85*time.Millisecond)
 	if r.Captures() != 1 || r.Len() != 1 {
 		t.Fatalf("captures=%d len=%d", r.Captures(), r.Len())
 	}
@@ -71,7 +74,7 @@ func TestCaptureFidelity(t *testing.T) {
 	}
 	e := got[0]
 	if e.Seq != 1 || e.ID != 42 || e.Model != "emg" || e.Generation != 7 ||
-		e.Trigger != TrigTimeout|TrigRetry || e.UnixNanos != 12345 ||
+		e.Trigger != TrigTimeout|TrigRetry || e.UnixNanos != 12345+int64(85*time.Millisecond) ||
 		e.Duration != 85*time.Millisecond || e.Dropped != 0 {
 		t.Fatalf("entry %+v", e)
 	}
@@ -80,12 +83,12 @@ func TestCaptureFidelity(t *testing.T) {
 	}
 	// A zero trigger captures too, as "none": the /debug/spans ring
 	// keeps every request.
-	r.Capture(rec, "emg", 7, 0, time.Millisecond)
+	r.Capture(rec, "emg", 7, 0, testStart, time.Millisecond)
 	if got := r.Snapshot(""); r.Captures() != 2 || got[1].Trigger.String() != "none" || len(got[1].Spans) != 4 {
 		t.Fatalf("zero-trigger capture: %d captures, %+v", r.Captures(), got)
 	}
 	// A nil recorder still captures metadata (tracing disabled).
-	r.Capture(nil, "bare", 1, TrigShed, time.Millisecond)
+	r.Capture(nil, "bare", 1, TrigShed, testStart, time.Millisecond)
 	entries := r.Snapshot("")
 	last := entries[len(entries)-1]
 	if last.Model != "bare" || last.ID != 0 || len(last.Spans) != 0 {
@@ -96,7 +99,7 @@ func TestCaptureFidelity(t *testing.T) {
 func TestRingWrapAndOrder(t *testing.T) {
 	r := NewRing(3, 8)
 	for i := 1; i <= 5; i++ {
-		r.Capture(testRec(uint64(i), 1), "m", uint64(i), TrigError, time.Duration(i)*time.Millisecond)
+		r.Capture(testRec(uint64(i), 1), "m", uint64(i), TrigError, testStart, time.Duration(i)*time.Millisecond)
 	}
 	if r.Captures() != 5 || r.Len() != 3 {
 		t.Fatalf("captures=%d len=%d", r.Captures(), r.Len())
@@ -109,9 +112,9 @@ func TestRingWrapAndOrder(t *testing.T) {
 
 func TestModelFilter(t *testing.T) {
 	r := NewRing(8, 8)
-	r.Capture(testRec(1, 1), "a", 1, TrigError, time.Millisecond)
-	r.Capture(testRec(2, 1), "b", 1, TrigTimeout, time.Millisecond)
-	r.Capture(testRec(3, 1), "a", 2, TrigSlow, time.Millisecond)
+	r.Capture(testRec(1, 1), "a", 1, TrigError, testStart, time.Millisecond)
+	r.Capture(testRec(2, 1), "b", 1, TrigTimeout, testStart, time.Millisecond)
+	r.Capture(testRec(3, 1), "a", 2, TrigSlow, testStart, time.Millisecond)
 	if got := r.Snapshot("a"); len(got) != 2 || got[0].ID != 1 || got[1].ID != 3 {
 		t.Fatalf("filter a: %+v", got)
 	}
@@ -128,7 +131,7 @@ func TestModelFilter(t *testing.T) {
 // so, instead of allocating.
 func TestSpanOverflowCounted(t *testing.T) {
 	r := NewRing(2, 2)
-	r.Capture(testRec(9, 6), "m", 1, TrigError, time.Millisecond)
+	r.Capture(testRec(9, 6), "m", 1, TrigError, testStart, time.Millisecond)
 	e := r.Snapshot("")[0]
 	if len(e.Spans) != 2 || e.Dropped != 5 {
 		t.Fatalf("overflow entry: %d spans, %d dropped", len(e.Spans), e.Dropped)
@@ -137,8 +140,7 @@ func TestSpanOverflowCounted(t *testing.T) {
 
 func TestWriteSummaryJSON(t *testing.T) {
 	r := NewRing(4, 8)
-	r.now = func() int64 { return 99 }
-	r.Capture(testRec(7, 2), "emg", 3, TrigRetry|TrigSlow, 42*time.Millisecond)
+	r.Capture(testRec(7, 2), "emg", 3, TrigRetry|TrigSlow, time.Unix(0, 99), 42*time.Millisecond)
 	var buf bytes.Buffer
 	if err := r.WriteSummary(&buf, ""); err != nil {
 		t.Fatal(err)
@@ -155,7 +157,8 @@ func TestWriteSummaryJSON(t *testing.T) {
 	}
 	s := doc.Entries[0]
 	if s.Request != 7 || s.Model != "emg" || s.Generation != 3 ||
-		s.Trigger != "retry|slow" || s.DurationMs != 42 || s.Spans != 3 {
+		s.Trigger != "retry|slow" || s.DurationMs != 42 || s.Spans != 3 ||
+		s.UnixNanos != 99+int64(42*time.Millisecond) {
 		t.Fatalf("summary entry %+v", s)
 	}
 	// An empty ring writes entries:[] (not null) for easy clients.
@@ -170,8 +173,8 @@ func TestWriteSummaryJSON(t *testing.T) {
 
 func TestWriteChromeTrace(t *testing.T) {
 	r := NewRing(4, 8)
-	r.Capture(testRec(11, 2), "emg", 5, TrigTimeout, 10*time.Millisecond)
-	r.Capture(nil, "", 0, TrigShed, time.Millisecond)
+	r.Capture(testRec(11, 2), "emg", 5, TrigTimeout, testStart, 10*time.Millisecond)
+	r.Capture(nil, "", 0, TrigShed, testStart, time.Millisecond)
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf, ""); err != nil {
 		t.Fatal(err)
@@ -219,7 +222,7 @@ func TestCaptureAllocs(t *testing.T) {
 	r := NewRing(8, 32)
 	rec := testRec(1, 10)
 	if allocs := testing.AllocsPerRun(1000, func() {
-		r.Capture(rec, "emg", 1, TrigTimeout, time.Millisecond)
+		r.Capture(rec, "emg", 1, TrigTimeout, testStart, time.Millisecond)
 	}); allocs != 0 {
 		t.Fatalf("Capture allocates %v/op", allocs)
 	}
@@ -244,7 +247,7 @@ func TestConcurrentCaptureDumpRecycle(t *testing.T) {
 				sp := rec.Start("predict", root)
 				rec.End(sp)
 				rec.End(root)
-				r.Capture(rec, "emg", uint64(i), TrigError, time.Millisecond)
+				r.Capture(rec, "emg", uint64(i), TrigError, testStart, time.Millisecond)
 			}
 		}(w)
 	}
@@ -270,5 +273,17 @@ func TestConcurrentCaptureDumpRecycle(t *testing.T) {
 	wg.Wait()
 	if got := r.Captures(); got != writers*iters {
 		t.Fatalf("captures %d, want %d", got, writers*iters)
+	}
+}
+
+// BenchmarkRingCapture times the copy every traced request pays into
+// serve's /debug/spans ring (32 timelines of up to 64 spans): a
+// four-span request timeline.
+func BenchmarkRingCapture(b *testing.B) {
+	r := NewRing(32, 64)
+	rec := testRec(1, 3)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Capture(rec, "emg", 1, 0, testStart, time.Millisecond)
 	}
 }

@@ -69,14 +69,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add moves the gauge by delta (useful for depth-style gauges).
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
 // Value returns the current value; 0 for a nil gauge.
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -165,9 +165,9 @@ func (s *Syncer) SyncOnce(ctx context.Context) error {
 		if dur > s.cfg.Interval {
 			trig |= flight.TrigSlow
 		}
-		s.cfg.Spans.Capture(rec, "replica.sync", 0, 0, dur)
+		s.cfg.Spans.Capture(rec, "replica.sync", 0, 0, start, dur)
 		if trig != 0 {
-			s.cfg.Flight.Capture(rec, "replica.sync", 0, trig, dur)
+			s.cfg.Flight.Capture(rec, "replica.sync", 0, trig, start, dur)
 		}
 	}()
 

@@ -68,37 +68,53 @@ func BenchmarkServingSearchNear(b *testing.B) {
 	}
 }
 
-// BenchmarkServingLearn measures one online-learning publication:
-// encode, accumulate, rebinarize one class, copy-on-write publish.
-func BenchmarkServingLearn(b *testing.B) {
-	sv, samples := benchServing(b, 64)
+// learnsPerModel is how many learns a learn rung times on one model
+// before rebuilding it outside the timer.
+const learnsPerModel = 1000
+
+// benchLearn times Learn of one window into one class of a model of
+// `classes` learned classes, the class pick chooses. Every learn grows
+// that class's count planes, so the model is rebuilt outside the timer
+// every learnsPerModel learns, and an op times the same work at any
+// b.N.
+func benchLearn(b *testing.B, classes int, pick func([]sample) sample) {
+	var sv *Serving
+	var s sample
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sv.Learn(samples[0].Label, samples[0].Window); err != nil {
+		if i%learnsPerModel == 0 {
+			b.StopTimer()
+			var samples []sample
+			sv, samples = benchServing(b, classes)
+			s = pick(samples)
+			b.StartTimer()
+		}
+		if err := sv.Learn(s.Label, s.Window); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkServingLearn measures one online-learning publication:
+// encode, accumulate, rebinarize one class, copy-on-write publish.
+func BenchmarkServingLearn(b *testing.B) {
+	benchLearn(b, 64, func(ss []sample) sample { return ss[0] })
 }
 
 // BenchmarkServingLearnWide is BenchmarkServingLearn at the wide-am
 // workload's 1,029 classes, where the cost of a publish that grows
 // with the class count shows. In first the learned class is class 0,
 // in block 0, whose publish recomputes one drift; in last it is the
-// last class, whose publish rescans its block once per anchor.
+// last class, whose publish recomputes that row's eight anchor
+// distances. Either is one pass of the row against the anchors.
 func BenchmarkServingLearnWide(b *testing.B) {
-	sv, samples := benchServing(b, 1029)
 	for _, bc := range []struct {
 		name string
-		s    sample
-	}{{"first", samples[0]}, {"last", samples[len(samples)-1]}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := sv.Learn(bc.s.Label, bc.s.Window); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		pick func([]sample) sample
+	}{
+		{"first", func(ss []sample) sample { return ss[0] }},
+		{"last", func(ss []sample) sample { return ss[len(ss)-1] }},
+	} {
+		b.Run(bc.name, func(b *testing.B) { benchLearn(b, 1029, bc.pick) })
 	}
 }

@@ -73,20 +73,25 @@ func wideAM() (rows []Vector, q Vector) {
 // BenchmarkNearest is one associative-memory scan on the host's
 // kernel over wideAM's rows: the AM search of a wide-am predict. In
 // first-block the answer is row 2, so block 0's rows, the slab's
-// anchors, rule out every later block. In later-block the answer is
-// swapped to the last row: no anchor is near the query, so the bounds
-// skip almost nothing and the rung times the scan plus its bound
-// tests.
+// anchors, rule out every row of every later block: the rung times
+// block 0's scan plus the row test of the 128 blocks it skips. In
+// later-block the answer is swapped to the last row: no anchor is
+// near the query, so the bounds rule out almost nothing and the rung
+// times the scan plus its row tests. one-block is the first five
+// rows, the paper's class count: one block, which never runs the row
+// test or its set-up. None of these is wide-am's geometry (hdc's
+// BenchmarkServingPredictWide is).
 func BenchmarkNearest(b *testing.B) {
 	rows, q := wideAM()
 	for _, bc := range []struct {
 		name   string
+		n      int
 		answer int
-	}{{"first-block", 2}, {"later-block", len(rows) - 1}} {
+	}{{"first-block", len(rows), 2}, {"later-block", len(rows), len(rows) - 1}, {"one-block", 5, 2}} {
 		b.Run(bc.name, func(b *testing.B) {
 			rows := slices.Clone(rows)
 			rows[2], rows[bc.answer] = rows[bc.answer], rows[2]
-			s := NewSlab(10000, rows)
+			s := NewSlab(10000, rows[:bc.n])
 			b.ReportAllocs()
 			b.ResetTimer()
 			var sink int
@@ -96,6 +101,17 @@ func BenchmarkNearest(b *testing.B) {
 			}
 			_ = sink
 		})
+	}
+}
+
+// BenchmarkNewSlab builds a slab of wideAM's 1,029 rows, as a snapshot
+// load or fault-in of a wide-am model does: one pass of every later
+// row against the anchors, on the host's kernel.
+func BenchmarkNewSlab(b *testing.B) {
+	rows, _ := wideAM()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewSlab(10000, rows)
 	}
 }
 

@@ -160,7 +160,8 @@ func FuzzNearestAgainstReference(f *testing.F) {
 // and ties occur across blocks. After each write the bounds must equal
 // their recomputation (checkBounds). At the end Nearest, on both
 // kernels, must answer as hdref.RefAM does for a query a few bits from
-// every row and a random one.
+// every row and a random one, and leave unread every row the bounds
+// rule out for it (checkSkips).
 func FuzzSlabPublishAgainstReference(f *testing.F) {
 	f.Add([]byte{0x00, 0x05, 0x12, 0x27, 0x33}, []byte{0xaa, 0x55}, uint16(999), uint8(9), int64(1))
 	f.Add([]byte{0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80}, []byte{0x12, 0x34}, uint16(0), uint8(20), int64(2))
@@ -255,6 +256,7 @@ func FuzzSlabPublishAgainstReference(f *testing.F) {
 				if idx, dist := s.Nearest(q); [2]string{strconv.Itoa(idx), strconv.Itoa(dist)} != want[k] {
 					t.Fatalf("d=%d rows=%d: Nearest=(%d,%d), reference %v", d, len(rows), idx, dist, want[k])
 				}
+				checkSkips(t, s, q)
 			}
 		})
 	})

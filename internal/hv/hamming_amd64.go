@@ -2,8 +2,8 @@ package hv
 
 import "math/bits"
 
-// useVPOPCNTDQ selects the AVX-512 VPOPCNTDQ kernels of HammingWords
-// and Slab.Nearest. It is set once, at init, from CPUID and XGETBV, and
+// useVPOPCNTDQ selects the AVX-512 VPOPCNTDQ kernels of HammingWords,
+// Slab.Nearest and the slab's bound upkeep. It is set once, at init, from CPUID and XGETBV, and
 // nothing else sets it: no flag, environment variable or build tag. The
 // kernel tests flip it to run every case through both kernels.
 var useVPOPCNTDQ = hasVPOPCNTDQ()
@@ -55,6 +55,18 @@ func nearest(q []uint32, blocks [][]uint64, lanes int) (index, distance int) {
 	return nearestVPOPCNTDQ(&q[0], len(q), &blocks[0], len(blocks), lanes)
 }
 
+// anchorDistances returns the distances from the row starting lane,
+// one lane of a block, to the eight anchors, whose interleaved lines
+// are anchor, on the host's kernel.
+func anchorDistances(lane, anchor []uint64) [blockLanes]uint64 {
+	if !useVPOPCNTDQ {
+		return anchorDistancesPortable(lane, anchor)
+	}
+	var dist [blockLanes]uint64
+	anchorDistancesVPOPCNTDQ(&lane[0], &anchor[0], len(anchor)/(stepWords*blockLanes), &dist)
+	return dist
+}
+
 // The functions below are implemented in hamming_amd64.s.
 
 // cpuid executes CPUID with the given leaf (EAX) and subleaf (ECX).
@@ -78,11 +90,21 @@ func hammingVPOPCNTDQ(a, b *uint32, n int) int
 // VPOPCNTQ of the eight lanes into one vector of partial distances;
 // after every 8-word (512-bit) step, and after the tail words, one
 // unsigned compare against the broadcast best drops the block when no
-// lane is below it. Block 0's exact distances plus its drift bounds
-// stay in a register, and before each later block one signed compare
-// of the block's bounds minus them against the best skips it. The
-// packed words are read only up to nw: an odd last word is loaded as
-// 32 bits.
+// live lane is below it. Once block 0 is scored, and only when a later
+// block follows, its distances plus and minus drift are narrowed to
+// int32 and broadcast per anchor pair into eight registers; before
+// each later block, four loads of its D[a][r], eight subtractions, a
+// signed maximum fold and one signed compare against the best give the
+// mask of live rows, which skips the block when it is empty and masks
+// every later compare of the block. The packed words are read only up
+// to nw: an odd last word is loaded as 32 bits.
 //
 //go:noescape
 func nearestVPOPCNTDQ(q *uint32, nw int, blocks *[]uint64, nblocks, lanes int) (index, distance int)
+
+// anchorDistancesVPOPCNTDQ stores in dist the distances from the row
+// at lane, one uint64 every 64 bytes (one lane of a block), to the
+// eight interleaved rows at anchor, over steps 512-bit steps.
+//
+//go:noescape
+func anchorDistancesVPOPCNTDQ(lane, anchor *uint64, steps int, dist *[blockLanes]uint64)

@@ -118,14 +118,18 @@ done:
 // SI is the query; R8 counts its full 8-word steps, R9 the uint64
 // words after them, and bit 0 of R10 marks an odd last packed word.
 // BX walks the block slice headers and R11 counts the blocks left; R12
-// is the row of the current block's lane 0. Every block ends in its
-// eight uint32 bounds, R15 bytes past its start. R13 is the best
-// distance, broadcast in Z6, and R14 its row. Per block, DI walks the
-// lines, AX the query, CX the steps, and Z0 holds the eight partial
-// distances. K2 marks the lanes of the last block past the slab's last
-// row; they start at unreached (Z7), the initial best, so they never
-// keep a block alive and never win. Once block 0 is scored, Z8 holds
-// its eight distances plus its drift bounds. The 64-byte frame
+// is the row of the current block's lane 0. Every block ends in its 64
+// uint32 bounds, R15 bytes past its start. R13 is the best distance,
+// broadcast in Z6 (and, as int32, in Z24), and R14 its row. Per block,
+// DI walks the lines, AX the query, CX the steps, and Z0 holds the
+// eight partial distances. K2 marks the lanes of the last block past
+// the slab's last row; they start at unreached (Z7), the initial best,
+// so they never keep a block alive and never win. K3 marks the rows of
+// the current block the anchors leave alive, all eight in block 0, and
+// masks every compare against the best; K4 is 0xff. Once block 0 is
+// scored, and when a later block follows, Z16–Z19 hold its distances
+// plus drift for anchors 2p and 2p+1 in their low and high eight int32
+// lanes, and Z20–Z23 its distances minus drift. The 64-byte frame
 // receives Z0 when a block scores all its words.
 TEXT ·nearestVPOPCNTDQ(SB), NOSPLIT, $64-56
 	MOVQ         q+0(FP), SI
@@ -134,11 +138,13 @@ TEXT ·nearestVPOPCNTDQ(SB), NOSPLIT, $64-56
 	MOVQ         nblocks+24(FP), R11
 	MOVQ         lanes+32(FP), CX
 	MOVL         $0xff, DX
+	KMOVW        DX, K3
+	KMOVW        DX, K4
 	SHLL         CX, DX
 	KMOVW        DX, K2
 	MOVQ         8(BX), R15
 	SHLQ         $3, R15
-	SUBQ         $32, R15
+	SUBQ         $256, R15
 	MOVQ         R10, R8
 	SHRQ         $1, R8
 	MOVQ         R8, R9
@@ -153,14 +159,34 @@ TEXT ·nearestVPOPCNTDQ(SB), NOSPLIT, $64-56
 	JMP          block
 
 later:
-	// Skip block g ≥ 1 unread when, in some lane, its bound minus Z8
-	// (block 0's distance plus drift) is at least the best.
-	MOVQ      (BX), DI
-	VPMOVZXDQ (DI)(R15*1), Z1
-	VPSUBQ    Z8, Z1, Z1
-	VPCMPQ    $5, Z6, Z1, K1
-	KORTESTW  K1, K1
-	JNZ       next
+	// Rule out the rows r of block g ≥ 1 with LB[r] ≥ best, LB[r] the
+	// largest D[a][r] − hi[a] and lo[a] − D[a][r]: one load per anchor
+	// pair, then the two halves folded. Skip the block if none is left.
+	MOVQ          (BX), DI
+	VMOVDQU32     (DI)(R15*1), Z1
+	VPSUBD        Z16, Z1, Z2
+	VPSUBD        Z1, Z20, Z1
+	VPMAXSD       Z2, Z1, Z1
+	VMOVDQU32     64(DI)(R15*1), Z2
+	VPSUBD        Z17, Z2, Z3
+	VPSUBD        Z2, Z21, Z2
+	VPMAXSD       Z3, Z2, Z2
+	VPMAXSD       Z2, Z1, Z1
+	VMOVDQU32     128(DI)(R15*1), Z2
+	VPSUBD        Z18, Z2, Z3
+	VPSUBD        Z2, Z22, Z2
+	VPMAXSD       Z3, Z2, Z2
+	VPMAXSD       Z2, Z1, Z1
+	VMOVDQU32     192(DI)(R15*1), Z2
+	VPSUBD        Z19, Z2, Z3
+	VPSUBD        Z2, Z23, Z2
+	VPMAXSD       Z3, Z2, Z2
+	VPMAXSD       Z2, Z1, Z1
+	VEXTRACTI64X4 $1, Z1, Y2
+	VPMAXSD       Z2, Z1, Z1
+	VPCMPD        $1, Z24, Z1, K4, K3
+	KORTESTW      K3, K3
+	JZ            next
 
 block:
 	MOVQ   SI, AX
@@ -175,8 +201,8 @@ steps:
 	JZ    tail
 
 step:
-	// One 512-bit step of eight rows, then drop the block if no lane
-	// is below the best.
+	// One 512-bit step of eight rows, then drop the block if no live
+	// lane is below the best.
 	SCORE(0, 0)
 	SCORE(8, 64)
 	SCORE(16, 128)
@@ -187,7 +213,7 @@ step:
 	SCORE(56, 448)
 	ADDQ     $64, AX
 	ADDQ     $512, DI
-	VPCMPUQ  $1, Z6, Z0, K1
+	VPCMPUQ  $1, Z6, Z0, K3, K1
 	KORTESTW K1, K1
 	JZ       next
 	DECQ     CX
@@ -205,7 +231,7 @@ tail1:
 	ADDQ     $64, DI
 	DECQ     CX
 	JNZ      tail1
-	VPCMPUQ  $1, Z6, Z0, K1
+	VPCMPUQ  $1, Z6, Z0, K3, K1
 	KORTESTW K1, K1
 	JZ       next
 
@@ -220,9 +246,9 @@ odd:
 	VPADDQ       Z1, Z0, Z0
 
 walk:
-	// The block scored every word: take the lanes below the best in
-	// index order, each replacing it only when strictly smaller.
-	VPCMPUQ   $1, Z6, Z0, K1
+	// The block scored every word: take the live lanes below the best
+	// in index order, each replacing it only when strictly smaller.
+	VPCMPUQ   $1, Z6, Z0, K3, K1
 	KMOVW     K1, DX
 	TESTL     DX, DX
 	JZ        next
@@ -241,14 +267,41 @@ cleared:
 	ANDL         DI, DX
 	JNZ          lane
 	VPBROADCASTQ R13, Z6
+	VPBROADCASTD R13, Z24
 	TESTQ        R12, R12
 	JNZ          next
+	CMPQ         R11, $1
+	JEQ          next
 
-	// Block 0, always scored in full: keep its exact distances plus its
-	// drift bounds for the later blocks' skip test.
-	MOVQ      (BX), DI
-	VPMOVZXDQ (DI)(R15*1), Z8
-	VPADDQ    Z0, Z8, Z8
+	// Block 0, always scored in full, with a later block to come: its
+	// distances d0 plus and minus drift, clamped to [0, 2^31 − 1],
+	// narrowed to int32 (Y9 and Y8) and spread two anchors a register,
+	// Z10 holding the dword indexes 2p ×8, 2p+1 ×8.
+	MOVQ         (BX), DI
+	VPMOVZXDQ    (DI)(R15*1), Z8
+	VPADDQ       Z8, Z0, Z9
+	VPSUBQ       Z8, Z0, Z8
+	VPXORQ       Z10, Z10, Z10
+	VPMAXSQ      Z10, Z8, Z8
+	VPMOVSQD     Z9, Y9
+	VPMOVQD      Z8, Y8
+	MOVL         $0xff00, DX
+	KMOVW        DX, K1
+	MOVL         $1, DX
+	VPBROADCASTD DX, K1, Z10
+	MOVL         $2, DX
+	VPBROADCASTD DX, Z11
+	VPERMD       Z9, Z10, Z16
+	VPERMD       Z8, Z10, Z20
+	VPADDD       Z11, Z10, Z10
+	VPERMD       Z9, Z10, Z17
+	VPERMD       Z8, Z10, Z21
+	VPADDD       Z11, Z10, Z10
+	VPERMD       Z9, Z10, Z18
+	VPERMD       Z8, Z10, Z22
+	VPADDD       Z11, Z10, Z10
+	VPERMD       Z9, Z10, Z19
+	VPERMD       Z8, Z10, Z23
 
 next:
 	ADDQ $24, BX
@@ -258,4 +311,33 @@ next:
 	VZEROUPPER
 	MOVQ R14, index+40(FP)
 	MOVQ R13, distance+48(FP)
+	RET
+
+// func anchorDistancesVPOPCNTDQ(lane, anchor *uint64, steps int, dist *[8]uint64)
+//
+// AX walks the row, whose uint64 words lie 64 bytes apart, and DI the
+// anchors' lines in step with it; CX counts the steps, and Z0 sums the
+// eight distances.
+TEXT ·anchorDistancesVPOPCNTDQ(SB), NOSPLIT, $0-32
+	MOVQ   lane+0(FP), AX
+	MOVQ   anchor+8(FP), DI
+	MOVQ   steps+16(FP), CX
+	MOVQ   dist+24(FP), DX
+	VPXORQ Z0, Z0, Z0
+
+rowstep:
+	SCORE(0, 0)
+	SCORE(64, 64)
+	SCORE(128, 128)
+	SCORE(192, 192)
+	SCORE(256, 256)
+	SCORE(320, 320)
+	SCORE(384, 384)
+	SCORE(448, 448)
+	ADDQ      $512, AX
+	ADDQ      $512, DI
+	DECQ      CX
+	JNZ       rowstep
+	VMOVDQU64 Z0, (DX)
+	VZEROUPPER
 	RET

@@ -17,3 +17,10 @@ func hamming(a, b []uint32) int {
 func nearest(q []uint32, blocks [][]uint64, lanes int) (index, distance int) {
 	return nearestPortable(q, blocks, lanes)
 }
+
+// anchorDistances returns the distances from the row starting lane,
+// one lane of a block, to the eight anchors, whose interleaved lines
+// are anchor.
+func anchorDistances(lane, anchor []uint64) [blockLanes]uint64 {
+	return anchorDistancesPortable(lane, anchor)
+}

@@ -2,6 +2,7 @@ package hv
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 )
@@ -34,32 +35,33 @@ const unreached = 1 << 62
 // last block are zero.
 //
 // A slab of two or more blocks also keeps LAESA bounds (Micó, Oncina
-// and Vidal, 1994), which let Nearest skip a block without reading it.
-// The pivots are the anchors: copies of block 0's eight rows, taken
-// when the slab first held two blocks or was built, and shared by
-// every slab derived from it. Each block ends in its eight uint32
-// bounds, 32 bytes, so a 10,000-D block takes 10,272 bytes. Block 0's
-// bound l is the drift, the distance from anchor l to block 0's
-// current row l; block g's bound l, for g ≥ 1, is the distance from
-// anchor l to block g's nearest row. A one-block slab has no anchors,
-// and its bounds stay zero.
+// and Vidal, 1994), which let Nearest rule out a row, or a whole block,
+// without reading it. The pivots are the anchors: a copy of block 0's
+// eight rows, taken when the slab first held two blocks or was built,
+// and shared by every slab derived from it. Each block ends in 64
+// uint32 bounds, 256 bytes, so a 10,000-D block takes 10,496 bytes. In
+// block g ≥ 1 they are D[a][r], the distance from anchor a to row r,
+// anchor-major: D[a][0…7] are contiguous, and a lane past the slab's
+// last row has D = 0. Block 0's first eight are the drift, the
+// distance from anchor a to block 0's current row a; its others are
+// zero. A one-block slab has no anchors, and its bounds stay zero.
 //
 // A Slab never changes after construction. With and WithBundle return
 // a new Slab that copies one block and the block-pointer slice and
 // shares every other block, so a copy-on-write publish costs one block
 // at any row count, and any number of goroutines may search any Slab.
-// Only the written block's bounds change: a write into block 0
-// recomputes one drift, one Hamming distance, and a write into block
-// g ≥ 1 its eight bounds, one scan of the block per anchor.
+// Only the written row's bounds change: a write into block 0
+// recomputes its drift, and a write into block g ≥ 1 its eight anchor
+// distances; either is one pass of the row against the anchors.
 type Slab struct {
 	d      int
 	n      int
 	blocks [][]uint64
-	anchor *[blockLanes]Vector
+	anchor []uint64 // block 0's interleaved lines when it was anchored
 }
 
 // NewSlab returns a slab holding copies of rows, in order. It panics
-// if d is not positive or a row's dimension differs from d.
+// if d is not in [1, 2^31) or a row's dimension differs from d.
 func NewSlab(d int, rows []Vector) *Slab {
 	b := NewSlabBuilder(d)
 	for _, v := range rows {
@@ -76,10 +78,11 @@ func NewSlab(d int, rows []Vector) *Slab {
 type SlabBuilder struct{ s *Slab }
 
 // NewSlabBuilder returns a builder for a slab of d-dimensional rows.
-// It panics if d is not positive.
+// It panics if d is not in [1, 2^31): Nearest compares its bounds as
+// int32.
 func NewSlabBuilder(d int) SlabBuilder {
-	if d <= 0 {
-		panic(fmt.Sprintf("hv: slab dimension must be positive, got %d", d))
+	if d <= 0 || d > math.MaxInt32 {
+		panic(fmt.Sprintf("hv: slab dimension must be in [1, 2^31), got %d", d))
 	}
 	return SlabBuilder{s: &Slab{d: d}}
 }
@@ -108,9 +111,10 @@ func (b SlabBuilder) Build() *Slab {
 	return b.s
 }
 
-// boundWords is the number of uint64 words that end every block and
-// hold its eight uint32 bounds, bound 2k in the low half of word k.
-const boundWords = blockLanes / 2
+// tailWords is the number of uint64 words that end every block and
+// hold its 64 uint32 bounds, bound k in half k%2 of word k/2. Bound
+// 8a+r of block g ≥ 1 is D[a][r]; bound a of block 0 is drift a.
+const tailWords = blockLanes * blockLanes / 2
 
 // push appends packed words ws as row n, starting a zero block when
 // the last one is full.
@@ -126,19 +130,19 @@ func (s *Slab) push(ws []uint32) {
 // WordsFor(d) packed words, padded to whole steps, and the bounds.
 func (s *Slab) blockLen() int {
 	steps := (WordsFor(s.d) + 2*stepWords - 1) / (2 * stepWords)
-	return steps*stepWords*blockLanes + boundWords
+	return steps*stepWords*blockLanes + tailWords
 }
 
-// bound returns bound l of block blk.
-func bound(blk []uint64, l int) uint64 {
-	return blk[len(blk)-boundWords+l/2] >> (32 * (l % 2)) & (1<<32 - 1)
+// bound returns bound k of block blk.
+func bound(blk []uint64, k int) uint64 {
+	return blk[len(blk)-tailWords+k/2] >> (32 * (k % 2)) & (1<<32 - 1)
 }
 
-// setBound sets bound l of block blk to v, a distance, which is below
-// 2^32 for any row under 512 MB.
-func setBound(blk []uint64, l, v int) {
-	w, shift := &blk[len(blk)-boundWords+l/2], 32*(l%2)
-	*w = *w&^((1<<32-1)<<shift) | uint64(v)<<shift
+// setBound sets bound k of block blk to v, a distance, which is below
+// 2^31 because NewSlabBuilder refuses larger dimensions.
+func setBound(blk []uint64, k int, v uint64) {
+	w, shift := &blk[len(blk)-tailWords+k/2], 32*(k%2)
+	*w = *w&^((1<<32-1)<<shift) | v<<shift
 }
 
 func (s *Slab) checkRow(op string, v Vector) {
@@ -236,42 +240,42 @@ func (s *Slab) cow(i int) (*Slab, []uint64) {
 
 // rebound brings the bounds of s up to date after a write into row i
 // of a copy made by cow, which holds row i's block alone. A slab that
-// has just reached two blocks is anchored; a write into block 0
-// recomputes row i's drift, and a write into block g ≥ 1 the bounds of
-// block g.
+// has just reached two blocks is anchored; otherwise row i's bounds
+// are recomputed.
 func (s *Slab) rebound(i int) {
-	switch g := i / blockLanes; {
+	switch {
 	case len(s.blocks) < 2:
 	case s.anchor == nil:
 		s.anchorBounds()
-	case g == 0:
-		setBound(s.blocks[0], i, laneDistance(s.anchor[i].words, s.blocks[0][i:]))
 	default:
-		s.boundBlock(g)
+		s.rowBounds(i)
 	}
 }
 
-// anchorBounds makes copies of block 0's rows the anchors of s and
-// computes the bounds of every later block. Block 0's drift bounds are
+// anchorBounds makes a copy of block 0's rows the anchors of s and
+// computes the bounds of every later row. Block 0's drift bounds are
 // zero already: its rows have never been written since they were
 // added, and it may be shared with a one-block slab.
 func (s *Slab) anchorBounds() {
-	s.anchor = new([blockLanes]Vector)
-	for l := range s.anchor {
-		s.anchor[l] = s.Row(l)
-	}
-	for g := 1; g < len(s.blocks); g++ {
-		s.boundBlock(g)
+	blk := s.blocks[0]
+	s.anchor = append([]uint64(nil), blk[:len(blk)-tailWords]...)
+	for i := blockLanes; i < s.n; i++ {
+		s.rowBounds(i)
 	}
 }
 
-// boundBlock sets bound l of block g to the distance from anchor l to
-// the block's nearest row: a one-block scan per anchor.
-func (s *Slab) boundBlock(g int) {
-	lanes := min(s.n-g*blockLanes, blockLanes)
-	for l, a := range s.anchor {
-		_, dist := nearest(a.words, s.blocks[g:g+1], lanes)
-		setBound(s.blocks[g], l, dist)
+// rowBounds sets the bounds of row i from one pass of the row against
+// the anchors: its drift when it is in block 0, and otherwise its
+// eight anchor distances D[a][r].
+func (s *Slab) rowBounds(i int) {
+	blk, r := s.blocks[i/blockLanes], i%blockLanes
+	dist := anchorDistances(blk[r:], s.anchor)
+	if i < blockLanes {
+		setBound(blk, r, dist[r])
+		return
+	}
+	for a, x := range dist {
+		setBound(blk, a*blockLanes+r, x)
 	}
 }
 
@@ -287,12 +291,20 @@ func (s *Slab) boundBlock(g int) {
 // taken in index order, replacing the best only when strictly smaller.
 //
 // Block 0 is always scored in full, so its eight distances d0 are
-// exact. In a slab of two or more blocks, the scan skips block g ≥ 1
-// without reading its rows when, for some lane l, its bound l minus
-// (d0[l] + drift l) is at least the best. By the triangle inequality
-// through anchor l, every row c of block g then has d(q,c) ≥
-// d(anchor l,c) − d(q,row l) − d(row l,anchor l) ≥ best, and a tie
-// loses to the earlier index the best already holds.
+// exact. In a slab of two or more blocks, d(q, anchor a) then lies in
+// [d0[a] − drift[a], d0[a] + drift[a]], by the triangle inequality
+// through block 0's row a, and so every row r of block g ≥ 1 has
+//
+//	d(q,r) ≥ LB[r] = max over a of max(D[a][r] − (d0[a] + drift[a]),
+//	                                   (d0[a] − drift[a]) − D[a][r]).
+//
+// Before reading block g, the scan rules out every row with LB[r] at
+// least the best: it cannot be nearer, and a tie loses to the earlier
+// index the best already holds. It skips the block unread when no row
+// is left, and otherwise leaves the ruled-out rows out of the drops
+// and the walk, as if they were already past the best. The interval is
+// first clamped to [0, 2^31 − 1], which every distance lies in, so the
+// bound fits int32.
 //
 // The answer is the one an exhaustive scan gives. The host's kernel
 // runs the scan (see hamming_amd64.go): an AVX-512 VPOPCNTDQ loop that
@@ -344,7 +356,9 @@ func laneDistance(q []uint32, lane []uint64) int {
 // amd64 and the fallback on amd64 hosts without VPOPCNTDQ. q holds the
 // query's packed words, blocks the slab's blocks, and lanes the rows
 // of the last block (1–8). It scores the same words as the vector
-// kernel, skips the same blocks and returns the same answer.
+// kernel, skips the same blocks and returns the same answer. A row the
+// anchors rule out starts at unreached, like a missing lane, so it
+// never keeps a block alive and never wins.
 //
 // Whole steps go through blockStep, which reads the step's 512
 // contiguous block bytes in order; the words after them, and a query
@@ -362,12 +376,12 @@ func nearestPortable(q []uint32, blocks [][]uint64, lanes int) (index, distance 
 	}
 	best := uint64(unreached)
 	index = -1
-	var floor [blockLanes]uint64 // block 0's distances plus drift
+	var hi, lo [blockLanes]int64 // block 0's distances plus and minus drift
 	for g, blk := range blocks {
-		if g > 0 && ruledOut(blk, &floor, best) {
+		var acc [blockLanes]uint64
+		if g > 0 && !ruleOut(&acc, blk, &hi, &lo, best) {
 			continue
 		}
-		var acc [blockLanes]uint64
 		if g == len(blocks)-1 {
 			for l := lanes; l < blockLanes; l++ {
 				acc[l] = unreached
@@ -401,24 +415,66 @@ func nearestPortable(q []uint32, blocks [][]uint64, lanes int) (index, distance 
 				best, index = a, g*blockLanes+l
 			}
 		}
-		if g == 0 {
-			for l, a := range acc {
-				floor[l] = a + bound(blk, l)
+		if g == 0 && len(blocks) > 1 {
+			for a, x := range acc {
+				drift := bound(blk, a)
+				hi[a] = int64(min(x+drift, math.MaxInt32))
+				lo[a] = int64(max(x, drift) - drift)
 			}
 		}
 	}
 	return index, int(best)
 }
 
-// ruledOut reports whether some lane l has bound l of block blk minus
-// floor[l] at least best, which rules out every row of the block.
-func ruledOut(blk []uint64, floor *[blockLanes]uint64, best uint64) bool {
-	for k, w := range blk[len(blk)-boundWords:] {
-		if w&(1<<32-1) >= floor[2*k]+best || w>>32 >= floor[2*k+1]+best {
-			return true
+// ruleOut starts at unreached the accumulator of every row of block
+// blk whose anchor bound is at least best, given block 0's distances
+// plus drift (hi) and minus drift (lo), and reports whether a row is
+// left. A row is left when lo[a] − best < D[a][r] < hi[a] + best for
+// every anchor a. Both tests run on the two bounds of a word at once,
+// as subtractions from which bit 31 of each half says whether the
+// half borrowed: every bound is below 2^31. The loop stops at the
+// first anchor that leaves no row.
+func ruleOut(acc *[blockLanes]uint64, blk []uint64, hi, lo *[blockLanes]int64, best uint64) bool {
+	const sign, ones = 1<<63 | 1<<31, 1<<32 | 1
+	tail := (*[tailWords]uint64)(blk[len(blk)-tailWords:])
+	left := [blockLanes / 2]uint64{sign, sign, sign, sign}
+	for a := range hi {
+		least := uint64(max(lo[a]-int64(best)+1, 0))
+		most := uint64(min(hi[a]+int64(best)-1, math.MaxInt32))
+		if hi[a]+int64(best)-1 < int64(least) {
+			return false
+		}
+		for k, w := range tail[a*blockLanes/2 : (a+1)*blockLanes/2] {
+			left[k] &= (w | sign - least*ones) & (most*ones | sign - w)
+		}
+		if left[0]|left[1]|left[2]|left[3] == 0 {
+			return false
 		}
 	}
-	return false
+	kept := false
+	for k, x := range left {
+		for h := range 2 {
+			if x>>(32*h+31)&1 == 0 {
+				acc[2*k+h] = unreached
+			} else {
+				kept = true
+			}
+		}
+	}
+	return kept
+}
+
+// anchorDistancesPortable is anchorDistances in Go: one pass of the
+// row starting lane, one lane of a block, against the anchors' lines.
+// Both are zero past the row's last bit, so the padding adds nothing.
+func anchorDistancesPortable(lane, anchor []uint64) (dist [blockLanes]uint64) {
+	for w := 0; w*blockLanes < len(anchor); w++ {
+		x, line := lane[w*blockLanes], anchor[w*blockLanes:w*blockLanes+blockLanes]
+		for a := range dist {
+			dist[a] += uint64(bits.OnesCount64(x ^ line[a]))
+		}
+	}
+	return dist
 }
 
 // blockStep adds to the eight partial distances in acc one 512-bit

@@ -14,25 +14,27 @@ OUT=benchmarks/latest.txt
 REMAT_JSON=benchmarks/BENCH_remat.json
 
 # hv kernels. BenchmarkNearest and BenchmarkNearestPortable each run
-# /first-block (the answer in block 0, whose rows rule out every later
-# block through the slab's LAESA bounds) and /later-block (the answer in
-# the last row: nothing to skip, so it times the scan plus its skip
-# tests). Medians of 16 alternating runs against the scan without the
-# skip, 2-vCPU Sapphire Rapids-class VM: first-block 5.17 -> 0.274 us,
-# later-block 17.9 -> 18.4 us; portable 38.3 -> 1.40 us and
-# 134 -> 136 us.
+# /first-block (the answer in block 0, whose rows rule out every row of
+# every later block through the slab's LAESA bounds: block 0 plus 128
+# row tests), /later-block (the answer in the last row: nothing to
+# skip, so it times the scan plus its row tests) and /one-block (five
+# rows, no row test); BenchmarkNewSlab builds the 1,029-row slab.
 go test -run '^$' \
-  -bench 'BenchmarkXor$|BenchmarkHamming$|BenchmarkHammingPortable$|BenchmarkNearest$|BenchmarkNearestPortable$|BenchmarkCountOnes$|BenchmarkMajority$|BenchmarkBundlerAdd$|BenchmarkBundlerVectorTo$' \
+  -bench 'BenchmarkXor$|BenchmarkHamming$|BenchmarkHammingPortable$|BenchmarkNearest$|BenchmarkNearestPortable$|BenchmarkNewSlab$|BenchmarkCountOnes$|BenchmarkMajority$|BenchmarkBundlerAdd$|BenchmarkBundlerVectorTo$' \
   -benchmem -count "$COUNT" ./internal/hv/ "$@" | tee "$OUT"
 go test -run '^$' \
   -bench 'BenchmarkPredict$|BenchmarkPredictBatch$' \
   -benchmem -count "$COUNT" ./internal/hdc/ "$@" | tee -a "$OUT"
 # Serving rungs. BenchmarkServingLearnWide runs /first (a publish into
 # block 0, which recomputes one drift bound) and /last (into the last
-# block, which rescans it once per anchor): 13.6 -> 14.0 us and
-# 14.0 -> 15.9 us against the parent without bounds, same VM and runs.
+# block, which recomputes the row's eight anchor distances); the learn
+# rungs rebuild their model every 1,000 learns, so any -benchtime
+# times the same work. BenchmarkServingPredictWide is one predict on
+# hdbench's wide-am model (seed 1): medians of 10 alternating runs,
+# 2-vCPU Sapphire Rapids-class VM, block-minimum bounds -> per-row
+# bounds: 5.57 -> 4.11 us.
 go test -run '^$' \
-  -bench 'BenchmarkServingPredictUnsharded$|BenchmarkServingSearchUnsharded$|BenchmarkServingSearchNear$|BenchmarkServingLearn$|BenchmarkServingLearnWide$' \
+  -bench 'BenchmarkServingPredictUnsharded$|BenchmarkServingSearchUnsharded$|BenchmarkServingSearchNear$|BenchmarkServingPredictWide$|BenchmarkServingLearn$|BenchmarkServingLearnWide$' \
   -benchmem -count "$COUNT" ./internal/hdc/ "$@" | tee -a "$OUT"
 go test -run '^$' \
   -bench 'BenchmarkParallelAMSearch$|BenchmarkParallelMajority$' \

@@ -195,14 +195,17 @@ func TestFaultInsWaitForRoom(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustServing(t, r, "t1")
-	mustServing(t, r, "t2") // three models: the evictor takes t0 and holds
-	if victim := await(t, entered, "the evictor"); victim != "t0" {
-		t.Fatalf("evictor took %q, want the LRU t0", victim)
+	// Three models: the evictor takes t1, the lowest credit (clean, and
+	// older than t2, which it spares as the most recently used; dirty t0
+	// costs a snapshot to lose), and holds.
+	mustServing(t, r, "t2")
+	if victim := await(t, entered, "the evictor"); victim != "t1" {
+		t.Fatalf("evictor took %q, want the clean t1", victim)
 	}
-	mustServing(t, r, "t3") // fits once t0 is gone: no wait
+	mustServing(t, r, "t3") // fits once t1 is gone: no wait
 	held := residentBytes(r)
 	if held != budget+2*size {
-		t.Fatalf("resident %d B with t0 in flight and t3 in, want %d", held, budget+2*size)
+		t.Fatalf("resident %d B with t1 in flight and t3 in, want %d", held, budget+2*size)
 	}
 
 	var wg sync.WaitGroup

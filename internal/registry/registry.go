@@ -5,11 +5,21 @@
 // are applied, so a restart — graceful or kill -9 — replays the WAL
 // tail onto the latest snapshot and recovers every model to its exact
 // pre-crash generation, byte for byte. Cold models are evicted under a
-// configurable resident-bytes budget (least recently used first) and
-// faulted back in on their next request. Eviction snapshots only a
-// dirty model, one whose WAL holds records; a clean model's state
-// already is its snapshot plus an empty WAL, so it is dropped without
-// writing anything.
+// configurable resident-bytes budget and faulted back in on their next
+// request. Eviction snapshots only a dirty model, one whose WAL holds
+// records; a clean model's state already is its snapshot plus an empty
+// WAL, so it is dropped without writing anything.
+//
+// The victim is chosen by GreedyDual credit (Young's GreedyDual; Cao
+// and Irani's GreedyDual-Size without the size term). A model's credit
+// is the registry's inflation value at its last use plus what evicting
+// it would cost, counted in fault-ins: 1 for a clean model, dirtyCost
+// for a dirty one, whose eviction also writes a snapshot. The evictor
+// takes the lowest credit, the least recently used among equals, and
+// raises the inflation value to the victim's credit. When every model
+// costs the same this is least-recently-used; a dirty model outlasts
+// clean ones only until the inflation passes its credit, so an idle
+// dirty model cannot pin the budget.
 //
 // Evictions run off the request path. A persistent registry with a
 // budget owns one evictor goroutine: the create, fault-in or learn
@@ -50,6 +60,13 @@ import (
 // cost amortizes across many learns.
 const DefaultSnapshotEvery = 256
 
+// dirtyCost is what evicting a dirty model costs, in fault-ins: the
+// fault-in back plus the fsynced, renamed snapshot eviction writes
+// first. On tenants-durable (seed 9101) traced registry.snapshot_ms
+// read 1.04 against registry.faultin_ms 0.18, a snapshot of 5.7
+// fault-ins, so 1 + 5.7 ≈ 7. A clean model costs 1.
+const dirtyCost = 7
+
 // Sentinel errors the HTTP layer maps onto status codes.
 var (
 	ErrNotFound = errors.New("registry: model not found")
@@ -76,9 +93,11 @@ type Config struct {
 	// will be removed.
 	Shards int
 	// ResidentBudget caps the summed ResidentBytes of in-memory models;
-	// past it, least-recently-used models are dropped, each snapshotted
-	// first if its WAL holds records. Zero or negative means unlimited.
-	// Ignored when Dir is empty.
+	// past it, models are dropped in GreedyDual order (least recently
+	// used first, a dirty model, whose eviction writes a snapshot,
+	// counting as seven times dearer to lose; see the package comment),
+	// each snapshotted first if its WAL holds records. Zero or negative
+	// means unlimited. Ignored when Dir is empty.
 	//
 	// The registry's evictor drops them after the request that went
 	// over has answered, one model at a time, never the most recently
@@ -139,6 +158,11 @@ type entry struct {
 	wal     *WAL
 	drift   *obs.DriftMonitor
 	lastUse atomic.Int64
+	// credit is the model's GreedyDual credit, set by credit(); dirty
+	// mirrors a WAL that holds records. Both are written under mu and
+	// read without it by pickVictim.
+	credit  atomic.Int64
+	dirty   atomic.Bool
 	deleted bool
 
 	generation uint64
@@ -160,6 +184,12 @@ type Registry struct {
 	// the model being evicted under it, 0 between evictions.
 	evictMu  sync.Mutex
 	evicting atomic.Int64
+	// inflation is GreedyDual's L: each eviction raises it to the
+	// victim's credit, and every credit is set on top of it. It sits
+	// here, off the cache line of clock, which every request writes:
+	// beside clock, touch's load of it missed, and a lookup under two
+	// contending goroutines took ~50 ns longer.
+	inflation atomic.Int64
 	// wake asks the evictor for a pass; Close closes stop and waits for
 	// evictorDone. All three are nil when the registry has no budget to
 	// enforce (ephemeral, or ResidentBudget ≤ 0).
@@ -241,7 +271,21 @@ func (r *Registry) Dir() string { return r.cfg.Dir }
 func (r *Registry) snapPath(name string) string { return filepath.Join(r.cfg.Dir, name+".snap") }
 func (r *Registry) walPath(name string) string  { return filepath.Join(r.cfg.Dir, name+".wal") }
 
-func (r *Registry) touch(e *entry) { e.lastUse.Store(r.clock.Add(1)) }
+// touch marks e used: most recent, and credited afresh.
+func (r *Registry) touch(e *entry) {
+	e.lastUse.Store(r.clock.Add(1))
+	r.credit(e)
+}
+
+// credit sets e's GreedyDual credit: the inflation value plus what
+// evicting e now would cost, in fault-ins.
+func (r *Registry) credit(e *entry) {
+	cost := int64(1)
+	if e.dirty.Load() {
+		cost = dirtyCost
+	}
+	e.credit.Store(r.inflation.Load() + cost)
+}
 
 // Create registers a fresh, empty model under name and returns its
 // Serving. In a persistent registry the model's snapshot and WAL land
@@ -472,6 +516,8 @@ func (r *Registry) residentLocked(sp *obs.Spans, e *entry) (*hdc.Serving, error)
 		return nil, err
 	}
 	e.wal = wal
+	e.dirty.Store(len(recs) > 0)
+	r.credit(e)
 	e.sv.Store(sv)
 	e.generation = sv.Generation()
 	e.classes = sv.Classes()
@@ -560,6 +606,10 @@ func (r *Registry) applyLocked(rec *obs.Spans, e *entry, op Op, label string, wi
 			m.RecordWALFsync(fsync)
 		}
 		e.walRecords = e.wal.Records()
+		if !e.dirty.Load() {
+			e.dirty.Store(true)
+			r.credit(e)
+		}
 	}
 	learnErr := sv.LearnTraced(rec, label, window)
 	e.generation = sv.Generation()
@@ -611,6 +661,8 @@ func (r *Registry) snapshotLocked(sp *obs.Spans, e *entry) error {
 		return err
 	}
 	e.walRecords = 0
+	// The credit follows at the model's next use.
+	e.dirty.Store(false)
 	r.m().RecordSnapshot(time.Since(start))
 	return nil
 }
@@ -646,11 +698,12 @@ func (r *Registry) writeSnapshot(name string, sv *hdc.Serving, walSeq uint64) er
 	return nil
 }
 
-// EnforceBudget evicts least-recently-used resident models until the
-// summed resident bytes fit the budget, after any eviction in flight,
-// and returns once they do. The evictor runs the same loop after a
-// create, fault-in or learn leaves the set over the budget; this is
-// the explicit, synchronous trigger for tests and admin use.
+// EnforceBudget evicts resident models, lowest GreedyDual credit first,
+// until the summed resident bytes fit the budget, after any eviction in
+// flight, and returns once they do. Unlike the evictor's pass it may
+// evict the most recently used model. The evictor runs the same loop
+// after a create, fault-in or learn leaves the set over the budget;
+// this is the explicit, synchronous trigger for tests and admin use.
 func (r *Registry) EnforceBudget() {
 	if r.wake == nil {
 		return
@@ -716,8 +769,9 @@ func (r *Registry) makeRoom(sp *obs.Spans) {
 	sp.Annotate(id, "wal_records", walRecords)
 }
 
-// enforceBudget evicts LRU resident models until resident bytes fit
-// the budget. With spareMRU it never evicts the most recently used
+// enforceBudget evicts the resident model pickVictim names until
+// resident bytes fit the budget, raising the inflation value to each
+// victim's credit. With spareMRU it never evicts the most recently used
 // model: the evictor's pass runs after the request that woke it, and
 // evicting the model that request used would thrash. Caller holds
 // r.evictMu. Snapshots of dirty victims record on sp (nil: none). It
@@ -745,6 +799,9 @@ func (r *Registry) enforceBudget(sp *obs.Spans, spareMRU bool) (bytes, walRecord
 				victim.mu.Unlock()
 				return bytes, walRecords
 			}
+			if c := victim.credit.Load(); c > r.inflation.Load() {
+				r.inflation.Store(c)
+			}
 			bytes += size
 			walRecords += records
 		}
@@ -752,37 +809,55 @@ func (r *Registry) enforceBudget(sp *obs.Spans, spareMRU bool) (bytes, walRecord
 	}
 }
 
-// pickVictim returns the least-recently-used resident entry, plus the
-// current total resident bytes; with spareMRU, no victim when that
-// entry is also the most recently used one. A closed registry has no
-// victim and counts no bytes.
+// pickVictim returns the resident entry with the lowest GreedyDual
+// credit, the least recently used among equal credits, plus the
+// current total resident bytes. With spareMRU it never returns the most
+// recently used entry: when that one has the lowest credit it returns
+// the next lowest, and no victim when it is the only one resident. It
+// reads only atomics, so it takes no entry lock. A closed registry has
+// no victim and counts no bytes.
 func (r *Registry) pickVictim(spareMRU bool) (*entry, int64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if r.closed {
 		return nil, 0
 	}
-	var victim, mru *entry
-	var victimUse, mruUse int64
-	var total int64
+	// first and second are the two lowest ranks, in order.
+	var first, second rank
+	var mru *entry
+	var mruUse, total int64
 	for _, e := range r.entries {
 		sv := e.sv.Load()
 		if sv == nil {
 			continue
 		}
 		total += int64(sv.ResidentBytes())
-		use := e.lastUse.Load()
-		if victim == nil || use < victimUse {
-			victim, victimUse = e, use
+		k := rank{e, e.credit.Load(), e.lastUse.Load()}
+		if first.e == nil || k.below(first) {
+			first, second = k, first
+		} else if second.e == nil || k.below(second) {
+			second = k
 		}
-		if mru == nil || use > mruUse {
-			mru, mruUse = e, use
+		if mru == nil || k.use > mruUse {
+			mru, mruUse = e, k.use
 		}
 	}
-	if spareMRU && victim == mru {
-		return nil, total
+	if spareMRU && first.e == mru {
+		return second.e, total
 	}
-	return victim, total
+	return first.e, total
+}
+
+// rank is a resident entry's place in the eviction order.
+type rank struct {
+	e           *entry
+	credit, use int64
+}
+
+// below reports whether a is evicted before b: a lower credit, or an
+// equal one and an older use.
+func (a rank) below(b rank) bool {
+	return a.credit < b.credit || a.credit == b.credit && a.use < b.use
 }
 
 // evictLocked drops e's resident state. A dirty model — any WAL

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -33,6 +34,9 @@ import (
 // record — a torn tail from a mid-append crash loses at most the
 // records the process never acknowledged, and corrupt bytes can stop
 // replay but never panic it or smuggle a half-record into the model.
+// An append that fails while the process lives is undone at once (the
+// file is truncated back to its acknowledged frames), so no later
+// acknowledged record lands behind a torn or unacknowledged frame.
 
 // Op is the kind of one WAL record.
 type Op uint8
@@ -184,11 +188,23 @@ func DecodeAll(data []byte) (recs []Record, valid int, defect error) {
 	return recs, valid, nil
 }
 
+// walFile is what a WAL needs of its file. Production passes the
+// *os.File OpenWAL opens; tests substitute one that fails on demand.
+type walFile interface {
+	Write([]byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
 // WAL is one model's append-only log. Append is not concurrency-safe;
 // the registry serializes it under the entry's learner lock.
 type WAL struct {
-	f    *os.File
+	f    walFile
 	path string
+	// size is the byte length of the acknowledged frames: where a failed
+	// append truncates the file back to.
+	size int64
 	// seq numbers the next record; records carry strictly increasing
 	// sequence numbers so replay can cross-check its position.
 	seq uint64
@@ -200,6 +216,9 @@ type WAL struct {
 	// OS crash can lose the page-cache tail; a process kill -9 cannot.
 	sync bool
 	buf  []byte
+	// broken, once set, is the error every Append returns: a failed
+	// append whose truncate failed too may have left a frame behind.
+	broken error
 }
 
 // OpenWAL opens (creating if missing) the log at path for appending.
@@ -211,7 +230,12 @@ func OpenWAL(path string, nextSeq uint64, records int, sync bool) (*WAL, error) 
 	if err != nil {
 		return nil, fmt.Errorf("registry: opening wal: %w", err)
 	}
-	return &WAL{f: f, path: path, seq: nextSeq, records: records, sync: sync}, nil
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("registry: opening wal: %w", err)
+	}
+	return &WAL{f: f, path: path, size: st.Size(), seq: nextSeq, records: records, sync: sync}, nil
 }
 
 // Append frames one record (assigning it the next sequence number) and
@@ -221,8 +245,15 @@ func OpenWAL(path string, nextSeq uint64, records int, sync bool) (*WAL, error) 
 // learn it acknowledges. A wal.append span on sp (nil: none) wraps the
 // frame-and-write, a nested wal.fsync span times the fsync in sync
 // mode, and the fsync duration comes back (0 when sync is off) so the
-// registry can feed its latency histogram.
+// registry can feed its latency histogram. A failed write or fsync is
+// undone before Append returns: the file is truncated back to its
+// acknowledged frames, and the sequence number stays unused. If that
+// truncate fails too, the WAL refuses every later append; the next
+// fault-in or Open replays the log and truncates a torn tail.
 func (w *WAL) Append(sp *obs.Spans, op Op, label string, window [][]float64) (time.Duration, error) {
+	if w.broken != nil {
+		return 0, w.broken
+	}
 	rec := Record{Seq: w.seq, Op: op, Label: label, Window: window}
 	ap := sp.Start("wal.append", sp.Parent())
 	sp.Annotate(ap, "seq", int64(w.seq))
@@ -230,7 +261,7 @@ func (w *WAL) Append(sp *obs.Spans, op Op, label string, window [][]float64) (ti
 	sp.Annotate(ap, "bytes", int64(len(w.buf)))
 	if _, err := w.f.Write(w.buf); err != nil {
 		sp.End(ap)
-		return 0, fmt.Errorf("registry: appending wal record: %w", err)
+		return 0, w.undo(fmt.Errorf("registry: appending wal record: %w", err))
 	}
 	var fsync time.Duration
 	if w.sync {
@@ -241,13 +272,25 @@ func (w *WAL) Append(sp *obs.Spans, op Op, label string, window [][]float64) (ti
 		sp.End(fs)
 		if err != nil {
 			sp.End(ap)
-			return fsync, fmt.Errorf("registry: syncing wal: %w", err)
+			return fsync, w.undo(fmt.Errorf("registry: syncing wal: %w", err))
 		}
 	}
 	sp.End(ap)
 	w.seq++
 	w.records++
+	w.size += int64(len(w.buf))
 	return fsync, nil
+}
+
+// undo truncates the log back to its acknowledged frames after the
+// append that failed with err, and returns err. When the truncate
+// fails as well, the WAL is broken from then on.
+func (w *WAL) undo(err error) error {
+	if terr := w.f.Truncate(w.size); terr != nil {
+		w.broken = fmt.Errorf("registry: wal refuses appends after a failed append it could not undo: %w", terr)
+		return errors.Join(err, w.broken)
+	}
+	return err
 }
 
 // Records returns how many records the log currently holds.
@@ -266,6 +309,7 @@ func (w *WAL) Reset() error {
 	// O_APPEND writes land at the (now zero) end regardless of the file
 	// offset, so no Seek is needed.
 	w.records = 0
+	w.size = 0
 	return nil
 }
 

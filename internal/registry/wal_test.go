@@ -2,10 +2,15 @@ package registry
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"pulphd/internal/hdc"
 )
 
 // testRecord builds a small, valid record with distinguishable values.
@@ -170,6 +175,194 @@ func TestWALResetKeepsSequence(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].Seq != 4 || recs[0].Op != OpCorrect {
 		t.Fatalf("post-reset replay %+v, want one seq-4 correct record", recs)
+	}
+}
+
+// faultyFile is a WAL file that fails on demand: the next write after
+// shortWrite is set writes half its bytes and fails, the next sync
+// after failSync fails after the write reached the file, and every
+// truncate fails while failTruncate is set.
+type faultyFile struct {
+	walFile
+	shortWrite, failSync, failTruncate bool
+	writes                             int
+}
+
+func (f *faultyFile) Write(p []byte) (int, error) {
+	f.writes++
+	if f.shortWrite {
+		f.shortWrite = false
+		n, _ := f.walFile.Write(p[:len(p)/2])
+		return n, io.ErrShortWrite
+	}
+	return f.walFile.Write(p)
+}
+
+func (f *faultyFile) Sync() error {
+	if f.failSync {
+		f.failSync = false
+		return errors.New("injected fsync failure")
+	}
+	return f.walFile.Sync()
+}
+
+func (f *faultyFile) Truncate(size int64) error {
+	if f.failTruncate {
+		return errors.New("injected truncate failure")
+	}
+	return f.walFile.Truncate(size)
+}
+
+// openFaultyWAL opens a fresh WAL at path whose file fails on demand.
+func openFaultyWAL(t *testing.T, path string, sync bool) (*WAL, *faultyFile) {
+	t.Helper()
+	w, err := OpenWAL(path, 1, 0, sync)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &faultyFile{walFile: w.f}
+	w.f = f
+	return w, f
+}
+
+// appendAcked appends rec and fails the test unless it is acknowledged.
+func appendAcked(t *testing.T, w *WAL, rec Record) {
+	t.Helper()
+	if _, err := w.Append(nil, rec.Op, rec.Label, rec.Window); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// replayEquals closes w and requires its replay to be exactly want.
+func replayEquals(t *testing.T, w *WAL, path string, want []Record) {
+	t.Helper()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReplayWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay %+v, want exactly the acknowledged %+v", got, want)
+	}
+}
+
+// TestWALShortWriteLeavesNothing: a write that reached the file only in
+// part is truncated away before Append returns, so the next
+// acknowledged record does not land behind a torn frame that would end
+// replay before it.
+func TestWALShortWriteLeavesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.wal")
+	w, f := openFaultyWAL(t, path, false)
+	a, b := testRecord(1, OpLearn, "a", 1, 4), testRecord(2, OpLearn, "b", 1, 4)
+	appendAcked(t, w, a)
+	f.shortWrite = true
+	if _, err := w.Append(nil, OpLearn, "x", a.Window); err == nil {
+		t.Fatal("short write acknowledged")
+	}
+	appendAcked(t, w, b)
+	replayEquals(t, w, path, []Record{a, b})
+}
+
+// TestWALFailedFsyncLeavesNothing: a frame whose fsync failed was never
+// acknowledged, so it is truncated away and its sequence number goes to
+// the next acknowledged record; recovery cannot apply a learn the live
+// model rejected, and the records it replays carry distinct sequences.
+func TestWALFailedFsyncLeavesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.wal")
+	w, f := openFaultyWAL(t, path, true)
+	a, b := testRecord(1, OpLearn, "a", 1, 4), testRecord(2, OpCorrect, "b", 1, 4)
+	appendAcked(t, w, a)
+	f.failSync = true
+	if _, err := w.Append(nil, OpLearn, "x", a.Window); err == nil {
+		t.Fatal("failed fsync acknowledged")
+	}
+	appendAcked(t, w, b)
+	replayEquals(t, w, path, []Record{a, b})
+}
+
+// TestWALFailedTruncateRefusesAppends: when a failed append cannot be
+// undone, the WAL refuses every later append without writing, and
+// replay drops the torn frame and returns exactly what was
+// acknowledged.
+func TestWALFailedTruncateRefusesAppends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.wal")
+	w, f := openFaultyWAL(t, path, false)
+	a := testRecord(1, OpLearn, "a", 1, 4)
+	appendAcked(t, w, a)
+	f.shortWrite, f.failTruncate = true, true
+	if _, err := w.Append(nil, OpLearn, "x", a.Window); err == nil {
+		t.Fatal("short write acknowledged")
+	}
+	f.failTruncate = false
+	writes := f.writes
+	for i := 0; i < 2; i++ {
+		if _, err := w.Append(nil, OpLearn, "b", a.Window); err == nil {
+			t.Fatal("append acknowledged after a failed append could not be undone")
+		}
+	}
+	if f.writes != writes {
+		t.Fatalf("refused appends wrote %d times", f.writes-writes)
+	}
+	replayEquals(t, w, path, []Record{a})
+}
+
+// TestLearnAfterUnrecoverableWALFailure drives the broken WAL through
+// the registry: the learn whose append could not be undone fails as the
+// registry's own error, not ErrInvalid; the model keeps serving its
+// acknowledged state; every later learn is refused; and a restart
+// after a kill -9 recovers exactly the acknowledged learns.
+func TestLearnAfterUnrecoverableWALFailure(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	cfg := testConfig(hdc.BackendStored)
+	dir := t.TempDir()
+	r, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror, err := hdc.NewServing(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Create("m", cfg); err != nil {
+		t.Fatal(err)
+	}
+	w := randomWindow(cfg, rng)
+	if err := r.Learn("m", "a", w); err != nil {
+		t.Fatal(err)
+	}
+	if err := mirror.Learn("a", w); err != nil {
+		t.Fatal(err)
+	}
+	e, err := r.lookup("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	e.wal.f = &faultyFile{walFile: e.wal.f, shortWrite: true, failTruncate: true}
+	e.mu.Unlock()
+	for i := 0; i < 2; i++ {
+		err := r.Learn("m", "b", randomWindow(cfg, rng))
+		if err == nil || errors.Is(err, ErrInvalid) {
+			t.Fatalf("learn %d on a broken wal returned %v, want the registry's own error", i, err)
+		}
+		sv := mustServing(t, r, "m")
+		if sv.Generation() != mirror.Generation() {
+			t.Fatalf("serving generation %d after a failed learn, want %d", sv.Generation(), mirror.Generation())
+		}
+		if label, _ := sv.Predict(w); label != "a" {
+			t.Fatalf("predict answered %q, want a", label)
+		}
+	}
+	// kill -9: no Close; the half frame stays on disk.
+	r2, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	if !bytes.Equal(servingBytes(t, mustServing(t, r2, "m")), servingBytes(t, mirror)) {
+		t.Fatal("restart did not recover exactly the acknowledged learns")
 	}
 }
 

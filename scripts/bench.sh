@@ -42,10 +42,17 @@ go test -run '^$' \
 # Registry rung: one evict -> fault-in round trip per op, clean and
 # dirty, on both item-memory backends, at 5 and 1,000 learns per class
 # (writes snapshots to a temp dir); then the one request per op that
-# pushes the resident set over the budget while the LRU victim is
-# dirty, timed alone.
+# pushes the resident set over the budget while the victim is dirty,
+# timed alone.
 go test -run '^$' \
   -bench 'BenchmarkRegistryEvictFaultIn$|BenchmarkRegistryOverflow$' \
+  -benchmem -count "$COUNT" ./internal/registry/ "$@" | tee -a "$OUT"
+# tenants-durable's mix in process (eight tenants, a budget of the four
+# hottest, Zipf s = 2, one learn in five), the evictor settled after
+# every op: at this fixed count its faultins/kop, evictions/kop and
+# snapshots/klearn are the same on any host.
+go test -run '^$' \
+  -bench 'BenchmarkRegistryZipfMix$' -benchtime 2000x \
   -benchmem -count "$COUNT" ./internal/registry/ "$@" | tee -a "$OUT"
 # HTTP/JSON handler rung: one /predict or /learn per op through the
 # handler, from the in-memory request body to the answer bytes (EMG

@@ -16,7 +16,6 @@ import (
 	"pulphd/internal/hdc"
 	"pulphd/internal/hv"
 	"pulphd/internal/kernels"
-	"pulphd/internal/parallel"
 	"pulphd/internal/pulp"
 )
 
@@ -238,36 +237,6 @@ func BenchmarkSimulatedChain(b *testing.B) {
 // benchRNG returns the deterministic RNG used by the
 // microbenchmarks.
 func benchRNG() *rand.Rand { return rand.New(rand.NewSource(1)) }
-
-// --- goroutine-parallel host kernels (the OpenMP analog) ---
-
-func BenchmarkParallelAMSearch(b *testing.B) {
-	rng := benchRNG()
-	protos := make([]hv.Vector, 5)
-	for i := range protos {
-		protos[i] = hv.NewRandom(10000, rng)
-	}
-	query := hv.NewRandom(10000, rng)
-	pool := parallel.NewPool(4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pool.AMSearch(query, protos)
-	}
-}
-
-func BenchmarkParallelMajority(b *testing.B) {
-	rng := benchRNG()
-	set := make([]hv.Vector, 5)
-	for i := range set {
-		set[i] = hv.NewRandom(10000, rng)
-	}
-	dst := hv.New(10000)
-	pool := parallel.NewPool(4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pool.Majority(dst, set)
-	}
-}
 
 // BenchmarkEEG regenerates the EEG-style temporal study headline.
 func BenchmarkEEG(b *testing.B) {

@@ -144,7 +144,7 @@ func newServeFlags(fs *flag.FlagSet) *serveFlags {
 	sf.retryBackoff = fs.Duration("retry-backoff", 2*time.Millisecond, "initial backoff between predict retries, doubling per attempt")
 	sf.imBackend = fs.String("im-backend", "stored", "item-memory backend for the served model: stored or remat")
 	sf.stateDir = fs.String("state-dir", "", "model-registry state `directory` (snapshots + write-ahead logs); restarts recover every model from it. Empty: models live in memory only")
-	sf.residentBudget = fs.Int64("resident-budget", 0, "resident-bytes budget across registry models; past it, least-recently-used models evict to disk and fault back in on demand (0: unlimited; needs -state-dir)")
+	sf.residentBudget = fs.Int64("resident-budget", 0, "resident-bytes budget across registry models; past it, models evict to disk and fault back in on demand, lowest GreedyDual credit first: a dirty model counts 7x a clean one, least recently used among equals (0: unlimited; needs -state-dir)")
 	sf.walSync = fs.Bool("wal-sync", false, "fsync every write-ahead-log append: per-learn durability against power loss at a large latency cost (kill -9 loses nothing either way)")
 	sf.snapshotEvery = fs.Int("snapshot-every", modreg.DefaultSnapshotEvery, "write-ahead-log records per model before an automatic snapshot folds them in and truncates the log")
 	sf.defaultModel = fs.String("default-model", "default", "registry model `name` the legacy /predict and /learn routes serve")

@@ -7,14 +7,14 @@ import (
 	"pulphd/internal/parallel"
 )
 
-// This file adds the serving-shape parallelism the word-level
+// This file adds the serving-shape parallelism the paper's word-level
 // decomposition cannot give: whole queries fan out across the worker
 // pool, each worker encoding and classifying with its own scratch.
 // The PULP cluster parallelizes inside one classification because one
 // classification is all it is handed per 10 ms detection period (§3);
 // a host replaying a recorded session or serving query traffic has
 // many independent windows in hand, and across-query parallelism
-// scales past the ~8-core knee of the word-split.
+// scales past the ~8-core knee of the cluster's word-split.
 
 // Prediction is one classification outcome of a batch.
 type Prediction struct {
@@ -128,9 +128,9 @@ type BatchClassifier struct {
 // Batch returns a batched view of the classifier over pool. Contexts
 // are allocated once per pool worker; reuse the BatchClassifier
 // across calls to amortize them. A nil pool is allowed and degrades
-// to a serial loop over the windows — the same contract as a closed
-// pool's collectives, so callers without a pool handy (one-shot
-// replays, tests) need no special case.
+// to a serial loop over the windows, as a closed pool does, so
+// callers without a pool handy (one-shot replays, tests) need no
+// special case.
 func (c *Classifier) Batch(pool *parallel.Pool) *BatchClassifier {
 	workers := 1
 	if pool != nil {

@@ -35,9 +35,9 @@ import (
 // of the learner's append-only label slice, so a publish copies no
 // labels; am is searched by hv.Slab.Nearest, the scan AssociativeMemory
 // and AdaptiveMemory share. The PULP cluster parallelizes inside each
-// prototype's words (parallel.AMSearch); at the paper's 5 classes a
-// whole scan is a few microseconds, so the serving layer runs it
-// serially on the caller.
+// prototype's words (§3); at the paper's 5 classes a whole scan is a
+// few microseconds, so the serving layer runs it serially on the
+// caller.
 type generation struct {
 	id     uint64
 	labels []string

@@ -25,10 +25,6 @@ import (
 // assembly loop from CPUID at init, which reads misaligned slices as
 // they are; every other host runs hammingPortable below). The
 // associative-memory scan, Slab.Nearest, is dispatched the same way.
-//
-// The functions operate on raw packed word slices so that both the
-// Vector methods and the parallel worker pool (which processes word
-// subranges) share one implementation.
 
 // pair64 composes two consecutive packed words into one uint64 with
 // the low word in the low half, matching the little-endian component
@@ -141,8 +137,7 @@ func CountOnesWords(ws []uint32) int {
 // threshold of the set slices have a 1. Each set slice must be at
 // least len(dst) long. planes is caller-provided scratch of length
 // ≥ bits.Len(len(set)) holding the bit-sliced per-position counts;
-// providing it externally keeps the per-worker hot loops of the
-// parallel pool allocation-free.
+// providing it externally lets MajorityTo keep it on the stack.
 //
 // 64 positions are counted per full-adder ripple step. A trailing odd
 // word is folded with its high half zero, which contributes count 0

@@ -8,9 +8,9 @@ import (
 	"pulphd/internal/model"
 )
 
-// Train off-line, serialize, and deploy: the loaded model predicts
+// Train off-line, snapshot, and deploy: the loaded model predicts
 // identically because the item memories regenerate from the stored
-// seed and the prototypes travel verbatim.
+// seed and the prototypes and class counts travel verbatim.
 func Example() {
 	cfg := hdc.Config{
 		D: 1000, Channels: 4, Levels: 22, MinLevel: 0, MaxLevel: 21,
@@ -21,12 +21,12 @@ func Example() {
 	trained.Train("open", [][]float64{{4, 6, 16, 13}})
 
 	var blob bytes.Buffer
-	if err := model.Save(&blob, trained); err != nil {
+	if err := model.SaveServing(&blob, trained.Serving(), 0); err != nil {
 		fmt.Println("save:", err)
 		return
 	}
 	size := blob.Len()
-	deployed, err := model.Load(&blob)
+	deployed, _, err := model.LoadServing(&blob)
 	if err != nil {
 		fmt.Println("load:", err)
 		return
@@ -37,5 +37,5 @@ func Example() {
 	gotLabel, _ := deployed.Predict(sample)
 	fmt.Println("blob bytes:", size, "| agree:", wantLabel == gotLabel, "| label:", gotLabel)
 	// Output:
-	// blob bytes: 364 | agree: true | label: fist
+	// blob bytes: 662 | agree: true | label: fist
 }

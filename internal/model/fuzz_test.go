@@ -7,40 +7,6 @@ import (
 	"pulphd/internal/hdc"
 )
 
-// FuzzLoad feeds arbitrary bytes to the model loader: it must return
-// an error or a valid classifier, never panic — deployment loaders
-// face corrupted flash images.
-func FuzzLoad(f *testing.F) {
-	// Seed with a valid model and a few mutations.
-	cfg := hdc.EMGConfig()
-	cfg.D = 320
-	c := hdc.MustNew(cfg)
-	c.Train("x", [][]float64{{1, 2, 3, 4}})
-	var buf bytes.Buffer
-	if err := Save(&buf, c); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte{})
-	f.Add([]byte("PULPHD01"))
-	mutated := append([]byte(nil), valid...)
-	mutated[20] ^= 0xff
-	f.Add(mutated)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		loaded, err := Load(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Anything accepted must behave like a classifier.
-		if loaded.Config().D < 8 {
-			t.Fatalf("loader accepted invalid dimension %d", loaded.Config().D)
-		}
-	})
-}
-
 // FuzzLoadServing feeds arbitrary bytes to the version-3 loader, which
 // decodes snapshots a replica fetches from a peer and the registry
 // reads from disk: it must return an error or a model, never panic,

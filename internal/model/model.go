@@ -1,38 +1,15 @@
-// Package model serializes trained HD classifiers for deployment —
-// the paper's workflow trains off-line and then "the CIM, IM, and AM
+// Package model serializes serving models for deployment — the
+// paper's workflow trains off-line and then "the CIM, IM, and AM
 // matrices of the HD classifier ... as the trained models, are loaded
 // into the ARM Cortex M4 for testing" (§4.1).
 //
 // Because the IM and CIM are derived deterministically from the
-// configuration seed, only the configuration and the learned AM
-// prototypes need to be stored; the loader regenerates the item
-// memories bit-for-bit. The format is a little-endian binary stream
-// with a magic header, an explicit version, and a CRC-32 trailer over
-// the payload.
+// configuration seed, only the configuration and the learned AM state
+// need to be stored; the loader regenerates the item memories
+// bit-for-bit. The one format is the PULPHD03 snapshot (serving.go):
+// a little-endian binary stream with a magic header and a CRC-32
+// trailer over the payload.
 package model
-
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"hash"
-	"hash/crc32"
-	"io"
-	"math"
-
-	"pulphd/internal/hdc"
-	"pulphd/internal/hv"
-)
-
-// The magic identifies the file format; the trailing digits are the
-// version. Version 2 appends the item-memory backend to the config
-// head — a rematerialized model snapshot carries only its seed and
-// backend, never expanded matrices. Save always writes version 2;
-// Load accepts both, treating version-1 files as stored-backend.
-var (
-	magicV1 = [8]byte{'P', 'U', 'L', 'P', 'H', 'D', '0', '1'}
-	magicV2 = [8]byte{'P', 'U', 'L', 'P', 'H', 'D', '0', '2'}
-)
 
 // limits guarding against corrupt or hostile inputs.
 const (
@@ -44,170 +21,3 @@ const (
 	maxWindow    = 1 << 16
 	maxLabelLen  = 256
 )
-
-type crcWriter struct {
-	w   io.Writer
-	crc hash.Hash32
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	cw.crc.Write(p)
-	return cw.w.Write(p)
-}
-
-// Save writes the classifier's deployable model (configuration +
-// trained prototypes) to w.
-func Save(w io.Writer, c *hdc.Classifier) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magicV2[:]); err != nil {
-		return fmt.Errorf("model: write header: %w", err)
-	}
-	cw := &crcWriter{w: bw, crc: crc32.NewIEEE()}
-	cfg := c.Config()
-	am := c.AM()
-	head := []uint64{
-		uint64(cfg.D),
-		uint64(cfg.Channels),
-		uint64(cfg.Levels),
-		math.Float64bits(cfg.MinLevel),
-		math.Float64bits(cfg.MaxLevel),
-		uint64(cfg.NGram),
-		uint64(cfg.Window),
-		uint64(cfg.Seed),
-		uint64(am.Classes()),
-		uint64(cfg.Backend),
-	}
-	for _, v := range head {
-		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("model: write config: %w", err)
-		}
-	}
-	labels := am.Labels()
-	for i, label := range labels {
-		if len(label) > maxLabelLen {
-			return fmt.Errorf("model: label %q exceeds %d bytes", label, maxLabelLen)
-		}
-		if err := binary.Write(cw, binary.LittleEndian, uint32(len(label))); err != nil {
-			return fmt.Errorf("model: write label: %w", err)
-		}
-		if _, err := io.WriteString(cw, label); err != nil {
-			return fmt.Errorf("model: write label: %w", err)
-		}
-		proto := am.Prototype(i)
-		if err := binary.Write(cw, binary.LittleEndian, proto.Words()); err != nil {
-			return fmt.Errorf("model: write prototype %q: %w", label, err)
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, cw.crc.Sum32()); err != nil {
-		return fmt.Errorf("model: write checksum: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("model: flush: %w", err)
-	}
-	return nil
-}
-
-type crcReader struct {
-	r   io.Reader
-	crc hash.Hash32
-}
-
-func (cr *crcReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc.Write(p[:n])
-	return n, err
-}
-
-// Load reads a model written by Save and reconstructs a classifier:
-// item memories regenerated from the stored seed, prototypes
-// installed as fixed (deployment) prototypes.
-func Load(r io.Reader) (*hdc.Classifier, error) {
-	br := bufio.NewReader(r)
-	var gotMagic [8]byte
-	if _, err := io.ReadFull(br, gotMagic[:]); err != nil {
-		return nil, fmt.Errorf("model: read header: %w", err)
-	}
-	version := 0
-	switch gotMagic {
-	case magicV1:
-		version = 1
-	case magicV2:
-		version = 2
-	default:
-		return nil, fmt.Errorf("model: bad magic %q (want %q or %q)", gotMagic, magicV1, magicV2)
-	}
-	cr := &crcReader{r: br, crc: crc32.NewIEEE()}
-	headLen := 9
-	if version >= 2 {
-		headLen = 10 // + item-memory backend
-	}
-	head := make([]uint64, headLen)
-	for i := range head {
-		if err := binary.Read(cr, binary.LittleEndian, &head[i]); err != nil {
-			return nil, fmt.Errorf("model: read config: %w", err)
-		}
-	}
-	cfg := hdc.Config{
-		D:        int(head[0]),
-		Channels: int(head[1]),
-		Levels:   int(head[2]),
-		MinLevel: math.Float64frombits(head[3]),
-		MaxLevel: math.Float64frombits(head[4]),
-		NGram:    int(head[5]),
-		Window:   int(head[6]),
-		Seed:     int64(head[7]),
-	}
-	classes := int(head[8])
-	if version >= 2 {
-		if head[9] > uint64(hdc.BackendRemat) {
-			return nil, fmt.Errorf("model: unknown item-memory backend %d", head[9])
-		}
-		cfg.Backend = hdc.Backend(head[9])
-	}
-	switch {
-	case cfg.D < 0 || cfg.D > maxDimension,
-		classes < 0 || classes > maxClasses,
-		cfg.Channels < 0 || cfg.Channels > maxChannels,
-		cfg.Levels < 0 || cfg.Levels > maxLevels,
-		cfg.NGram < 0 || cfg.NGram > maxNGram,
-		cfg.Window < 0 || cfg.Window > maxWindow:
-		return nil, fmt.Errorf("model: implausible geometry (D=%d, classes=%d, channels=%d, levels=%d, N=%d, window=%d)",
-			cfg.D, classes, cfg.Channels, cfg.Levels, cfg.NGram, cfg.Window)
-	}
-	c, err := hdc.New(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("model: stored configuration invalid: %w", err)
-	}
-	words := hv.WordsFor(cfg.D)
-	for i := 0; i < classes; i++ {
-		var n uint32
-		if err := binary.Read(cr, binary.LittleEndian, &n); err != nil {
-			return nil, fmt.Errorf("model: read label %d: %w", i, err)
-		}
-		if n > maxLabelLen {
-			return nil, fmt.Errorf("model: label %d length %d exceeds %d", i, n, maxLabelLen)
-		}
-		label := make([]byte, n)
-		if _, err := io.ReadFull(cr, label); err != nil {
-			return nil, fmt.Errorf("model: read label %d: %w", i, err)
-		}
-		buf := make([]uint32, words)
-		if err := binary.Read(cr, binary.LittleEndian, buf); err != nil {
-			return nil, fmt.Errorf("model: read prototype %q: %w", label, err)
-		}
-		proto, err := hv.FromWords(cfg.D, buf)
-		if err != nil {
-			return nil, fmt.Errorf("model: prototype %q: %w", label, err)
-		}
-		c.AM().SetPrototype(string(label), proto)
-	}
-	want := cr.crc.Sum32()
-	var got uint32
-	if err := binary.Read(br, binary.LittleEndian, &got); err != nil {
-		return nil, fmt.Errorf("model: read checksum: %w", err)
-	}
-	if got != want {
-		return nil, fmt.Errorf("model: checksum mismatch: stored %08x, computed %08x", got, want)
-	}
-	return c, nil
-}

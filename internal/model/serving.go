@@ -12,15 +12,15 @@ import (
 	"pulphd/internal/hv"
 )
 
-// This file extends the deployment snapshot format to serving models.
-// A version-3 snapshot (magic PULPHD03) carries what a Classifier
-// snapshot (PULPHD02) cannot: the published generation id and, per
-// learnable class, the exact bit-sliced count accumulator — so a
-// restart restores not just the prototypes but the online-learning
-// state, and replaying the write-ahead-log tail on top publishes
-// byte-identical generations (the registry's crash-recovery
-// invariant). The framing is the same as version 2: little-endian
-// binary, magic header, CRC-32 trailer over everything between.
+// This file is the snapshot format of a serving model. A version-3
+// snapshot (magic PULPHD03) carries the configuration, the published
+// generation id, the labels and prototypes and, per learnable class,
+// the exact bit-sliced count accumulator — so a restart restores not
+// just the prototypes but the online-learning state, and replaying
+// the write-ahead-log tail on top publishes byte-identical generations
+// (the registry's crash-recovery invariant). The framing is
+// little-endian binary, magic header, CRC-32 trailer over everything
+// between.
 
 // magicV3 identifies a serving-state snapshot.
 var magicV3 = [8]byte{'P', 'U', 'L', 'P', 'H', 'D', '0', '3'}

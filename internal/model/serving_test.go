@@ -2,11 +2,16 @@ package model
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"pulphd/internal/hdc"
+	"pulphd/internal/hv"
 )
 
 // servingFixture builds a small serving model with a few learned
@@ -41,32 +46,51 @@ func servingFixture(t *testing.T, backend hdc.Backend, learns int) *hdc.Serving 
 func TestSaveLoadServingRoundTrip(t *testing.T) {
 	for _, backend := range []hdc.Backend{hdc.BackendStored, hdc.BackendRemat} {
 		t.Run(backend.String(), func(t *testing.T) {
-			sv := servingFixture(t, backend, 9)
-			var buf bytes.Buffer
-			if err := SaveServing(&buf, sv, 10); err != nil {
-				t.Fatal(err)
-			}
-			got, walSeq, err := LoadServing(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if walSeq != 10 {
-				t.Fatalf("walSeq %d, want 10", walSeq)
-			}
-			if got.Generation() != sv.Generation() || got.Classes() != sv.Classes() {
-				t.Fatalf("restored gen/classes %d/%d, want %d/%d",
-					got.Generation(), got.Classes(), sv.Generation(), sv.Classes())
-			}
-			// Byte-identical: re-saving the restored model reproduces the
-			// snapshot exactly.
-			var again bytes.Buffer
-			if err := SaveServing(&again, got, 10); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-				t.Fatal("save/load/save is not byte-identical")
+			// 0 learns is a model with no classes yet.
+			for _, learns := range []int{0, 9} {
+				sv := servingFixture(t, backend, learns)
+				var buf bytes.Buffer
+				if err := SaveServing(&buf, sv, 10); err != nil {
+					t.Fatal(err)
+				}
+				got, walSeq, err := LoadServing(bytes.NewReader(buf.Bytes()))
+				if err != nil {
+					t.Fatalf("%d learns: %v", learns, err)
+				}
+				if walSeq != 10 {
+					t.Fatalf("%d learns: walSeq %d, want 10", learns, walSeq)
+				}
+				if got.Generation() != sv.Generation() || got.Classes() != sv.Classes() {
+					t.Fatalf("%d learns: restored gen/classes %d/%d, want %d/%d",
+						learns, got.Generation(), got.Classes(), sv.Generation(), sv.Classes())
+				}
+				// Byte-identical: re-saving the restored model reproduces
+				// the snapshot exactly.
+				var again bytes.Buffer
+				if err := SaveServing(&again, got, 10); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+					t.Fatalf("%d learns: save/load/save is not byte-identical", learns)
+				}
 			}
 		})
+	}
+	// A label of maxLabelLen bytes saves; one byte more is refused, so
+	// the loader's bound never rejects what the saver wrote.
+	sv := servingFixture(t, hdc.BackendStored, 0)
+	w := fixtureWindow(sv.Config(), rand.New(rand.NewSource(1)))
+	if err := sv.Learn(strings.Repeat("a", maxLabelLen), w); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveServing(io.Discard, sv, 0); err != nil {
+		t.Fatalf("%d-byte label: %v", maxLabelLen, err)
+	}
+	if err := sv.Learn(strings.Repeat("b", maxLabelLen+1), w); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveServing(io.Discard, sv, 0); err == nil {
+		t.Fatalf("%d-byte label saved", maxLabelLen+1)
 	}
 }
 
@@ -125,6 +149,17 @@ func TestReadServingMeta(t *testing.T) {
 	if meta.Config.Backend != hdc.BackendRemat || meta.Config.D != 640 {
 		t.Fatalf("meta config %+v", meta.Config)
 	}
+	// A bad magic, and every cut short of the full head, is an error.
+	data := buf.Bytes()
+	badMagic := append([]byte("PULPHD02"), data[len(magicV3):]...)
+	if _, err := ReadServingMeta(bytes.NewReader(badMagic)); err == nil {
+		t.Fatal("bad magic read")
+	}
+	for n := 0; n < len(magicV3)+servingHeadLen; n++ {
+		if _, err := ReadServingMeta(bytes.NewReader(data[:n])); err == nil {
+			t.Fatalf("head cut to %d bytes read", n)
+		}
+	}
 }
 
 func TestLoadServingDetectsCorruption(t *testing.T) {
@@ -143,10 +178,33 @@ func TestLoadServingDetectsCorruption(t *testing.T) {
 			t.Fatalf("byte %d flip loaded without error", i)
 		}
 	}
-	for _, n := range []int{0, 7, 8, len(data) / 2, len(data) - 1} {
-		if _, _, err := LoadServing(bytes.NewReader(data[:n])); err == nil {
-			t.Fatalf("truncation to %d bytes loaded", n)
+	// Every strict prefix is rejected, of this snapshot and of both
+	// committed fixtures: a cut in any field, not just between them.
+	snaps := map[string][]byte{"servingFixture": data}
+	for _, backend := range []hdc.Backend{hdc.BackendStored, hdc.BackendRemat} {
+		name := "serving-" + backend.String() + ".snap"
+		fixture, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
 		}
+		snaps[name] = fixture
+	}
+	for name, snap := range snaps {
+		for n := 0; n < len(snap); n++ {
+			if _, _, err := LoadServing(bytes.NewReader(snap[:n])); err == nil {
+				t.Fatalf("%s: truncation to %d of %d bytes loaded", name, n, len(snap))
+			}
+		}
+	}
+	// A learnable flag other than 0 or 1 is rejected as such, before
+	// the CRC is reached. The first class's flag follows its label and
+	// prototype.
+	off := len(magicV3) + servingHeadLen
+	off += 4 + int(binary.LittleEndian.Uint32(data[off:])) + 4*hv.WordsFor(sv.Config().D)
+	mutated := append([]byte(nil), data...)
+	mutated[off] = 2
+	if _, _, err := LoadServing(bytes.NewReader(mutated)); err == nil || !strings.Contains(err.Error(), "learnable flag 2") {
+		t.Fatalf("learnable flag 2: err %v", err)
 	}
 }
 

@@ -2,28 +2,35 @@ package parallel_test
 
 import (
 	"fmt"
-	"math/rand"
 
-	"pulphd/internal/hv"
 	"pulphd/internal/parallel"
 )
 
-// The associative search distributed over a worker pool, the way the
-// OpenMP code distributes it over the cluster cores — bit-identical
-// to the serial library.
+// A sum split over a worker pool the way the OpenMP code splits a
+// kernel over the cluster cores: one static chunk per worker, each
+// worker's partial in its own slot, merged after the barrier.
 func Example() {
-	rng := rand.New(rand.NewSource(1))
-	protos := make([]hv.Vector, 5)
-	for i := range protos {
-		protos[i] = hv.NewRandom(10000, rng)
+	xs := make([]int, 10000)
+	for i := range xs {
+		xs[i] = i
 	}
-	query := protos[2].Clone()
-	query.FlipBits(800, rng)
 
 	pool := parallel.NewPool(4) // four goroutine "cores"
-	idx, dist := pool.AMSearch(query, protos)
+	defer pool.Close()
+	partial := make([]int, pool.Workers())
+	active := pool.ForRangeWorker(len(xs), func(lo, hi, worker int) {
+		s := 0
+		for _, x := range xs[lo:hi] {
+			s += x
+		}
+		partial[worker] = s
+	})
+	total := 0
+	for _, s := range partial[:active] {
+		total += s
+	}
 
-	fmt.Printf("nearest prototype %d at distance %d\n", idx, dist)
+	fmt.Printf("%d chunks, sum %d\n", active, total)
 	// Output:
-	// nearest prototype 2 at distance 800
+	// 4 chunks, sum 49995000
 }

@@ -2,14 +2,10 @@ package parallel
 
 import (
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 	"testing"
-
-	"pulphd/internal/hv"
 )
 
-var testDims = []int{33, 313, 1000, 10000}
 var workerCounts = []int{1, 2, 3, 4, 8, 16}
 
 func TestForRangeCoversExactly(t *testing.T) {
@@ -17,11 +13,15 @@ func TestForRangeCoversExactly(t *testing.T) {
 		for _, n := range []int{0, 1, 5, 313, 1000} {
 			p := NewPool(workers)
 			seen := make([]int32, n) // disjoint chunks: no two workers share an index
-			p.ForRange(n, func(lo, hi int) {
+			active := p.ForRangeWorker(n, func(lo, hi, _ int) {
 				for i := lo; i < hi; i++ {
 					seen[i]++
 				}
 			})
+			p.Close()
+			if n == 0 && active != 0 {
+				t.Fatalf("workers=%d n=0: %d chunks run", workers, active)
+			}
 			for i, c := range seen {
 				if c != 1 {
 					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, c)
@@ -43,159 +43,46 @@ func TestNewPoolDefaults(t *testing.T) {
 	}
 }
 
-func TestXorMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, d := range testDims {
-		a, b := hv.NewRandom(d, rng), hv.NewRandom(d, rng)
-		want := hv.Xor(a, b)
-		for _, workers := range workerCounts {
-			dst := hv.New(d)
-			NewPool(workers).Xor(dst, a, b)
-			if !hv.Equal(dst, want) {
-				t.Fatalf("d=%d workers=%d: parallel XOR deviates", d, workers)
-			}
+// sum adds xs with one partial per worker slot, merged after the
+// barrier: under -race this checks that the barrier orders every
+// worker's slot write before the caller reads it.
+func sum(p *Pool, partial []int64, xs []int64) int64 {
+	active := p.ForRangeWorker(len(xs), func(lo, hi, w int) {
+		var s int64
+		for _, x := range xs[lo:hi] {
+			s += x
 		}
+		partial[w] = s
+	})
+	var total int64
+	for _, s := range partial[:active] {
+		total += s
 	}
+	return total
 }
 
-func TestMajorityMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, d := range testDims {
-		for _, n := range []int{1, 3, 5, 7} {
-			set := make([]hv.Vector, n)
-			for i := range set {
-				set[i] = hv.NewRandom(d, rng)
-			}
-			want := hv.New(d)
-			hv.MajorityTo(want, set)
-			for _, workers := range workerCounts {
-				dst := hv.New(d)
-				NewPool(workers).Majority(dst, set)
-				if !hv.Equal(dst, want) {
-					t.Fatalf("d=%d n=%d workers=%d: parallel majority deviates", d, n, workers)
-				}
-			}
-		}
+func series(n int) (xs []int64, total int64) {
+	xs = make([]int64, n)
+	for i := range xs {
+		xs[i] = int64(i)
+		total += int64(i)
 	}
+	return xs, total
 }
 
-func TestHammingMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, d := range testDims {
-		a, b := hv.NewRandom(d, rng), hv.NewRandom(d, rng)
-		want := hv.Hamming(a, b)
-		for _, workers := range workerCounts {
-			if got := NewPool(workers).Hamming(a, b); got != want {
-				t.Fatalf("d=%d workers=%d: %d != %d", d, workers, got, want)
-			}
-		}
-	}
-}
-
-func TestAMSearchMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	const d = 10000
-	protos := make([]hv.Vector, 5)
-	for i := range protos {
-		protos[i] = hv.NewRandom(d, rng)
-	}
-	query := protos[3].Clone()
-	query.FlipBits(700, rng)
-	for _, workers := range workerCounts {
-		idx, dist := NewPool(workers).AMSearch(query, protos)
-		if idx != 3 || dist != 700 {
-			t.Fatalf("workers=%d: (%d,%d), want (3,700)", workers, idx, dist)
-		}
-	}
-}
-
-func TestSpatialEncodeMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, channels := range []int{3, 4, 5} {
-		const d = 2048
-		im := make([]hv.Vector, channels)
-		cim := make([]hv.Vector, channels)
-		for i := range im {
-			im[i] = hv.NewRandom(d, rng)
-			cim[i] = hv.NewRandom(d, rng)
-		}
-		// Serial reference with the accelerator's tie-break rule.
-		var set []hv.Vector
-		for i := range im {
-			set = append(set, hv.Xor(im[i], cim[i]))
-		}
-		if channels%2 == 0 {
-			set = append(set, hv.Xor(set[0], set[1]))
-		}
-		want := hv.New(d)
-		hv.MajorityTo(want, set)
-
-		bound := make([]hv.Vector, channels+1)
-		for i := range bound {
-			bound[i] = hv.New(d)
-		}
-		for _, workers := range workerCounts {
-			dst := hv.New(d)
-			NewPool(workers).SpatialEncode(dst, bound, im, cim)
-			if !hv.Equal(dst, want) {
-				t.Fatalf("channels=%d workers=%d: parallel spatial encoding deviates", channels, workers)
-			}
-		}
-	}
-}
-
-func TestPanicsOnMisuse(t *testing.T) {
-	p := NewPool(2)
-	a := hv.New(64)
-	b := hv.New(65)
-	for name, f := range map[string]func(){
-		"xor dims":       func() { p.Xor(a, a, b) },
-		"majority dims":  func() { p.Majority(a, []hv.Vector{b}) },
-		"empty majority": func() { p.Majority(a, nil) },
-		"empty am":       func() { p.AMSearch(a, nil) },
-		"scratch":        func() { p.SpatialEncode(a, nil, []hv.Vector{a}, []hv.Vector{a}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-// TestHammingRepeatedNoRace hammers the per-worker partial slots —
-// under -race this proves the slot-per-worker merge (which replaced
-// the mutex) is properly ordered by the pool barrier.
-func TestHammingRepeatedNoRace(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a, b := hv.NewRandom(10000, rng), hv.NewRandom(10000, rng)
-	want := hv.Hamming(a, b)
-	p := NewPool(8)
-	defer p.Close()
-	for i := 0; i < 200; i++ {
-		if got := p.Hamming(a, b); got != want {
-			t.Fatalf("iteration %d: %d != %d", i, got, want)
-		}
-	}
-}
-
-// TestPoolsAreIndependent runs collectives on separate pools from
-// separate goroutines; each pool owns its staging fields, so this is
-// race-free even though a single pool is not concurrency-safe.
+// TestPoolsAreIndependent runs calls on separate pools from separate
+// goroutines; each pool owns its barrier, so this is race-free even
+// though a single pool is not concurrency-safe.
 func TestPoolsAreIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a, b := hv.NewRandom(4096, rng), hv.NewRandom(4096, rng)
-	want := hv.Hamming(a, b)
+	xs, want := series(4096)
 	errc := make(chan error, 4)
 	for g := 0; g < 4; g++ {
 		go func() {
 			p := NewPool(3)
 			defer p.Close()
+			partial := make([]int64, p.Workers())
 			for i := 0; i < 50; i++ {
-				if got := p.Hamming(a, b); got != want {
+				if got := sum(p, partial, xs); got != want {
 					errc <- fmt.Errorf("%d != %d", got, want)
 					return
 				}
@@ -211,24 +98,27 @@ func TestPoolsAreIndependent(t *testing.T) {
 }
 
 // TestCloseFallsBackToSerial checks a closed pool still computes
-// correctly (on the caller's goroutine) and that Close is idempotent.
+// correctly, as one chunk on the caller's goroutine, and that Close
+// is idempotent.
 func TestCloseFallsBackToSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a, b := hv.NewRandom(10000, rng), hv.NewRandom(10000, rng)
-	want := hv.Hamming(a, b)
+	xs, want := series(10000)
 	p := NewPool(4)
-	if got := p.Hamming(a, b); got != want {
+	partial := make([]int64, p.Workers())
+	if got := sum(p, partial, xs); got != want {
 		t.Fatalf("before close: %d != %d", got, want)
 	}
 	p.Close()
 	p.Close() // idempotent
-	if got := p.Hamming(a, b); got != want {
+	if got := sum(p, partial, xs); got != want {
 		t.Fatalf("after close: %d != %d", got, want)
 	}
-	dst := hv.New(10000)
-	p.Xor(dst, a, b)
-	if !hv.Equal(dst, hv.Xor(a, b)) {
-		t.Fatal("after close: XOR deviates")
+	active := p.ForRangeWorker(len(xs), func(lo, hi, w int) {
+		if lo != 0 || hi != len(xs) || w != 0 {
+			t.Errorf("after close: chunk [%d, %d) on worker %d, want [0, %d) on 0", lo, hi, w, len(xs))
+		}
+	})
+	if active != 1 {
+		t.Fatalf("after close: %d chunks run, want 1", active)
 	}
 }
 
@@ -267,47 +157,19 @@ func TestForRangeWorkerSlots(t *testing.T) {
 	}
 }
 
-// TestCollectivesAllocationFree pins the steady-state collectives at
-// zero allocations per call.
-func TestCollectivesAllocationFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a, b := hv.NewRandom(10000, rng), hv.NewRandom(10000, rng)
-	dst := hv.New(10000)
-	set := make([]hv.Vector, 5)
-	for i := range set {
-		set[i] = hv.NewRandom(10000, rng)
-	}
-	p := NewPool(4)
-	defer p.Close()
-	// Warm up the lazily-grown per-worker scratch.
-	p.Hamming(a, b)
-	p.Majority(dst, set)
-	p.AMSearch(a, set)
-	for name, f := range map[string]func(){
-		"Hamming":  func() { p.Hamming(a, b) },
-		"Xor":      func() { p.Xor(dst, a, b) },
-		"Majority": func() { p.Majority(dst, set) },
-		"AMSearch": func() { p.AMSearch(a, set) },
-	} {
-		if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
-			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
-		}
-	}
-}
-
-// TestForRangeAllocationFree pins ForRange at zero allocations per
-// call once the pool's workers are running.
+// TestForRangeAllocationFree pins ForRangeWorker at zero allocations
+// per call once the pool's workers are running.
 func TestForRangeAllocationFree(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	counts := make([]int64, 256)
-	fn := func(lo, hi int) {
+	fn := func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
 			counts[i]++ // chunks are disjoint: no two workers share an index
 		}
 	}
-	p.ForRange(256, fn)
-	if allocs := testing.AllocsPerRun(50, func() { p.ForRange(256, fn) }); allocs != 0 {
-		t.Errorf("ForRange %v allocs/op, want 0", allocs)
+	p.ForRangeWorker(256, fn)
+	if allocs := testing.AllocsPerRun(50, func() { p.ForRangeWorker(256, fn) }); allocs != 0 {
+		t.Errorf("ForRangeWorker %v allocs/op, want 0", allocs)
 	}
 }

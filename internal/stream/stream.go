@@ -255,9 +255,9 @@ func (s *Classifier) Replay(samples [][]float64, pool *parallel.Pool) []Decision
 	}
 	preds, ok := s.batchPredict(windows, pool)
 	if !ok {
-		// The batch engine is unavailable (a plain Predictor) or its
-		// collective panicked; classify serially, dropping the windows
-		// whose individual predict fails.
+		// The batch engine is unavailable (a plain Predictor) or a
+		// batch predict panicked; classify serially, dropping the
+		// windows whose individual predict fails.
 		preds = make([]hdc.Prediction, len(windows))
 		for i, w := range windows {
 			label, dist, ok := s.safePredict(w)
@@ -280,9 +280,9 @@ func (s *Classifier) Replay(samples [][]float64, pool *parallel.Pool) []Decision
 
 // batchPredict runs the batched inference engine over the replay
 // windows. ok is false when the predictor is not an *hdc.Classifier
-// or the batch collective panicked — the panic is recovered, and the
+// or the batch predict panicked — the panic is recovered, and the
 // caller retries serially without the pool (a panic that escaped
-// mid-collective may have poisoned its barriers).
+// mid-ForRangeWorker may have left stale signals on its barrier).
 func (s *Classifier) batchPredict(windows [][][]float64, pool *parallel.Pool) (preds []hdc.Prediction, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {

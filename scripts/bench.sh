@@ -36,9 +36,6 @@ go test -run '^$' \
 go test -run '^$' \
   -bench 'BenchmarkServingPredictUnsharded$|BenchmarkServingSearchUnsharded$|BenchmarkServingSearchNear$|BenchmarkServingPredictWide$|BenchmarkServingLearn$|BenchmarkServingLearnWide$' \
   -benchmem -count "$COUNT" ./internal/hdc/ "$@" | tee -a "$OUT"
-go test -run '^$' \
-  -bench 'BenchmarkParallelAMSearch$|BenchmarkParallelMajority$' \
-  -benchmem -count "$COUNT" . "$@" | tee -a "$OUT"
 # Registry rung: one evict -> fault-in round trip per op, clean and
 # dirty, on both item-memory backends, at 5 and 1,000 learns per class
 # (writes snapshots to a temp dir); then the one request per op that

@@ -71,15 +71,20 @@ func newEncodeCtx(cfg Config, im *ItemMemory, cim *ContinuousItemMemory) *batchC
 }
 
 // encodeTo encodes one window into dst without touching any rng.
-// Single-N-gram windows (the EMG configuration) follow exactly the
-// serial EncodeWindow path, so the result is bit-identical to
-// Classifier.Predict; so do windows with an odd number of N-grams,
-// where no majority tie can occur. Windows with an even N-gram count
-// replace the serial path's random tie flips with the accelerator's
-// deterministic rule — the XOR of the first two N-grams joins the
-// bundle (§5.1) — so batch results never depend on worker count or
-// submission order.
+// Single-N-gram windows follow exactly the serial EncodeWindow path,
+// so the result is bit-identical to Classifier.Predict; so do windows
+// with an odd number of N-grams, where no majority tie can occur. A
+// one-sample window at N = 1 (the EMG configuration) is its own
+// N-gram, so its spatial vector is encoded straight into dst. Windows
+// with an even N-gram count replace the serial path's random tie flips
+// with the accelerator's deterministic rule — the XOR of the first two
+// N-grams joins the bundle (§5.1) — so batch results never depend on
+// worker count or submission order.
 func (bc *batchCtx) encodeTo(dst hv.Vector, window [][]float64, n int) {
+	if n == 1 && len(window) == 1 {
+		bc.spatial.EncodeTo(dst, window[0])
+		return
+	}
 	if len(window) > len(bc.seq) {
 		grown := make([]hv.Vector, len(window))
 		copy(grown, bc.seq)

@@ -19,8 +19,10 @@ import (
 type SpatialEncoder struct {
 	im  *ItemMemory
 	cim *ContinuousItemMemory
-	// scratch bound vectors, reused across calls (stored backend).
-	bound []hv.Vector
+	// scratch for the stored backend: the CIM row each channel's
+	// sample selects, handed with the IM rows to hv.BindMajorityTo and
+	// cleared after the call.
+	rows []hv.Vector
 	// scratch for the fused rematerializing path (remat backend): the
 	// quantized level per channel and one 64-bit block per majority
 	// input — the whole per-call working set.
@@ -37,20 +39,14 @@ func NewSpatialEncoder(im *ItemMemory, cim *ContinuousItemMemory) *SpatialEncode
 	if im.Backend() != cim.Backend() {
 		panic(fmt.Sprintf("hdc: NewSpatialEncoder: IM backend %v != CIM backend %v", im.Backend(), cim.Backend()))
 	}
-	n := im.Len()
-	if n%2 == 0 {
-		n++ // room for the tie-break vector
-	}
+	c := im.Len()
 	enc := &SpatialEncoder{im: im, cim: cim}
 	if im.Backend() == BackendRemat {
-		enc.levels = make([]int, im.Len())
-		enc.blocks = make([]uint64, n)
+		enc.levels = make([]int, c)
+		enc.blocks = make([]uint64, c|1) // room for the tie-break block
 		return enc
 	}
-	enc.bound = make([]hv.Vector, n)
-	for i := range enc.bound {
-		enc.bound[i] = hv.New(im.Dim())
-	}
+	enc.rows = make([]hv.Vector, c)
 	return enc
 }
 
@@ -69,8 +65,10 @@ func (e *SpatialEncoder) Encode(samples []float64) hv.Vector {
 }
 
 // EncodeTo is Encode without the allocation; dst must have the encoder
-// dimensionality. With the rematerializing backend the call runs the
-// fused seed-expansion kernel (remat.go) instead of loading rows.
+// dimensionality. Both backends bind and bundle in one pass, with no
+// bound vector stored: the stored backend hands each channel's IM row
+// and sampled CIM row to the fused kernel hv.BindMajorityTo; the
+// rematerializing backend runs its seed-expansion kernel (remat.go).
 func (e *SpatialEncoder) EncodeTo(dst hv.Vector, samples []float64) {
 	c := e.im.Len()
 	if len(samples) != c {
@@ -80,15 +78,11 @@ func (e *SpatialEncoder) EncodeTo(dst hv.Vector, samples []float64) {
 		e.encodeRematTo(dst, samples)
 		return
 	}
-	for i := 0; i < c; i++ {
-		hv.XorTo(e.bound[i], e.im.Vector(i), e.cim.Vector(samples[i]))
+	for i, x := range samples {
+		e.rows[i] = e.cim.Vector(x)
 	}
-	set := e.bound[:c]
-	if c%2 == 0 {
-		hv.XorTo(e.bound[c], e.bound[0], e.bound[1])
-		set = e.bound[:c+1]
-	}
-	hv.MajorityTo(dst, set)
+	hv.BindMajorityTo(dst, e.im.items, e.rows)
+	clear(e.rows) // pooled scratch keeps no model's rows reachable
 }
 
 // TemporalEncoder combines a sequence of N spatial hypervectors at

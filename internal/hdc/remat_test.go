@@ -376,6 +376,26 @@ func TestRematBatchAllocationFree(t *testing.T) {
 	}
 }
 
+// TestStoredEncodeAllocationFree pins the stored spatial encode at 0
+// allocations per call at 4 channels (EMG) and at the §4.2 sweep's 64
+// and 256, past the 32 at which a bound-vector encode's majority
+// allocated its list of rows.
+func TestStoredEncodeAllocationFree(t *testing.T) {
+	for _, ch := range []int{4, 64, 256} {
+		cfg := benchEncodeConfig(ch, BackendStored)
+		c := MustNew(cfg)
+		rng := rand.New(rand.NewSource(int64(ch)))
+		samples := make([]float64, ch)
+		for i := range samples {
+			samples[i] = rng.Float64() * cfg.MaxLevel
+		}
+		dst := hv.New(cfg.D)
+		if allocs := testing.AllocsPerRun(20, func() { c.spatial.EncodeTo(dst, samples) }); allocs != 0 {
+			t.Fatalf("%d channels: stored encode made %v allocs per call, want 0", ch, allocs)
+		}
+	}
+}
+
 // TestRematMixedBackendsPanic pins the constructor guard: an encoder
 // over memories from different backends is a bug, not a silent
 // misclassification.

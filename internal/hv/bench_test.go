@@ -143,6 +143,30 @@ func BenchmarkMajority(b *testing.B) {
 	}
 }
 
+// BenchmarkBindMajority is the stored spatial encode's kernel at the
+// EMG operating point on the host's kernel: four channels, each IM row
+// bound to one of 22 CIM rows, and the §5.1 tie word, at 10,000-D.
+func BenchmarkBindMajority(b *testing.B) {
+	vs := benchVecs(4 + 22)
+	items := vs[:4]
+	levels := []Vector{vs[4+3], vs[4+17], vs[4+3], vs[4+9]}
+	dst := New(10000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		BindMajorityTo(dst, items, levels)
+	}
+}
+
+// BenchmarkBindMajorityPortable is BenchmarkBindMajority with the Go
+// loop forced, so the AVX-512 kernel's gain reads as a same-run ratio.
+// On a host without AVX-512 VPOPCNTDQ both measure the same loop.
+func BenchmarkBindMajorityPortable(b *testing.B) {
+	host := useVPOPCNTDQ
+	useVPOPCNTDQ = false
+	defer func() { useVPOPCNTDQ = host }()
+	BenchmarkBindMajority(b)
+}
+
 func BenchmarkBundlerAdd(b *testing.B) {
 	vs := benchVecs(1)
 	bd := NewBundler(10000)

@@ -88,6 +88,57 @@ func FuzzHammingAgainstReference(f *testing.F) {
 	})
 }
 
+// FuzzBindMajorityAgainstReference cross-checks both kernels of the
+// fused bind and majority against the golden model's spatial encode,
+// hdref.SpatialEncode: unpacked XOR, the XOR of the first two bound
+// vectors for an even count, unpacked majority. The fuzzer picks the
+// bytes of a seed row, the dimension (1–1,100, or 10,000), the channel
+// count (1–16: every carry-save size and the count planes past them)
+// and an rng seed. Each row is the seed row with a few bits flipped or
+// a random one, so bound words agree and tie often; each channel's
+// level row is one of three, so channels share rows as quantized
+// levels do.
+func FuzzBindMajorityAgainstReference(f *testing.F) {
+	f.Add([]byte{0xff, 0x01}, uint16(13), uint8(3), int64(1))
+	f.Add([]byte{0xaa, 0x55, 0x00}, uint16(512), uint8(6), int64(2))
+	f.Add([]byte{0x12, 0x34}, uint16(1033), uint8(8), int64(3))
+	f.Add([]byte{0x0f}, uint16(0), uint8(15), int64(4))
+	f.Fuzz(func(t *testing.T, raw []byte, dRaw uint16, cRaw uint8, seed int64) {
+		d := int(dRaw)%1100 + 1
+		if dRaw%8 == 0 {
+			d = 10000
+		}
+		c := int(cRaw)%16 + 1
+		rng := rand.New(rand.NewSource(seed))
+		base := unpackRaw(raw, d)
+		row := func() []byte {
+			if rng.Intn(3) == 0 {
+				return NewRandom(d, rng).Bits()
+			}
+			r := append([]byte(nil), base...)
+			for k := rng.Intn(d/16 + 2); k > 0; k-- {
+				r[rng.Intn(d)] ^= 1
+			}
+			return r
+		}
+		table := [][]byte{row(), row(), row()}
+		items, levels := make([]Vector, c), make([]Vector, c)
+		refItems, refLevels := make([]hdref.Bits, c), make([]hdref.Bits, c)
+		for i := range items {
+			refItems[i], refLevels[i] = row(), table[rng.Intn(len(table))]
+			items[i], levels[i] = FromBits(refItems[i]), FromBits(refLevels[i])
+		}
+		want := FromBits(hdref.SpatialEncode(refItems, refLevels))
+		forEachHammingKernel(t, func(t *testing.T) {
+			got := NewRandom(d, rng)
+			BindMajorityTo(got, items, levels)
+			if !Equal(got, want) {
+				t.Fatalf("d=%d c=%d: BindMajorityTo deviates from the reference", d, c)
+			}
+		})
+	})
+}
+
 // unpackRaw expands fuzz bytes to d components: component i is bit
 // i%8 of raw byte i/8, the raw bytes repeating to fill the dimension.
 func unpackRaw(raw []byte, d int) []byte {

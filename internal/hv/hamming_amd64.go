@@ -67,7 +67,27 @@ func anchorDistances(lane, anchor []uint64) [blockLanes]uint64 {
 	return dist
 }
 
-// The functions below are implemented in hamming_amd64.s.
+// bindMajority is BindMajorityTo's word loop on the host's kernel: the
+// AVX-512 loop for the channel counts whose bound set reduces through a
+// carry-save tree (2–7), the Go loop for the rest. The assembly walks
+// the rows through a table of their first words, built here on the
+// stack.
+func bindMajority(dst []uint32, items, levels []Vector) {
+	c := len(items)
+	if !useVPOPCNTDQ || c < 2 || c > maxCSAChannels {
+		bindMajorityPortable(dst, items, levels)
+		return
+	}
+	var rows [2 * maxCSAChannels]*uint32
+	for i := range items {
+		rows[2*i] = &items[i].words[0]
+		rows[2*i+1] = &levels[i].words[0]
+	}
+	bindMajorityAVX512(&dst[0], len(dst), &rows, c)
+}
+
+// The functions below are implemented in hamming_amd64.s, apart from
+// bindMajorityAVX512, which is in bind_amd64.s.
 
 // cpuid executes CPUID with the given leaf (EAX) and subleaf (ECX).
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
@@ -108,3 +128,15 @@ func nearestVPOPCNTDQ(q *uint32, nw int, blocks *[]uint64, nblocks, lanes int) (
 //
 //go:noescape
 func anchorDistancesVPOPCNTDQ(lane, anchor *uint64, steps int, dist *[blockLanes]uint64)
+
+// bindMajorityAVX512 stores in the nw packed words at dst the majority
+// of the bound words of c channels, 2 to 7: channel i's item row starts
+// at rows[2i] and its level row at rows[2i+1]. Per 512-bit step one
+// VPXORD binds each channel, one more forms the §5.1 tie word of an
+// even count, and the set of 3, 5 or 7 reduces through full adders, one
+// VPTERNLOGQ for each sum (imm 0x96) and carry (0xE8), to one final
+// VPTERNLOGQ majority (0xE8). A partial last step is loaded and stored
+// under a lane mask, so no word past nw is read or written.
+//
+//go:noescape
+func bindMajorityAVX512(dst *uint32, nw int, rows *[2 * maxCSAChannels]*uint32, c int)

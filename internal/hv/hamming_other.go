@@ -24,3 +24,8 @@ func nearest(q []uint32, blocks [][]uint64, lanes int) (index, distance int) {
 func anchorDistances(lane, anchor []uint64) [blockLanes]uint64 {
 	return anchorDistancesPortable(lane, anchor)
 }
+
+// bindMajority is BindMajorityTo's word loop.
+func bindMajority(dst []uint32, items, levels []Vector) {
+	bindMajorityPortable(dst, items, levels)
+}

@@ -188,7 +188,7 @@ func checkSameDim(op string, a, b Vector) {
 func Xor(a, b Vector) Vector {
 	checkSameDim("Xor", a, b)
 	out := New(a.d)
-	XorWords(out.words, a.words, b.words)
+	xorWords(out.words, a.words, b.words)
 	return out
 }
 
@@ -197,7 +197,7 @@ func Xor(a, b Vector) Vector {
 func XorTo(dst, a, b Vector) {
 	checkSameDim("XorTo", a, b)
 	checkSameDim("XorTo", dst, a)
-	XorWords(dst.words, a.words, b.words)
+	xorWords(dst.words, a.words, b.words)
 }
 
 // Equal reports whether a and b have identical dimension and components.
@@ -228,7 +228,7 @@ func NormalizedHamming(a, b Vector) float64 {
 
 // CountOnes returns the number of components set to 1.
 func (v Vector) CountOnes() int {
-	return CountOnesWords(v.words)
+	return countOnesWords(v.words)
 }
 
 // Density returns the fraction of components set to 1.
@@ -366,7 +366,7 @@ func MajorityTo(dst Vector, set []Vector) {
 	n := len(set)
 	threshold := uint32(n / 2) // strictly-greater-than test
 	nplanes := bits.Len(uint(n))
-	// Stack scratch for the common small set sizes; MajorityWords does
+	// Stack scratch for the common small set sizes; majorityWords does
 	// not retain either slice, so escape analysis keeps these local.
 	var pbuf [16]uint64
 	planes := pbuf[:]
@@ -383,7 +383,7 @@ func MajorityTo(dst Vector, set []Vector) {
 	for _, v := range set {
 		words = append(words, v.words)
 	}
-	MajorityWords(dst.words, words, threshold, planes)
+	majorityWords(dst.words, words, threshold, planes)
 	dst.maskTail()
 }
 

@@ -105,7 +105,7 @@ func PrefixMask64(cut, j int) uint64 {
 
 // MajorityBlock64 returns the positionwise majority over one 64-bit
 // block of each input: a bit of the result is 1 where strictly more
-// than threshold of the set words have a 1 — exactly the MajorityWords
+// than threshold of the set words have a 1 — exactly the majorityWords
 // semantics, restricted to a single block so rematerializing encoders
 // can bundle generated words without materializing full vectors. The
 // odd 3/5/7-input cases with the standard floor(n/2) threshold reduce
@@ -118,18 +118,11 @@ func MajorityBlock64(set []uint64, threshold uint64) uint64 {
 		case 1:
 			return set[0]
 		case 3:
-			_, carry := csa64(set[0], set[1], set[2])
-			return carry
+			return maj3(set[0], set[1], set[2])
 		case 5:
-			s1, c1 := csa64(set[0], set[1], set[2])
-			s2, c2 := csa64(s1, set[3], set[4])
-			return (c1 & c2) | ((c1 ^ c2) & s2)
+			return maj5(set[0], set[1], set[2], set[3], set[4])
 		case 7:
-			s1, c1 := csa64(set[0], set[1], set[2])
-			s2, c2 := csa64(set[3], set[4], set[5])
-			_, c3 := csa64(s1, s2, set[6])
-			_, c4 := csa64(c1, c2, c3)
-			return c4
+			return maj7(set[0], set[1], set[2], set[3], set[4], set[5], set[6])
 		}
 	}
 	var planes [16]uint64

@@ -111,7 +111,7 @@ func TestMajorityBlock64MatchesMajorityWords(t *testing.T) {
 			threshold := uint32(n / 2)
 			dst := make([]uint32, 2)
 			planes := make([]uint64, 16)
-			MajorityWords(dst, words, threshold, planes)
+			majorityWords(dst, words, threshold, planes)
 			want := pair64(dst[0], dst[1])
 			if got := MajorityBlock64(set, uint64(threshold)); got != want {
 				t.Fatalf("n=%d trial %d: block %016x, words %016x", n, trial, got, want)

@@ -13,18 +13,19 @@ import (
 // appears in the hardware optimizations of Schmuck, Benini & Rahimi
 // (arXiv:1807.08583); here it is the software analogue.
 //
-// When the backing array is 8-byte aligned (always true for vectors
-// built by this package, and for even-word subranges of them) the
-// kernels read it through an unsafe []uint64 view, eliminating the
-// compose shifts; otherwise they fall back to composing uint32 pairs.
-// Both paths are bit-identical to the plain word-at-a-time loops for
-// every dimension, including non-word-aligned tails.
+// When the backing array is 8-byte aligned (the heap aligns every
+// vector of two or more words so) the kernels read it through an
+// unsafe []uint64 view, eliminating the compose shifts; a slice that
+// starts on an odd word falls back to composing uint32 pairs. Both
+// paths are bit-identical to the plain word-at-a-time loops for every
+// dimension, including non-word-aligned tails.
 //
 // Hamming distance has its own dispatch: HammingWords runs the
 // platform's kernel (hamming_amd64.go selects an AVX-512 VPOPCNTDQ
 // assembly loop from CPUID at init, which reads misaligned slices as
 // they are; every other host runs hammingPortable below). The
-// associative-memory scan, Slab.Nearest, is dispatched the same way.
+// associative-memory scan, Slab.Nearest, and the fused bind and
+// majority, BindMajorityTo (bind.go), are dispatched the same way.
 
 // pair64 composes two consecutive packed words into one uint64 with
 // the low word in the low half, matching the little-endian component
@@ -44,9 +45,9 @@ func words64(ws []uint32) ([]uint64, bool) {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(&ws[0])), len(ws)/2), true
 }
 
-// XorWords stores a[i]^b[i] into dst[i]. The slices must have equal
+// xorWords stores a[i]^b[i] into dst[i]. The slices must have equal
 // length; dst may alias a or b.
-func XorWords(dst, a, b []uint32) {
+func xorWords(dst, a, b []uint32) {
 	n := len(dst)
 	a = a[:n]
 	b = b[:n]
@@ -110,8 +111,8 @@ func hammingPortable(a, b []uint32) int {
 	return total
 }
 
-// CountOnesWords returns the number of set bits in ws.
-func CountOnesWords(ws []uint32) int {
+// countOnesWords returns the number of set bits in ws.
+func countOnesWords(ws []uint32) int {
 	total := 0
 	i := 0
 	if w64, ok := words64(ws); ok {
@@ -132,7 +133,7 @@ func CountOnesWords(ws []uint32) int {
 	return total
 }
 
-// MajorityWords writes into dst the positionwise majority of the
+// majorityWords writes into dst the positionwise majority of the
 // packed slices in set: a bit of dst is 1 where strictly more than
 // threshold of the set slices have a 1. Each set slice must be at
 // least len(dst) long. planes is caller-provided scratch of length
@@ -143,7 +144,7 @@ func CountOnesWords(ws []uint32) int {
 // word is folded with its high half zero, which contributes count 0
 // everywhere and therefore can never exceed the threshold — the extra
 // half-word stays 0 in dst.
-func MajorityWords(dst []uint32, set [][]uint32, threshold uint32, planes []uint64) {
+func majorityWords(dst []uint32, set [][]uint32, threshold uint32, planes []uint64) {
 	nw := len(dst)
 	t64 := uint64(threshold)
 	i := 0
@@ -210,6 +211,32 @@ func csa64(a, b, c uint64) (sum, carry uint64) {
 	return u ^ c, (a & b) | (u & c)
 }
 
+// maj3 returns the positionwise majority of three words: the carry of
+// their sum, count ≥ 2.
+func maj3(a, b, c uint64) uint64 {
+	return (a & b) | ((a ^ b) & c)
+}
+
+// maj5 returns the positionwise majority of five words. count = s2 +
+// 2*(c1+c2), so count ≥ 3 ⇔ both twos, or one two plus the ones bit:
+// the majority of c1, c2 and s2.
+func maj5(a, b, c, d, e uint64) uint64 {
+	s1, c1 := csa64(a, b, c)
+	s2, c2 := csa64(s1, d, e)
+	return maj3(c1, c2, s2)
+}
+
+// maj7 returns the positionwise majority of seven words. count = s3 +
+// 2*(c1+c2+c3) with s3 ≤ 1, so count ≥ 4 ⇔ at least two of the three
+// carries: their majority.
+func maj7(a, b, c, d, e, f, g uint64) uint64 {
+	// csa64 of (a, b, c) and of (d, e, f), written out to stay inlinable.
+	u, v := a^b, d^e
+	s1, c1 := u^c, a&b|u&c
+	s2, c2 := v^f, d&e|v&f
+	return maj3(c1, c2, maj3(s1, s2, g))
+}
+
 // majorityOddCSA handles the majority sizes the encoders actually
 // produce — odd sets of 3, 5 or 7 with the standard floor(n/2)
 // threshold — by reducing the inputs with a carry-save adder tree and
@@ -223,30 +250,18 @@ func majorityOddCSA(d64 []uint64, views [][]uint64, t64 uint64) bool {
 	case 3:
 		a, b, c := views[0], views[1], views[2]
 		for j := range d64 {
-			// majority ⇔ count ≥ 2 ⇔ the carry of a+b+c.
-			_, carry := csa64(a[j], b[j], c[j])
-			d64[j] = carry
+			d64[j] = maj3(a[j], b[j], c[j])
 		}
 	case 5:
 		v0, v1, v2, v3, v4 := views[0], views[1], views[2], views[3], views[4]
 		for j := range d64 {
-			s1, c1 := csa64(v0[j], v1[j], v2[j])
-			s2, c2 := csa64(s1, v3[j], v4[j])
-			// count = s2 + 2*(c1+c2); majority ⇔ count ≥ 3
-			// ⇔ both twos, or one two plus the ones bit.
-			d64[j] = (c1 & c2) | ((c1 ^ c2) & s2)
+			d64[j] = maj5(v0[j], v1[j], v2[j], v3[j], v4[j])
 		}
 	case 7:
 		v0, v1, v2 := views[0], views[1], views[2]
 		v3, v4, v5, v6 := views[3], views[4], views[5], views[6]
 		for j := range d64 {
-			s1, c1 := csa64(v0[j], v1[j], v2[j])
-			s2, c2 := csa64(v3[j], v4[j], v5[j])
-			_, c3 := csa64(s1, s2, v6[j])
-			_, c4 := csa64(c1, c2, c3)
-			// count = s3 + 2*(c1+c2+c3) = s3 + 2*s4 + 4*c4 with
-			// s3 + 2*s4 ≤ 3, so count ≥ 4 ⇔ the fours bit c4.
-			d64[j] = c4
+			d64[j] = maj7(v0[j], v1[j], v2[j], v3[j], v4[j], v5[j], v6[j])
 		}
 	default:
 		return false

@@ -38,15 +38,15 @@ func TestSwarKernelsMatchScalar(t *testing.T) {
 			for _, w := range a {
 				wantOnes += bits.OnesCount32(w)
 			}
-			if got := CountOnesWords(a); got != wantOnes {
-				t.Errorf("d=%d off=%d: CountOnesWords=%d want %d", d, off, got, wantOnes)
+			if got := countOnesWords(a); got != wantOnes {
+				t.Errorf("d=%d off=%d: countOnesWords=%d want %d", d, off, got, wantOnes)
 			}
 
 			dst := make([]uint32, n)
-			XorWords(dst, a, b)
+			xorWords(dst, a, b)
 			for i := range dst {
 				if dst[i] != a[i]^b[i] {
-					t.Fatalf("d=%d off=%d: XorWords word %d = %#x want %#x", d, off, i, dst[i], a[i]^b[i])
+					t.Fatalf("d=%d off=%d: xorWords word %d = %#x want %#x", d, off, i, dst[i], a[i]^b[i])
 				}
 			}
 		}
@@ -97,7 +97,7 @@ func TestHammingKernelsMatchScalar(t *testing.T) {
 	})
 }
 
-// TestSwarMajorityMatchesScalar cross-checks MajorityWords — both the
+// TestSwarMajorityMatchesScalar cross-checks majorityWords — both the
 // CSA-specialized odd sizes and the generic bit-sliced path — against
 // a per-bit counting loop, on aligned and misaligned inputs.
 func TestSwarMajorityMatchesScalar(t *testing.T) {
@@ -127,7 +127,7 @@ func TestSwarMajorityMatchesScalar(t *testing.T) {
 				}
 				dst := make([]uint32, nw)
 				planes := make([]uint64, bits.Len(uint(n)))
-				MajorityWords(dst, set, threshold, planes)
+				majorityWords(dst, set, threshold, planes)
 				for w := range dst {
 					if dst[w] != want[w] {
 						t.Fatalf("d=%d n=%d off=%d: majority word %d = %#x want %#x", d, n, off, w, dst[w], want[w])

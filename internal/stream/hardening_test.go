@@ -81,16 +81,16 @@ func TestReplaySurvivesPredictorPanic(t *testing.T) {
 }
 
 // TestBatchPredictRecoversPanic pins the recover in the batched replay
-// engine: a collective that panics (here: a malformed window reaching
-// encode) comes back as ok=false, so replay can retry serially instead
-// of crashing.
+// engine: a panic inside hdc's PredictBatch (here: a window whose row
+// is shorter than the channel count) comes back as ok=false, so replay
+// can retry serially instead of crashing.
 func TestBatchPredictRecoversPanic(t *testing.T) {
 	cls := trainedClassifier(t, 1)
 	s, err := New(cls, Config{DetectionStride: 1, SmoothWindow: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, ok := s.batchPredict([][][]float64{{{1}}}, nil) // short row panics encode
+	preds, ok := s.batchPredict([][][]float64{{{1}}}, nil) // short row panics PredictBatch
 	if ok || preds != nil {
 		t.Fatalf("poisoned batch returned ok=%v preds=%v", ok, preds)
 	}

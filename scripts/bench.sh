@@ -19,8 +19,12 @@ REMAT_JSON=benchmarks/BENCH_remat.json
 # row tests), /later-block (the answer in the last row: nothing to
 # skip, so it times the scan plus its row tests) and /one-block (five
 # rows, no row test); BenchmarkNewSlab builds the 1,029-row slab.
+# BenchmarkBindMajority and BenchmarkBindMajorityPortable are the stored
+# spatial encode's fused kernel at the EMG shape on the host's kernel
+# and on the Go loop: a same-process pair, since separate runs drift
+# more than the gain they would compare.
 go test -run '^$' \
-  -bench 'BenchmarkXor$|BenchmarkHamming$|BenchmarkHammingPortable$|BenchmarkNearest$|BenchmarkNearestPortable$|BenchmarkNewSlab$|BenchmarkCountOnes$|BenchmarkMajority$|BenchmarkBundlerAdd$|BenchmarkBundlerVectorTo$' \
+  -bench 'BenchmarkXor$|BenchmarkHamming$|BenchmarkHammingPortable$|BenchmarkNearest$|BenchmarkNearestPortable$|BenchmarkNewSlab$|BenchmarkCountOnes$|BenchmarkMajority$|BenchmarkBindMajority$|BenchmarkBindMajorityPortable$|BenchmarkBundlerAdd$|BenchmarkBundlerVectorTo$' \
   -benchmem -count "$COUNT" ./internal/hv/ "$@" | tee "$OUT"
 go test -run '^$' \
   -bench 'BenchmarkPredict$|BenchmarkPredictBatch$' \

@@ -57,7 +57,15 @@ func xorWords(dst, a, b []uint32) {
 			if b64, ok := words64(b); ok {
 				a64 = a64[:len(d64)] // bounds-check elimination
 				b64 = b64[:len(d64)]
-				for j := range d64 {
+				// Four words a step: the one-word loop's speed hung on
+				// where the linker put it (80 or 125 ns at 10,000-D for
+				// the same machine code, 32 bytes apart).
+				j := 0
+				for ; j+4 <= len(d64); j += 4 {
+					d, x, y := d64[j:j+4:j+4], a64[j:j+4:j+4], b64[j:j+4:j+4]
+					d[0], d[1], d[2], d[3] = x[0]^y[0], x[1]^y[1], x[2]^y[2], x[3]^y[3]
+				}
+				for ; j < len(d64); j++ {
 					d64[j] = a64[j] ^ b64[j]
 				}
 				i = len(d64) * 2
